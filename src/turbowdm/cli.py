@@ -60,12 +60,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_tables(args) -> int:
     records = read_records_ndjson(args.results)
-    rows = harness.aggregate(records)
-    if args.figure == "power":
-        rows = [r for r in rows]
-    elif args.figure == "spans":
-        rows = [r for r in rows]
-    paths = harness.emit_tables(rows, Path(args.out))
+    paths = harness.emit_tables(harness.aggregate(records), Path(args.out))
     for p in paths:
         print(p)
     return 0
@@ -90,7 +85,6 @@ def main(argv=None) -> int:
     p_tab = sub.add_parser("tables", help="emit plot-ready CSV tables from results")
     p_tab.add_argument("--results", required=True, help="records.ndjson from a run")
     p_tab.add_argument("--out", default="tables")
-    p_tab.add_argument("--figure", choices=("power", "spans", "all"), default="all")
     p_tab.set_defaults(fn=cmd_tables)
 
     args = ap.parse_args(argv)

@@ -39,35 +39,17 @@ def save_parity(path: str | Path, n: int, rows: list[list[int]]) -> None:
     Path(path).write_text("\n".join(out) + "\n")
 
 
-def _gf2_row_reduce(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """In-place GF(2) row echelon reduction; returns (reduced, pivot columns)."""
-    h = h.copy()
-    m, n = h.shape
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        if r >= m:
-            break
-        rows = np.nonzero(h[r:, col])[0]
-        if rows.size == 0:
-            continue
-        pr = r + rows[0]
-        if pr != r:
-            h[[r, pr]] = h[[pr, r]]
-        elim = np.nonzero(h[:, col])[0]
-        elim = elim[elim != r]
-        h[elim] ^= h[r]
-        pivots.append(col)
-        r += 1
-    return h, pivots
-
-
 @dataclass
 class LdpcCode:
     """Binary LDPC code defined by its sparse parity-check matrix.
 
     Encoding is systematic over the non-pivot (information) columns; parity
-    values at the pivot columns are produced by a precomputed GF(2) map.
+    values at the pivot columns are produced by a precomputed GF(2) map,
+    held as the bit-packed rows of the reduced row echelon form of H.
+
+    Instances are shared between cells (``harness._load_code`` caches them
+    per process), so nothing may mutate a code after construction, the
+    encoder state in ``_enc`` included; its arrays are read-only.
     """
 
     n: int
@@ -96,18 +78,36 @@ class LdpcCode:
             return cls.from_file(p)
 
     def _build_encoder(self) -> None:
-        h = np.zeros((self.m, self.n), dtype=np.uint8)
-        for i, r in enumerate(self.check_rows):
-            h[i, r] = 1
-        red, pivots = _gf2_row_reduce(h)
+        # H as bit-packed rows: bit c % 64 of word c // 64 holds column c
+        h = np.zeros((self.m, -(-self.n // 64)), dtype=np.uint64)
+        bit = np.left_shift(np.uint64(1), (self.edge_var % 64).astype(np.uint64))
+        np.bitwise_or.at(h, (self.edge_check, self.edge_var // 64), bit)
+        # Gauss-Jordan elimination with the leftmost pivot; the reduced row
+        # echelon form is unique, so pivots and parity map are too
+        pivots: list[int] = []
+        for col in range(self.n):
+            r = len(pivots)
+            if r == self.m:
+                break
+            w = col // 64
+            rows = np.flatnonzero((h[:, w] >> np.uint64(col % 64)) & np.uint64(1))
+            below = rows[rows >= r]
+            if below.size == 0:
+                continue
+            pr = below[0]
+            if pr != r:
+                h[[r, pr]] = h[[pr, r]]
+            # the pivot row is zero left of word w, so XOR only from there
+            elim = rows[rows != pr]
+            h[elim, w:] ^= h[r, w:]
+            pivots.append(col)
         rank = len(pivots)
-        info_cols = np.setdiff1d(np.arange(self.n), pivots)
-        # rows of the reduced system that carry the pivots, in pivot order
-        self._enc["pivot_cols"] = np.asarray(pivots)
-        self._enc["info_cols"] = info_cols
-        # parity = A_info @ u  (mod 2) where reduced rows read pivot + info part
-        self._enc["a_info"] = red[:rank][:, info_cols]
-        self._enc["rank"] = rank
+        self._enc["pivot_cols"] = np.asarray(pivots, dtype=int)
+        self._enc["info_cols"] = np.setdiff1d(np.arange(self.n), pivots)
+        # reduced row i reads: parity bit at pivot i = A_info row i . u (mod 2)
+        self._enc["rows"] = h[:rank].copy()
+        for a in self._enc.values():
+            a.flags.writeable = False
         self.k = self.n - rank
 
     @property
@@ -122,11 +122,13 @@ class LdpcCode:
         info_bits = np.asarray(info_bits, dtype=np.uint8)
         if info_bits.size != self.k:
             raise FecError(f"expected {self.k} info bits, got {info_bits.size}")
-        cw = np.zeros(self.n, dtype=np.uint8)
+        rows = self._enc["rows"]
+        cw = np.zeros(64 * rows.shape[1], dtype=np.uint8)
         cw[self._enc["info_cols"]] = info_bits
-        parity = (self._enc["a_info"] @ info_bits.astype(np.int64)) & 1
-        cw[self._enc["pivot_cols"]] = parity.astype(np.uint8)
-        return cw
+        # pivot positions are still zero, so each reduced row sees only A_info
+        u = np.packbits(cw, bitorder="little").view("<u8")
+        cw[self._enc["pivot_cols"]] = np.bitwise_count(rows & u).sum(axis=1) & 1
+        return cw[: self.n]
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
         bits = np.asarray(bits, dtype=np.int64)
@@ -136,10 +138,6 @@ class LdpcCode:
 
     def check(self, bits: np.ndarray) -> bool:
         return not self.syndrome(bits).any()
-
-
-def encode(info_bits: np.ndarray, code: LdpcCode) -> np.ndarray:
-    return code.encode(info_bits)
 
 
 _PHI_MIN = 1e-12

@@ -5,6 +5,7 @@ plot-ready table emission."""
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import logging
 from concurrent.futures import ProcessPoolExecutor
@@ -158,7 +159,9 @@ def cell_seed(base_seed: int, power_dbm: float, n_spans: int, mode: str, trial: 
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big") >> 1
 
 
+@functools.cache
 def _load_code(name: str) -> LdpcCode:
+    """Load a code file or bundled code by name, once per process."""
     p = Path(name)
     if p.exists():
         return LdpcCode.from_file(p)

@@ -144,7 +144,7 @@ def rls_estimate(
     cfg: SlidingWindowConfig,
     state: RlsState | None = None,
     initial_taps: np.ndarray | None = None,
-) -> tuple[ChannelTapTrack, RlsState]:
+) -> tuple[ChannelTapTrack, RlsState, np.ndarray]:
     """Exponentially weighted RLS tracking of the 2x2 channel taps.
 
     ``received`` and ``means`` are (2, m): symbol-rate samples and the soft

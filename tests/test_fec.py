@@ -14,6 +14,47 @@ from turbowdm.fec import (
 )
 
 
+def _gf2_row_reduce(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Dense GF(2) reduction to reduced row echelon form with the leftmost
+    pivot; returns (reduced, pivot columns). Reference for the packed encoder."""
+    h = h.copy()
+    m, n = h.shape
+    pivots: list[int] = []
+    r = 0
+    for col in range(n):
+        if r >= m:
+            break
+        rows = np.nonzero(h[r:, col])[0]
+        if rows.size == 0:
+            continue
+        pr = r + rows[0]
+        if pr != r:
+            h[[r, pr]] = h[[pr, r]]
+        elim = np.nonzero(h[:, col])[0]
+        elim = elim[elim != r]
+        h[elim] ^= h[r]
+        pivots.append(col)
+        r += 1
+    return h, pivots
+
+
+def _dense_parity_check(code: LdpcCode) -> np.ndarray:
+    h = np.zeros((code.m, code.n), dtype=np.uint8)
+    for i, r in enumerate(code.check_rows):
+        h[i, r] = 1
+    return h
+
+
+def _oracle_code(name: str) -> LdpcCode:
+    if name == "regular_100x50":
+        # n is not a multiple of 64: the last packed word is padded
+        return make_regular_code(100, 50, col_weight=3, seed=4)
+    if name == "rank_deficient":
+        rows = make_regular_code(100, 50, col_weight=3, seed=4).check_rows
+        return LdpcCode(n=100, check_rows=rows + [rows[7]])
+    return LdpcCode.bundled(name)
+
+
 @pytest.fixture(scope="module")
 def toy():
     return LdpcCode.bundled("toy_n20")
@@ -61,9 +102,7 @@ class TestEncode:
     def test_gf2_solve_oracle(self):
         # dense GF(2) linear solve agrees with the encoder on a fresh code
         code = make_regular_code(16, 8, col_weight=3, seed=3)
-        h = np.zeros((code.m, code.n), dtype=np.uint8)
-        for i, r in enumerate(code.check_rows):
-            h[i, r] = 1
+        h = _dense_parity_check(code)
         rng = np.random.default_rng(2)
         info = rng.integers(0, 2, code.k).astype(np.uint8)
         cw = code.encode(info)
@@ -78,6 +117,34 @@ class TestEncode:
         big = LdpcCode.bundled("rate45_n2048")
         assert abs(float(big.rate) - 0.8) < 0.01
         assert big.k == big.n - 410
+
+
+class TestEncoderOracle:
+    @pytest.mark.parametrize(
+        "name", ["toy_n20", "rate45_n2048", "regular_100x50", "rank_deficient"]
+    )
+    def test_matches_dense_reduction(self, name):
+        code = _oracle_code(name)
+        red, pivots = _gf2_row_reduce(_dense_parity_check(code))
+        info_cols = np.setdiff1d(np.arange(code.n), pivots)
+        a_info = red[: len(pivots)][:, info_cols].astype(np.int64)
+        if name == "rank_deficient":
+            assert len(pivots) < code.m
+        np.testing.assert_array_equal(code._enc["pivot_cols"], pivots)
+        np.testing.assert_array_equal(code.info_positions, info_cols)
+        assert code.k == code.n - len(pivots)
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            info = rng.integers(0, 2, code.k).astype(np.uint8)
+            ref = np.zeros(code.n, dtype=np.uint8)
+            ref[info_cols] = info
+            ref[pivots] = (a_info @ info) & 1
+            np.testing.assert_array_equal(code.encode(info), ref)
+            assert code.check(ref)
+
+    def test_encoder_state_read_only(self, toy):
+        with pytest.raises(ValueError):
+            toy.info_positions[0] = 0
 
 
 class TestInterleaver:
@@ -183,3 +250,13 @@ class TestBigCode:
         _, hard, ok, _ = decode(llr, code)
         assert ok
         np.testing.assert_array_equal(hard, cw)
+
+    def test_paper_code_encodes(self):
+        code = LdpcCode.bundled("rate45_n20480")
+        assert code.k == 16384
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            info = rng.integers(0, 2, code.k).astype(np.uint8)
+            cw = code.encode(info)
+            assert code.check(cw)
+            np.testing.assert_array_equal(cw[code.info_positions], info)

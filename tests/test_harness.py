@@ -7,6 +7,7 @@ from turbowdm.cli import main as cli_main
 from turbowdm.harness import (
     CampaignConfig,
     HarnessError,
+    _load_code,
     aggregate,
     cell_seed,
     emit_tables,
@@ -96,6 +97,10 @@ class TestConfig:
     def test_empty_sweep_rejected(self):
         with pytest.raises(HarnessError):
             CampaignConfig(power_dbm_list=())
+
+
+def test_load_code_cached_per_process():
+    assert _load_code("toy_n20") is _load_code("toy_n20")
 
 
 class TestCellSeed:
