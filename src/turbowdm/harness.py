@@ -9,9 +9,10 @@ import functools
 import hashlib
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -72,85 +73,76 @@ class CampaignConfig:
             raise HarnessError("sweep axes must be non-empty")
         if self.n_trials < 1:
             raise HarnessError("n_trials must be >= 1")
+        # metrics count the blocks between the training blocks and the
+        # trailing block, so at least one must be left
+        if self.n_blocks < self.n_train_blocks + 2:
+            raise HarnessError("n_blocks must be >= n_train_blocks + 2")
         for m in self.modes:
             if m not in MODES:
                 raise HarnessError(f"unknown receiver mode {m!r}")
 
 
-def _floats(s: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in s.replace(",", " ").split())
+def _parse_value(text: str, tp):
+    """Parse one config value as annotation ``tp``: a scalar, a bool in
+    configparser's words, or ``tuple[T, ...]`` separated by spaces or commas."""
+    if tp is bool:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    if get_origin(tp) is tuple:
+        elem = get_args(tp)[0]
+        return tuple(_parse_value(t, elem) for t in text.replace(",", " ").split())
+    return tp(text)
 
 
-def _ints(s: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in s.replace(",", " ").split())
+def _parse_section(cp: configparser.ConfigParser, section: str, cls) -> dict:
+    """Keyword arguments for dataclass ``cls`` from one section, whose keys
+    are its field names."""
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, text in cp.items(section):
+        if key not in hints or is_dataclass(hints[key]):
+            raise HarnessError(f"[{section}] {key}: unknown key")
+        try:
+            kwargs[key] = _parse_value(text, hints[key])
+        except (KeyError, ValueError) as exc:
+            raise HarnessError(
+                f"[{section}] {key}: cannot parse {text!r} as {hints[key]}"
+            ) from exc
+    return kwargs
 
 
 def load_config(path: str | Path) -> CampaignConfig:
-    """Parse the sectioned key-value config file (INI syntax)."""
+    """Parse a config file (INI syntax) or a bundled preset given by name.
+
+    ``[campaign]`` sets fields of :class:`CampaignConfig`, and a section
+    named after one of its dataclass fields (``[fiber]``, ``[turbo]``) sets
+    fields of that nested dataclass. Keys are field names; fields left out
+    keep their dataclass defaults.
+    """
     path = Path(path)
     if not path.exists():
-        preset = resources.files("turbowdm.presets") / f"{path.name}"
-        if preset.is_file():
-            path = preset
-        else:
+        preset = resources.files("turbowdm.presets") / path.name
+        if not preset.is_file():
             raise HarnessError(f"config file {path} not found")
-    cp = configparser.ConfigParser()
-    cp.read_string(Path(path).read_text() if isinstance(path, Path) else path.read_text())
+        path = preset
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_string(path.read_text())
+    except configparser.Error as exc:
+        raise HarnessError(f"{path}: {exc}") from exc
+    if cp.defaults():
+        raise HarnessError(f"[{cp.default_section}]: unknown section")
 
-    sig = cp["signal"] if cp.has_section("signal") else {}
-    fb = cp["fiber"] if cp.has_section("fiber") else {}
-    code = cp["code"] if cp.has_section("code") else {}
-    tb = cp["turbo"] if cp.has_section("turbo") else {}
-    dsp = cp["dsp"] if cp.has_section("dsp") else {}
-    sw = cp["sweep"] if cp.has_section("sweep") else {}
-    run = cp["run"] if cp.has_section("run") else {}
-
-    fiber = fib.FiberParams(
-        alpha_db_per_km=float(fb.get("alpha_db_per_km", 0.2)),
-        gamma_per_w_km=float(fb.get("gamma_per_w_km", 1.3)),
-        dispersion_ps_nm_km=float(fb.get("dispersion_ps_nm_km", 17.0)),
-        span_km=float(fb.get("span_km", 50.0)),
-        n_spans=int(fb.get("n_spans", 10)),
-        nf_db=float(fb.get("nf_db", 4.5)),
-        step_m=float(fb.get("step_m", 1000.0)),
-        center_wavelength_nm=float(fb.get("center_wavelength_nm", 1550.0)),
-    )
-    turbo = SlidingWindowConfig(
-        n1=int(tb.get("n1", 0)),
-        n2=int(tb.get("n2", 2)),
-        channel_memory=int(tb.get("channel_memory", 2)),
-        forgetting=float(tb.get("forgetting", 0.99)),
-        n_turbo_iters=int(tb.get("n_turbo_iters", 5)),
-        rls_delta=float(tb.get("rls_delta", 0.01)),
-        nlms_step=float(tb.get("nlms_step", 0.1)),
-        feedback=tb.get("feedback", "a_posteriori"),
-    )
-    return CampaignConfig(
-        modulation=int(sig.get("modulation", 64)),
-        n_wdm_channels=int(sig.get("n_wdm_channels", 3)),
-        baud=float(sig.get("baud", 32e9)),
-        grid_spacing_hz=float(sig.get("grid_spacing_hz", 37.5e9)),
-        pilot_rate=float(sig.get("pilot_rate", 0.05)),
-        rolloff=float(sig.get("rolloff", 0.01)),
-        rrc_span=int(sig.get("rrc_span", 64)),
-        tx_samples_per_symbol=int(sig.get("tx_samples_per_symbol", 4)),
-        fiber=fiber,
-        dbp_step_m=float(fb.get("dbp_step_m", 10e3)),
-        code_file=code.get("file", "rate45_n2048"),
-        n_blocks=int(code.get("n_blocks", 18)),
-        n_train_blocks=int(code.get("n_train_blocks", 3)),
-        decoder_iters=int(code.get("decoder_iters", 50)),
-        turbo=turbo,
-        nlms_taps=int(dsp.get("nlms_taps", 13)),
-        nlms_step=float(dsp.get("nlms_step", 0.05)),
-        pll_bw_norm=float(dsp.get("pll_bw_norm", 1e-3)),
-        bypass_sync_dsp=dsp.get("bypass_sync_dsp", "false").lower() in ("1", "true", "yes"),
-        power_dbm_list=_floats(sw.get("power_dbm", "2")),
-        span_list=_ints(sw.get("spans", str(fiber.n_spans))),
-        modes=tuple(sw.get("modes", "edc dbp dbp_turbo").split()),
-        n_trials=int(run.get("n_trials", 1)),
-        base_seed=int(run.get("base_seed", 1234)),
-    )
+    schema = {"campaign": CampaignConfig} | {
+        name: tp for name, tp in get_type_hints(CampaignConfig).items() if is_dataclass(tp)
+    }
+    parsed = {}
+    for section in cp.sections():
+        if section not in schema:
+            raise HarnessError(f"[{section}]: unknown section")
+        parsed[section] = _parse_section(cp, section, schema[section])
+    kwargs = parsed.pop("campaign", {})
+    kwargs.update({name: schema[name](**kw) for name, kw in parsed.items()})
+    return CampaignConfig(**kwargs)
 
 
 def cell_seed(base_seed: int, power_dbm: float, n_spans: int, mode: str, trial: int) -> int:

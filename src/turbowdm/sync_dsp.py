@@ -25,7 +25,6 @@ class NlmsState:
 
     n_taps: int = 13
     step_size: float = 0.05
-    leakage: float = 0.0
     eps: float = 1e-6
     taps: np.ndarray = field(default=None)  # (2, 2, n_taps): [out, in, tap]
 
@@ -109,8 +108,8 @@ def nlms_equalize(
             e0 = frame.symbols[0, i] - y0
             e1 = frame.symbols[1, i] - y1
             g = (mu / norm) * u
-            w[0] = (1.0 - state.leakage) * w[0] + np.conj(e0) * g
-            w[1] = (1.0 - state.leakage) * w[1] + np.conj(e1) * g
+            w[0] += np.conj(e0) * g
+            w[1] += np.conj(e1) * g
     with np.errstate(over="ignore", invalid="ignore"):
         out_power = np.mean(np.abs(out) ** 2)
     if not np.isfinite(out_power) or out_power > 10.0 * max(in_power, 1e-30):

@@ -30,8 +30,6 @@ from .waveform import SymbolFrame
 
 log = logging.getLogger(__name__)
 
-POLS = ("xx", "xy", "yx", "yy")
-
 
 class TurboError(RuntimeError):
     pass
@@ -40,17 +38,16 @@ class TurboError(RuntimeError):
 @dataclass(frozen=True)
 class SlidingWindowConfig:
     """Equalizer window (N = N1+N2+1), channel memory L, RLS forgetting
-    factor, noise variance, and turbo iteration count."""
+    factor and regularization, NLMS pre-convergence step, and turbo
+    iteration count."""
 
     n1: int = 0
     n2: int = 2
     channel_memory: int = 2  # L
     forgetting: float = 0.99
-    noise_var: float | None = None  # estimated from pilots when None
     n_turbo_iters: int = 5
     rls_delta: float = 0.01
     nlms_step: float = 0.1
-    feedback: str = "a_posteriori"  # or "extrinsic"
 
     def __post_init__(self):
         if self.n1 < 0 or self.n2 < 0:
@@ -368,8 +365,6 @@ def turbo_loop(
     # noise variance from pilot residuals of the unequalized stream
     pil_res = received[:, pilot] - frame.symbols[:, pilot]
     sigma_n2 = float(np.mean(np.abs(pil_res) ** 2))
-    if cfg.noise_var is not None:
-        sigma_n2 = cfg.noise_var
 
     true_info = np.stack(
         [
@@ -412,24 +407,20 @@ def turbo_loop(
             # refresh the noise estimate from the pilot-position residuals,
             # where the regression means are exact
             sigma_n2 = max(float(np.mean(np.abs(rls_err[:, pilot]) ** 2)), 1e-12)
-            if cfg.noise_var is not None:
-                sigma_n2 = cfg.noise_var
             s_hat, mu, nu2 = lmmse_equalize(
                 received, track, means, variances, cfg, sigma_n2,
                 symbol_energy=c.energy,
             )
 
-        # demap data instants (pilots removed after the equalizer)
+        # demap data instants (pilots removed after the equalizer); GMI reads
+        # no-prior L-values, which iteration 0, having no priors, already has
         llrs = np.empty((2, data_pos.size, q))
-        llrs_noprior = np.empty_like(llrs)
+        llrs_noprior = llrs if it == 0 else np.empty_like(llrs)
         for p in range(2):
-            llrs[p] = cst.extrinsic_llrs(
-                s_hat[p, data_pos], mu[p, data_pos], nu2[p, data_pos],
-                prior_sym[p], c,
-            )
-            llrs_noprior[p] = cst.extrinsic_llrs(
-                s_hat[p, data_pos], mu[p, data_pos], nu2[p, data_pos], None, c
-            )
+            eq = (s_hat[p, data_pos], mu[p, data_pos], nu2[p, data_pos])
+            llrs[p] = cst.extrinsic_llrs(*eq, prior_sym[p], c)
+            if it > 0:
+                llrs_noprior[p] = cst.extrinsic_llrs(*eq, None, c)
 
         # decode each block
         dec_info = np.empty_like(true_info)
@@ -440,11 +431,7 @@ def turbo_loop(
             blocks = _frame_llr_to_blocks(llrs[p], frame, interleavers)
             kofs = 0
             for b in range(nb):
-                post, hard, ok, iters = decode(blocks[b], code, decoder_iters)
-                if cfg.feedback == "extrinsic":
-                    app[p, b] = post - blocks[b]
-                else:
-                    app[p, b] = post
+                app[p, b], hard, ok, iters = decode(blocks[b], code, decoder_iters)
                 dec_info[p, kofs : kofs + code.k] = hard[code.info_positions]
                 kofs += code.k
                 all_ok &= ok

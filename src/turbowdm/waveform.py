@@ -24,7 +24,6 @@ class DualPolSignal:
     x: np.ndarray
     y: np.ndarray
     sample_rate: float
-    center_freq_offset: float = 0.0
 
     def __post_init__(self):
         if len(self.x) != len(self.y):
@@ -283,7 +282,7 @@ def select_channel(
     shift = np.exp(-2j * np.pi * offset_hz * t)
     x = np.fft.ifft(np.fft.fft(signal.x * shift) * mask)
     y = np.fft.ifft(np.fft.fft(signal.y * shift) * mask)
-    out = DualPolSignal(x=x, y=y, sample_rate=fs, center_freq_offset=0.0)
+    out = DualPolSignal(x=x, y=y, sample_rate=fs)
     if out_sample_rate is not None and abs(out_sample_rate - fs) > 1e-6:
         out = fft_resample(out, out_sample_rate)
     return out
@@ -302,7 +301,6 @@ def save_signal(path: str | Path, signal: DualPolSignal) -> None:
     sidecar = {
         "sample_rate": signal.sample_rate,
         "length": len(signal),
-        "center_freq_offset": signal.center_freq_offset,
     }
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar))
 
@@ -317,5 +315,4 @@ def load_signal(path: str | Path) -> DualPolSignal:
         x=x.astype(complex),
         y=y.astype(complex),
         sample_rate=meta["sample_rate"],
-        center_freq_offset=meta.get("center_freq_offset", 0.0),
     )

@@ -20,34 +20,28 @@ from turbowdm.harness import (
 from turbowdm.metrics import MetricsRecord, read_records_ndjson
 
 TINY_CFG = """
-[signal]
+[campaign]
 modulation = 4
 n_wdm_channels = 1
 baud = 32e9
 rolloff = 0.1
 tx_samples_per_symbol = 4
+dbp_step_m = 25000
+code_file = rate45_n2048
+n_blocks = 6
+power_dbm_list = 2
+span_list = 2
+modes = dbp_turbo
+n_trials = 1
+base_seed = 7
 
 [fiber]
 span_km = 50
 n_spans = 2
 step_m = 5000
-dbp_step_m = 25000
-
-[code]
-file = rate45_n2048
-n_blocks = 6
 
 [turbo]
 n_turbo_iters = 1
-
-[sweep]
-power_dbm = 2
-spans = 2
-modes = dbp_turbo
-
-[run]
-n_trials = 1
-base_seed = 7
 """
 
 
@@ -82,9 +76,100 @@ class TestConfig:
         assert desk.modulation == 64
         assert desk.n_wdm_channels == 3
         assert set(desk.modes) == {"edc", "dbp", "dbp_turbo"}
+        # values the desk preset sets away from the defaults
+        assert desk.rolloff == 0.1
+        assert desk.fiber.nf_db == 12.0
+        assert desk.fiber.step_m == 1000.0
+        assert desk.power_dbm_list == (-4.0, -2.0, 0.0, 2.0, 4.0)
+        assert desk.n_trials == 2
+        assert desk.base_seed == 7
         paper = load_config("paper.cfg")
         assert paper.modulation == 256
         assert paper.n_wdm_channels == 11
+        assert paper.tx_samples_per_symbol == 16
+        assert paper.fiber.step_m == 100.0
+        assert paper.fiber.n_spans == 24
+        assert paper.span_list == (24,)
+        assert paper.power_dbm_list == (-6.0, -5.0, -4.0, -3.0, -2.0, -1.0, 0.0)
+        assert paper.code_file == "rate45_n20480"
+        assert paper.turbo.n_turbo_iters == 10
+        assert paper.n_trials == 5
+
+    def test_every_field_round_trips(self, tmp_path):
+        def default(f):
+            if f.default_factory is not dataclasses.MISSING:
+                return f.default_factory()
+            return f.default
+
+        def other(name, value):
+            """A value unlike the default that the config still accepts."""
+            if name == "modes":
+                return value[::-1]
+            if isinstance(value, tuple):
+                return tuple(other(name, v) for v in value) * 2
+            if isinstance(value, bool):
+                return not value
+            if isinstance(value, int):
+                return value + 1
+            if isinstance(value, float):
+                return value / 2
+            return value + "_x"
+
+        def changed(f):
+            value = other(f.name, default(f))
+            assert value != default(f), f.name
+            return value
+
+        def text(value):
+            if isinstance(value, tuple):
+                return ", ".join(map(str, value))
+            return str(value)
+
+        lines, nested, flat = ["[campaign]"], {}, {}
+        for f in dataclasses.fields(CampaignConfig):
+            if dataclasses.is_dataclass(default(f)):
+                nested[f.name] = type(default(f))
+            else:
+                flat[f.name] = changed(f)
+                lines.append(f"{f.name} = {text(flat[f.name])}")
+        for section, cls in nested.items():
+            values = {f.name: changed(f) for f in dataclasses.fields(cls)}
+            lines.append(f"[{section}]")
+            lines += [f"{k} = {text(v)}" for k, v in values.items()]
+            flat[section] = cls(**values)
+        p = tmp_path / "all.cfg"
+        p.write_text("\n".join(lines) + "\n")
+        assert load_config(p) == CampaignConfig(**flat)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[signal]\nmodulation = 4\n", "[signal]"),
+            ("[DEFAULT]\nmodulation = 4\n", "[DEFAULT]"),
+            ("[turbo]\nforgeting = 0.9\n", "[turbo] forgeting"),
+            ("[campaign]\nfiber = 1\n", "[campaign] fiber"),
+        ],
+    )
+    def test_unknown_section_or_key_rejected(self, tmp_path, text, named):
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        with pytest.raises(HarnessError, match=named.replace("[", r"\[")):
+            load_config(p)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[campaign]\nn_blocks = many\n", "[campaign] n_blocks"),
+            ("[campaign]\nbypass_sync_dsp = maybe\n", "[campaign] bypass_sync_dsp"),
+            ("[campaign]\npower_dbm_list = 0, two\n", "[campaign] power_dbm_list"),
+            ("[fiber]\nn_spans = 2.5\n", "[fiber] n_spans"),
+        ],
+    )
+    def test_unparsable_value_rejected(self, tmp_path, text, named):
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        with pytest.raises(HarnessError, match=named.replace("[", r"\[")):
+            load_config(p)
 
     def test_missing_config(self):
         with pytest.raises(HarnessError):
@@ -97,6 +182,12 @@ class TestConfig:
     def test_empty_sweep_rejected(self):
         with pytest.raises(HarnessError):
             CampaignConfig(power_dbm_list=())
+
+    def test_too_few_blocks_rejected(self):
+        # metrics need one counted block between training and trailing block
+        with pytest.raises(HarnessError):
+            CampaignConfig(n_blocks=4, n_train_blocks=3)
+        CampaignConfig(n_blocks=5, n_train_blocks=3)
 
 
 def test_load_code_cached_per_process():
