@@ -21,8 +21,6 @@ from .metrics import (
 )
 from .sync_dsp import DdpllState, NlmsState, ddpll, nlms_equalize
 from .turbo import (
-    ChannelTapTrack,
-    RlsState,
     SlidingWindowConfig,
     lmmse_equalize,
     rls_estimate,

@@ -11,10 +11,10 @@ and both pre- and post-cursor ISI are covered.
 from __future__ import annotations
 
 import json
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
 from . import constellation as cst
 from .constellation import Constellation
@@ -27,8 +27,6 @@ from .metrics import (
     post_fec_ber,
 )
 from .waveform import SymbolFrame
-
-log = logging.getLogger(__name__)
 
 
 class TurboError(RuntimeError):
@@ -64,52 +62,14 @@ class SlidingWindowConfig:
         return (self.channel_memory + 1) // 2
 
 
-@dataclass
-class ChannelTapTrack:
-    """Per-instant 2x2 MIMO tap estimates, each of length L+1.
-
-    ``taps[k]`` for k in {xx, xy, yx, yy} has shape (n_instants, L+1) and
-    holds the filter taps used to predict the received sample at that
-    instant (pre-update RLS state).
-    """
-
-    taps: dict[str, np.ndarray]
-
-    @property
-    def n_instants(self) -> int:
-        return self.taps["xx"].shape[0]
-
-    @property
-    def memory(self) -> int:
-        return self.taps["xx"].shape[1] - 1
-
-
-@dataclass
-class RlsState:
-    memory: int
-    forgetting: float
-    delta: float = 0.01
-    sigma: np.ndarray = field(default=None)  # (2(L+1), 2(L+1)) inverse correlation
-    h: np.ndarray = field(default=None)  # (2, 2, L+1): [out pol, in pol, tap]
-
-    def __post_init__(self):
-        if self.sigma is None:
-            self.reinitialize()
-        if self.h is None:
-            self.h = np.zeros((2, 2, self.memory + 1), dtype=complex)
-
-    def reinitialize(self) -> None:
-        dim = 2 * (self.memory + 1)
-        self.sigma = np.eye(dim, dtype=complex) / self.delta
-
-
-def _regression(means: np.ndarray, i: int, memory: int, delay: int) -> np.ndarray:
-    """Regression vectors [s_mean(i+d-n)]_{n=0..L} per polarization (2, L+1)."""
-    idx = i + delay - np.arange(memory + 1)
-    valid = (idx >= 0) & (idx < means.shape[1])
-    out = np.zeros((2, memory + 1), dtype=complex)
-    out[:, valid] = means[:, idx[valid]]
-    return out
+def _regressors(means: np.ndarray, cfg: SlidingWindowConfig) -> np.ndarray:
+    """(m, 2(L+1)) joint regressors: row i holds s_mean_p(i+d-n) for input
+    polarization p and tap n = 0..L, zero outside the frame."""
+    m = means.shape[1]
+    idx = np.arange(m)[:, None] + cfg.delay - np.arange(cfg.channel_memory + 1)
+    valid = (idx >= 0) & (idx < m)
+    u = np.where(valid, means[:, np.clip(idx, 0, m - 1)], 0.0)  # (2, m, L+1)
+    return u.transpose(1, 0, 2).reshape(m, -1)
 
 
 def nlms_tap_preconvergence(
@@ -117,21 +77,18 @@ def nlms_tap_preconvergence(
     means: np.ndarray,
     cfg: SlidingWindowConfig,
     region: np.ndarray,
-    step: float | None = None,
-    eps: float = 1e-6,
 ) -> np.ndarray:
     """Data-aided NLMS pre-convergence of the channel-estimator taps over a
-    known-symbol region. Returns taps shaped like RlsState.h."""
-    memory, delay = cfg.channel_memory, cfg.delay
-    h = np.zeros((2, 2, memory + 1), dtype=complex)
-    mu = cfg.nlms_step if step is None else step
+    known-symbol region. Returns (2, 2, L+1) taps [out pol, in pol, tap],
+    one instant of the RLS tap track."""
+    lp1 = cfg.channel_memory + 1
+    regs = _regressors(means, cfg)
+    h = np.zeros((2, 2, lp1), dtype=complex)
     for i in np.nonzero(region)[0]:
-        v = _regression(means, i, memory, delay)  # (2, L+1)
-        r_hat = np.einsum("opn,pn->o", np.conj(h), v)
-        e = received[:, i] - r_hat
-        norm = np.sum(np.abs(v) ** 2, axis=1) + eps  # per input pol
-        for o in range(2):
-            h[o] += (mu * np.conj(e[o]) / norm)[:, None] * v
+        v = regs[i].reshape(2, lp1)
+        e = received[:, i] - np.einsum("opn,pn->o", np.conj(h), v)
+        norm = np.sum(np.abs(v) ** 2, axis=1) + 1e-6  # per input pol
+        h += (cfg.nlms_step * np.conj(e)[:, None] / norm)[:, :, None] * v
     return h
 
 
@@ -139,78 +96,54 @@ def rls_estimate(
     received: np.ndarray,
     means: np.ndarray,
     cfg: SlidingWindowConfig,
-    state: RlsState | None = None,
     initial_taps: np.ndarray | None = None,
-) -> tuple[ChannelTapTrack, RlsState, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exponentially weighted RLS tracking of the 2x2 channel taps.
 
     ``received`` and ``means`` are (2, m): symbol-rate samples and the soft
     symbol means aligned to them (pilot means pinned to the pilot symbols).
-    Returns (tap track, state, prediction errors); the full pre-update tap
-    trajectory is kept for the LMMSE pass.
+    Returns (track, taps, errors): the (m, 2, 2, L+1) pre-update taps
+    [instant, out pol, in pol, tap] that predict each sample, the (2, 2, L+1)
+    taps after the last update, and the (2, m) a-priori prediction errors.
+
+    RLS started from the inverse correlation I/delta and the taps h0 is
+    exponentially weighted least squares with the regulariser
+    delta lam^i |h - h0|^2 (Haykin, Adaptive Filter Theory, RLS chapter):
+    the taps after the i-th update solve R_i h = p_i, where R_i =
+    lam R_{i-1} + u_i u_i^H and p_i = lam p_{i-1} + u_i conj(r_i) are
+    first-order IIR filters, over the instants the skip rule keeps, started
+    from R_0 = delta I and p_0 = delta h0.
     """
     m = received.shape[1]
-    if state is None:
-        state = RlsState(memory=cfg.channel_memory, forgetting=cfg.forgetting,
-                         delta=cfg.rls_delta)
-    if initial_taps is not None:
-        state.h = initial_taps.astype(complex).copy()
-    lam = cfg.forgetting
     lp1 = cfg.channel_memory + 1
-    track = np.empty((m, 2, 2, lp1), dtype=complex)
-    errors = np.empty((2, m), dtype=complex)
-    h = state.h
-    sigma = state.sigma
+    dim = 2 * lp1
+    h0 = np.zeros((2, dim), dtype=complex)
+    if initial_taps is not None:
+        h0[:] = initial_taps.reshape(2, dim)
+    regs = _regressors(means, cfg)
     # near-zero regressors (uninformative priors) carry no tap information;
-    # updating on them only inflates sigma by 1/lam per step
-    v_floor = 1e-3 * (cfg.channel_memory + 1)
-    for i in range(m):
-        v = _regression(means, i, cfg.channel_memory, cfg.delay)
-        track[i] = h
-        u = v.ravel()  # joint regressor over both input polarizations
-        r_hat = np.conj(h.reshape(2, -1)) @ u
-        e = received[:, i] - r_hat
-        errors[:, i] = e
-        if np.sum(np.abs(u) ** 2) <= v_floor:
-            continue
-        su = sigma @ u
-        gain = su / (lam + np.real(np.vdot(u, su)))
-        sigma = (sigma - np.outer(gain, np.conj(su))) / lam
-        # re-symmetrize: the rank-1 form slowly loses Hermitianity and can
-        # turn indefinite after a few thousand updates
-        sigma = 0.5 * (sigma + sigma.conj().T)
-        if not np.all(np.isfinite(sigma)) or np.max(np.abs(sigma)) > 1e9:
-            log.warning("RLS inverse-correlation lost conditioning; reinitializing")
-            state.reinitialize()
-            sigma = state.sigma
-            continue
-        h += (np.conj(e)[:, None] * gain[None, :]).reshape(h.shape)
-    state.h = h
-    state.sigma = sigma
-    taps = {
-        "xx": track[:, 0, 0],
-        "xy": track[:, 0, 1],
-        "yx": track[:, 1, 0],
-        "yy": track[:, 1, 1],
-    }
-    return ChannelTapTrack(taps=taps), state, errors
-
-
-def _effective_taps(track: ChannelTapTrack) -> np.ndarray:
-    """(m, 2, 2, L+1) channel coefficients c_n = conj(h_n)."""
-    m = track.n_instants
-    lp1 = track.memory + 1
-    c = np.empty((m, 2, 2, lp1), dtype=complex)
-    c[:, 0, 0] = np.conj(track.taps["xx"])
-    c[:, 0, 1] = np.conj(track.taps["xy"])
-    c[:, 1, 0] = np.conj(track.taps["yx"])
-    c[:, 1, 1] = np.conj(track.taps["yy"])
-    return c
+    # filtering them in would only make R and p forget what came before
+    keep = np.sum(np.abs(regs) ** 2, axis=1) > 1e-3 * lp1
+    u = regs[keep]
+    stats = np.concatenate(
+        [u[:, :, None] * np.conj(u[:, None, :]),
+         u[:, :, None] * np.conj(received[:, keep].T)[:, None, :]],
+        axis=2,
+    )  # (kept, dim, dim + 2): [R | p] increments
+    lam = cfg.forgetting
+    init = cfg.rls_delta * np.concatenate([np.eye(dim), h0.T], axis=1)
+    stats, _ = lfilter([1.0], [1.0, -lam], stats, axis=0, zi=lam * init[None])
+    solved = np.linalg.solve(stats[:, :, :dim], stats[:, :, dim:])
+    after = np.concatenate([h0[None], solved.transpose(0, 2, 1)])  # (kept+1, 2, dim)
+    # each instant predicts with the taps left by the last kept instant before it
+    track = after[np.cumsum(keep) - keep]
+    errors = received - np.einsum("mok,mk->om", np.conj(track), regs)
+    return track.reshape(m, 2, 2, lp1), after[-1].reshape(2, 2, lp1), errors
 
 
 def lmmse_equalize(
     received: np.ndarray,
-    track: ChannelTapTrack,
+    track: np.ndarray,
     means: np.ndarray,
     variances: np.ndarray,
     cfg: SlidingWindowConfig,
@@ -219,15 +152,16 @@ def lmmse_equalize(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sliding-window MIMO 2x2 LMMSE estimation with symbol priors.
 
-    Per instant: the windowed channel matrix is assembled from the tap
-    track, the prior mean of the center symbol is excluded from the
-    interference cancellation while its variance entry is the blind symbol
-    energy, and the Wiener solution is obtained by a direct Hermitian solve.
+    Per instant: the windowed channel matrix is assembled from the
+    (m, 2, 2, L+1) tap track of ``rls_estimate``, the prior mean of the
+    center symbol is excluded from the interference cancellation while its
+    variance entry is the blind symbol energy, and the Wiener solution is
+    obtained by a direct Hermitian solve.
 
     Returns (estimates (2, m), scale mu (2, m), noise nu2 (2, m)).
     """
     m = received.shape[1]
-    if track.n_instants != m:
+    if track.shape[0] != m:
         raise TurboError("tap track does not cover all instants")
     n1, n2, mem = cfg.n1, cfg.n2, cfg.channel_memory
     nw = cfg.n_window
@@ -235,7 +169,7 @@ def lmmse_equalize(
     d = cfg.delay
     sig2 = symbol_energy
 
-    c = _effective_taps(track)  # (m, 2, 2, L+1)
+    c = np.conj(track)  # channel coefficients c_n = conj(h_n)
 
     # banded window matrix H (m, 2N, 2W): rows are received samples
     # r_{i0-N1..i0+N2} with i0 = j - d; columns are symbols s_{j-N1-L..j+N2}
@@ -294,9 +228,7 @@ def lmmse_equalize(
 
 @dataclass
 class TurboResult:
-    llrs: list[np.ndarray]  # per iteration: (2, n_data, q) extrinsic L-values
     hard_bits: np.ndarray  # (2, total coded bits), final iteration
-    tap_tracks: list[ChannelTapTrack | None]
     records: list[MetricsRecord]
     diagnostics: list[str]  # line-delimited JSON
 
@@ -378,7 +310,7 @@ def turbo_loop(
         ]
     )
 
-    result = TurboResult([], None, [], [], [])
+    result = TurboResult(None, [], [])
     prior_blocks = None  # (2, nb, n) L-values in deinterleaved (code) domain
     seed = int(ctx.get("seed", 0))
 
@@ -387,7 +319,6 @@ def turbo_loop(
             s_hat = received
             mu = np.ones((2, m))
             nu2 = np.full((2, m), max(sigma_n2, 1e-12))
-            track = None
             prior_sym = [None, None]
         else:
             means = np.empty((2, m), dtype=complex)
@@ -470,8 +401,6 @@ def turbo_loop(
             n_bits_counted=counted,
             trial=int(ctx.get("trial", 0)),
         )
-        result.llrs.append(llrs)
-        result.tap_tracks.append(track)
         result.records.append(rec)
         result.diagnostics.extend(json.dumps(d, sort_keys=True) for d in diag_blocks)
         result.hard_bits = dec_info

@@ -3,9 +3,7 @@ resampling, WDM multiplexing and channel-of-interest extraction."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import upfirdn
@@ -286,33 +284,3 @@ def select_channel(
     if out_sample_rate is not None and abs(out_sample_rate - fs) > 1e-6:
         out = fft_resample(out, out_sample_rate)
     return out
-
-
-def save_signal(path: str | Path, signal: DualPolSignal) -> None:
-    """Binary dump: little-endian float32 interleaved (xRe,xIm,yRe,yIm) plus
-    a JSON sidecar with sample_rate and length."""
-    path = Path(path)
-    buf = np.empty(4 * len(signal), dtype="<f4")
-    buf[0::4] = signal.x.real
-    buf[1::4] = signal.x.imag
-    buf[2::4] = signal.y.real
-    buf[3::4] = signal.y.imag
-    path.write_bytes(buf.tobytes())
-    sidecar = {
-        "sample_rate": signal.sample_rate,
-        "length": len(signal),
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar))
-
-
-def load_signal(path: str | Path) -> DualPolSignal:
-    path = Path(path)
-    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    buf = np.frombuffer(path.read_bytes(), dtype="<f4")
-    x = buf[0::4] + 1j * buf[1::4]
-    y = buf[2::4] + 1j * buf[3::4]
-    return DualPolSignal(
-        x=x.astype(complex),
-        y=y.astype(complex),
-        sample_rate=meta["sample_rate"],
-    )

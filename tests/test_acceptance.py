@@ -26,7 +26,6 @@ from turbowdm.harness import (
 )
 from turbowdm.metrics import effective_snr, gmi_bits_per_2d
 from turbowdm.turbo import (
-    ChannelTapTrack,
     SlidingWindowConfig,
     lmmse_equalize,
     rls_estimate,
@@ -150,16 +149,9 @@ class TestLmmseClosedForms:
         r = rng.normal(0, 1, (2, m)) + 1j * rng.normal(0, 1, (2, m))
         coeff = np.array([0.8 * np.exp(0.3j), 1.1 * np.exp(-0.7j)])
         cfg = SlidingWindowConfig(n1=0, n2=0, channel_memory=0)
-        col = np.ones((m, 1), dtype=complex)
-        zero = np.zeros((m, 1), dtype=complex)
-        track = ChannelTapTrack(
-            taps={
-                "xx": np.conj(coeff[0]) * col,
-                "xy": zero,
-                "yx": zero.copy(),
-                "yy": np.conj(coeff[1]) * col,
-            }
-        )
+        track = np.zeros((m, 2, 2, 1), dtype=complex)
+        track[:, 0, 0] = np.conj(coeff[0])
+        track[:, 1, 1] = np.conj(coeff[1])
         sn2 = 0.37
         s_hat, mu, nu2 = lmmse_equalize(
             r, track, np.zeros((2, m), complex), np.ones((2, m)), cfg, sn2
@@ -189,14 +181,7 @@ class TestLmmseClosedForms:
         rng = np.random.default_rng(22)
         sn2 = 0.02
         r = apply_channel(s, h, cfg.delay, sn2, rng)
-        track = ChannelTapTrack(
-            taps={
-                "xx": np.tile(h[0, 0], (m, 1)),
-                "xy": np.tile(h[0, 1], (m, 1)),
-                "yx": np.tile(h[1, 0], (m, 1)),
-                "yy": np.tile(h[1, 1], (m, 1)),
-            }
-        )
+        track = np.tile(h, (m, 1, 1, 1))
         s_hat, mu, _ = lmmse_equalize(r, track, s, np.zeros((2, m)), cfg, sn2)
         for p in range(2):
             mfb_db = 10.0 * np.log10(np.sum(np.abs(h[:, p, :]) ** 2) / sn2)
@@ -220,7 +205,7 @@ class TestRlsEstimator:
         h = mimo_channel()
         rng = np.random.default_rng(31)
         r = apply_channel(s, h, cfg.delay, 1e-3, rng)
-        _, state, _ = rls_estimate(r, s, cfg)
+        _, taps, _ = rls_estimate(r, s, cfg)
         umat = np.zeros((m, 6), dtype=complex)
         for i in range(m):
             idx = i + cfg.delay - np.arange(3)
@@ -232,7 +217,7 @@ class TestRlsEstimator:
         for o in range(2):
             expect = np.conj(np.linalg.solve(gram, umat.conj().T @ r[o]))
             np.testing.assert_allclose(
-                state.h[o].ravel(), expect, atol=1e-8, rtol=0.0
+                taps[o].ravel(), expect, atol=1e-8, rtol=0.0
             )
         assert time.perf_counter() - t0 < 30.0
 
@@ -249,8 +234,8 @@ class TestRlsEstimator:
         r = clean + np.sqrt(sn2 / 2.0) * (
             rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
         )
-        _, state, _ = rls_estimate(r, s, cfg)
-        nmse = np.sum(np.abs(state.h - h) ** 2) / np.sum(np.abs(h) ** 2)
+        _, taps, _ = rls_estimate(r, s, cfg)
+        nmse = np.sum(np.abs(taps - h) ** 2) / np.sum(np.abs(h) ** 2)
         assert 10.0 * np.log10(nmse) <= -25.0
         assert time.perf_counter() - t0 < 30.0
 
@@ -265,14 +250,7 @@ class TestRlsEstimator:
         rng = np.random.default_rng(35)
         sn2 = 0.01
         r = apply_channel(s, h, cfg.delay, sn2, rng, rotation=rot)
-        track, _, _ = rls_estimate(r, s, cfg)
-        est = np.stack(
-            [
-                np.stack([track.taps["xx"], track.taps["xy"]], axis=1),
-                np.stack([track.taps["yx"], track.taps["yy"]], axis=1),
-            ],
-            axis=1,
-        )  # (m, 2, 2, L+1)
+        est, _, _ = rls_estimate(r, s, cfg)  # (m, 2, 2, L+1)
         truth = h[None] * np.conj(rot)[:, None, None, None]
         tail = slice(m - 1000, m)
         nmse = np.sum(np.abs(est[tail] - truth[tail]) ** 2) / np.sum(

@@ -5,7 +5,6 @@ from turbowdm.constellation import build_constellation
 from turbowdm.fec import Interleaver, LdpcCode
 from turbowdm.metrics import effective_snr
 from turbowdm.turbo import (
-    ChannelTapTrack,
     SlidingWindowConfig,
     TurboError,
     lmmse_equalize,
@@ -76,14 +75,35 @@ def encoded_frame(c, code, n_blocks, seed, pilot_rate=0.05):
 
 
 def static_track(h, m):
-    return ChannelTapTrack(
-        taps={
-            "xx": np.tile(h[0, 0], (m, 1)),
-            "xy": np.tile(h[0, 1], (m, 1)),
-            "yx": np.tile(h[1, 0], (m, 1)),
-            "yy": np.tile(h[1, 1], (m, 1)),
-        }
-    )
+    return np.tile(h, (m, 1, 1, 1))
+
+
+def reference_rls(received, means, cfg, initial_taps):
+    """Per-symbol RLS recursion on the inverse correlation matrix, with the
+    estimator's skip rule: the reference for the closed form."""
+    m = received.shape[1]
+    lam, lp1 = cfg.forgetting, cfg.channel_memory + 1
+    sigma = np.eye(2 * lp1, dtype=complex) / cfg.rls_delta
+    h = initial_taps.reshape(2, 2 * lp1).astype(complex)
+    track = np.empty((m, 2, 2 * lp1), dtype=complex)
+    errors = np.empty((2, m), dtype=complex)
+    for i in range(m):
+        idx = i + cfg.delay - np.arange(lp1)
+        ok = (idx >= 0) & (idx < m)
+        v = np.zeros((2, lp1), dtype=complex)
+        v[:, ok] = means[:, idx[ok]]
+        u = v.ravel()
+        track[i] = h
+        e = received[:, i] - np.conj(h) @ u
+        errors[:, i] = e
+        if np.sum(np.abs(u) ** 2) <= 1e-3 * lp1:
+            continue
+        su = sigma @ u
+        gain = su / (lam + np.real(np.vdot(u, su)))
+        sigma = (sigma - np.outer(gain, np.conj(su))) / lam
+        sigma = 0.5 * (sigma + sigma.conj().T)
+        h = h + np.conj(e)[:, None] * gain[None, :]
+    return track.reshape(m, 2, 2, lp1), h.reshape(2, 2, lp1), errors
 
 
 class TestConfig:
@@ -110,7 +130,7 @@ class TestRls:
         h = mimo_channel()
         rng = np.random.default_rng(1)
         r = apply_channel(s, h, cfg.delay, 1e-4, rng)
-        _, state, _ = rls_estimate(r, s, cfg)
+        _, taps, _ = rls_estimate(r, s, cfg)
         vmat = np.zeros((m, 6), dtype=complex)
         for i in range(m):
             idx = i + cfg.delay - np.arange(3)
@@ -121,7 +141,7 @@ class TestRls:
         for o in range(2):
             g, *_ = np.linalg.lstsq(vmat, r[o], rcond=None)
             np.testing.assert_allclose(
-                state.h[o], np.conj(g).reshape(2, 3), atol=2e-3
+                taps[o], np.conj(g).reshape(2, 3), atol=2e-3
             )
 
     def test_static_channel_convergence(self):
@@ -132,8 +152,8 @@ class TestRls:
         rng = np.random.default_rng(3)
         sn2 = 0.02
         r = apply_channel(s, h, cfg.delay, sn2, rng)
-        _, state, err = rls_estimate(r, s, cfg)
-        assert np.max(np.abs(state.h - h)) < 0.05
+        _, taps, err = rls_estimate(r, s, cfg)
+        assert np.max(np.abs(taps - h)) < 0.05
         tail = np.mean(np.abs(err[:, -500:]) ** 2)
         assert abs(tail - sn2) < 0.5 * sn2
 
@@ -165,10 +185,39 @@ class TestRls:
         h = mimo_channel()
         rng = np.random.default_rng(7)
         r = apply_channel(s, h, cfg.delay, 0.01, rng)
-        _, state, err = rls_estimate(r, means, cfg)
-        assert np.all(np.isfinite(state.h))
-        assert np.all(np.isfinite(state.sigma))
+        track, taps, err = rls_estimate(r, means, cfg)
+        assert np.all(np.isfinite(track))
+        assert np.all(np.isfinite(taps))
         assert np.mean(np.abs(err[:, -200:]) ** 2) < 0.1
+
+    @pytest.mark.parametrize("stretch", [False, True])
+    @pytest.mark.parametrize("memory", [0, 2, 4])
+    @pytest.mark.parametrize("delta", [0.01, 1.0])
+    @pytest.mark.parametrize("lam", [1.0, 0.99, 0.9])
+    def test_matches_recursive_rls(self, lam, delta, memory, stretch):
+        # the closed form equals the per-symbol recursion it replaces; the
+        # stretch of zero, then near-zero, means exercises the skip rule
+        cfg = SlidingWindowConfig(
+            channel_memory=memory, forgetting=lam, rls_delta=delta
+        )
+        m, lp1 = 2000, memory + 1
+        rng = np.random.default_rng(memory)
+        h = 0.1 * (rng.standard_normal((2, 2, lp1))
+                   + 1j * rng.standard_normal((2, 2, lp1)))
+        h[0, 0, cfg.delay] += 0.9
+        h[1, 1, cfg.delay] += 0.9
+        s = qpsk_stream(m, 20 + memory)
+        r = apply_channel(s, h, cfg.delay, 0.01, rng)
+        means = s.copy()
+        if stretch:
+            means[:, 600:800] = 0.0
+            means[:, 800:1000] *= 0.01
+        h0 = h + 0.05
+        track, taps, err = rls_estimate(r, means, cfg, initial_taps=h0)
+        ref_track, ref_taps, ref_err = reference_rls(r, means, cfg, h0)
+        np.testing.assert_allclose(track, ref_track, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(taps, ref_taps, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(err, ref_err, rtol=0, atol=1e-10)
 
     def test_nlms_preconvergence_near_truth(self):
         cfg = SlidingWindowConfig()
@@ -187,11 +236,7 @@ class TestLmmse:
         m = 64
         s = qpsk_stream(m, 10)
         cfg = SlidingWindowConfig(n1=0, n2=0, channel_memory=0)
-        ones = np.ones((m, 1), dtype=complex)
-        zero = np.zeros((m, 1), dtype=complex)
-        track = ChannelTapTrack(
-            taps={"xx": ones, "xy": zero, "yx": zero.copy(), "yy": ones.copy()}
-        )
+        track = static_track(np.eye(2, dtype=complex)[:, :, None], m)
         s_hat, mu, nu2 = lmmse_equalize(
             s, track, np.zeros((2, m), complex), np.ones((2, m)), cfg, 1.0
         )

@@ -12,8 +12,6 @@ from turbowdm.waveform import (
     pilot_positions,
     rrc_shape,
     rrc_taps,
-    save_signal,
-    load_signal,
     select_channel,
     wdm_mux,
 )
@@ -204,21 +202,3 @@ class TestSelectChannel:
         )
         err = np.mean(np.abs(sel.x - cb.x) ** 2) / np.mean(np.abs(cb.x) ** 2)
         assert 10 * np.log10(err) < -30.0
-
-
-class TestDump:
-    def test_bit_exact_roundtrip(self, tmp_path, qpsk):
-        f = random_frame(qpsk, n_data_bits=256, pilot_rate=0.0)
-        sig = rrc_shape(f, 2, 0.1, 8)
-        sig = DualPolSignal(
-            x=sig.x.astype(np.complex64).astype(complex),
-            y=sig.y.astype(np.complex64).astype(complex),
-            sample_rate=sig.sample_rate,
-        )
-        p = tmp_path / "wave.bin"
-        save_signal(p, sig)
-        back = load_signal(p)
-        np.testing.assert_array_equal(
-            back.x.astype(np.complex64), sig.x.astype(np.complex64)
-        )
-        assert back.sample_rate == sig.sample_rate
