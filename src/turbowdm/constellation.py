@@ -21,10 +21,6 @@ class ConstellationError(ValueError):
     pass
 
 
-def _gray(n: int) -> int:
-    return n ^ (n >> 1)
-
-
 @dataclass(frozen=True)
 class Constellation:
     """Unit-energy square QAM with reflected-binary Gray labeling.
@@ -43,9 +39,15 @@ class Constellation:
     def q(self) -> int:
         return self.bit_labels.shape[1]
 
-    def labels_as_int(self) -> np.ndarray:
-        w = 1 << np.arange(self.q - 1, -1, -1)
-        return self.bit_labels @ w
+    @property
+    def axis_levels(self) -> np.ndarray:
+        """The sqrt(M) ascending levels of the I axis; the Q axis has the same."""
+        return self.points.real[:: 1 << (self.q // 2)]
+
+    @property
+    def axis_labels(self) -> np.ndarray:
+        """(sqrt(M), q/2) Gray labels of the axis levels, shared by I and Q."""
+        return self.bit_labels[:: 1 << (self.q // 2), : self.q // 2]
 
 
 def build_constellation(order: int) -> Constellation:
@@ -53,22 +55,14 @@ def build_constellation(order: int) -> Constellation:
     if order not in (4, 16, 64, 256):
         raise ConstellationError(f"unsupported QAM order {order}")
     m = int(round(np.sqrt(order)))
-    q = int(round(np.log2(order)))
-    half_q = q // 2
+    half_q = int(round(np.log2(order))) // 2
     levels = np.arange(-(m - 1), m, 2, dtype=float)
     scale = np.sqrt(2.0 * (order - 1) / 3.0)
-
-    points = np.empty(order, dtype=complex)
-    labels = np.zeros((order, q), dtype=np.uint8)
-    for ix in range(m):
-        gx = _gray(ix)
-        for iy in range(m):
-            gy = _gray(iy)
-            idx = ix * m + iy
-            points[idx] = (levels[ix] + 1j * levels[iy]) / scale
-            for b in range(half_q):
-                labels[idx, b] = (gx >> (half_q - 1 - b)) & 1
-                labels[idx, half_q + b] = (gy >> (half_q - 1 - b)) & 1
+    gray = np.arange(m) ^ (np.arange(m) >> 1)
+    axis_bits = (gray[:, None] >> np.arange(half_q - 1, -1, -1)) & 1  # (m, q/2)
+    ix, iy = np.divmod(np.arange(order), m)  # point ix*m + iy: I level ix, Q level iy
+    points = (levels[ix] + 1j * levels[iy]) / scale
+    labels = np.hstack([axis_bits[ix], axis_bits[iy]]).astype(np.uint8)
     energy = float(np.mean(np.abs(points) ** 2))
     return Constellation(order=order, points=points, bit_labels=labels, energy=energy)
 
@@ -132,55 +126,57 @@ def extrinsic_llrs(
 
     The prior of bit l itself is excluded from the likelihood weighting of
     L_e(b^l); only the priors of the other bits of the same symbol enter.
-    Likelihood sums run in the log domain. Returns shape (m, q).
+    With real mu and nu2 the log-likelihood and the prior weight of a
+    symbol split into an I and a Q term, so in the L-value of an I-bit the
+    Q-axis sum cancels: each axis is marginalized over its sqrt(M) levels
+    alone, in the log domain. Returns shape (m, q).
     """
     s_hat = np.atleast_1d(np.asarray(estimates, dtype=complex))
     m = s_hat.size
-    q = c.q
+    h = c.q // 2
     mu = np.broadcast_to(np.asarray(scale, dtype=float), (m,))
-    floor = NU2_FLOOR_REL * c.energy
     nu2 = np.asarray(noise_var, dtype=float)
     if np.any(nu2 <= 0):
-        nu2 = np.maximum(nu2, floor)
+        nu2 = np.maximum(nu2, NU2_FLOOR_REL * c.energy)
     nu2 = np.broadcast_to(nu2, (m,))
 
-    # (m, M) log-likelihoods, constants dropped (they cancel in the ratio)
-    d = s_hat[:, None] - mu[:, None] * c.points[None, :]
-    loglik = -(np.abs(d) ** 2) / nu2[:, None]
+    # (m, 2, sqrt(M)) per-axis log-likelihoods, constants dropped
+    y = np.stack([s_hat.real, s_hat.imag], axis=1)
+    metric = -((y[:, :, None] - mu[:, None, None] * c.axis_levels) ** 2)
+    metric /= nu2[:, None, None]
 
-    if prior_llrs is None:
-        lw_bit = np.zeros((m, q, 2))
-    else:
-        prior_llrs = np.asarray(prior_llrs, dtype=float).reshape(m, q)
+    b = c.axis_labels  # (sqrt(M), q/2)
+    own = 0.0
+    if prior_llrs is not None:
+        prior_llrs = np.asarray(prior_llrs, dtype=float).reshape(m, 2, h)
         logp0, logp1 = bit_probs_from_llrs(prior_llrs)
-        lw_bit = np.stack([logp0, logp1], axis=-1)  # (m, q, 2)
+        for r in range(h):
+            metric += np.where(b[:, r], logp1[..., r, None], logp0[..., r, None])
+        own = logp1 - logp0  # each bit's own prior, taken off the a-posteriori L
 
-    b = c.bit_labels  # (M, q)
-    # total prior log-weight of each symbol, then remove bit l's own term
-    w_total = np.zeros((m, c.order))
-    for r in range(q):
-        w_total += lw_bit[:, r, b[:, r]]
-
-    out = np.empty((m, q))
-    for l in range(q):
-        w_excl = w_total - lw_bit[:, l, b[:, l]]
-        metric = loglik + w_excl
-        num = _logsumexp_masked(metric, b[:, l] == 1)
-        den = _logsumexp_masked(metric, b[:, l] == 0)
-        out[:, l] = num - den
-    return np.clip(out, -l_max, l_max)
+    out = np.empty((m, 2, h))
+    for l in range(h):
+        out[..., l] = _logsumexp(metric[..., b[:, l] == 1]) - _logsumexp(
+            metric[..., b[:, l] == 0]
+        )
+    return np.clip((out - own).reshape(m, 2 * h), -l_max, l_max)
 
 
-def _logsumexp_masked(metric: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    sub = metric[:, mask]
-    mx = sub.max(axis=1)
-    return mx + np.log(np.sum(np.exp(sub - mx[:, None]), axis=1))
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    mx = x.max(axis=-1)
+    return mx + np.log(np.sum(np.exp(x - mx[..., None]), axis=-1))
 
 
 def hard_decide(symbols: np.ndarray, c: Constellation) -> np.ndarray:
-    """Indices of the nearest constellation points."""
-    d = np.abs(np.atleast_1d(symbols)[:, None] - c.points[None, :])
-    return np.argmin(d, axis=1)
+    """Indices of the nearest constellation points, sliced per axis (a tie
+    goes to the lower level, as a first-index argmin would)."""
+    s = np.atleast_1d(symbols)
+    a = c.axis_levels
+    ix, iy = (
+        np.clip(np.ceil(v / (a[1] - a[0]) + a.size / 2) - 1, 0, a.size - 1).astype(int)
+        for v in (s.real, s.imag)
+    )
+    return ix * a.size + iy
 
 
 def map_bits(bits: np.ndarray, c: Constellation) -> np.ndarray:
@@ -189,5 +185,5 @@ def map_bits(bits: np.ndarray, c: Constellation) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8).reshape(-1, q)
     w = 1 << np.arange(q - 1, -1, -1)
     idx_of_label = np.empty(c.order, dtype=int)
-    idx_of_label[c.labels_as_int()] = np.arange(c.order)
+    idx_of_label[c.bit_labels @ w] = np.arange(c.order)
     return c.points[idx_of_label[bits @ w]]

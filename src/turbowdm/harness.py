@@ -5,6 +5,7 @@ plot-ready table emission."""
 from __future__ import annotations
 
 import configparser
+import csv
 import functools
 import hashlib
 import logging
@@ -18,9 +19,9 @@ import numpy as np
 
 from . import fiber as fib
 from .constellation import build_constellation
-from .fec import LdpcCode
+from .fec import Interleaver, LdpcCode
 from .metrics import MetricsRecord
-from .sync_dsp import DdpllState, NlmsState, ddpll, nlms_equalize
+from .sync_dsp import DdpllState, NlmsState, coarse_align, ddpll, nlms_equalize
 from .turbo import SlidingWindowConfig, turbo_loop
 from .waveform import (
     DualPolSignal,
@@ -178,8 +179,6 @@ def run_trial(
     if code is None:
         code = _load_code(cfg.code_file)
 
-    from .fec import Interleaver
-
     interleaver_seed = seed % (2**31)
     n, k = code.n, code.k
     coi_index = (cfg.n_wdm_channels - 1) // 2
@@ -232,8 +231,6 @@ def run_trial(
     if cfg.bypass_sync_dsp:
         # idealized front end: pilot-correlation alignment and a single
         # static complex gain per polarization, no adaptive NLMS/CPR
-        from .sync_dsp import coarse_align
-
         aligned = fft_resample(coarse_align(rx, frame_coi, 2), cfg.baud)
         symbols = aligned.fields()
         pil = frame_coi.pilot_mask
@@ -365,8 +362,6 @@ def optimal_launch_power(rows: list[dict], mode: str, n_spans: int) -> dict:
 def emit_tables(rows: list[dict], out_dir: str | Path) -> list[Path]:
     """Plot-ready CSVs: metric-vs-power (per span count) and metric-vs-spans
     (per power), one row per (cell, iteration)."""
-    import csv
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []

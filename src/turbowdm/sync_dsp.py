@@ -5,11 +5,12 @@ decision-directed PLL carrier phase recovery."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constellation import Constellation, hard_decide
+from .constellation import Constellation
 from .waveform import DualPolSignal, SymbolFrame
 
 log = logging.getLogger(__name__)
@@ -155,6 +156,12 @@ def ddpll(
     out = np.empty_like(symbols)
     track = np.empty((2, n))
     slips = 0
+    a = c.axis_levels
+    n_lv, step = a.size, float(a[1] - a[0])
+
+    def level(x: float) -> int:  # hard_decide's per-axis rule, on a scalar
+        return min(max(math.ceil(x / step + n_lv / 2) - 1, 0), n_lv - 1)
+
     for p in range(2):
         theta = state.phase[p]
         acc = state.integrator[p]
@@ -166,7 +173,7 @@ def ddpll(
             if frame.pilot_mask[i]:
                 ref = frame.symbols[p, i]
             else:
-                ref = c.points[hard_decide(np.array([v]), c)[0]]
+                ref = c.points[level(v.real) * n_lv + level(v.imag)]
             err = float(np.angle(v * np.conj(ref)))
             if abs(err - prev_err) > np.pi / 2:
                 slips += 1

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import upfirdn
 
-from .constellation import Constellation, map_bits
+from .constellation import Constellation, hard_decide, map_bits
 
 
 class WaveformError(ValueError):
@@ -139,8 +139,6 @@ def build_frame(
 def extract_data_bits(frame: SymbolFrame, c: Constellation) -> np.ndarray:
     """Invert the frame's data/bit alignment from its own symbols (round-trip
     check helper): nearest-point demap of the data instants."""
-    from .constellation import hard_decide
-
     out = np.empty_like(frame.coded_bits)
     for p in range(2):
         idx = hard_decide(frame.data_symbols()[p], c)

@@ -106,7 +106,7 @@ def marginalization_oracle(s_hat, mu, nu2, priors, c):
 
 
 class TestExtrinsicDemapperOracle:
-    @pytest.mark.parametrize("order", [4, 16])
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
     def test_matches_exhaustive_marginalization(self, order):
         t0 = time.perf_counter()
         c = build_constellation(order)
@@ -134,6 +134,22 @@ class TestExtrinsicDemapperOracle:
         got = extrinsic_llrs(s_hat, mu, nu2, None, c, l_max=np.inf)
         want = marginalization_oracle(s_hat, mu, nu2, np.zeros((m, c.q)), c)
         np.testing.assert_allclose(got, want, atol=1e-9, rtol=0.0)
+
+    def test_no_priors_case_256qam(self):
+        t0 = time.perf_counter()
+        c = build_constellation(256)
+        m = 2000
+        rng = np.random.default_rng(6)
+        s = c.points[rng.integers(0, 256, m)]
+        mu = rng.uniform(0.5, 1.0, m)
+        nu2 = rng.uniform(0.005, 0.05, m)
+        s_hat = mu * s + np.sqrt(nu2 / 2.0) * (
+            rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        )
+        got = extrinsic_llrs(s_hat, mu, nu2, None, c, l_max=np.inf)
+        want = marginalization_oracle(s_hat, mu, nu2, np.zeros((m, c.q)), c)
+        np.testing.assert_allclose(got, want, atol=1e-9, rtol=0.0)
+        assert time.perf_counter() - t0 < 10.0
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from turbowdm.constellation import (
+    L_MAX,
+    NU2_FLOOR_REL,
     ConstellationError,
+    bit_probs_from_llrs,
     build_constellation,
     extrinsic_llrs,
     hard_decide,
@@ -42,6 +45,46 @@ def brute_force_llrs(s_hat, mu, nu2, prior_llrs, c):
                 den += lik[k] * w
         out[l] = np.log(num / den)
     return out
+
+
+def reference_extrinsic_llrs(estimates, scale, noise_var, prior_llrs, c, l_max=L_MAX):
+    """The full-grid demapper: log-domain sums over the (m, M) symbol grid,
+    with bit l's own prior taken out of each symbol's weight."""
+    s_hat = np.atleast_1d(np.asarray(estimates, dtype=complex))
+    m = s_hat.size
+    q = c.q
+    mu = np.broadcast_to(np.asarray(scale, dtype=float), (m,))
+    nu2 = np.asarray(noise_var, dtype=float)
+    if np.any(nu2 <= 0):
+        nu2 = np.maximum(nu2, NU2_FLOOR_REL * c.energy)
+    nu2 = np.broadcast_to(nu2, (m,))
+    loglik = -(np.abs(s_hat[:, None] - mu[:, None] * c.points[None, :]) ** 2)
+    loglik /= nu2[:, None]
+    if prior_llrs is None:
+        lw_bit = np.zeros((m, q, 2))
+    else:
+        logp0, logp1 = bit_probs_from_llrs(np.asarray(prior_llrs, float).reshape(m, q))
+        lw_bit = np.stack([logp0, logp1], axis=-1)  # (m, q, 2)
+    b = c.bit_labels
+    w_total = np.zeros((m, c.order))
+    for r in range(q):
+        w_total += lw_bit[:, r, b[:, r]]
+
+    def logsumexp_masked(metric, mask):
+        sub = metric[:, mask]
+        mx = sub.max(axis=1)
+        return mx + np.log(np.sum(np.exp(sub - mx[:, None]), axis=1))
+
+    out = np.empty((m, q))
+    for l in range(q):
+        metric = loglik + w_total - lw_bit[:, l, b[:, l]]
+        out[:, l] = logsumexp_masked(metric, b[:, l] == 1) - logsumexp_masked(
+            metric, b[:, l] == 0
+        )
+    return np.clip(out, -l_max, l_max)
+
+
+ORDERS = [4, 16, 64, 256]
 
 
 class TestBuildConstellation:
@@ -190,6 +233,77 @@ class TestExtrinsicLlrs:
         assert np.all(np.isfinite(out))
 
 
+class TestPerAxisDemapper:
+    """The per-axis demapper against the full-grid reference."""
+
+    @staticmethod
+    def channel(c, m, rng, spread=0.0):
+        mu = rng.uniform(0.3, 1.0, m)
+        s = c.points[rng.integers(0, c.order, m)]
+        noise = rng.normal(0, 0.3, m) + 1j * rng.normal(0, 0.3, m)
+        far = rng.uniform(-spread, spread, m) + 1j * rng.uniform(-spread, spread, m)
+        return mu * s + noise + far, mu
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    @pytest.mark.parametrize("with_priors", [False, True])
+    def test_matches_full_grid(self, order, per_symbol, with_priors):
+        c = build_constellation(order)
+        rng = np.random.default_rng(order)
+        m = 2000
+        s_hat, mu = self.channel(c, m, rng)
+        nu2 = rng.uniform(0.01, 1.0, m)
+        if not per_symbol:
+            mu, nu2 = 0.7, 0.2
+        priors = rng.normal(0, 4, (m, c.q)) if with_priors else None
+        args = (s_hat, mu, nu2, priors, c)
+        for l_max in (L_MAX, np.inf):
+            got = extrinsic_llrs(*args, l_max=l_max)
+            want = reference_extrinsic_llrs(*args, l_max=l_max)
+            np.testing.assert_allclose(got, want, atol=1e-9, rtol=0)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_zero_noise_variance_floored(self, order):
+        c = build_constellation(order)
+        rng = np.random.default_rng(10 + order)
+        m = 1000
+        s_hat, mu = self.channel(c, m, rng)
+        priors = rng.normal(0, 4, (m, c.q))
+        nu2 = np.where(rng.random(m) < 0.5, 0.0, 0.1)
+        for nv in (0.0, nu2):
+            got = extrinsic_llrs(s_hat, mu, nv, priors, c)
+            want = reference_extrinsic_llrs(s_hat, mu, nv, priors, c)
+            np.testing.assert_allclose(got, want, atol=1e-9, rtol=0)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("l_max", [L_MAX, np.inf])
+    def test_saturated(self, order, l_max):
+        # nu2 = 1e-4 and symbols up to 3 outside the grid: |L| reaches ~1e5
+        c = build_constellation(order)
+        rng = np.random.default_rng(20 + order)
+        m = 1000
+        s_hat, mu = self.channel(c, m, rng, spread=3.0)
+        priors = rng.normal(0, 4, (m, c.q))
+        for p in (None, priors):
+            got = extrinsic_llrs(s_hat, mu, 1e-4, p, c, l_max=l_max)
+            want = reference_extrinsic_llrs(s_hat, mu, 1e-4, p, c, l_max=l_max)
+            np.testing.assert_allclose(got, want, atol=1e-9, rtol=0)
+            assert np.max(np.abs(want)) >= min(l_max, 1e4)
+
+    def test_axis_structure(self):
+        for order in ORDERS:
+            c = build_constellation(order)
+            side = c.axis_levels.size
+            assert side**2 == order and np.all(np.diff(c.axis_levels) > 0)
+            assert c.axis_labels.shape == (side, c.q // 2)
+            grid = c.points.reshape(side, side)  # [I level, Q level]
+            np.testing.assert_array_equal(grid.real.T, np.tile(c.axis_levels, (side, 1)))
+            np.testing.assert_array_equal(grid.imag, np.tile(c.axis_levels, (side, 1)))
+            labels = c.bit_labels.reshape(side, side, c.q)
+            np.testing.assert_array_equal(labels[:, 0, : c.q // 2], c.axis_labels)
+            np.testing.assert_array_equal(labels[0, :, c.q // 2 :], c.axis_labels)
+
+
 class TestMapping:
     def test_map_demap_roundtrip(self, qam16):
         rng = np.random.default_rng(4)
@@ -197,3 +311,12 @@ class TestMapping:
         sym = map_bits(bits, qam16)
         idx = hard_decide(sym, qam16)
         np.testing.assert_array_equal(qam16.bit_labels[idx].ravel(), bits)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_hard_decide_matches_argmin(self, order):
+        # the grid spans about ±1.2; many points fall well outside it
+        c = build_constellation(order)
+        rng = np.random.default_rng(30 + order)
+        s = rng.uniform(-3, 3, 20_000) + 1j * rng.uniform(-3, 3, 20_000)
+        want = np.argmin(np.abs(s[:, None] - c.points[None, :]), axis=1)
+        np.testing.assert_array_equal(hard_decide(s, c), want)

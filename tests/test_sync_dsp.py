@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from turbowdm.constellation import build_constellation
+from turbowdm.constellation import build_constellation, hard_decide
 from turbowdm.sync_dsp import (
     DdpllState,
     NlmsState,
@@ -159,3 +159,27 @@ class TestDdpll:
         state = DdpllState()
         ddpll(rot, frame, qpsk, state=state)
         np.testing.assert_allclose(state.phase, 0.2, atol=0.02)
+
+    @pytest.mark.parametrize("order", [16, 256])
+    def test_decisions_match_hard_decide(self, order):
+        # the PLL's scalar per-axis slicer against hard_decide, on noisy
+        # symbols whose decisions are often wrong and sometimes off the grid
+        c = build_constellation(order)
+        frame = make_frame(c, seed=13)
+        rng = np.random.default_rng(13)
+        shape = frame.symbols.shape
+        noise = rng.normal(0, 0.08, shape) + 1j * rng.normal(0, 0.08, shape)
+        rx = 1.2 * frame.symbols * np.exp(0.1j) + noise
+        out, track = ddpll(rx, frame, c)
+        kp, ki = DdpllState().gains
+        for p in range(2):
+            theta = acc = 0.0
+            for i in range(shape[1]):
+                assert track[p, i] == theta
+                v = rx[p, i] * np.exp(-1j * theta)
+                ref = frame.symbols[p, i]
+                if not frame.pilot_mask[i]:
+                    ref = c.points[hard_decide(np.array([v]), c)[0]]
+                err = float(np.angle(v * np.conj(ref)))
+                acc += ki * err
+                theta += kp * err + acc
