@@ -7,6 +7,7 @@ Parity-check file format: first line "n m", then m lines of space-separated
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -143,10 +144,13 @@ class LdpcCode:
 _PHI_MIN = 1e-12
 
 
-def _phi(x: np.ndarray) -> np.ndarray:
-    # phi(x) = -ln tanh(x/2), self-inverse on (0, inf)
-    x = np.clip(x, _PHI_MIN, L_MAX)
-    return -np.log(np.tanh(0.5 * x))
+def _log_tanh_half(x: np.ndarray) -> np.ndarray:
+    # ln tanh(x/2) = -phi(x), phi being the self-inverse check-node map;
+    # in place on x, whose entries must be at least _PHI_MIN. tanh(x/2)
+    # rounds to 1 from x = 38 on, so any x >= L_MAX gives exactly 0 and
+    # clipping x at L_MAX would change no bit.
+    x *= 0.5
+    return np.log(np.tanh(x, out=x), out=x)
 
 
 def decode(
@@ -168,22 +172,25 @@ def decode(
 
     def settled(a: np.ndarray) -> bool:
         # exact-zero L-values are erasures; their hard decision is undefined
-        return bool(np.all(a != 0.0)) and code.check((a < 0).astype(np.uint8))
+        return bool(np.all(a != 0.0)) and code.check(a < 0)
 
     it_used = 0
     converged = settled(app)
     if not converged:
         for it in range(1, max_iter + 1):
             it_used = it
-            m_vc = np.clip(app[ev] - m_cv, -L_MAX, L_MAX)
-            sign = np.where(m_vc < 0, -1.0, 1.0)
-            neg = (m_vc < 0).astype(np.int64)
-            par = np.add.reduceat(neg, starts) & 1  # per-check sign parity
-            mag = _phi(np.abs(m_vc))
-            mag_sum = np.add.reduceat(mag, starts)
-            ext_mag = _phi(np.clip(mag_sum[ec] - mag, _PHI_MIN, None))
-            ext_sign = np.where(par[ec], -1.0, 1.0) * sign
-            m_cv = np.clip(ext_sign * ext_mag, -L_MAX, L_MAX)
+            m_vc = app[ev]
+            m_vc -= m_cv
+            neg = m_vc < 0
+            # an outgoing message is negative where the signs of the check's
+            # other incoming messages multiply to -1
+            flip = neg ^ np.logical_xor.reduceat(neg, starts)[ec]
+            # t = -phi(|m_vc|). Negated terms sum to the negated sum exactly,
+            # so t - sum(t) over the check is phi's sum over the other edges.
+            t = _log_tanh_half(np.maximum(np.abs(m_vc, out=m_vc), _PHI_MIN, out=m_vc))
+            t -= np.add.reduceat(t, starts)[ec]
+            t = _log_tanh_half(np.maximum(t, _PHI_MIN, out=t))
+            m_cv = np.where(flip, t, -t)
             app = lam + np.bincount(ev, weights=m_cv, minlength=code.n)
             if settled(app):
                 converged = True
@@ -194,14 +201,17 @@ def decode(
 
 @dataclass(frozen=True)
 class Interleaver:
-    """Seeded random permutation of a coded frame."""
+    """Seeded random permutation of a coded frame; position i of the
+    interleaved frame carries input position ``permutation[i]``."""
 
     length: int
     seed: int
 
-    @property
+    @functools.cached_property
     def permutation(self) -> np.ndarray:
-        return np.random.default_rng(self.seed).permutation(self.length)
+        perm = np.random.default_rng(self.seed).permutation(self.length)
+        perm.flags.writeable = False
+        return perm
 
     def interleave(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)

@@ -186,14 +186,13 @@ def run_trial(
     # transmit waveforms per channel; the channel of interest keeps its frame
     channels = []
     frame_coi = None
+    interleavers = [Interleaver(n, interleaver_seed + b) for b in range(cfg.n_blocks)]
     for ch in range(cfg.n_wdm_channels):
         coded = np.empty((2, cfg.n_blocks * n), dtype=np.uint8)
         for p in range(2):
-            for b in range(cfg.n_blocks):
+            for b, il in enumerate(interleavers):
                 info = rng.integers(0, 2, k).astype(np.uint8)
-                cw = code.encode(info)
-                il = Interleaver(n, interleaver_seed + b)
-                coded[p, b * n : (b + 1) * n] = il.interleave(cw)
+                coded[p, b * n : (b + 1) * n] = il.interleave(code.encode(info))
         frame = build_frame(
             coded, c, cfg.pilot_rate, cfg.n_blocks,
             seed=int(rng.integers(0, 2**31)), symbol_rate=cfg.baud,
@@ -294,6 +293,9 @@ def run_campaign(
     results: dict[tuple, list[MetricsRecord]] = {}
     failures: list[tuple] = []
     if jobs > 1:
+        # a dbp_turbo cell runs n_turbo_iters + 1 receiver passes; starting
+        # those first keeps the longest cells off the end of the schedule
+        cells.sort(key=lambda cell: cell[3] != "dbp_turbo")
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for key, recs, err in pool.map(_run_cell, cells):
                 if recs is None:

@@ -233,25 +233,12 @@ class TurboResult:
     diagnostics: list[str]  # line-delimited JSON
 
 
-def _frame_llr_to_blocks(
-    llrs: np.ndarray, frame: SymbolFrame, interleavers: list[Interleaver]
-) -> np.ndarray:
-    """(n_data, q) data-instant L-values -> (n_blocks, n) deinterleaved."""
-    flat = llrs.reshape(-1)
-    nb, n = frame.n_blocks, frame.block_len
-    out = np.empty((nb, n))
-    for b in range(nb):
-        out[b] = interleavers[b].deinterleave(flat[b * n : (b + 1) * n])
-    return out
-
-
-def _blocks_to_frame_llr(
-    blocks: np.ndarray, frame: SymbolFrame, interleavers: list[Interleaver], q: int
-) -> np.ndarray:
-    flat = np.concatenate(
-        [interleavers[b].interleave(blocks[b]) for b in range(frame.n_blocks)]
-    )
-    return flat.reshape(-1, q)
+def _frame_order(n: int, nb: int, interleaver_seed: int) -> np.ndarray:
+    """Code-domain index b*n + i (bit i of codeword b) carried by each
+    position of an interleaved frame of nb blocks, so that one gather
+    interleaves every block and its inverse (argsort) deinterleaves them."""
+    perm = np.stack([Interleaver(n, interleaver_seed + b).permutation for b in range(nb)])
+    return (perm + n * np.arange(nb)[:, None]).ravel()
 
 
 def turbo_loop(
@@ -282,7 +269,8 @@ def turbo_loop(
     nb, n = frame.n_blocks, frame.block_len
     data_pos = frame.data_positions
     pilot = frame.pilot_mask
-    interleavers = [Interleaver(n, interleaver_seed + b) for b in range(nb)]
+    to_frame = _frame_order(n, nb, interleaver_seed)
+    to_code = np.argsort(to_frame)
 
     # receiver-known region: pilots plus the data-aided training blocks
     block_of_data = frame.block_of_data_symbol(q)
@@ -298,17 +286,9 @@ def turbo_loop(
     pil_res = received[:, pilot] - frame.symbols[:, pilot]
     sigma_n2 = float(np.mean(np.abs(pil_res) ** 2))
 
-    true_info = np.stack(
-        [
-            np.concatenate(
-                [
-                    _info_bits_of_block(frame.coded_bits[p], b, n, code, interleavers[b])
-                    for b in range(nb)
-                ]
-            )
-            for p in range(2)
-        ]
-    )
+    true_info = (
+        frame.coded_bits[:, to_code].reshape(2, nb, n)[:, :, code.info_positions]
+    ).reshape(2, -1)
 
     result = TurboResult(None, [], [])
     prior_blocks = None  # (2, nb, n) L-values in deinterleaved (code) domain
@@ -323,11 +303,9 @@ def turbo_loop(
         else:
             means = np.empty((2, m), dtype=complex)
             variances = np.empty((2, m))
-            prior_sym = []
+            prior_sym = prior_blocks.reshape(2, -1)[:, to_frame].reshape(2, -1, q)
             for p in range(2):
-                pl = _blocks_to_frame_llr(prior_blocks[p], frame, interleavers, q)
-                prior_sym.append(pl)
-                pr = cst.symbol_priors(pl, c)
+                pr = cst.symbol_priors(prior_sym[p], c)
                 mn, vr = cst.soft_stats(pr, c)
                 means[p, data_pos] = mn
                 variances[p, data_pos] = vr
@@ -358,11 +336,11 @@ def turbo_loop(
         app = np.empty((2, nb, n))
         all_ok = True
         diag_blocks = []
+        blocks = llrs.reshape(2, -1)[:, to_code].reshape(2, nb, n)
         for p in range(2):
-            blocks = _frame_llr_to_blocks(llrs[p], frame, interleavers)
             kofs = 0
             for b in range(nb):
-                app[p, b], hard, ok, iters = decode(blocks[b], code, decoder_iters)
+                app[p, b], hard, ok, iters = decode(blocks[p, b], code, decoder_iters)
                 dec_info[p, kofs : kofs + code.k] = hard[code.info_positions]
                 kofs += code.k
                 all_ok &= ok
@@ -373,7 +351,7 @@ def turbo_loop(
                         "block": b,
                         "decoder_iterations": iters,
                         "parity_ok": bool(ok),
-                        "mean_abs_llr": float(np.mean(np.abs(blocks[b]))),
+                        "mean_abs_llr": float(np.mean(np.abs(blocks[p, b]))),
                     }
                 )
 
@@ -410,14 +388,3 @@ def turbo_loop(
             if abs(rec.snr_db - result.records[-2].snr_db) < 0.01:
                 break
     return result
-
-
-def _info_bits_of_block(
-    coded_stream: np.ndarray,
-    b: int,
-    n: int,
-    code: LdpcCode,
-    interleaver: Interleaver,
-) -> np.ndarray:
-    cw = interleaver.deinterleave(coded_stream[b * n : (b + 1) * n])
-    return cw[code.info_positions]

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from turbowdm.constellation import L_MAX
 from turbowdm.fec import (
     FecError,
     Interleaver,
@@ -162,6 +163,11 @@ class TestInterleaver:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, Interleaver(128, seed=10).permutation)
 
+    def test_permutation_drawn_once(self):
+        il = Interleaver(128, seed=9)
+        assert il.permutation is il.permutation
+        assert not il.permutation.flags.writeable
+
     def test_fixture_permutation(self):
         # frozen prefix guards against silent RNG convention drift
         np.testing.assert_array_equal(
@@ -235,6 +241,95 @@ class TestDecode:
     def test_wrong_length(self, toy):
         with pytest.raises(FecError):
             decode(np.zeros(toy.n + 1), toy)
+
+
+def reference_decode(llrs, code, max_iter=50):
+    """Sum-product decoding with sign arrays, phi(x) = -ln tanh(x/2) and a
+    clip at every stage. Oracle for ``decode``."""
+
+    def phi(x):
+        x = np.clip(x, 1e-12, L_MAX)
+        return -np.log(np.tanh(0.5 * x))
+
+    def settled(a):
+        return bool(np.all(a != 0.0)) and code.check((a < 0).astype(np.uint8))
+
+    lam = np.clip(-np.asarray(llrs, dtype=float), -L_MAX, L_MAX)
+    ev, ec, starts = code.edge_var, code.edge_check, code.check_starts
+    m_cv = np.zeros(ev.size)
+    app = lam
+    it_used = 0
+    converged = settled(app)
+    if not converged:
+        for it in range(1, max_iter + 1):
+            it_used = it
+            m_vc = np.clip(app[ev] - m_cv, -L_MAX, L_MAX)
+            sign = np.where(m_vc < 0, -1.0, 1.0)
+            par = np.add.reduceat((m_vc < 0).astype(np.int64), starts) & 1
+            mag = phi(np.abs(m_vc))
+            mag_sum = np.add.reduceat(mag, starts)
+            ext_mag = phi(np.clip(mag_sum[ec] - mag, 1e-12, None))
+            ext_sign = np.where(par[ec], -1.0, 1.0) * sign
+            m_cv = np.clip(ext_sign * ext_mag, -L_MAX, L_MAX)
+            app = lam + np.bincount(ev, weights=m_cv, minlength=code.n)
+            if settled(app):
+                converged = True
+                break
+    hard = (app < 0).astype(np.uint8)
+    return np.clip(-app, -L_MAX, L_MAX), hard, converged, it_used
+
+
+def _decoder_case(code, case, rng):
+    """(L-values, max_iter) for one oracle case; the case's regime is
+    asserted on the reference result in the test."""
+    cw = code.encode(rng.integers(0, 2, code.k).astype(np.uint8))
+    sigma = 0.8
+    x = 2.0 * cw - 1.0 + rng.normal(0, sigma, code.n)
+    llr = 2.0 * x / sigma**2
+    if case == "erasures":
+        llr[rng.choice(code.n, code.n // 10, replace=False)] = 0.0
+    elif case == "saturated":
+        # |L| far beyond L_MAX, some of them with the wrong sign
+        llr *= 25.0
+        llr[rng.choice(code.n, 1 + code.n // 100, replace=False)] *= -1.0
+    elif case == "valid_at_start":
+        llr = _llr_of_bits(cw, mag=3.0)
+    elif case == "exhausted":
+        return rng.normal(0, 1.0, code.n), 4
+    return llr, 50
+
+
+@pytest.fixture(scope="module", params=["toy_n20", "rate45_n2048", "rate45_n20480"])
+def oracle_decode_code(request):
+    return LdpcCode.bundled(request.param)
+
+
+class TestDecodeOracle:
+    def test_phi_saturates_below_l_max(self):
+        # decode drops the clips at L_MAX on phi's argument: they change no
+        # bit because tanh(x/2) already rounds to 1 there
+        assert np.tanh(0.5 * 38.0) == 1.0
+        assert np.log(np.tanh(0.5 * L_MAX)) == 0.0
+
+    @pytest.mark.parametrize("case", ["erasures", "saturated", "valid_at_start", "exhausted"])
+    def test_bit_identical(self, oracle_decode_code, case):
+        code = oracle_decode_code
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            llr, max_iter = _decoder_case(code, case, rng)
+            ref = reference_decode(llr, code, max_iter)
+            out = decode(llr, code, max_iter)
+            np.testing.assert_array_equal(out[0], ref[0])
+            np.testing.assert_array_equal(out[1], ref[1])
+            assert out[2:] == ref[2:]
+            if case == "erasures":
+                assert (llr == 0.0).any()
+            elif case == "saturated":
+                assert np.abs(llr).max() > L_MAX and ref[3] > 0
+            elif case == "valid_at_start":
+                assert ref[2:] == (True, 0)
+            else:
+                assert ref[2:] == (False, max_iter)
 
 
 class TestBigCode:

@@ -4,8 +4,11 @@ from scipy.constants import c as C_LIGHT
 from scipy.constants import h as H_PLANCK
 
 from turbowdm.fiber import (
+    MANAKOV_FACTOR,
     FiberError,
     FiberParams,
+    _ssfm,
+    _steps,
     amplify,
     dbp,
     edc,
@@ -215,3 +218,37 @@ class TestSteps:
         rec = edc(out, p, p.span_km)
         err = np.mean(np.abs(rec.x - sig.x) ** 2) / np.mean(np.abs(sig.x) ** 2)
         assert err < 1e-20
+
+
+def reference_ssfm(fields, sample_rate, length_m, step_m, beta2, gamma, alpha):
+    """The split-step with the operators rebuilt in every step, numpy FFTs
+    and a complex-exponential rotation. Oracle for ``_ssfm``."""
+    n = fields.shape[1]
+    w = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / sample_rate)
+    spec = np.fft.fft(fields, axis=1)
+    for dz in _steps(length_m, step_m):
+        half = np.exp((1j * beta2 / 2.0 * w**2 - alpha / 2.0) * dz / 2.0)
+        spec *= half
+        a = np.fft.ifft(spec, axis=1)
+        power = np.abs(a[0]) ** 2 + np.abs(a[1]) ** 2
+        a *= np.exp(-1j * MANAKOV_FACTOR * gamma * power * dz)
+        spec = np.fft.fft(a, axis=1) * half
+    return np.fft.ifft(spec, axis=1)
+
+
+class TestSsfmOracle:
+    # 1031 is prime, so the FFTs take their Bluestein path
+    @pytest.mark.parametrize("n", [1024, 1031])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["forward", "dbp"])
+    @pytest.mark.parametrize("length_m", [5000.0, 5300.0], ids=["whole", "remainder"])
+    def test_bit_identical(self, n, sign, length_m):
+        p = FiberParams()
+        fields = bandlimited_signal(n=n, power_w=1e-2, seed=13).fields()
+        before = fields.copy()
+        args = (
+            fields, 128e9, length_m, 1000.0,
+            sign * p.beta2_s2_per_m, sign * p.gamma_per_w_m, sign * p.alpha_per_m,
+        )
+        out = _ssfm(*args)
+        assert np.array_equal(out, reference_ssfm(*args))
+        assert np.array_equal(fields, before)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from turbowdm import harness
 from turbowdm.cli import main as cli_main
 from turbowdm.harness import (
     CampaignConfig,
@@ -241,6 +242,43 @@ class TestCampaign:
         recs_r, _, fail_r = run_campaign(cfg_rev)
         assert not fail_f and not fail_r
         assert recs_f == recs_r  # merged in sorted cell order
+
+    def test_pool_starts_turbo_cells_first(self, tiny_cfg, monkeypatch):
+        cfg = dataclasses.replace(
+            tiny_cfg, modes=("edc", "dbp", "dbp_turbo"), power_dbm_list=(0.0, 2.0)
+        )
+        submitted = []
+
+        class RecordingPool:
+            """Runs the cells in this process, in the order they are given."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                submitted.extend(cells)
+                return map(fn, cells)
+
+        def fake_cell(cell):
+            _, power, spans, mode, trial = cell
+            recs = [record(power=power, spans=spans, mode=mode, trial=trial)]
+            return (power, spans, mode, trial), recs, None
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_run_cell", fake_cell)
+        pooled, _, _ = run_campaign(cfg, jobs=2)
+        assert [(c[3], c[1]) for c in submitted] == [
+            ("dbp_turbo", 0.0), ("dbp_turbo", 2.0),
+            ("edc", 0.0), ("dbp", 0.0), ("edc", 2.0), ("dbp", 2.0),
+        ]
+        serial, _, _ = run_campaign(cfg, jobs=1)
+        assert pooled == serial
 
     def test_summary_shape(self, tiny_cfg):
         recs, summary, failures = run_campaign(tiny_cfg)

@@ -7,6 +7,7 @@ from turbowdm.metrics import effective_snr
 from turbowdm.turbo import (
     SlidingWindowConfig,
     TurboError,
+    _frame_order,
     lmmse_equalize,
     nlms_tap_preconvergence,
     rls_estimate,
@@ -104,6 +105,16 @@ def reference_rls(received, means, cfg, initial_taps):
         sigma = 0.5 * (sigma + sigma.conj().T)
         h = h + np.conj(e)[:, None] * gain[None, :]
     return track.reshape(m, 2, 2, lp1), h.reshape(2, 2, lp1), errors
+
+
+def test_frame_order_matches_block_interleavers():
+    n, nb, seed = 64, 5, 17
+    rng = np.random.default_rng(0)
+    blocks = rng.normal(size=(nb, n))
+    frame = np.concatenate([Interleaver(n, seed + b).interleave(blocks[b]) for b in range(nb)])
+    to_frame = _frame_order(n, nb, seed)
+    np.testing.assert_array_equal(blocks.ravel()[to_frame], frame)
+    np.testing.assert_array_equal(frame[np.argsort(to_frame)], blocks.ravel())
 
 
 class TestConfig:
