@@ -170,16 +170,19 @@ def decode(
     m_cv = np.zeros(ev.size)
     app = lam
 
-    def settled(a: np.ndarray) -> bool:
-        # exact-zero L-values are erasures; their hard decision is undefined
-        return bool(np.all(a != 0.0)) and code.check(a < 0)
+    def settled(a: np.ndarray, g: np.ndarray) -> bool:
+        # parity of the hard decisions from g = a[ev], the gather the next
+        # iteration starts from; exact-zero L-values are erasures, whose
+        # hard decision is undefined
+        return not np.logical_xor.reduceat(g < 0, starts).any() and bool(np.all(a != 0.0))
 
     it_used = 0
-    converged = settled(app)
+    g = app[ev]
+    converged = settled(app, g)
     if not converged:
         for it in range(1, max_iter + 1):
             it_used = it
-            m_vc = app[ev]
+            m_vc = g
             m_vc -= m_cv
             neg = m_vc < 0
             # an outgoing message is negative where the signs of the check's
@@ -192,7 +195,8 @@ def decode(
             t = _log_tanh_half(np.maximum(t, _PHI_MIN, out=t))
             m_cv = np.where(flip, t, -t)
             app = lam + np.bincount(ev, weights=m_cv, minlength=code.n)
-            if settled(app):
+            g = app[ev]
+            if settled(app, g):
                 converged = True
                 break
     hard = (app < 0).astype(np.uint8)

@@ -315,28 +315,36 @@ def run_campaign(
 
 
 def aggregate(records: list[MetricsRecord]) -> list[dict]:
-    """Mean BER/SNR/GMI per (power, spans, mode, iteration) across trials."""
-    cells: dict[tuple, list[MetricsRecord]] = {}
+    """Mean BER/SNR/GMI per (power, spans, mode, iteration) across trials.
+
+    A trial whose turbo loop stopped early counts with its final record at
+    the later iterations of its (power, spans, mode) group, so every row of
+    a group averages the same trials."""
+    groups: dict[tuple, dict[int, list[MetricsRecord]]] = {}
     for r in records:
-        cells.setdefault(
-            (r.launch_power_dbm, r.n_spans, r.mode, r.turbo_iteration), []
-        ).append(r)
+        trials = groups.setdefault((r.launch_power_dbm, r.n_spans, r.mode), {})
+        trials.setdefault(r.trial, []).append(r)
     rows = []
-    for (power, spans, mode, it), rs in sorted(cells.items()):
-        rows.append(
-            {
-                "power_dbm": power,
-                "n_spans": spans,
-                "mode": mode,
-                "iteration": it,
-                "ber": float(np.mean([r.post_fec_ber for r in rs])),
-                "snr_db": float(np.mean([r.snr_db for r in rs])),
-                "gmi_bits_per_4d": float(
-                    np.mean([r.gmi_bits_per_4d_symbol for r in rs])
-                ),
-                "n_trials": len(rs),
-            }
-        )
+    for (power, spans, mode), trials in sorted(groups.items()):
+        runs = [sorted(t, key=lambda r: r.turbo_iteration) for t in trials.values()]
+        for it in sorted({r.turbo_iteration for t in runs for r in t}):
+            # each trial's latest record at or before this iteration
+            rs = [[r for r in t if r.turbo_iteration <= it][-1]
+                  for t in runs if t[0].turbo_iteration <= it]
+            rows.append(
+                {
+                    "power_dbm": power,
+                    "n_spans": spans,
+                    "mode": mode,
+                    "iteration": it,
+                    "ber": float(np.mean([r.post_fec_ber for r in rs])),
+                    "snr_db": float(np.mean([r.snr_db for r in rs])),
+                    "gmi_bits_per_4d": float(
+                        np.mean([r.gmi_bits_per_4d_symbol for r in rs])
+                    ),
+                    "n_trials": len(rs),
+                }
+            )
     return rows
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from . import constellation as cst
-from .constellation import Constellation
+from .constellation import L_MAX, Constellation
 from .fec import Interleaver, LdpcCode, decode
 from .metrics import (
     MetricsRecord,
@@ -228,7 +228,7 @@ def lmmse_equalize(
 
 @dataclass
 class TurboResult:
-    hard_bits: np.ndarray  # (2, total coded bits), final iteration
+    hard_bits: np.ndarray  # (2, nb*k) info bits, final iteration
     records: list[MetricsRecord]
     diagnostics: list[str]  # line-delimited JSON
 
@@ -259,6 +259,12 @@ def turbo_loop(
     received symbols under a scalar AWGN assumption; subsequent iterations
     feed decoder soft output to the RLS channel estimator and the LMMSE
     equalizer, then demap its output with the updated priors.
+
+    Only the blocks after the ``n_train_blocks`` training blocks are
+    decoded: the receiver knows the training blocks, and their info bits and
+    certain L-values stand in for a decode. The loop stops from iteration 2
+    on once every decoded block passes parity and the SNR moved by less than
+    0.01 dB.
     """
     ctx = context or {}
     m = frame.n_instants
@@ -286,9 +292,11 @@ def turbo_loop(
     pil_res = received[:, pilot] - frame.symbols[:, pilot]
     sigma_n2 = float(np.mean(np.abs(pil_res) ** 2))
 
-    true_info = (
-        frame.coded_bits[:, to_code].reshape(2, nb, n)[:, :, code.info_positions]
-    ).reshape(2, -1)
+    code_bits = frame.coded_bits[:, to_code].reshape(2, nb, n)
+    true_info = code_bits[:, :, code.info_positions].reshape(2, -1)
+    # the receiver knows the training blocks, so it decodes only the others;
+    # the known bits' a-posteriori L-values (L = ln P(1)/P(0)) are certain
+    known_app = np.where(code_bits[:, :n_train_blocks] == 1, L_MAX, -L_MAX)
 
     result = TurboResult(None, [], [])
     prior_blocks = None  # (2, nb, n) L-values in deinterleaved (code) domain
@@ -331,18 +339,18 @@ def turbo_loop(
             if it > 0:
                 llrs_noprior[p] = cst.extrinsic_llrs(*eq, None, c)
 
-        # decode each block
-        dec_info = np.empty_like(true_info)
+        # decode the blocks the receiver does not know
+        dec_info = true_info.copy()
+        dec_blocks = dec_info.reshape(2, nb, code.k)
         app = np.empty((2, nb, n))
+        app[:, :n_train_blocks] = known_app
         all_ok = True
         diag_blocks = []
         blocks = llrs.reshape(2, -1)[:, to_code].reshape(2, nb, n)
         for p in range(2):
-            kofs = 0
-            for b in range(nb):
+            for b in range(n_train_blocks, nb):
                 app[p, b], hard, ok, iters = decode(blocks[p, b], code, decoder_iters)
-                dec_info[p, kofs : kofs + code.k] = hard[code.info_positions]
-                kofs += code.k
+                dec_blocks[p, b] = hard[code.info_positions]
                 all_ok &= ok
                 diag_blocks.append(
                     {
@@ -383,7 +391,8 @@ def turbo_loop(
         result.diagnostics.extend(json.dumps(d, sort_keys=True) for d in diag_blocks)
         result.hard_bits = dec_info
         prior_blocks = app
-        # stop once decoding is clean and the equalizer SNR has saturated
+        # stop once the decoded blocks pass parity and the equalizer SNR has
+        # saturated
         if all_ok and it >= 2:
             if abs(rec.snr_db - result.records[-2].snr_db) < 0.01:
                 break

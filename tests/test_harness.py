@@ -302,6 +302,18 @@ class TestAggregation:
         assert len(rows) == 1
         assert rows[0]["iteration"] == 2
 
+    def test_stopped_trial_carried_forward(self):
+        # trial 0 stops after iteration 1, trial 1 runs to iteration 3
+        recs = [record(mode="dbp_turbo", it=i, snr=18.0 + i, trial=0) for i in range(2)]
+        recs += [record(mode="dbp_turbo", it=i, snr=20.0 + i, trial=1) for i in range(4)]
+        rows = aggregate(recs)
+        assert [r["iteration"] for r in rows] == [0, 1, 2, 3]
+        assert [r["n_trials"] for r in rows] == [2, 2, 2, 2]
+        assert [r["snr_db"] for r in rows] == [19.0, 20.0, 20.5, 21.0]
+        final = final_iteration_rows(rows)
+        assert len(final) == 1
+        assert (final[0]["iteration"], final[0]["snr_db"]) == (3, 21.0)
+
     def test_optimal_launch_power(self):
         recs = [record(power=p, snr=20.0 - (p - 2.0) ** 2) for p in (0.0, 2.0, 4.0)]
         best = optimal_launch_power(aggregate(recs), "edc", 10)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from turbowdm import turbo
 from turbowdm.constellation import build_constellation
 from turbowdm.fec import Interleaver, LdpcCode
 from turbowdm.metrics import effective_snr
@@ -73,6 +74,18 @@ def encoded_frame(c, code, n_blocks, seed, pilot_rate=0.05):
     return build_frame(
         np.stack(streams), c, pilot_rate, n_blocks, seed=seed, symbol_rate=32e9
     )
+
+
+def true_info_bits(frame, code):
+    """(2, nb*k) transmitted info bits of an ``encoded_frame``."""
+    n = frame.block_len
+    return np.array([
+        np.concatenate([
+            Interleaver(n, b).deinterleave(bits[b * n : (b + 1) * n])[code.info_positions]
+            for b in range(frame.n_blocks)
+        ])
+        for bits in frame.coded_bits
+    ])
 
 
 def static_track(h, m):
@@ -362,17 +375,7 @@ class TestTurboLoop:
 
     def test_final_bits_match_transmitted(self, hard_run, qpsk, code):
         res, frame = hard_run
-        nb, n = frame.n_blocks, frame.block_len
-        for p in range(2):
-            kofs = 0
-            for b in range(nb):
-                cw = Interleaver(n, b).deinterleave(
-                    frame.coded_bits[p, b * n : (b + 1) * n]
-                )
-                np.testing.assert_array_equal(
-                    res.hard_bits[p, kofs : kofs + code.k], cw[code.info_positions]
-                )
-                kofs += code.k
+        np.testing.assert_array_equal(res.hard_bits, true_info_bits(frame, code))
 
     def test_early_exit_on_saturation(self, qpsk, code):
         frame = encoded_frame(qpsk, code, 6, seed=2)
@@ -405,3 +408,48 @@ class TestTurboLoop:
         cfg = SlidingWindowConfig()
         with pytest.raises(TurboError):
             turbo_loop(np.zeros((2, 7), complex), frame, cfg, code, qpsk)
+
+
+@pytest.fixture(scope="module")
+def noisy_training_run(qpsk, code):
+    # the first 200 symbols of training block 0 arrive as pure noise, so a
+    # decode of that block could not pass parity
+    frame = encoded_frame(qpsk, code, 6, seed=2)
+    cfg = SlidingWindowConfig(n_turbo_iters=5)
+    rng = np.random.default_rng(3)
+    r = apply_channel(frame.symbols, mimo_channel(), cfg.delay, 0.05, rng)
+    pos = frame.data_positions[frame.block_of_data_symbol(qpsk.q) == 0][:200]
+    r[:, pos] = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
+    return turbo_loop(r, frame, cfg, code, qpsk), frame
+
+
+class TestLoopPolicy:
+    @pytest.mark.parametrize("n_train", [1, 3])
+    def test_decodes_only_unknown_blocks(self, qpsk, code, monkeypatch, n_train):
+        calls = []
+        real_decode = turbo.decode
+
+        def counting_decode(*args, **kwargs):
+            calls.append(1)
+            return real_decode(*args, **kwargs)
+
+        monkeypatch.setattr(turbo, "decode", counting_decode)
+        frame = encoded_frame(qpsk, code, 6, seed=4)
+        cfg = SlidingWindowConfig(n_turbo_iters=2)
+        rng = np.random.default_rng(5)
+        r = apply_channel(frame.symbols, mimo_channel(), cfg.delay, 0.05, rng)
+        res = turbo_loop(r, frame, cfg, code, qpsk, n_train_blocks=n_train)
+        assert len(res.records) == 3
+        assert len(calls) == 2 * (frame.n_blocks - n_train) * len(res.records)
+
+    def test_stops_although_training_block_is_noise(self, noisy_training_run):
+        res, _ = noisy_training_run
+        assert len(res.records) < 6
+        assert res.records[-1].post_fec_ber == 0.0
+
+    def test_training_bits_are_the_known_bits(self, noisy_training_run, code):
+        res, frame = noisy_training_run
+        known = 3 * code.k  # the default n_train_blocks = 3
+        np.testing.assert_array_equal(
+            res.hard_bits[:, :known], true_info_bits(frame, code)[:, :known]
+        )
