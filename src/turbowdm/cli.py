@@ -60,9 +60,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_tables(args) -> int:
     records = read_records_ndjson(args.results)
-    paths = harness.emit_tables(harness.aggregate(records), Path(args.out))
-    for p in paths:
-        print(p)
+    print(harness.emit_tables(harness.aggregate(records), Path(args.out)))
     return 0
 
 
@@ -82,7 +80,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--modes", nargs="+", choices=harness.MODES)
     p_sweep.set_defaults(fn=cmd_sweep)
 
-    p_tab = sub.add_parser("tables", help="emit plot-ready CSV tables from results")
+    p_tab = sub.add_parser("tables", help="emit the plot-ready CSV table from results")
     p_tab.add_argument("--results", required=True, help="records.ndjson from a run")
     p_tab.add_argument("--out", default="tables")
     p_tab.set_defaults(fn=cmd_tables)

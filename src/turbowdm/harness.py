@@ -10,6 +10,7 @@ import functools
 import hashlib
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -290,21 +291,13 @@ def run_campaign(
         for mode in cfg.modes
         for trial in range(cfg.n_trials)
     ]
+    # a dbp_turbo cell runs n_turbo_iters + 1 receiver passes; starting
+    # those first keeps the longest cells off the end of a pool's schedule
+    cells.sort(key=lambda cell: cell[3] != "dbp_turbo")
     results: dict[tuple, list[MetricsRecord]] = {}
     failures: list[tuple] = []
-    if jobs > 1:
-        # a dbp_turbo cell runs n_turbo_iters + 1 receiver passes; starting
-        # those first keeps the longest cells off the end of the schedule
-        cells.sort(key=lambda cell: cell[3] != "dbp_turbo")
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, recs, err in pool.map(_run_cell, cells):
-                if recs is None:
-                    failures.append((key, err))
-                else:
-                    results[key] = recs
-    else:
-        for cell in cells:
-            key, recs, err = _run_cell(cell)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for key, recs, err in (pool.map if jobs > 1 else map)(_run_cell, cells):
             if recs is None:
                 failures.append((key, err))
             else:
@@ -369,24 +362,15 @@ def optimal_launch_power(rows: list[dict], mode: str, n_spans: int) -> dict:
     return max(cand, key=lambda r: r["snr_db"])
 
 
-def emit_tables(rows: list[dict], out_dir: str | Path) -> list[Path]:
-    """Plot-ready CSVs: metric-vs-power (per span count) and metric-vs-spans
-    (per power), one row per (cell, iteration)."""
+def emit_tables(rows: list[dict], out_dir: str | Path) -> Path:
+    """Plot-ready ``sweep.csv``: one row per (power, spans, mode, iteration),
+    to be read as metric against power or against span count."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    specs = [
-        ("power_sweep.csv", ["power_dbm", "mode", "iteration", "n_spans",
-                             "ber", "snr_db", "gmi_bits_per_4d"]),
-        ("span_sweep.csv", ["n_spans", "mode", "iteration", "power_dbm",
-                            "ber", "snr_db", "gmi_bits_per_4d"]),
-    ]
-    for name, fields in specs:
-        path = out_dir / name
-        with open(path, "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=fields, extrasaction="ignore")
-            w.writeheader()
-            for row in rows:
-                w.writerow(row)
-        paths.append(path)
-    return paths
+    path = out_dir / "sweep.csv"
+    fields = ["power_dbm", "n_spans", "mode", "iteration", "ber", "snr_db", "gmi_bits_per_4d"]
+    with open(path, "w", newline="") as f:
+        w = csv.DictWriter(f, fieldnames=fields, extrasaction="ignore")
+        w.writeheader()
+        w.writerows(rows)
+    return path

@@ -5,7 +5,11 @@ symbol priors, and the iteration loop with the SISO LDPC decoder.
 Channel convention: the received symbol stream r is modeled per
 polarization pair as r_i = sum_n conj(h_n) * s_{i+d-n} + noise, n = 0..L,
 with decision delay d = floor((L+1)/2), so the main tap h_d multiplies s_i
-and both pre- and post-cursor ISI are covered.
+and both pre- and post-cursor ISI are covered. s_j thus reaches rows
+r_{j-d} .. r_{j+L-d}, and the equalizer estimates s_j from rows
+r_{j-N1} .. r_{j+N2} around its own row r_j (Tuechler, Singer & Koetter,
+"Minimum mean squared error equalization using a priori information",
+IEEE Trans. Signal Process. 50(3), 2002).
 """
 
 from __future__ import annotations
@@ -35,12 +39,13 @@ class TurboError(RuntimeError):
 
 @dataclass(frozen=True)
 class SlidingWindowConfig:
-    """Equalizer window (N = N1+N2+1), channel memory L, RLS forgetting
-    factor and regularization, NLMS pre-convergence step, and turbo
-    iteration count."""
+    """Equalizer window of N = N1+N2+1 rows, N1 before and N2 after s_j's
+    own row (it covers s_j's whole span when N1 >= d and N2 >= L-d),
+    channel memory L, RLS forgetting factor and regularization, NLMS
+    pre-convergence step, and turbo iteration count."""
 
-    n1: int = 0
-    n2: int = 2
+    n1: int = 1
+    n2: int = 1
     channel_memory: int = 2  # L
     forgetting: float = 0.99
     n_turbo_iters: int = 5
@@ -50,8 +55,14 @@ class SlidingWindowConfig:
     def __post_init__(self):
         if self.n1 < 0 or self.n2 < 0:
             raise TurboError("window bounds must be nonnegative")
+        if self.channel_memory < 0:
+            raise TurboError("channel_memory must be nonnegative")
         if not 0 < self.forgetting <= 1:
             raise TurboError("forgetting factor must be in (0, 1]")
+        if self.n_turbo_iters < 0:
+            raise TurboError("n_turbo_iters must be nonnegative")
+        if not self.rls_delta > 0:
+            raise TurboError("rls_delta must be positive")
 
     @property
     def n_window(self) -> int:
@@ -62,14 +73,21 @@ class SlidingWindowConfig:
         return (self.channel_memory + 1) // 2
 
 
+def _gather(arr: np.ndarray, idx: np.ndarray, fill) -> np.ndarray:
+    """``arr`` along its last axis at ``idx`` (broadcast against the other
+    axes), and ``fill`` where ``idx`` falls outside that axis."""
+    size = arr.shape[-1]
+    out = np.take_along_axis(arr, np.clip(idx, 0, size - 1), axis=-1)
+    np.copyto(out, fill, where=(idx < 0) | (idx >= size))
+    return out
+
+
 def _regressors(means: np.ndarray, cfg: SlidingWindowConfig) -> np.ndarray:
     """(m, 2(L+1)) joint regressors: row i holds s_mean_p(i+d-n) for input
     polarization p and tap n = 0..L, zero outside the frame."""
     m = means.shape[1]
-    idx = np.arange(m)[:, None] + cfg.delay - np.arange(cfg.channel_memory + 1)
-    valid = (idx >= 0) & (idx < m)
-    u = np.where(valid, means[:, np.clip(idx, 0, m - 1)], 0.0)  # (2, m, L+1)
-    return u.transpose(1, 0, 2).reshape(m, -1)
+    idx = np.arange(m)[:, None, None] + cfg.delay - np.arange(cfg.channel_memory + 1)
+    return _gather(means[None], idx, 0.0).reshape(m, -1)
 
 
 def nlms_tap_preconvergence(
@@ -152,69 +170,52 @@ def lmmse_equalize(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sliding-window MIMO 2x2 LMMSE estimation with symbol priors.
 
-    Per instant: the windowed channel matrix is assembled from the
-    (m, 2, 2, L+1) tap track of ``rls_estimate``, the prior mean of the
-    center symbol is excluded from the interference cancellation while its
-    variance entry is the blind symbol energy, and the Wiener solution is
-    obtained by a direct Hermitian solve.
+    s_j is estimated from the rows r_{j-N1} .. r_{j+N2}, which hold the
+    symbols s_{j-N1+d-L} .. s_{j+N2+d}. The windowed channel matrix takes
+    each row's taps from the (m, 2, 2, L+1) tap track of ``rls_estimate``
+    (the first or last instant's taps beyond the frame), the prior mean of
+    s_j is excluded from the interference cancellation while its variance
+    entry is the blind symbol energy, and the Wiener solution is obtained by
+    a direct Hermitian solve. Beyond the frame, rows are zero and symbols
+    have mean 0 and the blind symbol energy as variance.
 
     Returns (estimates (2, m), scale mu (2, m), noise nu2 (2, m)).
     """
     m = received.shape[1]
     if track.shape[0] != m:
         raise TurboError("tap track does not cover all instants")
-    n1, n2, mem = cfg.n1, cfg.n2, cfg.channel_memory
-    nw = cfg.n_window
+    n1, mem, nw, d = cfg.n1, cfg.channel_memory, cfg.n_window, cfg.delay
     wwin = nw + mem  # symbol window width per polarization
-    d = cfg.delay
     sig2 = symbol_energy
 
-    c = np.conj(track)  # channel coefficients c_n = conj(h_n)
+    j = np.arange(m)[:, None, None]
+    rows = j - n1 + np.arange(nw)  # (m, 1, N) row instants
+    syms = j - n1 + d - mem + np.arange(wwin)  # (m, 1, W) symbol indices
+    center = n1 + mem - d  # window position of s_j
 
-    # banded window matrix H (m, 2N, 2W): rows are received samples
-    # r_{i0-N1..i0+N2} with i0 = j - d; columns are symbols s_{j-N1-L..j+N2}
-    hmat = np.zeros((m, 2 * nw, 2 * wwin), dtype=complex)
-    j = np.arange(m)
-    i0 = j - d
-    for row in range(nw):
-        for n in range(mem + 1):
-            col = row + mem - n  # position of s_{t-n} within the window
-            ci = np.clip(i0 - n1 + row, 0, m - 1)  # taps at the row's instant
-            for o in range(2):
-                for p in range(2):
-                    hmat[:, o * nw + row, p * wwin + col] = c[ci, o, p, n]
+    # banded window matrix H (m, 2N, 2W): row i, symbol s_t takes tap
+    # n = i + d - t, that is n = row + L - col within the window, from the
+    # taps at the row's instant, an (m, N, 2, 2, L+1) temporary
+    band = np.arange(nw)[:, None, None] + mem - np.arange(wwin)  # (N, 1, W)
+    hmat = _gather(
+        np.conj(track)[np.clip(rows[:, 0], 0, m - 1)].transpose(0, 2, 1, 3, 4),
+        band[None, None],
+        0.0,
+    )  # (m, 2, N, 2, W)
+    hsel = hmat[..., center].reshape(m, 2 * nw, 2)  # response to s_j
+    hmat = hmat.reshape(m, 2 * nw, 2 * wwin)
 
-    # windowed means/variances; outside the frame: mean 0, variance sig2
-    def window(arr: np.ndarray, fill: float) -> np.ndarray:
-        out = np.full((m, 2 * wwin), fill, dtype=arr.dtype)
-        for p in range(2):
-            for t in range(wwin):
-                idx = j - n1 - mem + t  # symbol index s_{j-N1-L+t}
-                valid = (idx >= 0) & (idx < m)
-                out[valid, p * wwin + t] = arr[p, idx[valid]]
-        return out
-
-    sbar = window(means.astype(complex), 0.0)
-    svar = window(variances.astype(float), sig2)
-    center = n1 + mem  # window position of s_j
-    sbar[:, center] = 0.0
-    sbar[:, wwin + center] = 0.0
-    svar[:, center] = sig2
-    svar[:, wwin + center] = sig2
-
-    # r window with zero padding outside the frame
-    rwin = np.zeros((m, 2 * nw), dtype=complex)
-    for p in range(2):
-        for t in range(nw):
-            idx = i0 - n1 + t
-            valid = (idx >= 0) & (idx < m)
-            rwin[valid, p * nw + t] = received[p, idx[valid]]
+    sbar = _gather(means[None], syms, 0.0)  # (m, 2, W)
+    svar = _gather(variances[None], syms, sig2)
+    sbar[..., center] = 0.0
+    svar[..., center] = sig2
+    sbar, svar = sbar.reshape(m, -1), svar.reshape(m, -1)
+    rwin = _gather(received[None], rows, 0.0).reshape(m, -1)
 
     # A = H R H^H + sigma_n^2 I ; b = H e sig2 (response to the center symbol)
     hr = hmat * svar[:, None, :]
     a = hr @ hmat.conj().transpose(0, 2, 1)
     a += noise_var * np.eye(2 * nw)[None]
-    hsel = np.stack([hmat[:, :, center], hmat[:, :, wwin + center]], axis=-1)
     w = np.linalg.solve(a, hsel * sig2)  # (m, 2N, 2)
 
     resid = rwin - np.einsum("mrc,mc->mr", hmat, sbar)
@@ -283,7 +284,11 @@ def turbo_loop(
     train_data = block_of_data < n_train_blocks
     known = pilot.copy()
     known[data_pos[train_data]] = True
+    unknown_pos = data_pos[~train_data]
 
+    # symbols that carry a bit of a decoded block (the last bit decides)
+    decoded_data = (q * np.arange(data_pos.size) + q - 1) // n >= n_train_blocks
+    decoded_pos = data_pos[decoded_data]
     # policy: metrics skip training blocks and the trailing block
     counted_data = (block_of_data >= n_train_blocks) & (block_of_data < nb - 1)
     counted_pos = data_pos[counted_data]
@@ -307,16 +312,13 @@ def turbo_loop(
             s_hat = received
             mu = np.ones((2, m))
             nu2 = np.full((2, m), max(sigma_n2, 1e-12))
-            prior_sym = [None, None]
         else:
             means = np.empty((2, m), dtype=complex)
             variances = np.empty((2, m))
             prior_sym = prior_blocks.reshape(2, -1)[:, to_frame].reshape(2, -1, q)
             for p in range(2):
-                pr = cst.symbol_priors(prior_sym[p], c)
-                mn, vr = cst.soft_stats(pr, c)
-                means[p, data_pos] = mn
-                variances[p, data_pos] = vr
+                pr = cst.symbol_priors(prior_sym[p, ~train_data], c)
+                means[p, unknown_pos], variances[p, unknown_pos] = cst.soft_stats(pr, c)
             means[:, known] = frame.symbols[:, known]
             variances[:, known] = 0.0
             h0 = nlms_tap_preconvergence(received, means, cfg, known)
@@ -329,15 +331,21 @@ def turbo_loop(
                 symbol_energy=c.energy,
             )
 
-        # demap data instants (pilots removed after the equalizer); GMI reads
-        # no-prior L-values, which iteration 0, having no priors, already has
+        # demap the symbols the decoder reads (the rows of training-only
+        # symbols stay unread); GMI reads no-prior L-values of the counted
+        # symbols, which iteration 0, having no priors, already has
         llrs = np.empty((2, data_pos.size, q))
-        llrs_noprior = llrs if it == 0 else np.empty_like(llrs)
         for p in range(2):
-            eq = (s_hat[p, data_pos], mu[p, data_pos], nu2[p, data_pos])
-            llrs[p] = cst.extrinsic_llrs(*eq, prior_sym[p], c)
-            if it > 0:
-                llrs_noprior[p] = cst.extrinsic_llrs(*eq, None, c)
+            prior = None if it == 0 else prior_sym[p, decoded_data]
+            llrs[p, decoded_data] = cst.extrinsic_llrs(
+                s_hat[p, decoded_pos], mu[p, decoded_pos], nu2[p, decoded_pos], prior, c
+            )
+        llrs_noprior = llrs[:, counted_data] if it == 0 else np.stack([
+            cst.extrinsic_llrs(
+                s_hat[p, counted_pos], mu[p, counted_pos], nu2[p, counted_pos], None, c
+            )
+            for p in range(2)
+        ])
 
         # decode the blocks the receiver does not know
         dec_info = true_info.copy()
@@ -369,7 +377,7 @@ def turbo_loop(
         s_cnt = s_hat[:, counted_pos] / bias
         gmi4d = sum(
             gmi_bits_per_2d(
-                llrs_noprior[p][counted_data],
+                llrs_noprior[p],
                 frame.coded_bits[p].reshape(-1, q)[counted_data],
             )
             for p in range(2)

@@ -50,14 +50,11 @@ def mimo_channel():
 def apply_channel(s, h, delay, noise_var=0.0, rng=None, rotation=None):
     """r_o[i] = rot[i] * sum_{p,n} conj(h[o,p,n]) s_p[i+d-n] + AWGN."""
     m = s.shape[1]
-    lp1 = h.shape[2]
     r = np.zeros((2, m), dtype=complex)
-    for i in range(m):
-        idx = i + delay - np.arange(lp1)
-        v = np.zeros((2, lp1), dtype=complex)
-        ok = (idx >= 0) & (idx < m)
-        v[:, ok] = s[:, idx[ok]]
-        r[:, i] = np.einsum("opn,pn->o", np.conj(h), v)
+    for n in range(h.shape[2]):
+        shift = delay - n  # r[i] takes s[i + shift] through tap n
+        lo, hi = max(0, -shift), min(m, m - shift)
+        r[:, lo:hi] += np.conj(h[:, :, n]) @ s[:, lo + shift : hi + shift]
     if rotation is not None:
         r *= rotation
     if noise_var:
@@ -182,23 +179,38 @@ class TestLmmseClosedForms:
             )
         assert time.perf_counter() - t0 < 10.0
 
-    def test_perfect_priors_reach_matched_filter_bound(self):
-        # polarization-diagonal 3-tap channel: with cross-polarization taps
-        # the co-instant symbol of the other polarization is itself an
-        # interferer, and the joint estimate sits strictly below the
-        # single-polarization matched-filter bound
+    @pytest.mark.parametrize("memory", range(7))
+    def test_perfect_priors_reach_matched_filter_bound(self, memory):
+        # the rows r_{j-d} .. r_{j+L-d} (N1 = d, N2 = L-d) hold all of s_j's
+        # energy, so with every other symbol known the estimate reaches the
+        # matched-filter bound. Polarization-diagonal channel: with
+        # cross-polarization taps the co-instant symbol of the other
+        # polarization is itself an interferer, and the joint estimate sits
+        # strictly below the single-polarization matched-filter bound
         t0 = time.perf_counter()
-        cfg = SlidingWindowConfig()
-        m = 150_000
+        d = (memory + 1) // 2
+        cfg = SlidingWindowConfig(n1=d, n2=memory - d, channel_memory=memory)
+        m, lp1 = 150_000, memory + 1
         s = qpsk_stream(m, 21)
-        h = mimo_channel()
-        h[0, 1] = 0.0
-        h[1, 0] = 0.0
-        rng = np.random.default_rng(22)
+        rng = np.random.default_rng(22 + memory)
+        h = np.zeros((2, 2, lp1), dtype=complex)
+        for p in range(2):
+            h[p, p] = 0.3 * (rng.standard_normal(lp1) + 1j * rng.standard_normal(lp1))
+            h[p, p, d] += 0.9
         sn2 = 0.02
         r = apply_channel(s, h, cfg.delay, sn2, rng)
-        track = np.tile(h, (m, 1, 1, 1))
-        s_hat, mu, _ = lmmse_equalize(r, track, s, np.zeros((2, m)), cfg, sn2)
+        track = np.broadcast_to(h, (m, 2, 2, lp1))
+        # in overlapping chunks, each kept instant seeing the same window as
+        # in one call, to bound the memory of the (m, 2N, 2W) window matrices
+        chunk, pad = 5000, cfg.n_window + memory
+        s_hat, mu = np.empty((2, m), dtype=complex), np.empty((2, m))
+        for lo in range(0, m, chunk):
+            a, b = max(lo - pad, 0), min(lo + chunk + pad, m)
+            out = lmmse_equalize(
+                r[:, a:b], track[a:b], s[:, a:b], np.zeros((2, b - a)), cfg, sn2
+            )
+            keep = slice(lo - a, min(lo + chunk, m) - a)
+            s_hat[:, lo : lo + chunk], mu[:, lo : lo + chunk] = out[0][:, keep], out[1][:, keep]
         for p in range(2):
             mfb_db = 10.0 * np.log10(np.sum(np.abs(h[:, p, :]) ** 2) / sn2)
             snr_db = effective_snr(s[p], s_hat[p] / mu[p])

@@ -19,6 +19,7 @@ from turbowdm.harness import (
     run_trial,
 )
 from turbowdm.metrics import MetricsRecord, read_records_ndjson
+from turbowdm.turbo import TurboError
 
 TINY_CFG = """
 [campaign]
@@ -170,6 +171,21 @@ class TestConfig:
         p = tmp_path / "bad.cfg"
         p.write_text(text)
         with pytest.raises(HarnessError, match=named.replace("[", r"\[")):
+            load_config(p)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[turbo]\nchannel_memory = -1\n", "channel_memory"),
+            ("[turbo]\nn_turbo_iters = -1\n", "n_turbo_iters"),
+            ("[turbo]\nrls_delta = 0\n", "rls_delta"),
+            ("[turbo]\nrls_delta = -1\n", "rls_delta"),
+        ],
+    )
+    def test_out_of_range_turbo_value_rejected(self, tmp_path, text, named):
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        with pytest.raises(TurboError, match=named):
             load_config(p)
 
     def test_missing_config(self):
@@ -329,10 +345,15 @@ class TestTables:
         import csv
 
         rows = aggregate([record(), record(power=4.0)])
-        paths = emit_tables(rows, tmp_path)
-        assert sorted(p.name for p in paths) == ["power_sweep.csv", "span_sweep.csv"]
-        with open(paths[0]) as f:
-            got = list(csv.DictReader(f))
+        path = emit_tables(rows, tmp_path)
+        assert path == tmp_path / "sweep.csv"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
+        with open(path) as f:
+            reader = csv.DictReader(f)
+            got = list(reader)
+        assert reader.fieldnames == [
+            "power_dbm", "n_spans", "mode", "iteration", "ber", "snr_db", "gmi_bits_per_4d",
+        ]
         assert len(got) == 2
         assert got[0]["power_dbm"] == "2.0"
         assert float(got[0]["snr_db"]) == 20.0
@@ -347,7 +368,7 @@ class TestCli:
         assert rc == 0
         recs = read_records_ndjson(out / "records.ndjson")
         assert recs and all(r.mode == "dbp_turbo" for r in recs)
-        assert (out / "power_sweep.csv").exists()
+        assert (out / "sweep.csv").exists()
         rc = cli_main(
             [
                 "tables",
@@ -356,7 +377,7 @@ class TestCli:
             ]
         )
         assert rc == 0
-        assert (tmp_path / "tab" / "span_sweep.csv").exists()
+        assert (tmp_path / "tab" / "sweep.csv").exists()
 
     def test_sweep_override(self, tmp_path):
         cfgp = tmp_path / "tiny.cfg"

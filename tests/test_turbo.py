@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from turbowdm import turbo
-from turbowdm.constellation import build_constellation
+from turbowdm.constellation import NU2_FLOOR_REL, build_constellation, extrinsic_llrs
 from turbowdm.fec import Interleaver, LdpcCode
 from turbowdm.metrics import effective_snr
 from turbowdm.turbo import (
@@ -118,6 +118,81 @@ def reference_rls(received, means, cfg, initial_taps):
         sigma = 0.5 * (sigma + sigma.conj().T)
         h = h + np.conj(e)[:, None] * gain[None, :]
     return track.reshape(m, 2, 2, lp1), h.reshape(2, 2, lp1), errors
+
+
+def reference_lmmse(received, track, means, variances, n1, n2, mem, noise_var,
+                    symbol_energy=1.0):
+    """The equalizer with rows r_{j-d-N1} .. r_{j-d+N2} counted from
+    i0 = j - d, as it stood before the rows were counted from s_j's own row:
+    the reference for the window gathers."""
+    m = received.shape[1]
+    nw = n1 + n2 + 1
+    wwin = nw + mem  # symbol window width per polarization
+    d = (mem + 1) // 2
+    sig2 = symbol_energy
+
+    c = np.conj(track)  # channel coefficients c_n = conj(h_n)
+
+    # banded window matrix H (m, 2N, 2W): rows are received samples
+    # r_{i0-N1..i0+N2} with i0 = j - d; columns are symbols s_{j-N1-L..j+N2}
+    hmat = np.zeros((m, 2 * nw, 2 * wwin), dtype=complex)
+    j = np.arange(m)
+    i0 = j - d
+    for row in range(nw):
+        for n in range(mem + 1):
+            col = row + mem - n  # position of s_{t-n} within the window
+            ci = np.clip(i0 - n1 + row, 0, m - 1)  # taps at the row's instant
+            for o in range(2):
+                for p in range(2):
+                    hmat[:, o * nw + row, p * wwin + col] = c[ci, o, p, n]
+
+    # windowed means/variances; outside the frame: mean 0, variance sig2
+    def window(arr, fill):
+        out = np.full((m, 2 * wwin), fill, dtype=arr.dtype)
+        for p in range(2):
+            for t in range(wwin):
+                idx = j - n1 - mem + t  # symbol index s_{j-N1-L+t}
+                valid = (idx >= 0) & (idx < m)
+                out[valid, p * wwin + t] = arr[p, idx[valid]]
+        return out
+
+    sbar = window(means.astype(complex), 0.0)
+    svar = window(variances.astype(float), sig2)
+    center = n1 + mem  # window position of s_j
+    sbar[:, center] = 0.0
+    sbar[:, wwin + center] = 0.0
+    svar[:, center] = sig2
+    svar[:, wwin + center] = sig2
+
+    # r window with zero padding outside the frame
+    rwin = np.zeros((m, 2 * nw), dtype=complex)
+    for p in range(2):
+        for t in range(nw):
+            idx = i0 - n1 + t
+            valid = (idx >= 0) & (idx < m)
+            rwin[valid, p * nw + t] = received[p, idx[valid]]
+
+    # A = H R H^H + sigma_n^2 I ; b = H e sig2 (response to the center symbol)
+    hr = hmat * svar[:, None, :]
+    a = hr @ hmat.conj().transpose(0, 2, 1)
+    a += noise_var * np.eye(2 * nw)[None]
+    hsel = np.stack([hmat[:, :, center], hmat[:, :, wwin + center]], axis=-1)
+    w = np.linalg.solve(a, hsel * sig2)  # (m, 2N, 2)
+
+    resid = rwin - np.einsum("mrc,mc->mr", hmat, sbar)
+    s_hat = np.einsum("mrp,mr->pm", np.conj(w), resid)
+
+    mu_full = np.einsum("mrp,mrk->mpk", np.conj(w), hsel)  # (m, 2, 2)
+    mu = np.clip(np.real(np.einsum("mpp->pm", mu_full)), 0.0, 1.0)
+    nu2 = np.maximum(mu * sig2 - mu**2 * sig2, NU2_FLOOR_REL * sig2)
+    return s_hat, mu, nu2
+
+
+def assert_same_bits(a, b):
+    """Equal as uint8 views, so -0.0 != 0.0 and NaN payloads count."""
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(a).view(np.uint8), np.ascontiguousarray(b).view(np.uint8)
+    )
 
 
 def test_frame_order_matches_block_interleavers():
@@ -335,6 +410,29 @@ class TestLmmse:
         np.testing.assert_allclose(nu2, np.maximum(mu - mu**2, 1e-9), atol=1e-12)
         assert np.all((mu >= 0.0) & (mu <= 1.0))
 
+    @pytest.mark.parametrize("memory", range(7))
+    def test_matches_delay_anchored_reference(self, memory):
+        # rows r_{j-N1} .. r_{j+N2} are the reference's rows for the bounds
+        # (N1-d, N2+d); N1 runs up to 2+d, so both every window with
+        # N1, N2 in {0, 1, 2} and every reference window (N1, N2) in
+        # {0, 1, 2}^2 that keeps s_j's row (N2 >= d) are covered
+        d = (memory + 1) // 2
+        for m in (3, 300):  # 3 instants: shorter than every window here
+            rng = np.random.default_rng(100 * memory + m)
+            cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            r, means = cplx(2, m), cplx(2, m)
+            track = cplx(m, 2, 2, memory + 1)
+            variances = rng.random((2, m))
+            for n1 in range(3 + d):
+                for n2 in range(3):
+                    cfg = SlidingWindowConfig(n1=n1, n2=n2, channel_memory=memory)
+                    got = lmmse_equalize(r, track, means, variances, cfg, 0.1, 1.3)
+                    want = reference_lmmse(
+                        r, track, means, variances, n1 - d, n2 + d, memory, 0.1, 1.3
+                    )
+                    for a, b in zip(got, want):
+                        assert_same_bits(a, b)
+
     def test_track_length_mismatch(self):
         cfg = SlidingWindowConfig()
         s = qpsk_stream(10, 19)
@@ -446,6 +544,39 @@ class TestLoopPolicy:
         res, _ = noisy_training_run
         assert len(res.records) < 6
         assert res.records[-1].post_fec_ber == 0.0
+
+    def test_boundary_symbol_feeds_decoder(self, code, monkeypatch):
+        # at 64-QAM a 2048-bit block is not a whole number of symbols: the
+        # symbol whose first bits end training block 0 also starts block 1,
+        # so it must be demapped for block 1's decode
+        c = build_constellation(64)
+        frame = encoded_frame(c, code, 3, seed=8)
+        rng = np.random.default_rng(9)
+        r = frame.symbols + 0.05 * (
+            rng.standard_normal((2, frame.n_instants))
+            + 1j * rng.standard_normal((2, frame.n_instants))
+        )
+        inputs = []
+        real_decode = turbo.decode
+
+        def recording_decode(llrs, *args):
+            inputs.append(llrs.copy())
+            return real_decode(llrs, *args)
+
+        monkeypatch.setattr(turbo, "decode", recording_decode)
+        cfg = SlidingWindowConfig(n_turbo_iters=0)
+        turbo_loop(r, frame, cfg, code, c, n_train_blocks=1)
+        pil = frame.pilot_mask
+        sigma_n2 = np.mean(np.abs(r[:, pil] - frame.symbols[:, pil]) ** 2)
+        n = frame.block_len
+        j = n // c.q  # the straddling symbol
+        assert (c.q * j // n, (c.q * j + c.q - 1) // n) == (0, 1)
+        for p in range(2):
+            bits = extrinsic_llrs(r[p, ~pil], 1.0, sigma_n2, None, c).ravel()
+            for b in range(1, frame.n_blocks):
+                want = Interleaver(n, b).deinterleave(bits[b * n : (b + 1) * n])
+                got = inputs[p * (frame.n_blocks - 1) + b - 1]
+                assert_same_bits(got, want)
 
     def test_training_bits_are_the_known_bits(self, noisy_training_run, code):
         res, frame = noisy_training_run
