@@ -232,6 +232,15 @@ class Interleaver:
         return out
 
 
+def frame_order(n: int, nb: int, seed: int) -> np.ndarray:
+    """Code-domain index b*n + i (bit i of codeword b) carried by each
+    position of an interleaved frame of nb blocks, block b being permuted by
+    ``Interleaver(n, seed + b)``: one gather with it interleaves every block,
+    and one with its inverse (argsort) deinterleaves them."""
+    perm = np.stack([Interleaver(n, seed + b).permutation for b in range(nb)])
+    return (perm + n * np.arange(nb)[:, None]).ravel()
+
+
 def make_regular_code(n: int, m: int, col_weight: int = 3, seed: int = 0) -> LdpcCode:
     """Random near-regular LDPC construction with double-edge avoidance and
     best-effort 4-cycle avoidance; adequate for desk-scale simulation codes.

@@ -118,7 +118,7 @@ def _ssfm(
 def propagate_span(signal: DualPolSignal, p: FiberParams) -> DualPolSignal:
     """One span of forward Manakov propagation (no amplification)."""
     out = _ssfm(
-        signal.fields(),
+        signal.fields,
         signal.sample_rate,
         p.span_km * 1e3,
         p.step_m,
@@ -126,7 +126,7 @@ def propagate_span(signal: DualPolSignal, p: FiberParams) -> DualPolSignal:
         p.gamma_per_w_m,
         p.alpha_per_m,
     )
-    return replace(signal, x=out[0], y=out[1])
+    return replace(signal, fields=out)
 
 
 def amplify(
@@ -154,7 +154,7 @@ def amplify(
     rng = np.random.default_rng(seed)
     n = len(signal)
     noise = rng.standard_normal((2, n, 2)) @ np.array([1.0, 1j]) * np.sqrt(sigma2 / 2.0)
-    return replace(out, x=out.x + noise[0], y=out.y + noise[1])
+    return replace(out, fields=out.fields + noise)
 
 
 def propagate_link(
@@ -185,9 +185,7 @@ def edc(signal: DualPolSignal, p: FiberParams, distance_km: float) -> DualPolSig
     n = len(signal)
     w = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / signal.sample_rate)
     hmat = np.exp(-1j * p.beta2_s2_per_m / 2.0 * w**2 * distance_km * 1e3)
-    x = np.fft.ifft(np.fft.fft(signal.x) * hmat)
-    y = np.fft.ifft(np.fft.fft(signal.y) * hmat)
-    return replace(signal, x=x, y=y)
+    return replace(signal, fields=np.fft.ifft(np.fft.fft(signal.fields) * hmat))
 
 
 def dbp(
@@ -206,7 +204,7 @@ def dbp(
     n_spans = distance_km / p.span_km
     if abs(n_spans - round(n_spans)) > 1e-9:
         raise FiberError("DBP distance must be a whole number of spans")
-    fields = signal.fields()
+    fields = signal.fields
     g_amp = np.sqrt(10.0 ** (p.span_gain_db / 10.0))
     for _ in range(int(round(n_spans))):
         fields = fields / g_amp
@@ -219,4 +217,4 @@ def dbp(
             -p.gamma_per_w_m,
             -p.alpha_per_m,
         )
-    return replace(signal, x=fields[0], y=fields[1])
+    return replace(signal, fields=fields)

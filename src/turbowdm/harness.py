@@ -20,12 +20,11 @@ import numpy as np
 
 from . import fiber as fib
 from .constellation import build_constellation
-from .fec import Interleaver, LdpcCode
+from .fec import LdpcCode, frame_order
 from .metrics import MetricsRecord
 from .sync_dsp import DdpllState, NlmsState, coarse_align, ddpll, nlms_equalize
 from .turbo import SlidingWindowConfig, turbo_loop
 from .waveform import (
-    DualPolSignal,
     build_frame,
     fft_resample,
     matched_filter,
@@ -168,7 +167,6 @@ def run_trial(
     n_spans: int,
     mode: str,
     seed: int,
-    code: LdpcCode | None = None,
 ) -> list[MetricsRecord]:
     """One seeded Monte Carlo trial: transmit, propagate, receive, and run
     the turbo loop (single iteration-0 pass for edc/dbp modes). Returns one
@@ -177,25 +175,22 @@ def run_trial(
         raise HarnessError(f"unknown receiver mode {mode!r}")
     rng = np.random.default_rng(seed)
     c = build_constellation(cfg.modulation)
-    if code is None:
-        code = _load_code(cfg.code_file)
+    code = _load_code(cfg.code_file)
 
     interleaver_seed = seed % (2**31)
-    n, k = code.n, code.k
     coi_index = (cfg.n_wdm_channels - 1) // 2
+    to_frame = frame_order(code.n, cfg.n_blocks, interleaver_seed)
 
     # transmit waveforms per channel; the channel of interest keeps its frame
     channels = []
     frame_coi = None
-    interleavers = [Interleaver(n, interleaver_seed + b) for b in range(cfg.n_blocks)]
     for ch in range(cfg.n_wdm_channels):
-        coded = np.empty((2, cfg.n_blocks * n), dtype=np.uint8)
-        for p in range(2):
-            for b, il in enumerate(interleavers):
-                info = rng.integers(0, 2, k).astype(np.uint8)
-                coded[p, b * n : (b + 1) * n] = il.interleave(code.encode(info))
+        # codewords of polarization x, then y, each in block order
+        words = np.stack(
+            [code.encode(rng.integers(0, 2, code.k)) for _ in range(2 * cfg.n_blocks)]
+        )
         frame = build_frame(
-            coded, c, cfg.pilot_rate, cfg.n_blocks,
+            words.reshape(2, -1)[:, to_frame], c, cfg.pilot_rate, cfg.n_blocks,
             seed=int(rng.integers(0, 2**31)), symbol_rate=cfg.baud,
         )
         if ch == coi_index:
@@ -231,8 +226,7 @@ def run_trial(
     if cfg.bypass_sync_dsp:
         # idealized front end: pilot-correlation alignment and a single
         # static complex gain per polarization, no adaptive NLMS/CPR
-        aligned = fft_resample(coarse_align(rx, frame_coi, 2), cfg.baud)
-        symbols = aligned.fields()
+        symbols = fft_resample(coarse_align(rx, frame_coi, 2), cfg.baud).fields
         pil = frame_coi.pilot_mask
         for p in range(2):
             ref = frame_coi.symbols[p, pil]

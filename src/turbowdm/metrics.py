@@ -3,7 +3,6 @@ and the MetricsRecord serialization used by the campaign runner."""
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -115,29 +114,6 @@ class MetricsRecord:
     @classmethod
     def from_json_line(cls, line: str) -> "MetricsRecord":
         return cls(**json.loads(line))
-
-
-CSV_FIELDS = [
-    "launch_power_dbm",
-    "n_spans",
-    "mode",
-    "turbo_iteration",
-    "seed",
-    "trial",
-    "post_fec_ber",
-    "snr_db",
-    "snr_db_symbolwise",
-    "gmi_bits_per_4d_symbol",
-    "n_bits_counted",
-]
-
-
-def write_records_csv(path: str | Path, records: list[MetricsRecord]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=CSV_FIELDS)
-        w.writeheader()
-        for r in records:
-            w.writerow({k: asdict(r)[k] for k in CSV_FIELDS})
 
 
 def write_records_ndjson(path: str | Path, records: list[MetricsRecord]) -> None:

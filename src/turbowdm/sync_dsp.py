@@ -43,27 +43,20 @@ def coarse_align(signal: DualPolSignal, frame: SymbolFrame, sps: int = 2) -> Dua
     """Align the received waveform so sample ``sps*i`` corresponds to symbol
     instant ``i``, using cross-correlation against the known pilot sequence."""
     n_sym = frame.n_instants
-    ref = np.zeros((2, n_sym * sps), dtype=complex)
-    pil = frame.pilot_mask
-    ref[0, np.nonzero(pil)[0] * sps] = frame.symbols[0, pil]
-    ref[1, np.nonzero(pil)[0] * sps] = frame.symbols[1, pil]
-    n = max(len(signal), ref.shape[1])
-    score = np.zeros(n)
-    for p, v in enumerate((signal.x, signal.y)):
-        fa = np.fft.fft(v, n)
-        fb = np.fft.fft(ref[p], n)
-        score += np.abs(np.fft.ifft(fa * np.conj(fb)))
-    lag = int(np.argmax(score))
-    rolled_x = np.roll(signal.x, -lag) if lag else signal.x
-    rolled_y = np.roll(signal.y, -lag) if lag else signal.y
     need = n_sym * sps
-    pad = need - len(rolled_x)
+    ref = np.zeros((2, need), dtype=complex)
+    pil = frame.pilot_mask
+    ref[:, np.nonzero(pil)[0] * sps] = frame.symbols[:, pil]
+    n = max(len(signal), need)
+    fa = np.fft.fft(signal.fields, n)
+    fa *= np.conj(np.fft.fft(ref, n))
+    score = np.sum(np.abs(np.fft.ifft(fa)), axis=0)
+    lag = int(np.argmax(score))
+    rolled = np.roll(signal.fields, -lag, axis=-1) if lag else signal.fields
+    pad = need - rolled.shape[1]
     if pad > 0:
-        rolled_x = np.concatenate([rolled_x, np.zeros(pad, dtype=complex)])
-        rolled_y = np.concatenate([rolled_y, np.zeros(pad, dtype=complex)])
-    return DualPolSignal(
-        x=rolled_x[:need], y=rolled_y[:need], sample_rate=signal.sample_rate
-    )
+        rolled = np.pad(rolled, ((0, 0), (0, pad)))
+    return DualPolSignal(fields=rolled[:, :need], sample_rate=signal.sample_rate)
 
 
 def nlms_equalize(
@@ -86,7 +79,7 @@ def nlms_equalize(
         signal = coarse_align(signal, frame, sps)
     # normalize to unit average power per polarization pair
     scale = np.sqrt(signal.power() / 2.0)
-    rx = signal.fields() / scale
+    rx = signal.fields / scale
     n_sym = frame.n_instants
     nt = state.n_taps
     half = nt // 2

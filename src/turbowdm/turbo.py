@@ -22,7 +22,7 @@ from scipy.signal import lfilter
 
 from . import constellation as cst
 from .constellation import L_MAX, Constellation
-from .fec import Interleaver, LdpcCode, decode
+from .fec import LdpcCode, decode, frame_order
 from .metrics import (
     MetricsRecord,
     effective_snr,
@@ -35,6 +35,11 @@ from .waveform import SymbolFrame
 
 class TurboError(RuntimeError):
     pass
+
+
+# instants per LMMSE pass: the window matrices take 2N x 2W entries per
+# instant, 21 kB at L = 6 with the covering window (3, 3)
+LMMSE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,8 @@ def lmmse_equalize(
     s_j is excluded from the interference cancellation while its variance
     entry is the blind symbol energy, and the Wiener solution is obtained by
     a direct Hermitian solve. Beyond the frame, rows are zero and symbols
-    have mean 0 and the blind symbol energy as variance.
+    have mean 0 and the blind symbol energy as variance. The instants are
+    solved ``LMMSE_CHUNK`` at a time, so memory does not grow with the frame.
 
     Returns (estimates (2, m), scale mu (2, m), noise nu2 (2, m)).
     """
@@ -187,42 +193,47 @@ def lmmse_equalize(
     n1, mem, nw, d = cfg.n1, cfg.channel_memory, cfg.n_window, cfg.delay
     wwin = nw + mem  # symbol window width per polarization
     sig2 = symbol_energy
-
-    j = np.arange(m)[:, None, None]
-    rows = j - n1 + np.arange(nw)  # (m, 1, N) row instants
-    syms = j - n1 + d - mem + np.arange(wwin)  # (m, 1, W) symbol indices
     center = n1 + mem - d  # window position of s_j
-
-    # banded window matrix H (m, 2N, 2W): row i, symbol s_t takes tap
-    # n = i + d - t, that is n = row + L - col within the window, from the
-    # taps at the row's instant, an (m, N, 2, 2, L+1) temporary
+    # banded window matrix H (2N, 2W) per instant: row i, symbol s_t takes
+    # tap n = i + d - t, that is n = row + L - col within the window, from
+    # the taps at the row's instant
     band = np.arange(nw)[:, None, None] + mem - np.arange(wwin)  # (N, 1, W)
-    hmat = _gather(
-        np.conj(track)[np.clip(rows[:, 0], 0, m - 1)].transpose(0, 2, 1, 3, 4),
-        band[None, None],
-        0.0,
-    )  # (m, 2, N, 2, W)
-    hsel = hmat[..., center].reshape(m, 2 * nw, 2)  # response to s_j
-    hmat = hmat.reshape(m, 2 * nw, 2 * wwin)
+    track_h = np.conj(track)
 
-    sbar = _gather(means[None], syms, 0.0)  # (m, 2, W)
-    svar = _gather(variances[None], syms, sig2)
-    sbar[..., center] = 0.0
-    svar[..., center] = sig2
-    sbar, svar = sbar.reshape(m, -1), svar.reshape(m, -1)
-    rwin = _gather(received[None], rows, 0.0).reshape(m, -1)
+    s_hat = np.empty((2, m), dtype=complex)
+    mu = np.empty((2, m))
+    for lo in range(0, m, LMMSE_CHUNK):
+        j = np.arange(lo, min(lo + LMMSE_CHUNK, m))[:, None, None]
+        mc = j.shape[0]
+        rows = j - n1 + np.arange(nw)  # (mc, 1, N) row instants
+        syms = j - n1 + d - mem + np.arange(wwin)  # (mc, 1, W) symbol indices
+        hmat = _gather(
+            track_h[np.clip(rows[:, 0], 0, m - 1)].transpose(0, 2, 1, 3, 4),
+            band[None, None],
+            0.0,
+        )  # (mc, 2, N, 2, W)
+        hsel = hmat[..., center].reshape(mc, 2 * nw, 2)  # response to s_j
+        hmat = hmat.reshape(mc, 2 * nw, 2 * wwin)
 
-    # A = H R H^H + sigma_n^2 I ; b = H e sig2 (response to the center symbol)
-    hr = hmat * svar[:, None, :]
-    a = hr @ hmat.conj().transpose(0, 2, 1)
-    a += noise_var * np.eye(2 * nw)[None]
-    w = np.linalg.solve(a, hsel * sig2)  # (m, 2N, 2)
+        sbar = _gather(means[None], syms, 0.0)  # (mc, 2, W)
+        svar = _gather(variances[None], syms, sig2)
+        sbar[..., center] = 0.0
+        svar[..., center] = sig2
+        sbar, svar = sbar.reshape(mc, -1), svar.reshape(mc, -1)
+        rwin = _gather(received[None], rows, 0.0).reshape(mc, -1)
 
-    resid = rwin - np.einsum("mrc,mc->mr", hmat, sbar)
-    s_hat = np.einsum("mrp,mr->pm", np.conj(w), resid)
+        # A = H R H^H + sigma_n^2 I ; b = H e sig2 (response to the center symbol)
+        hr = hmat * svar[:, None, :]
+        a = hr @ hmat.conj().transpose(0, 2, 1)
+        a += noise_var * np.eye(2 * nw)[None]
+        w = np.linalg.solve(a, hsel * sig2)  # (mc, 2N, 2)
 
-    mu_full = np.einsum("mrp,mrk->mpk", np.conj(w), hsel)  # (m, 2, 2)
-    mu = np.clip(np.real(np.einsum("mpp->pm", mu_full)), 0.0, 1.0)
+        resid = rwin - np.einsum("mrc,mc->mr", hmat, sbar)
+        s_hat[:, lo : lo + mc] = np.einsum("mrp,mr->pm", np.conj(w), resid)
+        mu_full = np.einsum("mrp,mrk->mpk", np.conj(w), hsel)  # (mc, 2, 2)
+        mu[:, lo : lo + mc] = np.real(np.einsum("mpp->pm", mu_full))
+
+    mu = np.clip(mu, 0.0, 1.0)
     nu2 = np.maximum(mu * sig2 - mu**2 * sig2, cst.NU2_FLOOR_REL * sig2)
     return s_hat, mu, nu2
 
@@ -232,14 +243,6 @@ class TurboResult:
     hard_bits: np.ndarray  # (2, nb*k) info bits, final iteration
     records: list[MetricsRecord]
     diagnostics: list[str]  # line-delimited JSON
-
-
-def _frame_order(n: int, nb: int, interleaver_seed: int) -> np.ndarray:
-    """Code-domain index b*n + i (bit i of codeword b) carried by each
-    position of an interleaved frame of nb blocks, so that one gather
-    interleaves every block and its inverse (argsort) deinterleaves them."""
-    perm = np.stack([Interleaver(n, interleaver_seed + b).permutation for b in range(nb)])
-    return (perm + n * np.arange(nb)[:, None]).ravel()
 
 
 def turbo_loop(
@@ -276,7 +279,7 @@ def turbo_loop(
     nb, n = frame.n_blocks, frame.block_len
     data_pos = frame.data_positions
     pilot = frame.pilot_mask
-    to_frame = _frame_order(n, nb, interleaver_seed)
+    to_frame = frame_order(n, nb, interleaver_seed)
     to_code = np.argsort(to_frame)
 
     # receiver-known region: pilots plus the data-aided training blocks

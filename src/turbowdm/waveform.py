@@ -17,30 +17,27 @@ class WaveformError(ValueError):
 
 @dataclass
 class DualPolSignal:
-    """Sampled dual-polarization complex waveform."""
+    """Sampled dual-polarization complex waveform: ``fields`` has shape
+    (2, n), row 0 the x and row 1 the y polarization."""
 
-    x: np.ndarray
-    y: np.ndarray
+    fields: np.ndarray
     sample_rate: float
 
     def __post_init__(self):
-        if len(self.x) != len(self.y):
-            raise WaveformError("polarization lengths differ")
+        if self.fields.ndim != 2 or self.fields.shape[0] != 2:
+            raise WaveformError(f"fields shape {self.fields.shape} is not (2, n)")
         if self.sample_rate <= 0:
             raise WaveformError("sample_rate must be positive")
 
     def __len__(self) -> int:
-        return len(self.x)
-
-    def fields(self) -> np.ndarray:
-        return np.stack([self.x, self.y])
+        return self.fields.shape[1]
 
     def power(self) -> float:
         """Total average power, both polarizations."""
-        return float(np.mean(np.abs(self.x) ** 2 + np.abs(self.y) ** 2))
+        return float(np.mean(np.sum(np.abs(self.fields) ** 2, axis=0)))
 
     def scaled(self, factor: float) -> "DualPolSignal":
-        return replace(self, x=self.x * factor, y=self.y * factor)
+        return replace(self, fields=self.fields * factor)
 
 
 @dataclass
@@ -122,9 +119,9 @@ def build_frame(
     rng = np.random.default_rng(seed)
     n_pilots = int(mask.sum())
     symbols = np.empty((2, total), dtype=complex)
-    for p in range(2):
-        symbols[p, ~mask] = map_bits(coded_bits[p], c)
-        symbols[p, mask] = c.points[rng.integers(0, c.order, n_pilots)]
+    symbols[:, ~mask] = map_bits(coded_bits, c).reshape(2, -1)
+    # one draw per polarization keeps the seeded pilot sequences
+    symbols[:, mask] = c.points[[rng.integers(0, c.order, n_pilots) for _ in range(2)]]
     return SymbolFrame(
         symbols=symbols,
         pilot_mask=mask,
@@ -139,11 +136,8 @@ def build_frame(
 def extract_data_bits(frame: SymbolFrame, c: Constellation) -> np.ndarray:
     """Invert the frame's data/bit alignment from its own symbols (round-trip
     check helper): nearest-point demap of the data instants."""
-    out = np.empty_like(frame.coded_bits)
-    for p in range(2):
-        idx = hard_decide(frame.data_symbols()[p], c)
-        out[p] = c.bit_labels[idx].ravel()
-    return out
+    idx = hard_decide(frame.data_symbols(), c)
+    return c.bit_labels[idx].reshape(2, -1)
 
 
 def rrc_taps(samples_per_symbol: int, rolloff: float, span_symbols: int = 64) -> np.ndarray:
@@ -182,13 +176,9 @@ def rrc_shape(
     sample ``i*sps`` corresponds to symbol instant ``i``."""
     g = rrc_taps(samples_per_symbol, rolloff, span_symbols)
     delay = (len(g) - 1) // 2
-    out = []
-    for p in range(2):
-        v = upfirdn(g, frame.symbols[p], up=samples_per_symbol)
-        out.append(v[delay : delay + frame.n_instants * samples_per_symbol])
+    v = upfirdn(g, frame.symbols, up=samples_per_symbol, axis=-1)
     return DualPolSignal(
-        x=out[0],
-        y=out[1],
+        fields=v[:, delay : delay + frame.n_instants * samples_per_symbol],
         sample_rate=samples_per_symbol * frame.symbol_rate,
     )
 
@@ -204,9 +194,9 @@ def matched_filter(
         raise WaveformError("sample rate is not an integer multiple of symbol rate")
     g = rrc_taps(int(round(sps)), rolloff, span_symbols)
     delay = (len(g) - 1) // 2
-    x = np.convolve(signal.x, g)[delay : delay + len(signal)]
-    y = np.convolve(signal.y, g)[delay : delay + len(signal)]
-    return replace(signal, x=x, y=y)
+    # np.convolve, not upfirdn: the two sum in a different order
+    full = np.apply_along_axis(np.convolve, -1, signal.fields, g)
+    return replace(signal, fields=full[:, delay : delay + len(signal)])
 
 
 def fft_resample(signal: DualPolSignal, new_sample_rate: float) -> DualPolSignal:
@@ -216,16 +206,17 @@ def fft_resample(signal: DualPolSignal, new_sample_rate: float) -> DualPolSignal
     n_new = int(round(n * ratio))
     if abs(n * ratio - n_new) > 1e-6:
         raise WaveformError("resampling ratio not commensurate with signal length")
-    out = []
-    for v in (signal.x, signal.y):
+    h = min(n, n_new) // 2
+    out = np.zeros((2, n_new), dtype=complex)
+    # row by row and in place: a (2, n) transform allocates scratch for both
+    # rows at once, which sets the peak memory at paper-sized lengths
+    for v, spec_new in zip(signal.fields, out):
         spec = np.fft.fft(v)
-        spec_new = np.zeros(n_new, dtype=complex)
-        keep = min(n, n_new)
-        h = keep // 2
         spec_new[:h] = spec[:h]
         spec_new[-h:] = spec[-h:]
-        out.append(np.fft.ifft(spec_new) * (n_new / n))
-    return replace(signal, x=out[0], y=out[1], sample_rate=new_sample_rate)
+        np.fft.ifft(spec_new, out=spec_new)
+    out *= n_new / n
+    return replace(signal, fields=out, sample_rate=new_sample_rate)
 
 
 def wdm_mux(channels: list[DualPolSignal], spacing_hz: float) -> DualPolSignal:
@@ -240,15 +231,13 @@ def wdm_mux(channels: list[DualPolSignal], spacing_hz: float) -> DualPolSignal:
     if (n_ch - 1) * spacing_hz >= fs:
         raise WaveformError("aggregate WDM band exceeds the sampling bandwidth")
     t = np.arange(n) / fs
-    x = np.zeros(n, dtype=complex)
-    y = np.zeros(n, dtype=complex)
+    out = np.zeros((2, n), dtype=complex)
     center = (n_ch - 1) / 2.0
     for i, ch in enumerate(channels):
         f = (i - center) * spacing_hz
         tone = np.exp(2j * np.pi * f * t)
-        x[: len(ch)] += ch.x * tone[: len(ch)]
-        y[: len(ch)] += ch.y * tone[: len(ch)]
-    return DualPolSignal(x=x, y=y, sample_rate=fs)
+        out[:, : len(ch)] += ch.fields * tone[: len(ch)]
+    return DualPolSignal(fields=out, sample_rate=fs)
 
 
 def select_channel(
@@ -276,9 +265,13 @@ def select_channel(
     trans = (af > half) & (af < half + transition_hz)
     mask[trans] = 0.5 * (1.0 + np.cos(np.pi * (af[trans] - half) / transition_hz))
     shift = np.exp(-2j * np.pi * offset_hz * t)
-    x = np.fft.ifft(np.fft.fft(signal.x * shift) * mask)
-    y = np.fft.ifft(np.fft.fft(signal.y * shift) * mask)
-    out = DualPolSignal(x=x, y=y, sample_rate=fs)
+    fields = signal.fields * shift
+    # row by row and in place, as in fft_resample
+    for v in fields:
+        np.fft.fft(v, out=v)
+        v *= mask
+        np.fft.ifft(v, out=v)
+    out = DualPolSignal(fields=fields, sample_rate=fs)
     if out_sample_rate is not None and abs(out_sample_rate - fs) > 1e-6:
         out = fft_resample(out, out_sample_rate)
     return out

@@ -10,7 +10,6 @@ from turbowdm.metrics import (
     gmi_bits_per_2d,
     post_fec_ber,
     read_records_ndjson,
-    write_records_csv,
     write_records_ndjson,
 )
 
@@ -156,6 +155,3 @@ class TestRecordSerialization:
         nd = tmp_path / "r.ndjson"
         write_records_ndjson(nd, recs)
         assert read_records_ndjson(nd) == recs
-        write_records_csv(tmp_path / "r.csv", recs)
-        header = (tmp_path / "r.csv").read_text().splitlines()[0]
-        assert header.startswith("launch_power_dbm,n_spans,mode,turbo_iteration")

@@ -31,7 +31,7 @@ def stuffed_signal(frame, sps=2):
     n = frame.n_instants * sps
     fields = np.zeros((2, n), dtype=complex)
     fields[:, ::sps] = frame.symbols
-    return DualPolSignal(x=fields[0], y=fields[1], sample_rate=sps * BAUD)
+    return DualPolSignal(fields=fields, sample_rate=sps * BAUD)
 
 
 class TestCoarseAlign:
@@ -40,18 +40,16 @@ class TestCoarseAlign:
         frame = make_frame(qpsk, seed=1)
         sig = stuffed_signal(frame)
         delayed = DualPolSignal(
-            x=np.roll(sig.x, lag), y=np.roll(sig.y, lag), sample_rate=sig.sample_rate
+            fields=np.roll(sig.fields, lag, axis=-1), sample_rate=sig.sample_rate
         )
         back = coarse_align(delayed, frame, sps=2)
-        np.testing.assert_allclose(back.x, sig.x, atol=1e-12)
+        np.testing.assert_allclose(back.fields, sig.fields, atol=1e-12)
 
     def test_trims_to_frame_length(self, qpsk):
         frame = make_frame(qpsk, seed=2)
         sig = stuffed_signal(frame)
         padded = DualPolSignal(
-            x=np.concatenate([sig.x, np.zeros(37, dtype=complex)]),
-            y=np.concatenate([sig.y, np.zeros(37, dtype=complex)]),
-            sample_rate=sig.sample_rate,
+            fields=np.pad(sig.fields, ((0, 0), (0, 37))), sample_rate=sig.sample_rate
         )
         back = coarse_align(padded, frame, sps=2)
         assert len(back) == frame.n_instants * 2
@@ -71,9 +69,9 @@ class TestNlms:
         sig = stuffed_signal(frame)
         th = 0.6
         j00, j01 = np.cos(th), np.sin(th) * np.exp(0.4j)
+        x, y = sig.fields
         mixed = DualPolSignal(
-            x=j00 * sig.x + j01 * sig.y,
-            y=-np.conj(j01) * sig.x + j00 * sig.y,
+            fields=np.stack([j00 * x + j01 * y, -np.conj(j01) * x + j00 * y]),
             sample_rate=sig.sample_rate,
         )
         train = np.ones(frame.n_instants, dtype=bool)
@@ -86,9 +84,9 @@ class TestNlms:
         frame = make_frame(qpsk, n_data_bits=16000, seed=5)
         sig = stuffed_signal(frame)
         rng = np.random.default_rng(6)
+        x, y = sig.fields
         noisy = DualPolSignal(
-            x=0.8 * sig.x + 0.3j * sig.y,
-            y=0.3j * sig.x + 0.8 * sig.y,
+            fields=np.stack([0.8 * x + 0.3j * y, 0.3j * x + 0.8 * y]),
             sample_rate=sig.sample_rate,
         )
         train = np.ones(frame.n_instants, dtype=bool)

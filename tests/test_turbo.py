@@ -3,12 +3,11 @@ import pytest
 
 from turbowdm import turbo
 from turbowdm.constellation import NU2_FLOOR_REL, build_constellation, extrinsic_llrs
-from turbowdm.fec import Interleaver, LdpcCode
+from turbowdm.fec import Interleaver, LdpcCode, frame_order
 from turbowdm.metrics import effective_snr
 from turbowdm.turbo import (
     SlidingWindowConfig,
     TurboError,
-    _frame_order,
     lmmse_equalize,
     nlms_tap_preconvergence,
     rls_estimate,
@@ -200,7 +199,7 @@ def test_frame_order_matches_block_interleavers():
     rng = np.random.default_rng(0)
     blocks = rng.normal(size=(nb, n))
     frame = np.concatenate([Interleaver(n, seed + b).interleave(blocks[b]) for b in range(nb)])
-    to_frame = _frame_order(n, nb, seed)
+    to_frame = frame_order(n, nb, seed)
     np.testing.assert_array_equal(blocks.ravel()[to_frame], frame)
     np.testing.assert_array_equal(frame[np.argsort(to_frame)], blocks.ravel())
 
@@ -432,6 +431,21 @@ class TestLmmse:
                     )
                     for a, b in zip(got, want):
                         assert_same_bits(a, b)
+
+    def test_chunks_match_one_whole_frame_pass(self, monkeypatch):
+        # two whole chunks and a one-instant tail, at L = 6 with the
+        # covering window (3, 3); each chunk's windows read the whole frame
+        m = 2 * turbo.LMMSE_CHUNK + 1
+        cfg = SlidingWindowConfig(n1=3, n2=3, channel_memory=6)
+        rng = np.random.default_rng(20)
+        cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        r, means, track = cplx(2, m), cplx(2, m), cplx(m, 2, 2, 7)
+        variances = rng.random((2, m))
+        args = (r, track, means, variances, cfg, 0.1, 1.3)
+        chunked = lmmse_equalize(*args)
+        monkeypatch.setattr(turbo, "LMMSE_CHUNK", m)
+        for a, b in zip(chunked, lmmse_equalize(*args)):
+            assert_same_bits(a, b)
 
     def test_track_length_mismatch(self):
         cfg = SlidingWindowConfig()

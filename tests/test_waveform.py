@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from turbowdm.constellation import build_constellation
+from turbowdm.fiber import FiberParams, amplify, dbp, edc, propagate_span
+from turbowdm.sync_dsp import coarse_align
 from turbowdm.waveform import (
     DualPolSignal,
     WaveformError,
@@ -28,6 +32,13 @@ def random_frame(c, n_data_bits=4000, pilot_rate=0.05, seed=0, n_blocks=1):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, (2, n_data_bits)).astype(np.uint8)
     return build_frame(bits, c, pilot_rate, n_blocks, seed=seed, symbol_rate=BAUD)
+
+
+def x_rel_err(out, ref):
+    """Error power of ``out`` against ``ref`` in the x polarization,
+    relative to the power of ``ref``."""
+    x, x_ref = out.fields[0], ref.fields[0]
+    return np.mean(np.abs(x - x_ref) ** 2) / np.mean(np.abs(x_ref) ** 2)
 
 
 class TestFrame:
@@ -87,7 +98,7 @@ class TestRrc:
         f = random_frame(qpsk, n_data_bits=8000, pilot_rate=0.0, seed=7)
         sig = rrc_shape(f, 4, rolloff, 64)
         out = matched_filter(sig, rolloff, 64, BAUD)
-        sym = out.fields()[:, ::4]
+        sym = out.fields[:, ::4]
         guard = 70  # ignore filter edge transients
         err = sym[:, guard:-guard] - f.symbols[:, guard:-guard]
         evm_db = 10 * np.log10(
@@ -101,7 +112,7 @@ class TestRrc:
         f2 = random_frame(qpsk, n_data_bits=512, pilot_rate=0.0)
         f2.symbols = f.symbols * 2.0
         s2 = rrc_shape(f2, 4, 0.2, 16)
-        np.testing.assert_allclose(s2.x, 2.0 * s1.x, atol=1e-12)
+        np.testing.assert_allclose(s2.fields[0], 2.0 * s1.fields[0], atol=1e-12)
 
 
 class TestResample:
@@ -113,9 +124,9 @@ class TestResample:
         spec[:band] = rng.standard_normal(band) + 1j * rng.standard_normal(band)
         spec[-band:] = rng.standard_normal(band) + 1j * rng.standard_normal(band)
         v = np.fft.ifft(spec)
-        sig = DualPolSignal(x=v, y=v.copy(), sample_rate=16 * BAUD)
+        sig = DualPolSignal(fields=np.stack([v, v]), sample_rate=16 * BAUD)
         up = fft_resample(fft_resample(sig, 2 * BAUD), 16 * BAUD)
-        err = np.mean(np.abs(up.x - sig.x) ** 2) / np.mean(np.abs(sig.x) ** 2)
+        err = x_rel_err(up, sig)
         assert err < 1e-25
 
     def test_roundtrip_interior(self, qpsk):
@@ -125,8 +136,8 @@ class TestResample:
         up = fft_resample(fft_resample(sig, 2 * BAUD), 16 * BAUD)
         n = len(sig)
         trim = n // 10
-        err = np.mean(np.abs(up.x - sig.x)[trim:-trim] ** 2)
-        assert err / np.mean(np.abs(sig.x) ** 2) < 2e-6
+        err = np.mean(np.abs(up.fields[0] - sig.fields[0])[trim:-trim] ** 2)
+        assert err / np.mean(np.abs(sig.fields[0]) ** 2) < 2e-6
 
 
 class TestWdm:
@@ -134,15 +145,15 @@ class TestWdm:
         f = random_frame(qpsk, n_data_bits=1024, pilot_rate=0.0)
         sig = rrc_shape(f, 4, 0.1, 16)
         out = wdm_mux([sig], 37.5e9)
-        np.testing.assert_allclose(out.x, sig.x, atol=1e-12)
+        np.testing.assert_allclose(out.fields[0], sig.fields[0], atol=1e-12)
 
     def test_two_tone_peaks(self):
         fs = 150e9
         n = 1 << 16
         one = np.ones(n, dtype=complex)
-        ch = DualPolSignal(x=one, y=one, sample_rate=fs)
+        ch = DualPolSignal(fields=np.stack([one, one]), sample_rate=fs)
         out = wdm_mux([ch, ch], 37.5e9)
-        spec = np.abs(np.fft.fft(out.x))
+        spec = np.abs(np.fft.fft(out.fields[0]))
         freqs = np.fft.fftfreq(n, 1 / fs)
         peaks = freqs[np.argsort(spec)[-2:]]
         np.testing.assert_allclose(sorted(peaks), [-18.75e9, 18.75e9], rtol=1e-6)
@@ -154,13 +165,13 @@ class TestWdm:
             f = random_frame(qpsk, n_data_bits=4096, pilot_rate=0.0, seed=seed)
             chans.append(rrc_shape(f, 8, 0.01, 64))
         out = wdm_mux(chans, 37.5e9)
-        total = np.sum(np.abs(out.x) ** 2 + np.abs(out.y) ** 2)
-        parts = sum(np.sum(np.abs(c.x) ** 2 + np.abs(c.y) ** 2) for c in chans)
+        total = np.sum(np.abs(out.fields) ** 2)
+        parts = sum(np.sum(np.abs(c.fields) ** 2) for c in chans)
         assert abs(total - parts) / parts < 1e-3
 
     def test_aliasing_rejected(self):
         one = np.ones(64, dtype=complex)
-        ch = DualPolSignal(x=one, y=one, sample_rate=50e9)
+        ch = DualPolSignal(fields=np.stack([one, one]), sample_rate=50e9)
         with pytest.raises(WaveformError):
             wdm_mux([ch, ch, ch], 37.5e9)
 
@@ -172,7 +183,7 @@ class TestSelectChannel:
         muxed = wdm_mux([sig], 37.5e9)
         sel = select_channel(muxed, 0.0, BAUD * 1.2, out_sample_rate=2 * BAUD)
         back = fft_resample(sel, 4 * BAUD)
-        err = np.mean(np.abs(back.x - sig.x) ** 2) / np.mean(np.abs(sig.x) ** 2)
+        err = x_rel_err(back, sig)
         assert 10 * np.log10(err) < -35.0
 
     def test_neighbor_rejection(self, qpsk):
@@ -181,9 +192,7 @@ class TestSelectChannel:
         fs = 4 * BAUD
         ch = rrc_shape(f, 4, 0.01, 64)
         n = len(ch)
-        zero = DualPolSignal(
-            x=np.zeros(n, dtype=complex), y=np.zeros(n, dtype=complex), sample_rate=fs
-        )
+        zero = DualPolSignal(fields=np.zeros((2, n), dtype=complex), sample_rate=fs)
         muxed = wdm_mux([ch, zero, ch], 37.5e9)
         sel = select_channel(muxed, 0.0, BAUD * 1.01, transition_hz=4e9)
         leak = sel.power() / muxed.power()
@@ -200,5 +209,40 @@ class TestSelectChannel:
         sel = select_channel(
             muxed, +18.75e9, BAUD * 1.2, out_sample_rate=8 * BAUD, transition_hz=2e9
         )
-        err = np.mean(np.abs(sel.x - cb.x) ** 2) / np.mean(np.abs(cb.x) ** 2)
+        err = x_rel_err(sel, cb)
         assert 10 * np.log10(err) < -30.0
+
+
+class TestDualPolLayout:
+    @pytest.mark.parametrize("shape", [(64,), (3, 64), (2, 64, 1)])
+    def test_rejects_fields_not_two_rows(self, shape):
+        with pytest.raises(WaveformError):
+            DualPolSignal(fields=np.zeros(shape, dtype=complex), sample_rate=BAUD)
+
+    # each stage maps (T/2 signal, its frame) to a DualPolSignal
+    STAGES = {
+        "rrc_shape": lambda s, f: rrc_shape(f, 2, 0.1, 16),
+        "matched_filter": lambda s, f: matched_filter(s, 0.1, 16, BAUD),
+        "fft_resample": lambda s, f: fft_resample(s, 4 * BAUD),
+        "wdm_mux": lambda s, f: wdm_mux([s, s.scaled(0.5), s], 20e9),
+        "select_channel": lambda s, f: select_channel(s, 5e9, 1.1 * BAUD),
+        "amplify": lambda s, f: amplify(s, 10.0, None),
+        "propagate_span": lambda s, f: propagate_span(s, FiberParams(step_m=5000.0)),
+        "edc": lambda s, f: edc(s, FiberParams(), 100.0),
+        "dbp": lambda s, f: dbp(s, FiberParams(), 50.0, 10e3),
+        "coarse_align": lambda s, f: coarse_align(
+            replace(s, fields=np.roll(s.fields, 7, axis=-1)), f, 2
+        ),
+    }
+
+    @pytest.mark.parametrize("stage", list(STAGES))
+    def test_row_swap_swaps_output(self, qpsk, stage):
+        # the two rows are two polarizations of one field: no stage may mix
+        # them by position, so swapping the input rows swaps the output rows
+        f = random_frame(qpsk, n_data_bits=2048, seed=13)
+        sig = rrc_shape(f, 2, 0.1, 16).scaled(0.05)
+        f_sw = replace(f, symbols=f.symbols[::-1], coded_bits=f.coded_bits[::-1])
+        sig_sw = replace(sig, fields=sig.fields[::-1])
+        run = self.STAGES[stage]
+        out, out_sw = run(sig, f), run(sig_sw, f_sw)
+        assert np.array_equal(out_sw.fields, out.fields[::-1])
