@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import constellation as cst
 from .constellation import L_MAX, Constellation
@@ -134,7 +133,7 @@ def rls_estimate(
     delta lam^i |h - h0|^2 (Haykin, Adaptive Filter Theory, RLS chapter):
     the taps after the i-th update solve R_i h = p_i, where R_i =
     lam R_{i-1} + u_i u_i^H and p_i = lam p_{i-1} + u_i conj(r_i) are
-    first-order IIR filters, over the instants the skip rule keeps, started
+    first-order recursions over the instants the skip rule keeps, started
     from R_0 = delta I and p_0 = delta h0.
     """
     m = received.shape[1]
@@ -148,15 +147,17 @@ def rls_estimate(
     # filtering them in would only make R and p forget what came before
     keep = np.sum(np.abs(regs) ** 2, axis=1) > 1e-3 * lp1
     u = regs[keep]
-    stats = np.concatenate(
-        [u[:, :, None] * np.conj(u[:, None, :]),
-         u[:, :, None] * np.conj(received[:, keep].T)[:, None, :]],
-        axis=2,
-    )  # (kept, dim, dim + 2): [R | p] increments
+    # (kept + 1, dim, dim + 2): [R_0 | p_0], then the [R | p] increments
+    stats = np.empty((len(u) + 1, dim, dim + 2), dtype=complex)
+    stats[0] = cfg.rls_delta * np.concatenate([np.eye(dim), h0.T], axis=1)
+    np.multiply(u[:, :, None], np.conj(u[:, None, :]), out=stats[1:, :, :dim])
+    np.multiply(u[:, :, None], np.conj(received[:, keep].T)[:, None, :], out=stats[1:, :, dim:])
+    # in place, row i becomes increment_i + lam * row_{i-1}: the one product
+    # and one sum per entry of scipy.signal.lfilter's direct form, same bits
     lam = cfg.forgetting
-    init = cfg.rls_delta * np.concatenate([np.eye(dim), h0.T], axis=1)
-    stats, _ = lfilter([1.0], [1.0, -lam], stats, axis=0, zi=lam * init[None])
-    solved = np.linalg.solve(stats[:, :, :dim], stats[:, :, dim:])
+    for prev, row in zip(stats[:-1], stats[1:]):
+        row += lam * prev
+    solved = np.linalg.solve(stats[1:, :, :dim], stats[1:, :, dim:])
     after = np.concatenate([h0[None], solved.transpose(0, 2, 1)])  # (kept+1, 2, dim)
     # each instant predicts with the taps left by the last kept instant before it
     track = after[np.cumsum(keep) - keep]

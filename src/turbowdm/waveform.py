@@ -3,10 +3,10 @@ resampling, WDM multiplexing and channel-of-interest extraction."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import upfirdn
 
 from .constellation import Constellation, hard_decide, map_bits
 
@@ -140,8 +140,10 @@ def extract_data_bits(frame: SymbolFrame, c: Constellation) -> np.ndarray:
     return c.bit_labels[idx].reshape(2, -1)
 
 
+@functools.cache
 def rrc_taps(samples_per_symbol: int, rolloff: float, span_symbols: int = 64) -> np.ndarray:
-    """Unit-energy root-raised-cosine FIR taps."""
+    """Unit-energy root-raised-cosine FIR taps, built once per argument set
+    and shared read-only."""
     if not 0 < rolloff <= 1:
         raise WaveformError(f"invalid rolloff {rolloff}")
     if samples_per_symbol < 2:
@@ -163,7 +165,33 @@ def rrc_taps(samples_per_symbol: int, rolloff: float, span_symbols: int = 64) ->
             num = np.sin(np.pi * ti * (1 - a)) + 4 * a * ti * np.cos(np.pi * ti * (1 + a))
             den = np.pi * ti * (1 - (4 * a * ti) ** 2)
             taps[i] = num / den
-    return taps / np.sqrt(np.sum(taps**2))
+    taps /= np.sqrt(np.sum(taps**2))
+    taps.setflags(write=False)
+    return taps
+
+
+def upsample_filter(taps: np.ndarray, x: np.ndarray, up: int) -> np.ndarray:
+    """Complex ``x`` upsampled by ``up`` (zeros stuffed along the last axis)
+    and filtered with the real ``taps``, bit for bit
+    ``scipy.signal.upfirdn(taps, x, up)``: polyphase, output j*up + t sums
+    x[j-i] * taps[i*up + t] from the oldest input sample to the newest,
+    starting from 0, as upfirdn does."""
+    per_phase = -(-len(taps) // up)
+    # complex taps: the product is upfirdn's complex one, without a cast
+    padded = np.zeros(per_phase * up, dtype=complex)
+    padded[: len(taps)] = taps
+    n_x = x.shape[-1]
+    n_j = n_x + per_phase - 1
+    xpad = np.zeros((*x.shape[:-1], n_j + per_phase - 1), dtype=complex)
+    xpad[..., per_phase - 1 : per_phase - 1 + n_x] = x
+    # one phase at a time keeps the accumulator in cache at 16 sps
+    acc = np.zeros((up, *x.shape[:-1], n_j), dtype=complex)
+    term = np.empty_like(acc[0])
+    for acc_t, taps_t in zip(acc, padded.reshape(per_phase, up).T):  # taps_t[i] = taps[i*up + t]
+        for k, tap in enumerate(taps_t[::-1]):  # i = per_phase - 1 - k
+            acc_t += np.multiply(xpad[..., k : k + n_j], tap, out=term)
+    out = np.moveaxis(acc, 0, -1).reshape(*x.shape[:-1], n_j * up)
+    return out[..., : (n_x - 1) * up + len(taps)]
 
 
 def rrc_shape(
@@ -176,7 +204,7 @@ def rrc_shape(
     sample ``i*sps`` corresponds to symbol instant ``i``."""
     g = rrc_taps(samples_per_symbol, rolloff, span_symbols)
     delay = (len(g) - 1) // 2
-    v = upfirdn(g, frame.symbols, up=samples_per_symbol, axis=-1)
+    v = upsample_filter(g, frame.symbols, samples_per_symbol)
     return DualPolSignal(
         fields=v[:, delay : delay + frame.n_instants * samples_per_symbol],
         sample_rate=samples_per_symbol * frame.symbol_rate,
@@ -194,7 +222,7 @@ def matched_filter(
         raise WaveformError("sample rate is not an integer multiple of symbol rate")
     g = rrc_taps(int(round(sps)), rolloff, span_symbols)
     delay = (len(g) - 1) // 2
-    # np.convolve, not upfirdn: the two sum in a different order
+    # np.convolve, not upsample_filter at up=1: the two sum in a different order
     full = np.apply_along_axis(np.convolve, -1, signal.fields, g)
     return replace(signal, fields=full[:, delay : delay + len(signal)])
 

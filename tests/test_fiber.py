@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.constants
 from scipy.constants import c as C_LIGHT
 from scipy.constants import h as H_PLANCK
 
+from turbowdm import fiber
 from turbowdm.fiber import (
     MANAKOV_FACTOR,
     FiberError,
@@ -127,6 +129,12 @@ class TestDispersion:
         spec_in = np.abs(np.fft.fft(sig.fields[0]))
         spec_out = np.abs(np.fft.fft(out.fields[0]))
         np.testing.assert_allclose(spec_out, spec_in, atol=1e-9 * spec_in.max())
+
+
+def test_constants_are_scipy_codata():
+    # exact in the SI since 2019, so equal to the last bit
+    assert fiber.C_LIGHT == scipy.constants.c
+    assert fiber.H_PLANCK == scipy.constants.h
 
 
 class TestAse:

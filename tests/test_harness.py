@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import turbowdm
 from turbowdm import harness
 from turbowdm.cli import main as cli_main
 from turbowdm.harness import (
@@ -393,3 +397,18 @@ class TestCli:
         recs = read_records_ndjson(out / "records.ndjson")
         assert {r.mode for r in recs} == {"dbp"}
         assert {r.launch_power_dbm for r in recs} == {0.0}
+
+    def test_imports_without_scipy(self):
+        # numpy is the only runtime dependency: the package and its command
+        # line load no scipy module (a fresh interpreter, so nothing the
+        # tests import counts)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(turbowdm.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, turbowdm, turbowdm.cli; "
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from turbowdm import turbo
 from turbowdm.constellation import NU2_FLOOR_REL, build_constellation, extrinsic_llrs
@@ -117,6 +118,31 @@ def reference_rls(received, means, cfg, initial_taps):
         sigma = 0.5 * (sigma + sigma.conj().T)
         h = h + np.conj(e)[:, None] * gain[None, :]
     return track.reshape(m, 2, 2, lp1), h.reshape(2, 2, lp1), errors
+
+
+def lfilter_rls(received, means, cfg, initial_taps):
+    """The closed form with R and p run through scipy.signal.lfilter, as it
+    stood before the in-place recursion: the bit-for-bit reference."""
+    m = received.shape[1]
+    lp1 = cfg.channel_memory + 1
+    dim = 2 * lp1
+    h0 = initial_taps.reshape(2, dim).astype(complex)
+    regs = turbo._regressors(means, cfg)
+    keep = np.sum(np.abs(regs) ** 2, axis=1) > 1e-3 * lp1
+    u = regs[keep]
+    stats = np.concatenate(
+        [u[:, :, None] * np.conj(u[:, None, :]),
+         u[:, :, None] * np.conj(received[:, keep].T)[:, None, :]],
+        axis=2,
+    )
+    lam = cfg.forgetting
+    init = cfg.rls_delta * np.concatenate([np.eye(dim), h0.T], axis=1)
+    stats, _ = lfilter([1.0], [1.0, -lam], stats, axis=0, zi=lam * init[None])
+    solved = np.linalg.solve(stats[:, :, :dim], stats[:, :, dim:])
+    after = np.concatenate([h0[None], solved.transpose(0, 2, 1)])
+    track = after[np.cumsum(keep) - keep]
+    errors = received - np.einsum("mok,mk->om", np.conj(track), regs)
+    return track.reshape(m, 2, 2, lp1), after[-1].reshape(2, 2, lp1), errors
 
 
 def reference_lmmse(received, track, means, variances, n1, n2, mem, noise_var,
@@ -316,6 +342,32 @@ class TestRls:
         np.testing.assert_allclose(track, ref_track, rtol=0, atol=1e-10)
         np.testing.assert_allclose(taps, ref_taps, rtol=0, atol=1e-10)
         np.testing.assert_allclose(err, ref_err, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("kept", [None, 0, 1])
+    @pytest.mark.parametrize("lam", [0.95, 0.99, 1.0])
+    def test_matches_lfilter_bits(self, lam, kept):
+        # the in-place recursion does lfilter's product and sum per entry;
+        # at memory 0 a frame of zero means keeps no instant, and one
+        # nonzero mean keeps exactly one
+        memory = 2 if kept is None else 0
+        cfg = SlidingWindowConfig(channel_memory=memory, forgetting=lam)
+        m, lp1 = 1500, memory + 1
+        rng = np.random.default_rng(31)
+        h = 0.1 * (rng.standard_normal((2, 2, lp1)) + 1j * rng.standard_normal((2, 2, lp1)))
+        h[0, 0, cfg.delay] += 0.9
+        h[1, 1, cfg.delay] += 0.9
+        s = qpsk_stream(m, 32)
+        r = apply_channel(s, h, cfg.delay, 0.01, rng)
+        means = s.copy()
+        if kept is not None:
+            means[:] = 0.0
+            means[:, 700:700 + kept] = s[:, 700:700 + kept]
+            regs = turbo._regressors(means, cfg)
+            assert np.sum(np.sum(np.abs(regs) ** 2, axis=1) > 1e-3 * lp1) == kept
+        got = rls_estimate(r, means, cfg, initial_taps=h + 0.05)
+        ref = lfilter_rls(r, means, cfg, h + 0.05)
+        for a, b in zip(got, ref):
+            assert_same_bits(a, b)
 
     def test_nlms_preconvergence_near_truth(self):
         cfg = SlidingWindowConfig()

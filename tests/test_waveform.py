@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import upfirdn
 
 from turbowdm.constellation import build_constellation
 from turbowdm.fiber import FiberParams, amplify, dbp, edc, propagate_span
@@ -17,10 +18,18 @@ from turbowdm.waveform import (
     rrc_shape,
     rrc_taps,
     select_channel,
+    upsample_filter,
     wdm_mux,
 )
 
 BAUD = 32e9
+
+
+def assert_same_bits(a, b):
+    """Equal as uint64 views, so -0.0 != 0.0 and NaN payloads count."""
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +93,33 @@ class TestRrc:
         g = rrc_taps(4, 0.1, 16)
         np.testing.assert_allclose(g, g[::-1], atol=1e-12)
         assert abs(np.sum(g**2) - 1.0) < 1e-12
+
+    def test_taps_cached_read_only(self):
+        g = rrc_taps(4, 0.1, 16)
+        assert rrc_taps(4, 0.1, 16) is g
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0] = 0.0
+
+    @pytest.mark.parametrize("span", [16, 64])
+    @pytest.mark.parametrize("rolloff", [0.01, 0.1])
+    @pytest.mark.parametrize("sps", [1, 2, 4, 16])
+    def test_upsampler_matches_upfirdn_bits(self, sps, rolloff, span):
+        # the polyphase upsampler adds each output's terms in upfirdn's
+        # order, so every bit agrees; odd frame lengths, and frames shorter
+        # than the filter, cover the ragged ends
+        g = rrc_taps(max(sps, 2), rolloff, span)
+        rng = np.random.default_rng(sps + span)
+        for n in (1, 7, 2 * span + 1, 1001):
+            x = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+            assert_same_bits(upsample_filter(g, x, sps), upfirdn(g, x, up=sps, axis=-1))
+
+    def test_shape_is_upfirdn_delay_compensated(self, qpsk):
+        f = random_frame(qpsk, n_data_bits=1002, pilot_rate=0.05)
+        g = rrc_taps(4, 0.1, 16)
+        ref = upfirdn(g, f.symbols, up=4, axis=-1)
+        delay = (len(g) - 1) // 2
+        assert_same_bits(rrc_shape(f, 4, 0.1, 16).fields, ref[:, delay : delay + 4 * f.n_instants])
 
     def test_invalid_rolloff(self):
         with pytest.raises(WaveformError):
