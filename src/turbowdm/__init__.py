@@ -15,7 +15,6 @@ from .harness import CampaignConfig, load_config, run_campaign, run_trial
 from .metrics import (
     MetricsRecord,
     effective_snr,
-    effective_snr_symbolwise,
     gmi_bits_per_2d,
     post_fec_ber,
 )

@@ -32,7 +32,7 @@ class FiberParams:
     gamma_per_w_km: float = 1.3
     dispersion_ps_nm_km: float = 17.0
     span_km: float = 50.0
-    n_spans: int = 10
+    n_spans: int = 10  # read by no function: span counts are arguments
     nf_db: float = 4.5
     step_m: float = 100.0
     center_wavelength_nm: float = 1550.0
@@ -161,12 +161,11 @@ def amplify(
 def propagate_link(
     signal: DualPolSignal,
     p: FiberParams,
-    n_spans: int | None = None,
+    n_spans: int,
     seed: int | None = None,
     ase: bool = True,
 ) -> DualPolSignal:
     """Multi-span link: span propagation followed by a loss-compensating EDFA."""
-    n_spans = p.n_spans if n_spans is None else n_spans
     rng = np.random.default_rng(seed)
     out = signal
     for _ in range(n_spans):

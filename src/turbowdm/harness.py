@@ -202,8 +202,7 @@ def run_trial(
     channels = [ch.scaled(np.sqrt(p_w / ch.power())) for ch in channels]
     wdm = wdm_mux(channels, cfg.grid_spacing_hz)
 
-    link = replace(cfg.fiber, n_spans=n_spans)
-    rx = fib.propagate_link(wdm, link, n_spans, seed=int(rng.integers(0, 2**63 - 1)))
+    rx = fib.propagate_link(wdm, cfg.fiber, n_spans, seed=int(rng.integers(0, 2**63 - 1)))
 
     # receiver front end: channel select, 2 samples/symbol, DBP or EDC, MF
     bw = cfg.baud * (1.0 + cfg.rolloff)
@@ -212,11 +211,11 @@ def run_trial(
         rx, 0.0, bw, out_sample_rate=2 * cfg.baud,
         transition_hz=min(0.15 * bw, guard),
     )
-    distance = n_spans * link.span_km
+    distance = n_spans * cfg.fiber.span_km
     if mode == "edc":
-        rx = fib.edc(rx, link, distance)
+        rx = fib.edc(rx, cfg.fiber, distance)
     else:
-        rx = fib.dbp(rx, link, distance, cfg.dbp_step_m)
+        rx = fib.dbp(rx, cfg.fiber, distance, cfg.dbp_step_m)
     rx = matched_filter(rx, cfg.rolloff, cfg.rrc_span, cfg.baud)
 
     block_sym = frame_coi.block_of_data_symbol(c.q)
@@ -235,9 +234,13 @@ def run_trial(
     else:
         nlms = NlmsState(n_taps=cfg.nlms_taps, step_size=cfg.nlms_step)
         symbols = nlms_equalize(rx, frame_coi, nlms, train_mask=train_mask)
-        symbols, _ = ddpll(
-            symbols, frame_coi, c, DdpllState(loop_bw_norm=cfg.pll_bw_norm)
-        )
+        pll = DdpllState(loop_bw_norm=cfg.pll_bw_norm)
+        symbols, _ = ddpll(symbols, frame_coi, c, pll)
+        if pll.slips:
+            log.warning(
+                "DDPLL: %d possible cycle slips at %+.1f dBm, %d spans, %s, seed %d",
+                pll.slips, power_dbm, n_spans, mode, seed,
+            )
 
     n_iters = cfg.turbo.n_turbo_iters if mode == "dbp_turbo" else 0
     result = turbo_loop(

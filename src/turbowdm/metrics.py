@@ -18,8 +18,7 @@ def effective_snr(transmitted: np.ndarray, estimates: np.ndarray) -> float:
     """Effective received SNR in dB as mean signal power over mean error power.
 
     This is the conventional ratio-of-means estimator; for circular Gaussian
-    errors it is consistent with 10*log10(1/sigma^2). See
-    ``effective_snr_symbolwise`` for the per-symbol-ratio variant.
+    errors it is consistent with 10*log10(1/sigma^2).
     """
     s = np.asarray(transmitted).ravel()
     e = np.asarray(estimates).ravel() - s
@@ -29,26 +28,6 @@ def effective_snr(transmitted: np.ndarray, estimates: np.ndarray) -> float:
     if err == 0.0:
         return 60.0
     return 10.0 * np.log10(np.mean(np.abs(s) ** 2) / err)
-
-
-def effective_snr_symbolwise(
-    transmitted: np.ndarray, estimates: np.ndarray, cap_db: float = 60.0
-) -> float:
-    """Mean of per-symbol |s|^2/|s_hat - s|^2 ratios, in dB.
-
-    Per-symbol ratios are capped at ``cap_db`` to keep the average finite;
-    note this estimator is biased upward for heavy-tailed error statistics
-    (the reciprocal of a small error dominates the mean), so it is emitted
-    as a diagnostic only.
-    """
-    s = np.asarray(transmitted).ravel()
-    e = np.asarray(estimates).ravel() - s
-    if s.size == 0:
-        raise MetricsError("empty input")
-    cap = 10.0 ** (cap_db / 10.0)
-    with np.errstate(divide="ignore"):
-        ratio = np.abs(s) ** 2 / np.abs(e) ** 2
-    return 10.0 * np.log10(np.mean(np.minimum(ratio, cap)))
 
 
 def gmi_bits_per_2d(llrs: np.ndarray, bits: np.ndarray) -> float:
@@ -103,7 +82,6 @@ class MetricsRecord:
     seed: int
     post_fec_ber: float
     snr_db: float
-    snr_db_symbolwise: float
     gmi_bits_per_4d_symbol: float
     n_bits_counted: int
     trial: int = 0

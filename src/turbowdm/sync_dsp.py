@@ -4,7 +4,6 @@ decision-directed PLL carrier phase recovery."""
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -12,8 +11,6 @@ import numpy as np
 
 from .constellation import Constellation
 from .waveform import DualPolSignal, SymbolFrame
-
-log = logging.getLogger(__name__)
 
 
 class SyncError(RuntimeError):
@@ -114,12 +111,14 @@ def nlms_equalize(
 
 @dataclass
 class DdpllState:
-    """Second-order phase-locked loop state, one branch per polarization."""
+    """Second-order phase-locked loop state, one branch per polarization,
+    and the count of possible cycle slips seen so far."""
 
     loop_bw_norm: float = 1e-3
     damping: float = 1.0
     phase: np.ndarray = field(default=None)
     integrator: np.ndarray = field(default=None)
+    slips: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.phase is None:
@@ -141,14 +140,15 @@ def ddpll(
     state: DdpllState | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Carrier phase recovery: pilot-aided at pilot instants, decision
-    directed elsewhere. Returns (corrected symbols, phase track (2, n))."""
+    directed elsewhere. Returns (corrected symbols, phase track (2, n)).
+    A jump of the phase error by more than pi/2 between consecutive
+    symbols counts as a possible cycle slip in ``state.slips``."""
     if state is None:
         state = DdpllState()
     kp, ki = state.gains
     n = symbols.shape[1]
     out = np.empty_like(symbols)
     track = np.empty((2, n))
-    slips = 0
     a = c.axis_levels
     n_lv, step = a.size, float(a[1] - a[0])
 
@@ -169,12 +169,10 @@ def ddpll(
                 ref = c.points[level(v.real) * n_lv + level(v.imag)]
             err = float(np.angle(v * np.conj(ref)))
             if abs(err - prev_err) > np.pi / 2:
-                slips += 1
+                state.slips += 1
             prev_err = err
             acc += ki * err
             theta += kp * err + acc
         state.phase[p] = theta
         state.integrator[p] = acc
-    if slips:
-        log.warning("DDPLL: %d possible cycle slips detected", slips)
     return out, track

@@ -25,7 +25,6 @@ from .fec import LdpcCode, decode, frame_order
 from .metrics import (
     MetricsRecord,
     effective_snr,
-    effective_snr_symbolwise,
     gmi_bits_per_2d,
     post_fec_ber,
 )
@@ -45,8 +44,9 @@ LMMSE_CHUNK = 1024
 class SlidingWindowConfig:
     """Equalizer window of N = N1+N2+1 rows, N1 before and N2 after s_j's
     own row (it covers s_j's whole span when N1 >= d and N2 >= L-d),
-    channel memory L, RLS forgetting factor and regularization, NLMS
-    pre-convergence step, and turbo iteration count."""
+    channel memory L, RLS forgetting factor and regularization delta (the
+    RLS starts from zero taps with the regulariser delta lam^i |h|^2), and
+    turbo iteration count."""
 
     n1: int = 1
     n2: int = 1
@@ -54,7 +54,6 @@ class SlidingWindowConfig:
     forgetting: float = 0.99
     n_turbo_iters: int = 5
     rls_delta: float = 0.01
-    nlms_step: float = 0.1
 
     def __post_init__(self):
         if self.n1 < 0 or self.n2 < 0:
@@ -94,31 +93,10 @@ def _regressors(means: np.ndarray, cfg: SlidingWindowConfig) -> np.ndarray:
     return _gather(means[None], idx, 0.0).reshape(m, -1)
 
 
-def nlms_tap_preconvergence(
-    received: np.ndarray,
-    means: np.ndarray,
-    cfg: SlidingWindowConfig,
-    region: np.ndarray,
-) -> np.ndarray:
-    """Data-aided NLMS pre-convergence of the channel-estimator taps over a
-    known-symbol region. Returns (2, 2, L+1) taps [out pol, in pol, tap],
-    one instant of the RLS tap track."""
-    lp1 = cfg.channel_memory + 1
-    regs = _regressors(means, cfg)
-    h = np.zeros((2, 2, lp1), dtype=complex)
-    for i in np.nonzero(region)[0]:
-        v = regs[i].reshape(2, lp1)
-        e = received[:, i] - np.einsum("opn,pn->o", np.conj(h), v)
-        norm = np.sum(np.abs(v) ** 2, axis=1) + 1e-6  # per input pol
-        h += (cfg.nlms_step * np.conj(e)[:, None] / norm)[:, :, None] * v
-    return h
-
-
 def rls_estimate(
     received: np.ndarray,
     means: np.ndarray,
     cfg: SlidingWindowConfig,
-    initial_taps: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exponentially weighted RLS tracking of the 2x2 channel taps.
 
@@ -128,20 +106,17 @@ def rls_estimate(
     [instant, out pol, in pol, tap] that predict each sample, the (2, 2, L+1)
     taps after the last update, and the (2, m) a-priori prediction errors.
 
-    RLS started from the inverse correlation I/delta and the taps h0 is
+    RLS started from the inverse correlation I/delta and zero taps is
     exponentially weighted least squares with the regulariser
-    delta lam^i |h - h0|^2 (Haykin, Adaptive Filter Theory, RLS chapter):
-    the taps after the i-th update solve R_i h = p_i, where R_i =
+    delta lam^i |h|^2 (Haykin, Adaptive Filter Theory, RLS chapter): the
+    taps after the i-th update solve R_i h = p_i, where R_i =
     lam R_{i-1} + u_i u_i^H and p_i = lam p_{i-1} + u_i conj(r_i) are
     first-order recursions over the instants the skip rule keeps, started
-    from R_0 = delta I and p_0 = delta h0.
+    from R_0 = delta I and p_0 = 0.
     """
     m = received.shape[1]
     lp1 = cfg.channel_memory + 1
     dim = 2 * lp1
-    h0 = np.zeros((2, dim), dtype=complex)
-    if initial_taps is not None:
-        h0[:] = initial_taps.reshape(2, dim)
     regs = _regressors(means, cfg)
     # near-zero regressors (uninformative priors) carry no tap information;
     # filtering them in would only make R and p forget what came before
@@ -149,7 +124,7 @@ def rls_estimate(
     u = regs[keep]
     # (kept + 1, dim, dim + 2): [R_0 | p_0], then the [R | p] increments
     stats = np.empty((len(u) + 1, dim, dim + 2), dtype=complex)
-    stats[0] = cfg.rls_delta * np.concatenate([np.eye(dim), h0.T], axis=1)
+    stats[0] = cfg.rls_delta * np.eye(dim, dim + 2)
     np.multiply(u[:, :, None], np.conj(u[:, None, :]), out=stats[1:, :, :dim])
     np.multiply(u[:, :, None], np.conj(received[:, keep].T)[:, None, :], out=stats[1:, :, dim:])
     # in place, row i becomes increment_i + lam * row_{i-1}: the one product
@@ -158,7 +133,8 @@ def rls_estimate(
     for prev, row in zip(stats[:-1], stats[1:]):
         row += lam * prev
     solved = np.linalg.solve(stats[1:, :, :dim], stats[1:, :, dim:])
-    after = np.concatenate([h0[None], solved.transpose(0, 2, 1)])  # (kept+1, 2, dim)
+    # (kept + 1, 2, dim): the zero taps, then the taps after each update
+    after = np.concatenate([np.zeros((1, 2, dim)), solved.transpose(0, 2, 1)])
     # each instant predicts with the taps left by the last kept instant before it
     track = after[np.cumsum(keep) - keep]
     errors = received - np.einsum("mok,mk->om", np.conj(track), regs)
@@ -325,8 +301,7 @@ def turbo_loop(
                 means[p, unknown_pos], variances[p, unknown_pos] = cst.soft_stats(pr, c)
             means[:, known] = frame.symbols[:, known]
             variances[:, known] = 0.0
-            h0 = nlms_tap_preconvergence(received, means, cfg, known)
-            track, _, rls_err = rls_estimate(received, means, cfg, initial_taps=h0)
+            track, _, rls_err = rls_estimate(received, means, cfg)
             # refresh the noise estimate from the pilot-position residuals,
             # where the regression means are exact
             sigma_n2 = max(float(np.mean(np.abs(rls_err[:, pilot]) ** 2)), 1e-12)
@@ -394,7 +369,6 @@ def turbo_loop(
             seed=seed,
             post_fec_ber=ber,
             snr_db=effective_snr(s_ref, s_cnt),
-            snr_db_symbolwise=effective_snr_symbolwise(s_ref, s_cnt),
             gmi_bits_per_4d_symbol=gmi4d,
             n_bits_counted=counted,
             trial=int(ctx.get("trial", 0)),

@@ -172,17 +172,17 @@ class TestDbp:
     def test_exact_inverse_of_noiseless_link(self):
         # backward SSFM with negated parameters and matched steps cancels the
         # forward propagation step-for-step
-        p = FiberParams(step_m=500.0, n_spans=4)
+        p = FiberParams(step_m=500.0)
         sig = bandlimited_signal(power_w=4e-3, seed=8)
-        out = propagate_link(sig, p, ase=False)
+        out = propagate_link(sig, p, n_spans=4, ase=False)
         rec = dbp(out, p, 4 * p.span_km, step_m=500.0)
         err = x_rel_err(rec, sig)
         assert err < 1e-20
 
     def test_coarse_steps_still_close(self):
-        p = FiberParams(step_m=500.0, n_spans=2)
+        p = FiberParams(step_m=500.0)
         sig = bandlimited_signal(power_w=2e-3, seed=9)
-        out = propagate_link(sig, p, ase=False)
+        out = propagate_link(sig, p, n_spans=2, ase=False)
         rec = dbp(out, p, 2 * p.span_km, step_m=10e3)
         err = x_rel_err(rec, sig)
         assert 10.0 * np.log10(err) < -35.0

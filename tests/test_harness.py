@@ -61,7 +61,7 @@ def tiny_cfg(tmp_path_factory):
 def record(power=2.0, spans=10, mode="edc", it=0, snr=20.0, trial=0, ber=0.0):
     return MetricsRecord(
         launch_power_dbm=power, n_spans=spans, mode=mode, turbo_iteration=it,
-        seed=1, post_fec_ber=ber, snr_db=snr, snr_db_symbolwise=snr + 2.0,
+        seed=1, post_fec_ber=ber, snr_db=snr,
         gmi_bits_per_4d_symbol=11.0, n_bits_counted=100, trial=trial,
     )
 

@@ -158,6 +158,18 @@ class TestDdpll:
         ddpll(rot, frame, qpsk, state=state)
         np.testing.assert_allclose(state.phase, 0.2, atol=0.02)
 
+    def test_counts_cycle_slips(self, qpsk):
+        # a half-turn phase jump leaves every QPSK decision valid, so only
+        # the pilots after it see a phase error near pi: possible slips
+        frame = make_frame(qpsk, seed=14)
+        n = frame.n_instants
+        clean, jumped = DdpllState(), DdpllState()
+        ddpll(frame.symbols * np.exp(0.2j), frame, qpsk, state=clean)
+        jump = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+        ddpll(frame.symbols * jump, frame, qpsk, state=jumped)
+        assert clean.slips == 0
+        assert jumped.slips > 0
+
     @pytest.mark.parametrize("order", [16, 256])
     def test_decisions_match_hard_decide(self, order):
         # the PLL's scalar per-axis slicer against hard_decide, on noisy
