@@ -13,6 +13,17 @@ from turbowdm.fec import make_regular_code, save_parity  # noqa: E402
 OUT = Path(__file__).resolve().parents[1] / "src" / "turbowdm" / "codes"
 
 
+# name: (n, m, column weight, seed)
+CODES = {
+    # toy (3,6)-regular code for oracle tests
+    "toy_n20": (20, 10, 3, 7),
+    # desk-scale rate-4/5 code
+    "rate45_n2048": (2048, 410, 3, 11),
+    # full-scale rate-4/5 code (block length matching the paper preset)
+    "rate45_n20480": (20480, 4096, 3, 13),
+}
+
+
 def emit(name: str, n: int, m: int, col_weight: int, seed: int) -> None:
     code = make_regular_code(n, m, col_weight=col_weight, seed=seed)
     save_parity(OUT / f"{name}.txt", n, code.check_rows)
@@ -21,9 +32,5 @@ def emit(name: str, n: int, m: int, col_weight: int, seed: int) -> None:
 
 if __name__ == "__main__":
     OUT.mkdir(parents=True, exist_ok=True)
-    # toy (3,6)-regular code for oracle tests
-    emit("toy_n20", 20, 10, 3, seed=7)
-    # desk-scale rate-4/5 code
-    emit("rate45_n2048", 2048, 410, 3, seed=11)
-    # full-scale rate-4/5 code (block length matching the paper preset)
-    emit("rate45_n20480", 20480, 4096, 3, seed=13)
+    for name, (n, m, col_weight, seed) in CODES.items():
+        emit(name, n, m, col_weight, seed)

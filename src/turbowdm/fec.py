@@ -22,16 +22,25 @@ class FecError(ValueError):
     pass
 
 
-def load_parity(path: str | Path) -> list[list[int]]:
-    lines = Path(path).read_text().split("\n")
+def _read_parity(path: str | Path) -> tuple[int, list[list[int]]]:
+    lines = Path(path).read_text().splitlines()
     n, m = (int(t) for t in lines[0].split())
+    if len(lines) - 1 < m:
+        raise FecError(f"header states {m} rows, file has {len(lines) - 1}")
     rows = []
-    for i in range(1, m + 1):
-        row = sorted(int(t) for t in lines[i].split())
+    for i in range(m):
+        row = sorted(map(int, lines[i + 1].split()))
         if row and (row[0] < 0 or row[-1] >= n):
-            raise FecError(f"column index out of range in row {i - 1}")
+            raise FecError(f"column index out of range in row {i}")
+        if len(set(row)) < len(row):
+            # the syndrome would count the edge twice, the encoder once
+            raise FecError(f"repeated column index in row {i}")
         rows.append(row)
-    return rows
+    return n, rows
+
+
+def load_parity(path: str | Path) -> list[list[int]]:
+    return _read_parity(path)[1]
 
 
 def save_parity(path: str | Path, n: int, rows: list[list[int]]) -> None:
@@ -40,13 +49,100 @@ def save_parity(path: str | Path, n: int, rows: list[list[int]]) -> None:
     Path(path).write_text("\n".join(out) + "\n")
 
 
+_CHUNK = 256  # rows per table update: its temporaries stay under 1 MB at n = 20480
+
+
+def _gf2_rref(h: np.ndarray, n: int) -> list[int]:
+    """Reduce the bit-packed GF(2) matrix ``h`` (bit c % 64 of word c // 64
+    holds column c) in place to reduced row echelon form with the leftmost
+    pivots, one 64-column word at a time (see ``LdpcCode``); returns the
+    pivot columns. A pivot row is zero left of its word, so no row changes
+    left of the word being reduced."""
+    m, nw = h.shape
+    one = np.uint64(1)
+    shifts = np.arange(64, dtype=np.uint64)
+    tables = np.empty(8 * 256 * nw, dtype=np.uint64)
+    picked = np.empty(_CHUNK * nw, dtype=np.uint64)
+    pivots: list[int] = []
+    for w in range(nw):
+        r0 = len(pivots)
+        if r0 == m:
+            break
+        live = h[:, w] != 0
+        if not live[r0:].any():
+            continue
+        # the rows that take part: those with a bit in the word, and the
+        # positions r0.. that its pivots move to, so rows[top] == r0 + t
+        live[r0 : r0 + 64] = True
+        rows = np.flatnonzero(live)
+        col = h[rows, w]
+        sel = np.zeros(rows.size, dtype=np.uint64)
+        base = int(np.searchsorted(rows, r0))
+        for b in range(min(64, n - 64 * w)):
+            t = len(pivots) - r0
+            if r0 + t == m:
+                break
+            top = base + t
+            has = (col >> shifts[b]) & one
+            i = top + int(has[top:].argmax())
+            if not has[i]:
+                continue
+            if i != top:
+                h[rows[[top, i]]] = h[rows[[i, top]]]
+                col[top], col[i] = col[i], col[top]
+                sel[top], sel[i] = sel[i], sel[top]
+            has[i] = has[top] = 0
+            mask = np.negative(has, out=has)  # all ones on the rows that absorb it
+            col ^= mask & col[top]
+            sel ^= mask & (sel[top] ^ (one << shifts[t]))
+            pivots.append(64 * w + b)
+        h[rows, w] = col
+        found, rest = len(pivots) - r0, nw - w - 1
+        if not found or not rest:
+            continue
+        ng = -(-found // 8)
+        tab = tables[: ng * 256 * rest].reshape(ng, 256, rest)
+        tab[:, 0] = 0
+        for t in range(found):
+            g, j = divmod(t, 8)
+            np.bitwise_xor(tab[g, : 1 << j], h[r0 + t, w + 1 :], out=tab[g, 1 << j : 2 << j])
+        hit = sel != 0
+        upd = rows[hit]
+        keys = ((sel[hit, None] >> (8 * shifts[:ng])) & np.uint64(255)).astype(np.intp)
+        for s in range(0, upd.size, _CHUNK):
+            at = upd[s : s + _CHUNK]
+            acc = h[at, w + 1 :]
+            part = picked[: at.size * rest].reshape(at.size, rest)
+            for g in range(ng):
+                np.take(tab[g], keys[s : s + _CHUNK, g], axis=0, out=part)
+                acc ^= part
+            h[at, w + 1 :] = acc
+    return pivots
+
+
 @dataclass
 class LdpcCode:
     """Binary LDPC code defined by its sparse parity-check matrix.
 
     Encoding is systematic over the non-pivot (information) columns; parity
     values at the pivot columns are produced by a precomputed GF(2) map,
-    held as the bit-packed rows of the reduced row echelon form of H.
+    held as the bit-packed rows of the reduced row echelon form of H. That
+    form, with the leftmost pivots, is unique, so the pivots and the map
+    do not depend on how the elimination is ordered.
+
+    The elimination is Gauss-Jordan blocked by 64-column word, the Method
+    of Four Russians (Arlazarov, Dinic, Kronrod & Faradzev, 1970; Albrecht,
+    Bard & Hart, ACM TOMS 37(1), 2010). Each word is first reduced on its
+    own column of words, pivot by pivot, with the swap rule of the plain
+    per-column elimination: the first row at or below the next pivot
+    position that has the bit. Meanwhile a 64-bit selector per row records
+    which of the word's pivot rows, as they stood when the word began, the
+    row has absorbed; a row that absorbs pivot t also absorbs all that
+    pivot t has absorbed, so ``sel ^= sel[pivot] ^ (1 << t)``. Then the
+    columns right of the word are updated once per row: each selector byte
+    indexes a table of all 256 XOR combinations of 8 pivot rows. These are
+    the row operations of the per-column elimination, applied right of the
+    word all at once, so the result is the same bit for bit.
 
     Instances are shared between cells (``harness._load_code`` caches them
     per process), so nothing may mutate a code after construction, the
@@ -69,8 +165,7 @@ class LdpcCode:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LdpcCode":
-        rows = load_parity(path)
-        n = int(Path(path).read_text().split("\n")[0].split()[0])
+        n, rows = _read_parity(path)
         return cls(n=n, check_rows=rows)
 
     @classmethod
@@ -83,25 +178,7 @@ class LdpcCode:
         h = np.zeros((self.m, -(-self.n // 64)), dtype=np.uint64)
         bit = np.left_shift(np.uint64(1), (self.edge_var % 64).astype(np.uint64))
         np.bitwise_or.at(h, (self.edge_check, self.edge_var // 64), bit)
-        # Gauss-Jordan elimination with the leftmost pivot; the reduced row
-        # echelon form is unique, so pivots and parity map are too
-        pivots: list[int] = []
-        for col in range(self.n):
-            r = len(pivots)
-            if r == self.m:
-                break
-            w = col // 64
-            rows = np.flatnonzero((h[:, w] >> np.uint64(col % 64)) & np.uint64(1))
-            below = rows[rows >= r]
-            if below.size == 0:
-                continue
-            pr = below[0]
-            if pr != r:
-                h[[r, pr]] = h[[pr, r]]
-            # the pivot row is zero left of word w, so XOR only from there
-            elim = rows[rows != pr]
-            h[elim, w:] ^= h[r, w:]
-            pivots.append(col)
+        pivots = _gf2_rref(h, self.n)
         rank = len(pivots)
         self._enc["pivot_cols"] = np.asarray(pivots, dtype=int)
         self._enc["info_cols"] = np.setdiff1d(np.arange(self.n), pivots)

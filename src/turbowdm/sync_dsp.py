@@ -109,10 +109,26 @@ def nlms_equalize(
     return out
 
 
+_SLIP_PILOTS = 16  # pilots per block of the cycle-slip rule
+
+
+def _count_slips(out: np.ndarray, frame: SymbolFrame) -> int:
+    """Cycle slips in a corrected frame: the phase of the pilots against the
+    phase track, averaged over blocks of ``_SLIP_PILOTS`` pilots, steps to
+    another quarter turn and stays there for at least two blocks."""
+    k = _SLIP_PILOTS
+    nb = int(frame.pilot_mask.sum()) // k
+    z = out[:, frame.pilot_mask] * np.conj(frame.pilot_symbols())
+    phase = np.angle(z[:, : nb * k].reshape(2, nb, k).sum(axis=2))
+    quarter = np.round(phase / (np.pi / 2)).astype(int) % 4
+    held = quarter[:, 1:] == quarter[:, :-1]
+    return sum(int(np.count_nonzero(np.diff(q[h]))) for q, h in zip(quarter[:, 1:], held))
+
+
 @dataclass
 class DdpllState:
     """Second-order phase-locked loop state, one branch per polarization,
-    and the count of possible cycle slips seen so far."""
+    and the count of cycle slips seen so far."""
 
     loop_bw_norm: float = 1e-3
     damping: float = 1.0
@@ -141,8 +157,9 @@ def ddpll(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Carrier phase recovery: pilot-aided at pilot instants, decision
     directed elsewhere. Returns (corrected symbols, phase track (2, n)).
-    A jump of the phase error by more than pi/2 between consecutive
-    symbols counts as a possible cycle slip in ``state.slips``."""
+    ``state.slips`` counts the quarter-turn steps of the pilots' phase
+    against the track that persist (``_count_slips``): the loop then holds
+    a rotated copy of the constellation."""
     if state is None:
         state = DdpllState()
     kp, ki = state.gains
@@ -158,7 +175,6 @@ def ddpll(
     for p in range(2):
         theta = state.phase[p]
         acc = state.integrator[p]
-        prev_err = 0.0
         for i in range(n):
             v = symbols[p, i] * np.exp(-1j * theta)
             out[p, i] = v
@@ -168,11 +184,9 @@ def ddpll(
             else:
                 ref = c.points[level(v.real) * n_lv + level(v.imag)]
             err = float(np.angle(v * np.conj(ref)))
-            if abs(err - prev_err) > np.pi / 2:
-                state.slips += 1
-            prev_err = err
             acc += ki * err
             theta += kp * err + acc
         state.phase[p] = theta
         state.integrator[p] = acc
+    state.slips += _count_slips(out, frame)
     return out, track

@@ -1,4 +1,7 @@
+import functools
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,46 @@ def _gf2_row_reduce(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return h, pivots
 
 
+def reference_build(code: LdpcCode) -> dict:
+    """Gauss-Jordan elimination one pivot at a time, each one XOR over the
+    bit-packed rows right of its word: the encoder build that the
+    word-blocked elimination replaced. Oracle for ``LdpcCode._enc`` and k."""
+    h = np.zeros((code.m, -(-code.n // 64)), dtype=np.uint64)
+    bit = np.left_shift(np.uint64(1), (code.edge_var % 64).astype(np.uint64))
+    np.bitwise_or.at(h, (code.edge_check, code.edge_var // 64), bit)
+    pivots: list[int] = []
+    for col in range(code.n):
+        r = len(pivots)
+        if r == code.m:
+            break
+        w = col // 64
+        rows = np.flatnonzero((h[:, w] >> np.uint64(col % 64)) & np.uint64(1))
+        below = rows[rows >= r]
+        if below.size == 0:
+            continue
+        pr = below[0]
+        if pr != r:
+            h[[r, pr]] = h[[pr, r]]
+        elim = rows[rows != pr]
+        h[elim, w:] ^= h[r, w:]
+        pivots.append(col)
+    return {
+        "pivot_cols": np.asarray(pivots, dtype=int),
+        "info_cols": np.setdiff1d(np.arange(code.n), pivots),
+        "rows": h[: len(pivots)],
+        "k": code.n - len(pivots),
+    }
+
+
+# small codes that reach each branch of the word-blocked elimination
+BLOCKED_CASES = [
+    "regular_100x50",
+    "rank_deficient",
+    "repeated_word",
+    *(f"random_300x120_dup{d}" for d in range(4)),
+]
+
+
 def _dense_parity_check(code: LdpcCode) -> np.ndarray:
     h = np.zeros((code.m, code.n), dtype=np.uint8)
     for i, r in enumerate(code.check_rows):
@@ -53,12 +96,34 @@ def _oracle_code(name: str) -> LdpcCode:
     if name == "rank_deficient":
         rows = make_regular_code(100, 50, col_weight=3, seed=4).check_rows
         return LdpcCode(n=100, check_rows=rows + [rows[7]])
+    if name == "repeated_word":
+        # columns 64-127 repeat columns 0-63: a word with bits but no pivot
+        # before the pivots of word 2; three duplicated rows lower the rank
+        rows = make_regular_code(236, 120, col_weight=3, seed=5).check_rows
+        rows = [sorted([c + 64 * (c >= 64) for c in r] + [c + 64 for c in r if c < 64]) for r in rows]
+        return LdpcCode(n=300, check_rows=rows + rows[10:13])
+    if name.startswith("random_300x120_dup"):
+        dup = int(name[-1])
+        rows = make_regular_code(300, 120, col_weight=3, seed=20 + dup).check_rows
+        return LdpcCode(n=300, check_rows=rows + rows[3 : 3 + 7 * dup : 7])
     return LdpcCode.bundled(name)
 
 
 @pytest.fixture(scope="module")
-def toy():
-    return LdpcCode.bundled("toy_n20")
+def codes():
+    """Each oracle code, built once for the module."""
+    return functools.cache(_oracle_code)
+
+
+@pytest.fixture(scope="module")
+def references(codes):
+    """``reference_build`` of each oracle code, run once for the module."""
+    return functools.cache(lambda name: reference_build(codes(name)))
+
+
+@pytest.fixture(scope="module")
+def toy(codes):
+    return codes("toy_n20")
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +147,35 @@ class TestParityFile:
         p.write_text("4 1\n0 9\n")
         with pytest.raises(FecError):
             load_parity(p)
+
+    def test_repeated_index(self, tmp_path):
+        # the encoder would count the edge once and the syndrome twice
+        p = tmp_path / "repeated.txt"
+        p.write_text("4 2\n0 1\n1 3 1\n")
+        with pytest.raises(FecError, match="repeated column index in row 1"):
+            LdpcCode.from_file(p)
+
+    def test_missing_rows(self, tmp_path):
+        p = tmp_path / "short.txt"
+        p.write_text("4 3\n0 1\n1 3\n")
+        with pytest.raises(FecError, match="header states 3 rows, file has 2"):
+            LdpcCode.from_file(p)
+
+    def test_empty_last_row_kept(self, tmp_path):
+        p = tmp_path / "empty_row.txt"
+        save_parity(p, 4, [[0, 1], []])
+        assert load_parity(p) == [[0, 1], []]
+
+    @pytest.mark.parametrize("name", ["toy_n20", "rate45_n2048"])
+    def test_bundled_codes_match_generator(self, name):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "gen_codes.py"
+        spec = importlib.util.spec_from_file_location("gen_codes", script)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        n, m, col_weight, seed = gen.CODES[name]
+        made = make_regular_code(n, m, col_weight=col_weight, seed=seed)
+        bundled = LdpcCode.bundled(name)
+        assert made.n == bundled.n and made.check_rows == bundled.check_rows
 
 
 class TestEncode:
@@ -114,8 +208,8 @@ class TestEncode:
         with pytest.raises(FecError):
             toy.encode(np.zeros(toy.k + 1, dtype=np.uint8))
 
-    def test_declared_rate(self):
-        big = LdpcCode.bundled("rate45_n2048")
+    def test_declared_rate(self, codes):
+        big = codes("rate45_n2048")
         assert abs(float(big.rate) - 0.8) < 0.01
         assert big.k == big.n - 410
 
@@ -124,8 +218,8 @@ class TestEncoderOracle:
     @pytest.mark.parametrize(
         "name", ["toy_n20", "rate45_n2048", "regular_100x50", "rank_deficient"]
     )
-    def test_matches_dense_reduction(self, name):
-        code = _oracle_code(name)
+    def test_matches_dense_reduction(self, name, codes):
+        code = codes(name)
         red, pivots = _gf2_row_reduce(_dense_parity_check(code))
         info_cols = np.setdiff1d(np.arange(code.n), pivots)
         a_info = red[: len(pivots)][:, info_cols].astype(np.int64)
@@ -142,6 +236,47 @@ class TestEncoderOracle:
             ref[pivots] = (a_info @ info) & 1
             np.testing.assert_array_equal(code.encode(info), ref)
             assert code.check(ref)
+
+    @pytest.mark.parametrize("name", ["toy_n20", "rate45_n2048", "rate45_n20480", *BLOCKED_CASES])
+    def test_matches_reference_build(self, name, codes, references):
+        code, ref = codes(name), references(name)
+        for key in ("pivot_cols", "info_cols", "rows"):
+            assert code._enc[key].dtype == ref[key].dtype
+            np.testing.assert_array_equal(code._enc[key], ref[key])
+        assert code.k == ref["k"]
+
+    def test_cases_reach_every_branch(self, codes, references):
+        # the regimes of the word-blocked elimination, read off the
+        # reference pivots of BLOCKED_CASES
+        seen = set()
+        for name in BLOCKED_CASES:
+            code, piv = codes(name), references(name)["pivot_cols"]
+            nw = -(-code.n // 64)
+            per_word = np.bincount(piv // 64, minlength=nw)
+            last = piv[-1] // 64
+            if code.n % 64:
+                seen.add("n not a multiple of 64")
+            if code.m > 64:
+                seen.add("m > 64")
+            if (per_word[:last] == 0).any():
+                seen.add("a word with no pivot before the last pivot")
+            if ((per_word % 8 != 0) & (per_word > 8)).any():
+                seen.add("a pivot count not a multiple of 8")
+            for w in np.flatnonzero(per_word):
+                in_word = piv[piv // 64 == w]
+                if in_word[-1] - in_word[0] + 1 > in_word.size:
+                    seen.add("a column without pivot inside a word")
+            if piv[-1] % 64 != 63:
+                seen.add("rank deficient, last pivot mid-word" if piv.size < code.m else "full rank mid-word")
+        assert seen == {
+            "n not a multiple of 64",
+            "m > 64",
+            "a word with no pivot before the last pivot",
+            "a pivot count not a multiple of 8",
+            "a column without pivot inside a word",
+            "rank deficient, last pivot mid-word",
+            "full rank mid-word",
+        }
 
     def test_encoder_state_read_only(self, toy):
         with pytest.raises(ValueError):
@@ -300,8 +435,8 @@ def _decoder_case(code, case, rng):
 
 
 @pytest.fixture(scope="module", params=["toy_n20", "rate45_n2048", "rate45_n20480"])
-def oracle_decode_code(request):
-    return LdpcCode.bundled(request.param)
+def oracle_decode_code(request, codes):
+    return codes(request.param)
 
 
 class TestDecodeOracle:
@@ -333,9 +468,9 @@ class TestDecodeOracle:
 
 
 class TestBigCode:
-    def test_awgn_waterfall_sanity(self):
+    def test_awgn_waterfall_sanity(self, codes):
         # the desk-scale code must correct comfortably above threshold
-        code = LdpcCode.bundled("rate45_n2048")
+        code = codes("rate45_n2048")
         rng = np.random.default_rng(9)
         cw = code.encode(rng.integers(0, 2, code.k).astype(np.uint8))
         snr_db = 6.0  # Es/N0 for BPSK, well above the rate-4/5 threshold
@@ -346,8 +481,8 @@ class TestBigCode:
         assert ok
         np.testing.assert_array_equal(hard, cw)
 
-    def test_paper_code_encodes(self):
-        code = LdpcCode.bundled("rate45_n20480")
+    def test_paper_code_encodes(self, codes):
+        code = codes("rate45_n20480")
         assert code.k == 16384
         rng = np.random.default_rng(11)
         for _ in range(3):

@@ -170,6 +170,30 @@ class TestDdpll:
         assert clean.slips == 0
         assert jumped.slips > 0
 
+    @pytest.mark.parametrize("snr_db", [16.0, 18.0])
+    def test_awgn_counts_no_slips(self, snr_db):
+        # noise moves the phase error by more than pi/2 from one symbol to
+        # the next now and then, but the track holds no rotated constellation
+        c = build_constellation(64)
+        sigma = np.sqrt(10 ** (-snr_db / 10) / 2)
+        state = DdpllState()
+        for seed in range(5):
+            frame = make_frame(c, n_data_bits=36000, seed=seed)
+            rng = np.random.default_rng(100 + seed)
+            noise = rng.normal(0, sigma, (2, 2, frame.n_instants))
+            ddpll(frame.symbols + noise[0] + 1j * noise[1], frame, c, state=state)
+        assert state.slips == 0
+
+    def test_quarter_turn_step_counts_once_per_polarization(self):
+        # square QAM turned by a quarter turn still decides validly, so the
+        # loop keeps the rotated copy and only the pilots see the step
+        c = build_constellation(16)
+        frame = make_frame(c, seed=15)
+        n = frame.n_instants
+        state = DdpllState()
+        ddpll(frame.symbols * np.where(np.arange(n) < n // 2, 1.0, 1j), frame, c, state=state)
+        assert state.slips == 2
+
     @pytest.mark.parametrize("order", [16, 256])
     def test_decisions_match_hard_decide(self, order):
         # the PLL's scalar per-axis slicer against hard_decide, on noisy
