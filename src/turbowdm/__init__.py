@@ -9,7 +9,7 @@ from .constellation import (
     soft_stats,
     symbol_priors,
 )
-from .fec import Interleaver, LdpcCode, decode
+from .fec import LdpcCode, decode
 from .fiber import FiberParams, amplify, dbp, edc, propagate_link, propagate_span
 from .harness import CampaignConfig, load_config, run_campaign, run_trial
 from .metrics import (

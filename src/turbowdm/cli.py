@@ -1,4 +1,4 @@
-"""Command-line front end: run campaigns, sweep overrides, emit tables."""
+"""Command-line front end: run campaigns (with sweep-axis overrides), emit tables."""
 
 from __future__ import annotations
 
@@ -12,16 +12,19 @@ from . import harness
 from .metrics import read_records_ndjson, write_records_ndjson
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", required=True, help="config file or preset name (desk.cfg, paper.cfg)")
-    p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
-    p.add_argument("--seed", type=int, default=None, help="override base seed")
-
-
-def _execute(cfg, out_dir: Path, jobs: int) -> int:
+def cmd_run(args) -> int:
+    cfg = harness.load_config(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, base_seed=args.seed)
+    if args.power_dbm:
+        cfg = replace(cfg, power_dbm_list=tuple(args.power_dbm))
+    if args.spans:
+        cfg = replace(cfg, span_list=tuple(args.spans))
+    if args.modes:
+        cfg = replace(cfg, modes=tuple(args.modes))
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, summary, failures = harness.run_campaign(cfg, jobs=jobs)
+    records, summary, failures = harness.run_campaign(cfg, jobs=args.jobs)
     write_records_ndjson(out_dir / "records.ndjson", records)
     harness.emit_tables(summary, out_dir)
     for row in summary:
@@ -38,26 +41,6 @@ def _execute(cfg, out_dir: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    cfg = harness.load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, base_seed=args.seed)
-    return _execute(cfg, Path(args.out), args.jobs)
-
-
-def cmd_sweep(args) -> int:
-    cfg = harness.load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, base_seed=args.seed)
-    if args.power_dbm:
-        cfg = replace(cfg, power_dbm_list=tuple(args.power_dbm))
-    if args.spans:
-        cfg = replace(cfg, span_list=tuple(args.spans))
-    if args.modes:
-        cfg = replace(cfg, modes=tuple(args.modes))
-    return _execute(cfg, Path(args.out), args.jobs)
-
-
 def cmd_tables(args) -> int:
     records = read_records_ndjson(args.results)
     print(harness.emit_tables(harness.aggregate(records), Path(args.out)))
@@ -70,15 +53,15 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p_run = sub.add_parser("run", help="run the campaign defined by a config file")
-    _add_common(p_run)
+    p_run.add_argument("--config", required=True, help="config file or preset name (desk.cfg, paper.cfg)")
+    p_run.add_argument("--out", default="results", help="output directory")
+    p_run.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+    p_run.add_argument("--seed", type=int, default=None, help="override base seed")
+    # sweep-axis overrides
+    p_run.add_argument("--power-dbm", type=float, nargs="+")
+    p_run.add_argument("--spans", type=int, nargs="+")
+    p_run.add_argument("--modes", nargs="+", choices=harness.MODES)
     p_run.set_defaults(fn=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run with sweep-axis overrides")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--power-dbm", type=float, nargs="+")
-    p_sweep.add_argument("--spans", type=int, nargs="+")
-    p_sweep.add_argument("--modes", nargs="+", choices=harness.MODES)
-    p_sweep.set_defaults(fn=cmd_sweep)
 
     p_tab = sub.add_parser("tables", help="emit the plot-ready CSV table from results")
     p_tab.add_argument("--results", required=True, help="records.ndjson from a run")

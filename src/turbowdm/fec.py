@@ -1,5 +1,5 @@
-"""LDPC coding: parity-check file I/O, systematic encoding, random
-interleaving, and soft-output sum-product decoding.
+"""LDPC coding: parity-check file I/O, systematic encoding, the
+interleaved frame order, and soft-output sum-product decoding.
 
 Parity-check file format: first line "n m", then m lines of space-separated
 0-based column indices (one line per check row).
@@ -7,7 +7,6 @@ Parity-check file format: first line "n m", then m lines of space-separated
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -20,27 +19,6 @@ from .constellation import L_MAX
 
 class FecError(ValueError):
     pass
-
-
-def _read_parity(path: str | Path) -> tuple[int, list[list[int]]]:
-    lines = Path(path).read_text().splitlines()
-    n, m = (int(t) for t in lines[0].split())
-    if len(lines) - 1 < m:
-        raise FecError(f"header states {m} rows, file has {len(lines) - 1}")
-    rows = []
-    for i in range(m):
-        row = sorted(map(int, lines[i + 1].split()))
-        if row and (row[0] < 0 or row[-1] >= n):
-            raise FecError(f"column index out of range in row {i}")
-        if len(set(row)) < len(row):
-            # the syndrome would count the edge twice, the encoder once
-            raise FecError(f"repeated column index in row {i}")
-        rows.append(row)
-    return n, rows
-
-
-def load_parity(path: str | Path) -> list[list[int]]:
-    return _read_parity(path)[1]
 
 
 def save_parity(path: str | Path, n: int, rows: list[list[int]]) -> None:
@@ -155,6 +133,12 @@ class LdpcCode:
 
     def __post_init__(self):
         self.m = len(self.check_rows)
+        for i, row in enumerate(self.check_rows):
+            if row and (min(row) < 0 or max(row) >= self.n):
+                raise FecError(f"column index out of range in row {i}")
+            if len(set(row)) < len(row):
+                # the syndrome would count the edge twice, the encoder once
+                raise FecError(f"repeated column index in row {i}")
         # flat edge arrays for vectorized message passing, grouped by check
         self.edge_check = np.concatenate(
             [np.full(len(r), i) for i, r in enumerate(self.check_rows)]
@@ -165,8 +149,13 @@ class LdpcCode:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LdpcCode":
-        n, rows = _read_parity(path)
-        return cls(n=n, check_rows=rows)
+        lines = Path(path).read_text().splitlines()
+        n, m = (int(t) for t in lines[0].split())
+        if len(lines) - 1 < m:
+            raise FecError(f"header states {m} rows, file has {len(lines) - 1}")
+        if any(line.strip() for line in lines[m + 1 :]):
+            raise FecError(f"header states {m} rows, file has more")
+        return cls(n=n, check_rows=[sorted(map(int, line.split())) for line in lines[1 : m + 1]])
 
     @classmethod
     def bundled(cls, name: str) -> "LdpcCode":
@@ -280,41 +269,12 @@ def decode(
     return np.clip(-app, -L_MAX, L_MAX), hard, converged, it_used
 
 
-@dataclass(frozen=True)
-class Interleaver:
-    """Seeded random permutation of a coded frame; position i of the
-    interleaved frame carries input position ``permutation[i]``."""
-
-    length: int
-    seed: int
-
-    @functools.cached_property
-    def permutation(self) -> np.ndarray:
-        perm = np.random.default_rng(self.seed).permutation(self.length)
-        perm.flags.writeable = False
-        return perm
-
-    def interleave(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.size != self.length:
-            raise FecError(f"expected length {self.length}, got {x.size}")
-        return x[self.permutation]
-
-    def deinterleave(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y)
-        if y.size != self.length:
-            raise FecError(f"expected length {self.length}, got {y.size}")
-        out = np.empty_like(y)
-        out[self.permutation] = y
-        return out
-
-
 def frame_order(n: int, nb: int, seed: int) -> np.ndarray:
     """Code-domain index b*n + i (bit i of codeword b) carried by each
     position of an interleaved frame of nb blocks, block b being permuted by
-    ``Interleaver(n, seed + b)``: one gather with it interleaves every block,
-    and one with its inverse (argsort) deinterleaves them."""
-    perm = np.stack([Interleaver(n, seed + b).permutation for b in range(nb)])
+    ``default_rng(seed + b).permutation(n)``: one gather with it interleaves
+    every block, and one with its inverse (argsort) deinterleaves them."""
+    perm = np.stack([np.random.default_rng(seed + b).permutation(n) for b in range(nb)])
     return (perm + n * np.arange(nb)[:, None]).ravel()
 
 

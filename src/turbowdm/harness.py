@@ -74,6 +74,12 @@ class CampaignConfig:
             raise HarnessError("sweep axes must be non-empty")
         if self.n_trials < 1:
             raise HarnessError("n_trials must be >= 1")
+        # the receiver selects the band at 0 Hz, where only an odd grid has a channel
+        if self.n_wdm_channels < 1 or self.n_wdm_channels % 2 == 0:
+            raise HarnessError("n_wdm_channels must be odd")
+        # the receiver needs pilots, and at most one per data symbol
+        if not 0 < self.pilot_rate <= 0.5:
+            raise HarnessError("pilot_rate must be in (0, 0.5]")
         # metrics count the blocks between the training blocks and the
         # trailing block, so at least one must be left
         if self.n_blocks < self.n_train_blocks + 2:
@@ -177,9 +183,8 @@ def run_trial(
     c = build_constellation(cfg.modulation)
     code = _load_code(cfg.code_file)
 
-    interleaver_seed = seed % (2**31)
     coi_index = (cfg.n_wdm_channels - 1) // 2
-    to_frame = frame_order(code.n, cfg.n_blocks, interleaver_seed)
+    order = frame_order(code.n, cfg.n_blocks, seed % (2**31))
 
     # transmit waveforms per channel; the channel of interest keeps its frame
     channels = []
@@ -190,8 +195,8 @@ def run_trial(
             [code.encode(rng.integers(0, 2, code.k)) for _ in range(2 * cfg.n_blocks)]
         )
         frame = build_frame(
-            words.reshape(2, -1)[:, to_frame], c, cfg.pilot_rate, cfg.n_blocks,
-            seed=int(rng.integers(0, 2**31)), symbol_rate=cfg.baud,
+            words.reshape(2, cfg.n_blocks, -1), order, cfg.n_train_blocks, c,
+            cfg.pilot_rate, seed=int(rng.integers(0, 2**31)), symbol_rate=cfg.baud,
         )
         if ch == coi_index:
             frame_coi = frame
@@ -218,10 +223,6 @@ def run_trial(
         rx = fib.dbp(rx, cfg.fiber, distance, cfg.dbp_step_m)
     rx = matched_filter(rx, cfg.rolloff, cfg.rrc_span, cfg.baud)
 
-    block_sym = frame_coi.block_of_data_symbol(c.q)
-    train_mask = np.zeros(frame_coi.n_instants, dtype=bool)
-    train_mask[frame_coi.data_positions[block_sym < cfg.n_train_blocks]] = True
-
     if cfg.bypass_sync_dsp:
         # idealized front end: pilot-correlation alignment and a single
         # static complex gain per polarization, no adaptive NLMS/CPR
@@ -233,7 +234,7 @@ def run_trial(
             symbols[p] /= g
     else:
         nlms = NlmsState(n_taps=cfg.nlms_taps, step_size=cfg.nlms_step)
-        symbols = nlms_equalize(rx, frame_coi, nlms, train_mask=train_mask)
+        symbols = nlms_equalize(rx, frame_coi, nlms)
         pll = DdpllState(loop_bw_norm=cfg.pll_bw_norm)
         symbols, _ = ddpll(symbols, frame_coi, c, pll)
         if pll.slips:
@@ -249,8 +250,6 @@ def run_trial(
         replace(cfg.turbo, n_turbo_iters=n_iters),
         code,
         c,
-        interleaver_seed=interleaver_seed,
-        n_train_blocks=cfg.n_train_blocks,
         decoder_iters=cfg.decoder_iters,
         context={
             "launch_power_dbm": power_dbm,

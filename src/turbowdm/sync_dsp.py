@@ -60,14 +60,13 @@ def nlms_equalize(
     signal: DualPolSignal,
     frame: SymbolFrame,
     state: NlmsState | None = None,
-    train_mask: np.ndarray | None = None,
     align: bool = True,
 ) -> np.ndarray:
     """Fractionally spaced MIMO 2x2 NLMS equalizer, one output per symbol.
 
-    Taps are updated only where the transmitted symbol is known: at pilot
-    instants and, optionally, over a data-aided training region
-    (``train_mask`` over symbol instants). Returns shape (2, n_instants).
+    Taps are updated only where the transmitted symbol is known
+    (``frame.known_mask``): at the pilots and over the training blocks.
+    Returns shape (2, n_instants).
     """
     if state is None:
         state = NlmsState()
@@ -81,9 +80,7 @@ def nlms_equalize(
     nt = state.n_taps
     half = nt // 2
     rx = np.pad(rx, ((0, 0), (half, half)))
-    update = frame.pilot_mask.copy()
-    if train_mask is not None:
-        update |= train_mask
+    update = frame.known_mask
     out = np.empty((2, n_sym), dtype=complex)
     w = state.taps
     mu, eps = state.step_size, state.eps

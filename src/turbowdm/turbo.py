@@ -21,7 +21,7 @@ import numpy as np
 
 from . import constellation as cst
 from .constellation import L_MAX, Constellation
-from .fec import LdpcCode, decode, frame_order
+from .fec import LdpcCode, decode
 from .metrics import (
     MetricsRecord,
     effective_snr,
@@ -228,8 +228,6 @@ def turbo_loop(
     cfg: SlidingWindowConfig,
     code: LdpcCode,
     c: Constellation,
-    interleaver_seed: int = 0,
-    n_train_blocks: int = 3,
     decoder_iters: int = 50,
     context: dict | None = None,
 ) -> TurboResult:
@@ -241,9 +239,9 @@ def turbo_loop(
     feed decoder soft output to the RLS channel estimator and the LMMSE
     equalizer, then demap its output with the updated priors.
 
-    Only the blocks after the ``n_train_blocks`` training blocks are
-    decoded: the receiver knows the training blocks, and their info bits and
-    certain L-values stand in for a decode. The loop stops from iteration 2
+    Only the blocks after the frame's training blocks are decoded: the
+    receiver knows the training blocks, and their info bits and certain
+    L-values stand in for a decode. The loop stops from iteration 2
     on once every decoded block passes parity and the SNR moved by less than
     0.01 dB.
     """
@@ -253,24 +251,21 @@ def turbo_loop(
     if received.shape != (2, m):
         raise TurboError(f"received shape {received.shape} != (2, {m})")
     q = c.q
-    nb, n = frame.n_blocks, frame.block_len
+    nb, n, n_train_blocks = frame.n_blocks, frame.block_len, frame.n_train_blocks
     data_pos = frame.data_positions
     pilot = frame.pilot_mask
-    to_frame = frame_order(n, nb, interleaver_seed)
-    to_code = np.argsort(to_frame)
+    to_code = np.argsort(frame.order)
 
     # receiver-known region: pilots plus the data-aided training blocks
-    block_of_data = frame.block_of_data_symbol(q)
-    train_data = block_of_data < n_train_blocks
-    known = pilot.copy()
-    known[data_pos[train_data]] = True
+    known = frame.known_mask
+    train_data = known[data_pos]
     unknown_pos = data_pos[~train_data]
 
     # symbols that carry a bit of a decoded block (the last bit decides)
     decoded_data = (q * np.arange(data_pos.size) + q - 1) // n >= n_train_blocks
     decoded_pos = data_pos[decoded_data]
     # policy: metrics skip training blocks and the trailing block
-    counted_data = (block_of_data >= n_train_blocks) & (block_of_data < nb - 1)
+    counted_data = ~train_data & (frame.block_of_data_symbol(q) < nb - 1)
     counted_pos = data_pos[counted_data]
 
     # noise variance from pilot residuals of the unequalized stream
@@ -295,7 +290,7 @@ def turbo_loop(
         else:
             means = np.empty((2, m), dtype=complex)
             variances = np.empty((2, m))
-            prior_sym = prior_blocks.reshape(2, -1)[:, to_frame].reshape(2, -1, q)
+            prior_sym = prior_blocks.reshape(2, -1)[:, frame.order].reshape(2, -1, q)
             for p in range(2):
                 pr = cst.symbol_priors(prior_sym[p, ~train_data], c)
                 means[p, unknown_pos], variances[p, unknown_pos] = cst.soft_stats(pr, c)

@@ -42,20 +42,25 @@ class DualPolSignal:
 
 @dataclass
 class SymbolFrame:
-    """Dual-pol symbol sequence with pilot mask and data/bit alignment.
+    """Dual-pol symbol sequence and its layout: pilot mask, interleaver
+    order and training region.
 
     ``symbols`` has shape (2, n_instants). Pilots are co-located across
     polarizations; data instant j of a polarization carries interleaved
-    coded bits q*j .. q*j+q-1 of that polarization's bit stream.
+    coded bits q*j .. q*j+q-1 of that polarization's bit stream, whose
+    position i carries bit ``order[i] % block_len`` of codeword
+    ``order[i] // block_len``. The receiver knows the first
+    ``n_train_blocks`` codewords.
     """
 
     symbols: np.ndarray
     pilot_mask: np.ndarray
     coded_bits: np.ndarray  # (2, n_blocks * n) interleaved coded bits
+    order: np.ndarray  # code-domain index of each interleaved bit, fec.frame_order
     n_blocks: int
     block_len: int
+    n_train_blocks: int
     symbol_rate: float
-    seed: int
 
     @property
     def n_instants(self) -> int:
@@ -68,6 +73,16 @@ class SymbolFrame:
     @property
     def n_data(self) -> int:
         return int(np.sum(~self.pilot_mask))
+
+    @property
+    def known_mask(self) -> np.ndarray:
+        """Instants whose symbols the receiver knows: the pilots and the
+        data instants of the training blocks."""
+        known = self.pilot_mask.copy()
+        q = self.coded_bits.shape[1] // self.n_data
+        training = self.block_of_data_symbol(q) < self.n_train_blocks
+        known[self.data_positions[training]] = True
+        return known
 
     def data_symbols(self) -> np.ndarray:
         return self.symbols[:, ~self.pilot_mask]
@@ -82,9 +97,11 @@ class SymbolFrame:
 
 def pilot_positions(n_data: int, pilot_rate: float) -> np.ndarray:
     """Boolean mask over instants: fixed-stride pilots between data symbols."""
-    if pilot_rate <= 0:
+    if pilot_rate == 0:
         return np.zeros(n_data, dtype=bool)
     stride = int(round(1.0 / pilot_rate))
+    if stride < 2:
+        raise WaveformError(f"pilot rate {pilot_rate} leaves no data between pilots")
     # total instants T with ceil(T/stride) pilots and n_data data symbols
     total = n_data
     while total - int(np.ceil(total / stride)) < n_data:
@@ -95,30 +112,34 @@ def pilot_positions(n_data: int, pilot_rate: float) -> np.ndarray:
 
 
 def build_frame(
-    coded_bits: np.ndarray,
+    codewords: np.ndarray,
+    order: np.ndarray,
+    n_train_blocks: int,
     c: Constellation,
     pilot_rate: float,
-    n_blocks: int,
     seed: int,
     symbol_rate: float = 32e9,
 ) -> SymbolFrame:
-    """Assemble the dual-pol symbol frame: mapped data symbols with seeded
-    pilot symbols inserted at a fixed stride."""
-    coded_bits = np.atleast_2d(np.asarray(coded_bits, dtype=np.uint8))
-    if coded_bits.shape[0] != 2:
-        raise WaveformError("expected coded bits for two polarizations")
-    total_bits = coded_bits.shape[1]
+    """Assemble the dual-pol symbol frame from the (2, n_blocks, n)
+    codewords in code order: interleave them by ``order``, which must
+    permute each block within itself (``fec.frame_order`` draws one), map
+    them, and insert seeded pilot symbols at a fixed stride. The first
+    ``n_train_blocks`` codewords are training blocks."""
+    codewords = np.asarray(codewords, dtype=np.uint8)
+    if codewords.ndim != 3 or codewords.shape[0] != 2:
+        raise WaveformError("expected (2, n_blocks, n) codewords")
+    _, n_blocks, block_len = codewords.shape
+    total_bits = n_blocks * block_len
     if total_bits % c.q:
         raise WaveformError("coded bit count not divisible by q")
-    if total_bits % n_blocks:
-        raise WaveformError("coded bit count not divisible by block count")
-    block_len = total_bits // n_blocks
-    n_data = total_bits // c.q
-    mask = pilot_positions(n_data, pilot_rate)
-    total = mask.size
+    order = np.asarray(order)
+    if order.shape != (total_bits,):
+        raise WaveformError(f"order has shape {order.shape}, not ({total_bits},)")
+    coded_bits = codewords.reshape(2, -1)[:, order]
+    mask = pilot_positions(total_bits // c.q, pilot_rate)
     rng = np.random.default_rng(seed)
     n_pilots = int(mask.sum())
-    symbols = np.empty((2, total), dtype=complex)
+    symbols = np.empty((2, mask.size), dtype=complex)
     symbols[:, ~mask] = map_bits(coded_bits, c).reshape(2, -1)
     # one draw per polarization keeps the seeded pilot sequences
     symbols[:, mask] = c.points[[rng.integers(0, c.order, n_pilots) for _ in range(2)]]
@@ -126,10 +147,11 @@ def build_frame(
         symbols=symbols,
         pilot_mask=mask,
         coded_bits=coded_bits,
+        order=order,
         n_blocks=n_blocks,
         block_len=block_len,
+        n_train_blocks=n_train_blocks,
         symbol_rate=symbol_rate,
-        seed=seed,
     )
 
 

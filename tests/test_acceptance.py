@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from turbowdm.constellation import build_constellation, extrinsic_llrs, map_bits
-from turbowdm.fec import Interleaver, LdpcCode
+from turbowdm.fec import LdpcCode, frame_order
 from turbowdm.fiber import FiberParams, dbp, propagate_link, propagate_span
 from turbowdm.harness import (
     cell_seed,
@@ -349,8 +349,8 @@ class TestPropagationPhysics:
         c = build_constellation(64)
         rng = np.random.default_rng(41)
         n_sym = 4096
-        bits = rng.integers(0, 2, (2, n_sym * c.q)).astype(np.uint8)
-        frame = build_frame(bits, c, 0.0, 1, seed=41, symbol_rate=32e9)
+        bits = rng.integers(0, 2, (2, 1, n_sym * c.q)).astype(np.uint8)
+        frame = build_frame(bits, np.arange(n_sym * c.q), 0, c, 0.0, seed=41, symbol_rate=32e9)
         sig = rrc_shape(frame, 4, 0.1)
         p_w = 10 ** (2.0 / 10.0) * 1e-3  # 2 dBm launch
         sig = sig.scaled(np.sqrt(p_w / sig.power()))
@@ -438,16 +438,12 @@ def synthetic_turbo_run():
     c = build_constellation(4)
     code = LdpcCode.bundled("rate45_n2048")
     rng = np.random.default_rng(60)
-    streams = []
-    for _ in range(2):
-        chunks = []
-        for b in range(6):
-            info = rng.integers(0, 2, code.k).astype(np.uint8)
-            chunks.append(Interleaver(code.n, b).interleave(code.encode(info)))
-        streams.append(np.concatenate(chunks))
-    frame = build_frame(
-        np.stack(streams), c, 0.05, 6, seed=60, symbol_rate=32e9
-    )
+    words = np.array([
+        [code.encode(rng.integers(0, 2, code.k).astype(np.uint8)) for _ in range(6)]
+        for _ in range(2)
+    ])
+    # three training blocks, as in the presets
+    frame = build_frame(words, frame_order(code.n, 6, 0), 3, c, 0.05, seed=60, symbol_rate=32e9)
     cfg = SlidingWindowConfig(n_turbo_iters=4)
     m = frame.n_instants
     rot = np.exp(1j * 2.0 * np.pi * 1e-6 * np.arange(m))

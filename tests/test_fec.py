@@ -9,10 +9,9 @@ import pytest
 from turbowdm.constellation import L_MAX
 from turbowdm.fec import (
     FecError,
-    Interleaver,
     LdpcCode,
     decode,
-    load_parity,
+    frame_order,
     make_regular_code,
     save_parity,
 )
@@ -138,15 +137,14 @@ class TestParityFile:
     def test_roundtrip(self, tmp_path, toy):
         p = tmp_path / "code.txt"
         save_parity(p, toy.n, toy.check_rows)
-        assert load_parity(p) == toy.check_rows
         again = LdpcCode.from_file(p)
         assert again.n == toy.n and again.check_rows == toy.check_rows
 
     def test_bad_index(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("4 1\n0 9\n")
-        with pytest.raises(FecError):
-            load_parity(p)
+        with pytest.raises(FecError, match="column index out of range in row 0"):
+            LdpcCode.from_file(p)
 
     def test_repeated_index(self, tmp_path):
         # the encoder would count the edge once and the syndrome twice
@@ -161,10 +159,19 @@ class TestParityFile:
         with pytest.raises(FecError, match="header states 3 rows, file has 2"):
             LdpcCode.from_file(p)
 
+    def test_extra_rows(self, tmp_path):
+        p = tmp_path / "long.txt"
+        p.write_text("4 1\n0 1\n2 3\n")
+        with pytest.raises(FecError, match="header states 1 rows, file has more"):
+            LdpcCode.from_file(p)
+        # blank lines after the rows are not rows
+        p.write_text("4 1\n0 1\n\n \n")
+        assert LdpcCode.from_file(p).check_rows == [[0, 1]]
+
     def test_empty_last_row_kept(self, tmp_path):
         p = tmp_path / "empty_row.txt"
         save_parity(p, 4, [[0, 1], []])
-        assert load_parity(p) == [[0, 1], []]
+        assert LdpcCode.from_file(p).check_rows == [[0, 1], []]
 
     @pytest.mark.parametrize("name", ["toy_n20", "rate45_n2048"])
     def test_bundled_codes_match_generator(self, name):
@@ -203,6 +210,19 @@ class TestEncode:
         cw = code.encode(info)
         assert not np.any((h @ cw.astype(int)) % 2)
         np.testing.assert_array_equal(cw[code.info_positions], info)
+
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            ([[0, 1, 1, 2], [2, 3, 4], [1, 4, 5]], "repeated column index in row 0"),
+            ([[0, 1], [2, 6]], "column index out of range in row 1"),
+            ([[-1, 2]], "column index out of range in row 0"),
+        ],
+    )
+    def test_rows_checked_on_construction(self, rows, named):
+        # a repeated index would give an encoder whose words fail check
+        with pytest.raises(FecError, match=named):
+            LdpcCode(n=6, check_rows=rows)
 
     def test_wrong_length(self, toy):
         with pytest.raises(FecError):
@@ -284,34 +304,24 @@ class TestEncoderOracle:
 
 
 class TestInterleaver:
+    """``frame_order``: the interleaver of a frame, one permutation per block."""
+
     def test_identity_like_roundtrip(self):
-        il = Interleaver(64, seed=5)
+        order = frame_order(64, 3, seed=5)
         rng = np.random.default_rng(3)
-        bits = rng.integers(0, 2, 64)
-        np.testing.assert_array_equal(il.deinterleave(il.interleave(bits)), bits)
-        vals = rng.normal(size=64)
-        np.testing.assert_array_equal(il.deinterleave(il.interleave(vals)), vals)
+        for x in (rng.integers(0, 2, 192), rng.normal(size=192)):
+            np.testing.assert_array_equal(x[order][np.argsort(order)], x)
 
     def test_deterministic(self):
-        a = Interleaver(128, seed=9).permutation
-        b = Interleaver(128, seed=9).permutation
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, Interleaver(128, seed=10).permutation)
-
-    def test_permutation_drawn_once(self):
-        il = Interleaver(128, seed=9)
-        assert il.permutation is il.permutation
-        assert not il.permutation.flags.writeable
+        a = frame_order(128, 2, seed=9)
+        np.testing.assert_array_equal(a, frame_order(128, 2, seed=9))
+        assert not np.array_equal(a, frame_order(128, 2, seed=10))
+        # block b of seed s is block b - 1 of seed s + 1
+        np.testing.assert_array_equal(a[128:] - 128, frame_order(128, 1, seed=10))
 
     def test_fixture_permutation(self):
         # frozen prefix guards against silent RNG convention drift
-        np.testing.assert_array_equal(
-            Interleaver(8, seed=0).permutation, [2, 4, 3, 6, 5, 0, 1, 7]
-        )
-
-    def test_length_mismatch(self):
-        with pytest.raises(FecError):
-            Interleaver(8, seed=0).interleave(np.zeros(9))
+        np.testing.assert_array_equal(frame_order(8, 1, seed=0), [2, 4, 3, 6, 5, 0, 1, 7])
 
 
 def _llr_of_bits(bits, mag=20.0):
@@ -372,6 +382,19 @@ class TestDecode:
             if ok and np.array_equal(hard, ml):
                 agree += 1
         assert agree >= 0.99 * trials
+
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            ([[0, 1, 1, 2], [2, 3, 4], [1, 4, 5]], "repeated column index in row 0"),
+            ([[0, 1], [2, 6]], "column index out of range in row 1"),
+            ([[-1, 2]], "column index out of range in row 0"),
+        ],
+    )
+    def test_rows_checked_on_construction(self, rows, named):
+        # a repeated index would give an encoder whose words fail check
+        with pytest.raises(FecError, match=named):
+            LdpcCode(n=6, check_rows=rows)
 
     def test_wrong_length(self, toy):
         with pytest.raises(FecError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import turbowdm
-from turbowdm import harness
+from turbowdm import fec, harness, turbo
 from turbowdm.cli import main as cli_main
 from turbowdm.harness import (
     CampaignConfig,
@@ -111,6 +111,8 @@ class TestConfig:
             """A value unlike the default that the config still accepts."""
             if name == "modes":
                 return value[::-1]
+            if name == "n_wdm_channels":
+                return value + 2  # the grid needs a centre channel
             if isinstance(value, tuple):
                 return tuple(other(name, v) for v in value) * 2
             if isinstance(value, bool):
@@ -204,6 +206,24 @@ class TestConfig:
         with pytest.raises(HarnessError):
             CampaignConfig(power_dbm_list=())
 
+    @pytest.mark.parametrize("n_ch", [0, 2, 4])
+    def test_even_channel_count_rejected(self, n_ch):
+        # the receiver selects the band at 0 Hz, the centre of the grid,
+        # which only an odd channel count puts a channel on
+        with pytest.raises(HarnessError, match="n_wdm_channels"):
+            CampaignConfig(n_wdm_channels=n_ch)
+        CampaignConfig(n_wdm_channels=n_ch + 1)
+
+    @pytest.mark.parametrize("rate", [0.0, -0.05, 0.51, 1.0])
+    def test_unusable_pilot_rate_rejected(self, rate):
+        # no pilots leave no noise estimate; above 1/2, pilots outnumber data
+        with pytest.raises(HarnessError, match="pilot_rate"):
+            CampaignConfig(pilot_rate=rate)
+
+    def test_pilot_rate_limits_accepted(self):
+        CampaignConfig(pilot_rate=0.5)
+        CampaignConfig(pilot_rate=1e-3)
+
     def test_too_few_blocks_rejected(self):
         # metrics need one counted block between training and trailing block
         with pytest.raises(HarnessError):
@@ -252,6 +272,22 @@ class TestRunTrial:
     def test_unknown_mode(self, tiny_cfg):
         with pytest.raises(HarnessError):
             run_trial(tiny_cfg, 2.0, 2, "warp", 1)
+
+    def test_one_frame_order_per_trial(self, tiny_cfg, monkeypatch):
+        # the transmitter draws the interleaver order once; the receiver
+        # reads it from the frame instead of drawing it again
+        calls = []
+
+        def counting_order(*args):
+            calls.append(args)
+            return fec.frame_order(*args)
+
+        for mod in (harness, turbo):
+            if hasattr(mod, "frame_order"):
+                monkeypatch.setattr(mod, "frame_order", counting_order)
+        cfg = dataclasses.replace(tiny_cfg, n_wdm_channels=3)
+        run_trial(cfg, 2.0, 2, "dbp_turbo", 5)
+        assert len(calls) == 1
 
 
 class TestCampaign:
@@ -389,7 +425,7 @@ class TestCli:
         out = tmp_path / "res"
         rc = cli_main(
             [
-                "sweep", "--config", str(cfgp), "--out", str(out),
+                "run", "--config", str(cfgp), "--out", str(out),
                 "--modes", "dbp", "--power-dbm", "0",
             ]
         )

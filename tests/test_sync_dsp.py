@@ -20,10 +20,14 @@ def qpsk():
     return build_constellation(4)
 
 
-def make_frame(c, n_data_bits=8000, pilot_rate=0.05, seed=0):
+def make_frame(c, n_data_bits=8000, pilot_rate=0.05, seed=0, training=False):
+    """One block of random bits, not interleaved; a training block if
+    ``training``, so every instant is known."""
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, (2, n_data_bits)).astype(np.uint8)
-    return build_frame(bits, c, pilot_rate, 1, seed=seed, symbol_rate=BAUD)
+    bits = rng.integers(0, 2, (2, 1, n_data_bits)).astype(np.uint8)
+    return build_frame(
+        bits, np.arange(n_data_bits), int(training), c, pilot_rate, seed, symbol_rate=BAUD
+    )
 
 
 def stuffed_signal(frame, sps=2):
@@ -65,7 +69,7 @@ class TestNlms:
         np.testing.assert_allclose(out * scale, frame.symbols, atol=1e-9)
 
     def test_inverts_static_polarization_rotation(self, qpsk):
-        frame = make_frame(qpsk, seed=4)
+        frame = make_frame(qpsk, seed=4, training=True)
         sig = stuffed_signal(frame)
         th = 0.6
         j00, j01 = np.cos(th), np.sin(th) * np.exp(0.4j)
@@ -74,14 +78,13 @@ class TestNlms:
             fields=np.stack([j00 * x + j01 * y, -np.conj(j01) * x + j00 * y]),
             sample_rate=sig.sample_rate,
         )
-        train = np.ones(frame.n_instants, dtype=bool)
-        out = nlms_equalize(mixed, frame, train_mask=train, align=False)
+        out = nlms_equalize(mixed, frame, align=False)
         tail = slice(frame.n_instants // 2, None)
         err = np.mean(np.abs(out[:, tail] - frame.symbols[:, tail]) ** 2)
         assert 10 * np.log10(err / np.mean(np.abs(frame.symbols) ** 2)) < -30.0
 
     def test_error_decreases_over_time(self, qpsk):
-        frame = make_frame(qpsk, n_data_bits=16000, seed=5)
+        frame = make_frame(qpsk, n_data_bits=16000, seed=5, training=True)
         sig = stuffed_signal(frame)
         rng = np.random.default_rng(6)
         x, y = sig.fields
@@ -89,21 +92,29 @@ class TestNlms:
             fields=np.stack([0.8 * x + 0.3j * y, 0.3j * x + 0.8 * y]),
             sample_rate=sig.sample_rate,
         )
-        train = np.ones(frame.n_instants, dtype=bool)
-        out = nlms_equalize(noisy, frame, train_mask=train, align=False)
+        out = nlms_equalize(noisy, frame, align=False)
         e = np.abs(out - frame.symbols) ** 2
         q = frame.n_instants // 4
         assert np.mean(e[:, -q:]) < 0.1 * np.mean(e[:, :q])
 
     def test_state_persists_across_calls(self, qpsk):
-        frame = make_frame(qpsk, seed=7)
+        frame = make_frame(qpsk, seed=7, training=True)
         sig = stuffed_signal(frame)
         state = NlmsState()
-        train = np.ones(frame.n_instants, dtype=bool)
-        nlms_equalize(sig, frame, state=state, train_mask=train, align=False)
+        nlms_equalize(sig, frame, state=state, align=False)
         taps_after = state.taps.copy()
-        nlms_equalize(sig, frame, state=state, train_mask=train, align=False)
+        nlms_equalize(sig, frame, state=state, align=False)
         assert not np.allclose(state.taps, np.zeros_like(taps_after))
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_updates_only_at_known_instants(self, qpsk, training):
+        # without pilots the frame's known instants are its training block
+        frame = make_frame(qpsk, pilot_rate=0.0, seed=10, training=training)
+        sig = stuffed_signal(frame)
+        state = NlmsState()
+        start = state.taps.copy()
+        nlms_equalize(sig.scaled(np.exp(0.3j)), frame, state=state, align=False)
+        assert np.array_equal(state.taps, start) != training
 
     def test_even_tap_count_rejected(self):
         with pytest.raises(SyncError):
@@ -111,12 +122,11 @@ class TestNlms:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self, qpsk):
-        frame = make_frame(qpsk, seed=8)
+        frame = make_frame(qpsk, seed=8, training=True)
         sig = stuffed_signal(frame)
         state = NlmsState(step_size=8.0)  # far outside the stable range
-        train = np.ones(frame.n_instants, dtype=bool)
         with pytest.raises(SyncError):
-            nlms_equalize(sig, frame, state=state, train_mask=train, align=False)
+            nlms_equalize(sig, frame, state=state, align=False)
 
 
 class TestDdpll:

@@ -4,7 +4,7 @@ from scipy.signal import lfilter
 
 from turbowdm import turbo
 from turbowdm.constellation import NU2_FLOOR_REL, build_constellation, extrinsic_llrs
-from turbowdm.fec import Interleaver, LdpcCode, frame_order
+from turbowdm.fec import LdpcCode, frame_order
 from turbowdm.metrics import effective_snr
 from turbowdm.turbo import (
     SlidingWindowConfig,
@@ -61,28 +61,38 @@ def qpsk_stream(m, seed):
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def encoded_frame(c, code, n_blocks, seed, pilot_rate=0.05):
+def reference_permutations(n, nb, seed):
+    """Block b of an interleaved frame is codeword b permuted by
+    ``default_rng(seed + b).permutation(n)``: the layout ``frame_order``
+    encodes, kept here independently of it."""
+    return [np.random.default_rng(seed + b).permutation(n) for b in range(nb)]
+
+
+def reference_deinterleave(stream, n, seed=0):
+    """Codeword-order copy of an interleaved stream of whole blocks."""
+    out = np.empty_like(stream)
+    for b, perm in enumerate(reference_permutations(n, stream.size // n, seed)):
+        out[b * n + perm] = stream[b * n : (b + 1) * n]
+    return out
+
+
+def encoded_frame(c, code, n_blocks, seed, pilot_rate=0.05, n_train_blocks=3):
+    """Frame of random codewords, interleaved with seed 0."""
     rng = np.random.default_rng(seed)
-    streams = []
-    for _ in range(2):
-        chunks = []
-        for b in range(n_blocks):
-            info = rng.integers(0, 2, code.k).astype(np.uint8)
-            chunks.append(Interleaver(code.n, b).interleave(code.encode(info)))
-        streams.append(np.concatenate(chunks))
+    words = np.array([
+        [code.encode(rng.integers(0, 2, code.k).astype(np.uint8)) for _ in range(n_blocks)]
+        for _ in range(2)
+    ])
     return build_frame(
-        np.stack(streams), c, pilot_rate, n_blocks, seed=seed, symbol_rate=32e9
+        words, frame_order(code.n, n_blocks, 0), n_train_blocks, c, pilot_rate, seed,
+        symbol_rate=32e9,
     )
 
 
 def true_info_bits(frame, code):
     """(2, nb*k) transmitted info bits of an ``encoded_frame``."""
-    n = frame.block_len
     return np.array([
-        np.concatenate([
-            Interleaver(n, b).deinterleave(bits[b * n : (b + 1) * n])[code.info_positions]
-            for b in range(frame.n_blocks)
-        ])
+        reference_deinterleave(bits, code.n).reshape(-1, code.n)[:, code.info_positions].ravel()
         for bits in frame.coded_bits
     ])
 
@@ -220,13 +230,27 @@ def assert_same_bits(a, b):
 
 
 def test_frame_order_matches_block_interleavers():
-    n, nb, seed = 64, 5, 17
-    rng = np.random.default_rng(0)
-    blocks = rng.normal(size=(nb, n))
-    frame = np.concatenate([Interleaver(n, seed + b).interleave(blocks[b]) for b in range(nb)])
-    to_frame = frame_order(n, nb, seed)
-    np.testing.assert_array_equal(blocks.ravel()[to_frame], frame)
-    np.testing.assert_array_equal(frame[np.argsort(to_frame)], blocks.ravel())
+    # the order, the interleaved bits and the known instants of a frame
+    # against the per-block permutations and a per-instant count; at
+    # 64-QAM a symbol straddles the end of the training region
+    n, nb, n_train, seed = 98, 6, 2, 17
+    perms = reference_permutations(n, nb, seed)
+    order = frame_order(n, nb, seed)
+    np.testing.assert_array_equal(order, np.concatenate([b * n + p for b, p in enumerate(perms)]))
+    words = np.random.default_rng(0).integers(0, 2, (2, nb, n)).astype(np.uint8)
+    for c in (build_constellation(4), build_constellation(64)):
+        frame = build_frame(words, order, n_train, c, 0.05, seed=1)
+        assert frame.order is order and frame.n_train_blocks == n_train
+        for p in range(2):
+            want = np.concatenate([words[p, b, perm] for b, perm in enumerate(perms)])
+            np.testing.assert_array_equal(frame.coded_bits[p], want)
+            np.testing.assert_array_equal(reference_deinterleave(want, n, seed), words[p].ravel())
+        # a data instant is known when its first bit lies in a training block
+        known = frame.pilot_mask.copy()
+        for j, t in enumerate(frame.data_positions):
+            known[t] = c.q * j < n_train * n
+        np.testing.assert_array_equal(frame.known_mask, known)
+        assert frame.known_mask.sum() > frame.pilot_mask.sum()
 
 
 class TestConfig:
@@ -613,11 +637,11 @@ class TestLoopPolicy:
             return real_decode(*args, **kwargs)
 
         monkeypatch.setattr(turbo, "decode", counting_decode)
-        frame = encoded_frame(qpsk, code, 6, seed=4)
+        frame = encoded_frame(qpsk, code, 6, seed=4, n_train_blocks=n_train)
         cfg = SlidingWindowConfig(n_turbo_iters=2)
         rng = np.random.default_rng(5)
         r = apply_channel(frame.symbols, mimo_channel(), cfg.delay, 0.05, rng)
-        res = turbo_loop(r, frame, cfg, code, qpsk, n_train_blocks=n_train)
+        res = turbo_loop(r, frame, cfg, code, qpsk)
         assert len(res.records) == 3
         assert len(calls) == 2 * (frame.n_blocks - n_train) * len(res.records)
 
@@ -631,7 +655,7 @@ class TestLoopPolicy:
         # symbol whose first bits end training block 0 also starts block 1,
         # so it must be demapped for block 1's decode
         c = build_constellation(64)
-        frame = encoded_frame(c, code, 3, seed=8)
+        frame = encoded_frame(c, code, 3, seed=8, n_train_blocks=1)
         rng = np.random.default_rng(9)
         r = frame.symbols + 0.05 * (
             rng.standard_normal((2, frame.n_instants))
@@ -646,7 +670,7 @@ class TestLoopPolicy:
 
         monkeypatch.setattr(turbo, "decode", recording_decode)
         cfg = SlidingWindowConfig(n_turbo_iters=0)
-        turbo_loop(r, frame, cfg, code, c, n_train_blocks=1)
+        turbo_loop(r, frame, cfg, code, c)
         pil = frame.pilot_mask
         sigma_n2 = np.mean(np.abs(r[:, pil] - frame.symbols[:, pil]) ** 2)
         n = frame.block_len
@@ -654,14 +678,14 @@ class TestLoopPolicy:
         assert (c.q * j // n, (c.q * j + c.q - 1) // n) == (0, 1)
         for p in range(2):
             bits = extrinsic_llrs(r[p, ~pil], 1.0, sigma_n2, None, c).ravel()
+            blocks = reference_deinterleave(bits, n).reshape(-1, n)
             for b in range(1, frame.n_blocks):
-                want = Interleaver(n, b).deinterleave(bits[b * n : (b + 1) * n])
                 got = inputs[p * (frame.n_blocks - 1) + b - 1]
-                assert_same_bits(got, want)
+                assert_same_bits(got, blocks[b])
 
     def test_training_bits_are_the_known_bits(self, noisy_training_run, code):
         res, frame = noisy_training_run
-        known = 3 * code.k  # the default n_train_blocks = 3
+        known = frame.n_train_blocks * code.k
         np.testing.assert_array_equal(
             res.hard_bits[:, :known], true_info_bits(frame, code)[:, :known]
         )

@@ -37,10 +37,11 @@ def qpsk():
     return build_constellation(4)
 
 
-def random_frame(c, n_data_bits=4000, pilot_rate=0.05, seed=0, n_blocks=1):
+def random_frame(c, n_data_bits=4000, pilot_rate=0.05, seed=0):
+    """One block of random bits, not interleaved, no training block."""
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, (2, n_data_bits)).astype(np.uint8)
-    return build_frame(bits, c, pilot_rate, n_blocks, seed=seed, symbol_rate=BAUD)
+    bits = rng.integers(0, 2, (2, 1, n_data_bits)).astype(np.uint8)
+    return build_frame(bits, np.arange(n_data_bits), 0, c, pilot_rate, seed, symbol_rate=BAUD)
 
 
 def x_rel_err(out, ref):
@@ -85,7 +86,24 @@ class TestFrame:
 
     def test_bad_bit_count(self, qpsk):
         with pytest.raises(WaveformError):
-            build_frame(np.zeros((2, 7), dtype=np.uint8), qpsk, 0.05, 1, 0)
+            build_frame(np.zeros((2, 1, 7), dtype=np.uint8), np.arange(7), 0, qpsk, 0.05, 0)
+
+    def test_order_length_mismatch(self, qpsk):
+        # the order indexes every bit of the frame once
+        for order in (np.arange(7), np.arange(9)):
+            with pytest.raises(WaveformError, match="order"):
+                build_frame(np.zeros((2, 2, 4), dtype=np.uint8), order, 0, qpsk, 0.05, 0)
+
+    @pytest.mark.parametrize("rate", [1.0, 0.7, 5.0, -0.05])
+    def test_pilot_stride_below_two_rejected(self, rate):
+        # stride 1 would leave no data instant, and the size search would
+        # never end
+        with pytest.raises(WaveformError, match="pilot rate"):
+            pilot_positions(10, rate)
+
+    def test_pilot_stride_two(self):
+        mask = pilot_positions(10, 0.5)
+        assert mask.size == 20 and np.array_equal(np.nonzero(mask)[0], np.arange(0, 20, 2))
 
 
 class TestRrc:
