@@ -139,12 +139,15 @@ class LdpcCode:
             if len(set(row)) < len(row):
                 # the syndrome would count the edge twice, the encoder once
                 raise FecError(f"repeated column index in row {i}")
-        # flat edge arrays for vectorized message passing, grouped by check
-        self.edge_check = np.concatenate(
-            [np.full(len(r), i) for i, r in enumerate(self.check_rows)]
-        )
+        # flat edge arrays for vectorized message passing, grouped by check.
+        # An empty row is satisfied by every word, so the checks are the rows
+        # with edges: check i is row nonempty_rows[i], and its edges start at
+        # check_starts[i] (a reduceat segment of length 0 would not sum to 0)
+        lengths = np.array([len(r) for r in self.check_rows], dtype=int)
+        self.nonempty_rows = np.flatnonzero(lengths)
+        self.edge_check = np.repeat(np.arange(self.nonempty_rows.size), lengths[self.nonempty_rows])
         self.edge_var = np.concatenate([np.asarray(r, dtype=int) for r in self.check_rows])
-        self.check_starts = np.cumsum([0] + [len(r) for r in self.check_rows[:-1]])
+        self.check_starts = (np.cumsum(lengths) - lengths)[self.nonempty_rows]
         self._build_encoder()
 
     @classmethod
@@ -164,7 +167,7 @@ class LdpcCode:
 
     def _build_encoder(self) -> None:
         # H as bit-packed rows: bit c % 64 of word c // 64 holds column c
-        h = np.zeros((self.m, -(-self.n // 64)), dtype=np.uint64)
+        h = np.zeros((self.nonempty_rows.size, -(-self.n // 64)), dtype=np.uint64)
         bit = np.left_shift(np.uint64(1), (self.edge_var % 64).astype(np.uint64))
         np.bitwise_or.at(h, (self.edge_check, self.edge_var // 64), bit)
         pivots = _gf2_rref(h, self.n)
@@ -198,10 +201,11 @@ class LdpcCode:
         return cw[: self.n]
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
+        """H bits mod 2, one entry per check row."""
         bits = np.asarray(bits, dtype=np.int64)
-        return np.bitwise_and(
-            np.add.reduceat(bits[self.edge_var], self.check_starts), 1
-        )
+        out = np.zeros(self.m, dtype=np.int64)
+        out[self.nonempty_rows] = np.add.reduceat(bits[self.edge_var], self.check_starts) & 1
+        return out
 
     def check(self, bits: np.ndarray) -> bool:
         return not self.syndrome(bits).any()

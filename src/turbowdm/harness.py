@@ -11,7 +11,7 @@ import hashlib
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -72,6 +72,8 @@ class CampaignConfig:
     def __post_init__(self):
         if not self.power_dbm_list or not self.span_list:
             raise HarnessError("sweep axes must be non-empty")
+        if min(self.span_list) < 0:
+            raise HarnessError("span counts must be >= 0")
         if self.n_trials < 1:
             raise HarnessError("n_trials must be >= 1")
         # the receiver selects the band at 0 Hz, where only an odd grid has a channel
@@ -172,13 +174,15 @@ def run_trial(
     power_dbm: float,
     n_spans: int,
     mode: str,
-    seed: int,
+    trial: int,
 ) -> list[MetricsRecord]:
-    """One seeded Monte Carlo trial: transmit, propagate, receive, and run
-    the turbo loop (single iteration-0 pass for edc/dbp modes). Returns one
-    record per turbo iteration."""
+    """Trial ``trial`` of the cell (power, spans, mode): transmit, propagate,
+    receive, and run the turbo loop (single iteration-0 pass for edc/dbp
+    modes), seeded by ``cell_seed``. Returns one record per turbo iteration,
+    each labelled with the cell's key and seed."""
     if mode not in MODES:
         raise HarnessError(f"unknown receiver mode {mode!r}")
+    seed = cell_seed(cfg.base_seed, power_dbm, n_spans, mode, trial)
     rng = np.random.default_rng(seed)
     c = build_constellation(cfg.modulation)
     code = _load_code(cfg.code_file)
@@ -251,25 +255,20 @@ def run_trial(
         code,
         c,
         decoder_iters=cfg.decoder_iters,
-        context={
-            "launch_power_dbm": power_dbm,
-            "n_spans": n_spans,
-            "mode": mode,
-            "seed": seed,
-        },
     )
-    return result.records
+    return [
+        MetricsRecord(
+            **asdict(r), launch_power_dbm=power_dbm, n_spans=n_spans, mode=mode,
+            seed=seed, trial=trial,
+        )
+        for r in result.records
+    ]
 
 
 def _run_cell(args) -> tuple[tuple, list[MetricsRecord] | None, str | None]:
-    cfg, power, spans, mode, trial = args
-    seed = cell_seed(cfg.base_seed, power, spans, mode, trial)
-    key = (power, spans, mode, trial)
+    cfg, key = args[0], args[1:]
     try:
-        recs = run_trial(cfg, power, spans, mode, seed)
-        for r in recs:
-            r.trial = trial
-        return key, recs, None
+        return key, run_trial(cfg, *key), None
     except Exception as exc:  # cell failures must not kill the campaign
         log.exception("cell %s failed", key)
         return key, None, f"{type(exc).__name__}: {exc}"

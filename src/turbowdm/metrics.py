@@ -1,5 +1,6 @@
 """Performance metrics: effective SNR, GMI from L-values, post-FEC BER,
-and the MetricsRecord serialization used by the campaign runner."""
+what the turbo loop measures per iteration, and the MetricsRecord
+serialization used by the campaign runner."""
 
 from __future__ import annotations
 
@@ -50,13 +51,13 @@ def post_fec_ber(
     decoded_bits: np.ndarray,
     true_bits: np.ndarray,
     n_blocks: int,
-    skip_head: int = 3,
-    skip_tail: int = 1,
+    skip_head: int,
+    skip_tail: int,
 ) -> tuple[float, int]:
     """Bit error ratio over the counted FEC blocks.
 
     ``decoded_bits``/``true_bits`` are (n_pols, n_blocks*k) info-bit arrays.
-    The first ``skip_head`` blocks (adaptive-filter pre-convergence) and the
+    The first ``skip_head`` blocks (the receiver's training blocks) and the
     last ``skip_tail`` blocks (trailing filter transients) are excluded.
     Returns (ber, number of bits counted).
     """
@@ -74,17 +75,26 @@ def post_fec_ber(
 
 
 @dataclass
-class MetricsRecord:
-    launch_power_dbm: float
-    n_spans: int
-    mode: str
+class IterationMetrics:
+    """What one turbo iteration measures."""
+
     turbo_iteration: int
-    seed: int
     post_fec_ber: float
     snr_db: float
     gmi_bits_per_4d_symbol: float
     n_bits_counted: int
-    trial: int = 0
+
+
+@dataclass
+class MetricsRecord(IterationMetrics):
+    """One iteration's metrics under the key of the campaign cell that
+    measured them."""
+
+    launch_power_dbm: float
+    n_spans: int
+    mode: str
+    seed: int
+    trial: int
 
     def to_json_line(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

@@ -14,7 +14,6 @@ IEEE Trans. Signal Process. 50(3), 2002).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +21,7 @@ import numpy as np
 from . import constellation as cst
 from .constellation import L_MAX, Constellation
 from .fec import LdpcCode, decode
-from .metrics import (
-    MetricsRecord,
-    effective_snr,
-    gmi_bits_per_2d,
-    post_fec_ber,
-)
+from .metrics import IterationMetrics, effective_snr, gmi_bits_per_2d, post_fec_ber
 from .waveform import SymbolFrame
 
 
@@ -218,8 +212,7 @@ def lmmse_equalize(
 @dataclass
 class TurboResult:
     hard_bits: np.ndarray  # (2, nb*k) info bits, final iteration
-    records: list[MetricsRecord]
-    diagnostics: list[str]  # line-delimited JSON
+    records: list[IterationMetrics]  # one per iteration run
 
 
 def turbo_loop(
@@ -229,7 +222,6 @@ def turbo_loop(
     code: LdpcCode,
     c: Constellation,
     decoder_iters: int = 50,
-    context: dict | None = None,
 ) -> TurboResult:
     """Run the iterative equalize/decode loop on one frame.
 
@@ -245,7 +237,6 @@ def turbo_loop(
     on once every decoded block passes parity and the SNR moved by less than
     0.01 dB.
     """
-    ctx = context or {}
     m = frame.n_instants
     received = np.asarray(received)
     if received.shape != (2, m):
@@ -278,9 +269,8 @@ def turbo_loop(
     # the known bits' a-posteriori L-values (L = ln P(1)/P(0)) are certain
     known_app = np.where(code_bits[:, :n_train_blocks] == 1, L_MAX, -L_MAX)
 
-    result = TurboResult(None, [], [])
+    result = TurboResult(None, [])
     prior_blocks = None  # (2, nb, n) L-values in deinterleaved (code) domain
-    seed = int(ctx.get("seed", 0))
 
     for it in range(cfg.n_turbo_iters + 1):
         if it == 0:
@@ -327,23 +317,12 @@ def turbo_loop(
         app = np.empty((2, nb, n))
         app[:, :n_train_blocks] = known_app
         all_ok = True
-        diag_blocks = []
         blocks = llrs.reshape(2, -1)[:, to_code].reshape(2, nb, n)
         for p in range(2):
             for b in range(n_train_blocks, nb):
-                app[p, b], hard, ok, iters = decode(blocks[p, b], code, decoder_iters)
+                app[p, b], hard, ok, _ = decode(blocks[p, b], code, decoder_iters)
                 dec_blocks[p, b] = hard[code.info_positions]
                 all_ok &= ok
-                diag_blocks.append(
-                    {
-                        "iteration": it,
-                        "pol": "xy"[p],
-                        "block": b,
-                        "decoder_iterations": iters,
-                        "parity_ok": bool(ok),
-                        "mean_abs_llr": float(np.mean(np.abs(blocks[p, b]))),
-                    }
-                )
 
         ber, counted = post_fec_ber(dec_info, true_info, nb, n_train_blocks, 1)
         bias = np.where(mu[:, counted_pos] > 1e-6, mu[:, counted_pos], 1.0)
@@ -356,20 +335,14 @@ def turbo_loop(
             )
             for p in range(2)
         )
-        rec = MetricsRecord(
-            launch_power_dbm=float(ctx.get("launch_power_dbm", np.nan)),
-            n_spans=int(ctx.get("n_spans", 0)),
-            mode=str(ctx.get("mode", "synthetic")),
+        rec = IterationMetrics(
             turbo_iteration=it,
-            seed=seed,
             post_fec_ber=ber,
             snr_db=effective_snr(s_ref, s_cnt),
             gmi_bits_per_4d_symbol=gmi4d,
             n_bits_counted=counted,
-            trial=int(ctx.get("trial", 0)),
         )
         result.records.append(rec)
-        result.diagnostics.extend(json.dumps(d, sort_keys=True) for d in diag_blocks)
         result.hard_bits = dec_info
         prior_blocks = app
         # stop once the decoded blocks pass parity and the equalizer SNR has

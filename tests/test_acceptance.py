@@ -19,7 +19,6 @@ from turbowdm.constellation import build_constellation, extrinsic_llrs, map_bits
 from turbowdm.fec import LdpcCode, frame_order
 from turbowdm.fiber import FiberParams, dbp, propagate_link, propagate_span
 from turbowdm.harness import (
-    cell_seed,
     load_config,
     optimal_launch_power,
     run_campaign,
@@ -595,8 +594,7 @@ class TestDeterminism:
     def test_rerun_is_byte_identical(self, desk_campaign):
         cfg, records, summary, _ = desk_campaign
         power = peak_rows(cfg, summary)["edc"]["power_dbm"]
-        seed = cell_seed(cfg.base_seed, power, cfg.fiber.n_spans, "edc", 0)
-        rerun = run_trial(cfg, power, cfg.fiber.n_spans, "edc", seed)
+        rerun = run_trial(cfg, power, cfg.fiber.n_spans, "edc", 0)
         original = [
             r
             for r in records

@@ -328,6 +328,29 @@ def _llr_of_bits(bits, mag=20.0):
     return mag * (2.0 * np.asarray(bits, dtype=float) - 1.0)
 
 
+@pytest.mark.parametrize("rows", [[[], [0, 1]], [[0, 1], []]])
+class TestEmptyCheckRow:
+    """An empty row of H is satisfied by every word, wherever it stands."""
+
+    def test_syndrome_and_check(self, rows):
+        code = LdpcCode(4, rows)
+        np.testing.assert_array_equal(code.syndrome([1, 1, 0, 0]), [0, 0])
+        np.testing.assert_array_equal(
+            code.syndrome([1, 0, 0, 0]), [int(r == [0, 1]) for r in rows]
+        )
+        assert code.check([1, 1, 0, 0]) and not code.check([1, 0, 0, 0])
+        assert code.k == 3
+
+    def test_decode_matches_code_without_it(self, rows):
+        # the parity check fails at the start, so messages are passed
+        llr = np.array([2.0, -0.5, 1.0, -1.0])
+        out = decode(llr, LdpcCode(4, rows), 10)
+        ref = decode(llr, LdpcCode(4, [[0, 1]]), 10)
+        np.testing.assert_array_equal(out[0], ref[0])
+        np.testing.assert_array_equal(out[1], ref[1])
+        assert out[2:] == ref[2:] == (True, 1)
+
+
 class TestDecode:
     def test_noiseless_converges_immediately(self, toy):
         rng = np.random.default_rng(4)

@@ -206,6 +206,17 @@ class TestConfig:
         with pytest.raises(HarnessError):
             CampaignConfig(power_dbm_list=())
 
+    def test_negative_span_count_rejected(self, tmp_path):
+        # a negative count would run forward dispersion under edc and skip
+        # backpropagation under dbp; no span at all is a back-to-back link
+        with pytest.raises(HarnessError, match="span"):
+            CampaignConfig(span_list=(10, -1))
+        CampaignConfig(span_list=(0,))
+        cfgp = tmp_path / "tiny.cfg"
+        cfgp.write_text(TINY_CFG)
+        with pytest.raises(HarnessError, match="span"):
+            cli_main(["run", "--config", str(cfgp), "--out", str(tmp_path), "--spans", "-1"])
+
     @pytest.mark.parametrize("n_ch", [0, 2, 4])
     def test_even_channel_count_rejected(self, n_ch):
         # the receiver selects the band at 0 Hz, the centre of the grid,
@@ -235,6 +246,18 @@ def test_load_code_cached_per_process():
     assert _load_code("toy_n20") is _load_code("toy_n20")
 
 
+def test_readme_library_use_runs():
+    # README's "Library use" block, run as written
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as f:
+        text = f.read()
+    block = text.split("Library use:", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    records = namespace["records"]
+    assert records and all(r.mode == "dbp_turbo" and r.trial == 0 for r in records)
+
+
 class TestCellSeed:
     def test_deterministic_and_distinct(self):
         a = cell_seed(1, 2.0, 10, "edc", 0)
@@ -255,19 +278,27 @@ class TestCellSeed:
 
 class TestRunTrial:
     def test_deterministic(self, tiny_cfg):
-        seed = cell_seed(tiny_cfg.base_seed, 2.0, 2, "dbp_turbo", 0)
-        a = run_trial(tiny_cfg, 2.0, 2, "dbp_turbo", seed)
-        b = run_trial(tiny_cfg, 2.0, 2, "dbp_turbo", seed)
+        a = run_trial(tiny_cfg, 2.0, 2, "dbp_turbo", 0)
+        b = run_trial(tiny_cfg, 2.0, 2, "dbp_turbo", 0)
         assert a == b
 
     def test_record_context(self, tiny_cfg):
-        seed = cell_seed(tiny_cfg.base_seed, 2.0, 2, "dbp", 0)
-        recs = run_trial(tiny_cfg, 2.0, 2, "dbp", seed)
+        recs = run_trial(tiny_cfg, 2.0, 2, "dbp", 0)
         assert len(recs) == 1  # non-turbo modes stop at iteration 0
         assert recs[0].mode == "dbp"
         assert recs[0].launch_power_dbm == 2.0
         assert recs[0].n_spans == 2
         assert recs[0].n_bits_counted > 0
+
+    def test_records_carry_the_trial(self, tiny_cfg):
+        # run_trial derives the cell's seed from the trial index and labels
+        # its records with both, as the campaign does
+        cfg = dataclasses.replace(tiny_cfg, modes=("dbp",), n_trials=2)
+        recs = run_trial(cfg, 2.0, 2, "dbp", 1)
+        assert {(r.trial, r.seed) for r in recs} == {(1, cell_seed(cfg.base_seed, 2.0, 2, "dbp", 1))}
+        campaign, _, failures = run_campaign(cfg)
+        assert not failures
+        assert recs == [r for r in campaign if r.trial == 1]
 
     def test_unknown_mode(self, tiny_cfg):
         with pytest.raises(HarnessError):

@@ -108,7 +108,7 @@ class TestGmi:
 class TestPostFecBer:
     def test_perfect(self):
         bits = np.zeros((2, 18 * 16), dtype=np.uint8)
-        ber, counted = post_fec_ber(bits, bits, 18)
+        ber, counted = post_fec_ber(bits, bits, 18, 3, 1)
         assert ber == 0.0
         assert counted == 2 * 14 * 16
 
@@ -117,7 +117,7 @@ class TestPostFecBer:
         ref = np.zeros((2, 18 * k), dtype=np.uint8)
         dec = ref.copy()
         dec[0, 5 * k + 3] = 1  # inside a counted block
-        ber, _ = post_fec_ber(dec, ref, 18)
+        ber, _ = post_fec_ber(dec, ref, 18, 3, 1)
         assert abs(ber - 1.0 / (14 * 2 * k)) < 1e-15
 
     def test_flips_in_discarded_blocks(self):
@@ -126,13 +126,13 @@ class TestPostFecBer:
         dec = ref.copy()
         dec[:, :3 * k] = 1
         dec[:, -k:] = 1
-        ber, _ = post_fec_ber(dec, ref, 18)
+        ber, _ = post_fec_ber(dec, ref, 18, 3, 1)
         assert ber == 0.0
 
     def test_insufficient_blocks(self):
         bits = np.zeros((2, 4 * 8), dtype=np.uint8)
         with pytest.raises(MetricsError):
-            post_fec_ber(bits, bits, 4)
+            post_fec_ber(bits, bits, 4, 3, 1)
 
 
 class TestRecordSerialization:

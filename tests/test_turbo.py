@@ -598,14 +598,6 @@ class TestTurboLoop:
         assert len(res.records) == 1
         assert res.records[0].turbo_iteration == 0
 
-    def test_diagnostics_are_json_lines(self, hard_run):
-        import json
-
-        res, _ = hard_run
-        assert res.diagnostics
-        d = json.loads(res.diagnostics[0])
-        assert {"iteration", "pol", "block", "parity_ok"} <= set(d)
-
     def test_shape_mismatch(self, qpsk, code):
         frame = encoded_frame(qpsk, code, 6, seed=6)
         cfg = SlidingWindowConfig()
