@@ -18,7 +18,7 @@ from .metrics import (
     gmi_bits_per_2d,
     post_fec_ber,
 )
-from .sync_dsp import DdpllState, NlmsState, ddpll, nlms_equalize
+from .sync_dsp import ddpll, nlms_equalize
 from .turbo import (
     SlidingWindowConfig,
     lmmse_equalize,

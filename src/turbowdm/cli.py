@@ -9,19 +9,30 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness
+from .fiber import FiberError
 from .metrics import read_records_ndjson, write_records_ndjson
+from .turbo import TurboError
+
+
+def _error(msg: object) -> int:
+    """Report a bad input in one line, as argparse does, and return 2."""
+    print(f"turbowdm: error: {msg}", file=sys.stderr)
+    return 2
 
 
 def cmd_run(args) -> int:
-    cfg = harness.load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, base_seed=args.seed)
-    if args.power_dbm:
-        cfg = replace(cfg, power_dbm_list=tuple(args.power_dbm))
-    if args.spans:
-        cfg = replace(cfg, span_list=tuple(args.spans))
-    if args.modes:
-        cfg = replace(cfg, modes=tuple(args.modes))
+    try:
+        cfg = harness.load_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, base_seed=args.seed)
+        if args.power_dbm:
+            cfg = replace(cfg, power_dbm_list=tuple(args.power_dbm))
+        if args.spans:
+            cfg = replace(cfg, span_list=tuple(args.spans))
+        if args.modes:
+            cfg = replace(cfg, modes=tuple(args.modes))
+    except (harness.HarnessError, TurboError, FiberError) as exc:
+        return _error(exc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records, summary, failures = harness.run_campaign(cfg, jobs=args.jobs)
@@ -42,7 +53,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    records = read_records_ndjson(args.results)
+    try:
+        records = read_records_ndjson(args.results)
+    except (OSError, ValueError, TypeError) as exc:  # missing, or not records
+        return _error(f"{args.results}: {exc}")
     print(harness.emit_tables(harness.aggregate(records), Path(args.out)))
     return 0
 

@@ -22,7 +22,7 @@ from . import fiber as fib
 from .constellation import build_constellation
 from .fec import LdpcCode, frame_order
 from .metrics import MetricsRecord
-from .sync_dsp import DdpllState, NlmsState, coarse_align, ddpll, nlms_equalize
+from .sync_dsp import coarse_align, count_slips, ddpll, nlms_equalize
 from .turbo import SlidingWindowConfig, turbo_loop
 from .waveform import (
     build_frame,
@@ -70,7 +70,7 @@ class CampaignConfig:
     base_seed: int = 1234
 
     def __post_init__(self):
-        if not self.power_dbm_list or not self.span_list:
+        if not self.power_dbm_list or not self.span_list or not self.modes:
             raise HarnessError("sweep axes must be non-empty")
         if min(self.span_list) < 0:
             raise HarnessError("span counts must be >= 0")
@@ -84,8 +84,10 @@ class CampaignConfig:
             raise HarnessError("pilot_rate must be in (0, 0.5]")
         # metrics count the blocks between the training blocks and the
         # trailing block, so at least one must be left
-        if self.n_blocks < self.n_train_blocks + 2:
-            raise HarnessError("n_blocks must be >= n_train_blocks + 2")
+        if not 0 <= self.n_train_blocks <= self.n_blocks - 2:
+            raise HarnessError("need 0 <= n_train_blocks <= n_blocks - 2")
+        if self.nlms_taps < 1 or self.nlms_taps % 2 == 0:
+            raise HarnessError("nlms_taps must be odd and positive")
         for m in self.modes:
             if m not in MODES:
                 raise HarnessError(f"unknown receiver mode {m!r}")
@@ -213,7 +215,7 @@ def run_trial(
 
     rx = fib.propagate_link(wdm, cfg.fiber, n_spans, seed=int(rng.integers(0, 2**63 - 1)))
 
-    # receiver front end: channel select, 2 samples/symbol, DBP or EDC, MF
+    # receiver front end: channel select, 2 samples/symbol, DBP or EDC, MF, align
     bw = cfg.baud * (1.0 + cfg.rolloff)
     guard = max(cfg.grid_spacing_hz - bw, 0.1 * cfg.baud)
     rx = select_channel(
@@ -225,26 +227,23 @@ def run_trial(
         rx = fib.edc(rx, cfg.fiber, distance)
     else:
         rx = fib.dbp(rx, cfg.fiber, distance, cfg.dbp_step_m)
-    rx = matched_filter(rx, cfg.rolloff, cfg.rrc_span, cfg.baud)
+    rx = coarse_align(matched_filter(rx, cfg.rolloff, cfg.rrc_span, cfg.baud), frame_coi, 2)
 
     if cfg.bypass_sync_dsp:
-        # idealized front end: pilot-correlation alignment and a single
-        # static complex gain per polarization, no adaptive NLMS/CPR
-        symbols = fft_resample(coarse_align(rx, frame_coi, 2), cfg.baud).fields
+        # idealized front end: one static complex gain per polarization, no NLMS/CPR
+        symbols = fft_resample(rx, cfg.baud).fields
         pil = frame_coi.pilot_mask
         for p in range(2):
             ref = frame_coi.symbols[p, pil]
             g = np.vdot(ref, symbols[p, pil]) / np.vdot(ref, ref)
             symbols[p] /= g
     else:
-        nlms = NlmsState(n_taps=cfg.nlms_taps, step_size=cfg.nlms_step)
-        symbols = nlms_equalize(rx, frame_coi, nlms)
-        pll = DdpllState(loop_bw_norm=cfg.pll_bw_norm)
-        symbols, _ = ddpll(symbols, frame_coi, c, pll)
-        if pll.slips:
+        symbols = nlms_equalize(rx, frame_coi, cfg.nlms_taps, cfg.nlms_step)
+        symbols, _ = ddpll(symbols, frame_coi, c, cfg.pll_bw_norm)
+        if slips := count_slips(symbols, frame_coi):
             log.warning(
                 "DDPLL: %d possible cycle slips at %+.1f dBm, %d spans, %s, seed %d",
-                pll.slips, power_dbm, n_spans, mode, seed,
+                slips, power_dbm, n_spans, mode, seed,
             )
 
     n_iters = cfg.turbo.n_turbo_iters if mode == "dbp_turbo" else 0

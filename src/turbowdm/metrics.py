@@ -65,6 +65,8 @@ def post_fec_ber(
     ref = np.atleast_2d(np.asarray(true_bits))
     if dec.shape != ref.shape:
         raise MetricsError("decoded / reference shape mismatch")
+    if skip_head < 0 or skip_tail < 0:
+        raise MetricsError("skip counts must be >= 0")
     if n_blocks < skip_head + skip_tail + 1:
         raise MetricsError(f"need more than {skip_head + skip_tail} blocks")
     k = dec.shape[1] // n_blocks

@@ -5,7 +5,6 @@ decision-directed PLL carrier phase recovery."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,25 +14,6 @@ from .waveform import DualPolSignal, SymbolFrame
 
 class SyncError(RuntimeError):
     pass
-
-
-@dataclass
-class NlmsState:
-    """2x2 MIMO FIR taps at T/2 spacing plus the adaptation parameters."""
-
-    n_taps: int = 13
-    step_size: float = 0.05
-    eps: float = 1e-6
-    taps: np.ndarray = field(default=None)  # (2, 2, n_taps): [out, in, tap]
-
-    def __post_init__(self):
-        if self.n_taps % 2 == 0:
-            raise SyncError("n_taps must be odd")
-        if self.taps is None:
-            t = np.zeros((2, 2, self.n_taps), dtype=complex)
-            t[0, 0, self.n_taps // 2] = 1.0
-            t[1, 1, self.n_taps // 2] = 1.0
-            self.taps = t
 
 
 def coarse_align(signal: DualPolSignal, frame: SymbolFrame, sps: int = 2) -> DualPolSignal:
@@ -59,57 +39,54 @@ def coarse_align(signal: DualPolSignal, frame: SymbolFrame, sps: int = 2) -> Dua
 def nlms_equalize(
     signal: DualPolSignal,
     frame: SymbolFrame,
-    state: NlmsState | None = None,
-    align: bool = True,
+    n_taps: int = 13,
+    step_size: float = 0.05,
 ) -> np.ndarray:
-    """Fractionally spaced MIMO 2x2 NLMS equalizer, one output per symbol.
+    """Fractionally spaced MIMO 2x2 NLMS equalizer, one output per symbol,
+    on a signal aligned to the frame (``coarse_align``).
 
-    Taps are updated only where the transmitted symbol is known
+    The ``n_taps`` taps per input start as a centred unit pass-through and
+    are updated only where the transmitted symbol is known
     (``frame.known_mask``): at the pilots and over the training blocks.
     Returns shape (2, n_instants).
     """
-    if state is None:
-        state = NlmsState()
+    if n_taps < 1 or n_taps % 2 == 0:
+        raise SyncError("n_taps must be odd and positive")
     sps = int(round(signal.sample_rate / frame.symbol_rate))
-    if align:
-        signal = coarse_align(signal, frame, sps)
     # normalize to unit average power per polarization pair
     scale = np.sqrt(signal.power() / 2.0)
-    rx = signal.fields / scale
+    half = n_taps // 2
+    rx = np.pad(signal.fields / scale, ((0, 0), (half, half)))
     n_sym = frame.n_instants
-    nt = state.n_taps
-    half = nt // 2
-    rx = np.pad(rx, ((0, 0), (half, half)))
     update = frame.known_mask
     out = np.empty((2, n_sym), dtype=complex)
-    w = state.taps
-    mu, eps = state.step_size, state.eps
+    w = np.zeros((2, 2, n_taps), dtype=complex)  # [out, in, tap]
+    w[0, 0, half] = w[1, 1, half] = 1.0
     in_power = np.mean(np.abs(rx) ** 2)
     for i in range(n_sym):
         # regression window centered on the symbol's sample
-        u = rx[:, i * sps : i * sps + nt][:, ::-1]  # (2, nt)
+        u = rx[:, i * sps : i * sps + n_taps][:, ::-1]  # (2, n_taps)
         y0 = np.sum(np.conj(w[0]) * u)
         y1 = np.sum(np.conj(w[1]) * u)
         out[0, i], out[1, i] = y0, y1
         if update[i]:
-            norm = np.sum(np.abs(u) ** 2) + eps
+            norm = np.sum(np.abs(u) ** 2) + 1e-6  # eps: keeps an all-zero window finite
             e0 = frame.symbols[0, i] - y0
             e1 = frame.symbols[1, i] - y1
-            g = (mu / norm) * u
+            g = (step_size / norm) * u
             w[0] += np.conj(e0) * g
             w[1] += np.conj(e1) * g
     with np.errstate(over="ignore", invalid="ignore"):
         out_power = np.mean(np.abs(out) ** 2)
     if not np.isfinite(out_power) or out_power > 10.0 * max(in_power, 1e-30):
         raise SyncError("NLMS diverged: output power exceeds 10x input")
-    state.taps = w
     return out
 
 
 _SLIP_PILOTS = 16  # pilots per block of the cycle-slip rule
 
 
-def _count_slips(out: np.ndarray, frame: SymbolFrame) -> int:
+def count_slips(out: np.ndarray, frame: SymbolFrame) -> int:
     """Cycle slips in a corrected frame: the phase of the pilots against the
     phase track, averaged over blocks of ``_SLIP_PILOTS`` pilots, steps to
     another quarter turn and stays there for at least two blocks."""
@@ -122,44 +99,23 @@ def _count_slips(out: np.ndarray, frame: SymbolFrame) -> int:
     return sum(int(np.count_nonzero(np.diff(q[h]))) for q, h in zip(quarter[:, 1:], held))
 
 
-@dataclass
-class DdpllState:
-    """Second-order phase-locked loop state, one branch per polarization,
-    and the count of cycle slips seen so far."""
-
-    loop_bw_norm: float = 1e-3
-    damping: float = 1.0
-    phase: np.ndarray = field(default=None)
-    integrator: np.ndarray = field(default=None)
-    slips: int = field(default=0, init=False)
-
-    def __post_init__(self):
-        if self.phase is None:
-            self.phase = np.zeros(2)
-        if self.integrator is None:
-            self.integrator = np.zeros(2)
-
-    @property
-    def gains(self) -> tuple[float, float]:
-        z = self.damping
-        wn = 2.0 * self.loop_bw_norm / (z + 1.0 / (4.0 * z))
-        return 2.0 * z * wn, wn * wn
+def pll_gains(loop_bw_norm: float) -> tuple[float, float]:
+    """Proportional and integral gains of the critically damped (damping 1)
+    second-order loop with normalized bandwidth ``loop_bw_norm``."""
+    wn = 2.0 * loop_bw_norm / 1.25  # 1.25 = z + 1/(4z) at z = 1
+    return 2.0 * wn, wn * wn
 
 
 def ddpll(
     symbols: np.ndarray,
     frame: SymbolFrame,
     c: Constellation,
-    state: DdpllState | None = None,
+    loop_bw_norm: float = 1e-3,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Carrier phase recovery: pilot-aided at pilot instants, decision
-    directed elsewhere. Returns (corrected symbols, phase track (2, n)).
-    ``state.slips`` counts the quarter-turn steps of the pilots' phase
-    against the track that persist (``_count_slips``): the loop then holds
-    a rotated copy of the constellation."""
-    if state is None:
-        state = DdpllState()
-    kp, ki = state.gains
+    """Carrier phase recovery from zero phase, one loop per polarization,
+    pilot-aided at pilot instants and decision directed elsewhere. Returns
+    (corrected symbols, phase track (2, n)); ``count_slips`` counts slips."""
+    kp, ki = pll_gains(loop_bw_norm)
     n = symbols.shape[1]
     out = np.empty_like(symbols)
     track = np.empty((2, n))
@@ -170,8 +126,7 @@ def ddpll(
         return min(max(math.ceil(x / step + n_lv / 2) - 1, 0), n_lv - 1)
 
     for p in range(2):
-        theta = state.phase[p]
-        acc = state.integrator[p]
+        theta = acc = 0.0
         for i in range(n):
             v = symbols[p, i] * np.exp(-1j * theta)
             out[p, i] = v
@@ -183,7 +138,4 @@ def ddpll(
             err = float(np.angle(v * np.conj(ref)))
             acc += ki * err
             theta += kp * err + acc
-        state.phase[p] = theta
-        state.integrator[p] = acc
-    state.slips += _count_slips(out, frame)
     return out, track

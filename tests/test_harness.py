@@ -111,8 +111,8 @@ class TestConfig:
             """A value unlike the default that the config still accepts."""
             if name == "modes":
                 return value[::-1]
-            if name == "n_wdm_channels":
-                return value + 2  # the grid needs a centre channel
+            if name in ("n_wdm_channels", "nlms_taps"):
+                return value + 2  # odd: a centre channel, a centre tap
             if isinstance(value, tuple):
                 return tuple(other(name, v) for v in value) * 2
             if isinstance(value, bool):
@@ -206,7 +206,7 @@ class TestConfig:
         with pytest.raises(HarnessError):
             CampaignConfig(power_dbm_list=())
 
-    def test_negative_span_count_rejected(self, tmp_path):
+    def test_negative_span_count_rejected(self, tmp_path, capsys):
         # a negative count would run forward dispersion under edc and skip
         # backpropagation under dbp; no span at all is a back-to-back link
         with pytest.raises(HarnessError, match="span"):
@@ -214,8 +214,31 @@ class TestConfig:
         CampaignConfig(span_list=(0,))
         cfgp = tmp_path / "tiny.cfg"
         cfgp.write_text(TINY_CFG)
-        with pytest.raises(HarnessError, match="span"):
-            cli_main(["run", "--config", str(cfgp), "--out", str(tmp_path), "--spans", "-1"])
+        rc = cli_main(["run", "--config", str(cfgp), "--out", str(tmp_path), "--spans", "-1"])
+        assert rc == 2
+        assert "span" in capsys.readouterr().err
+
+    def test_empty_modes_rejected(self, tmp_path):
+        # an empty mode list would run no cell and still exit cleanly
+        p = tmp_path / "bad.cfg"
+        p.write_text("[campaign]\nmodes =\n")
+        with pytest.raises(HarnessError, match="non-empty"):
+            load_config(p)
+
+    def test_negative_training_blocks_rejected(self):
+        # a negative count would make the metrics compare no bit at all
+        with pytest.raises(HarnessError, match="n_train_blocks"):
+            CampaignConfig(n_train_blocks=-1)
+        CampaignConfig(n_train_blocks=0)
+
+    @pytest.mark.parametrize("taps", [-1, 0, 12])
+    def test_unusable_nlms_tap_count_rejected(self, tmp_path, taps):
+        # caught when the config loads, not in every cell after propagation
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[campaign]\nnlms_taps = {taps}\n")
+        with pytest.raises(HarnessError, match="nlms_taps"):
+            load_config(p)
+        CampaignConfig(nlms_taps=1)
 
     @pytest.mark.parametrize("n_ch", [0, 2, 4])
     def test_even_channel_count_rejected(self, n_ch):
@@ -464,6 +487,28 @@ class TestCli:
         recs = read_records_ndjson(out / "records.ndjson")
         assert {r.mode for r in recs} == {"dbp"}
         assert {r.launch_power_dbm for r in recs} == {0.0}
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["run", "--config", "no_such_file.cfg"], "no_such_file.cfg not found"),
+            (["run", "--config", "desk.cfg", "--spans", "-1"], "span counts"),
+            (["tables", "--results", "no_such_file.ndjson"], "No such file"),
+        ],
+    )
+    def test_bad_input_is_a_one_line_error(self, tmp_path, capsys, argv, named):
+        rc = cli_main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("turbowdm: error: ") and named in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_tables_rejects_a_file_of_other_records(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text('{"not": "a record"}\n')
+        assert cli_main(["tables", "--results", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"turbowdm: error: {bad}: ")
 
     def test_imports_without_scipy(self):
         # numpy is the only runtime dependency: the package and its command

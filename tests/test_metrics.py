@@ -129,6 +129,13 @@ class TestPostFecBer:
         ber, _ = post_fec_ber(dec, ref, 18, 3, 1)
         assert ber == 0.0
 
+    @pytest.mark.parametrize("head, tail", [(-1, 1), (3, -1)])
+    def test_negative_skip_rejected(self, head, tail):
+        # a negative head would slice the last block's end, counting no bit
+        bits = np.zeros((2, 18 * 8), dtype=np.uint8)
+        with pytest.raises(MetricsError, match="skip"):
+            post_fec_ber(bits, bits, 18, head, tail)
+
     def test_insufficient_blocks(self):
         bits = np.zeros((2, 4 * 8), dtype=np.uint8)
         with pytest.raises(MetricsError):
