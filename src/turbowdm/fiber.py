@@ -180,33 +180,30 @@ def propagate_link(
     return out
 
 
-def edc(signal: DualPolSignal, p: FiberParams, distance_km: float) -> DualPolSignal:
-    """All-pass frequency-domain inverse of the accumulated dispersion."""
+def edc(signal: DualPolSignal, p: FiberParams, n_spans: int) -> DualPolSignal:
+    """All-pass frequency-domain inverse of the dispersion of ``n_spans``
+    spans."""
     n = len(signal)
     w = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / signal.sample_rate)
-    hmat = np.exp(-1j * p.beta2_s2_per_m / 2.0 * w**2 * distance_km * 1e3)
+    hmat = np.exp(-1j * p.beta2_s2_per_m / 2.0 * w**2 * (n_spans * p.span_km) * 1e3)
     return replace(signal, fields=np.fft.ifft(np.fft.fft(signal.fields) * hmat))
 
 
 def dbp(
     signal: DualPolSignal,
     p: FiberParams,
-    distance_km: float,
+    n_spans: int,
     step_m: float,
 ) -> DualPolSignal:
-    """Single-channel digital backpropagation over a transparent link.
+    """Single-channel digital backpropagation over a transparent link of
+    ``n_spans`` spans.
 
     Walks the spans in reverse: undoes the EDFA gain, then runs symmetric
     SSFM with negated attenuation, dispersion, and nonlinearity.
     """
-    if distance_km <= 0:
-        return signal
-    n_spans = distance_km / p.span_km
-    if abs(n_spans - round(n_spans)) > 1e-9:
-        raise FiberError("DBP distance must be a whole number of spans")
     fields = signal.fields
     g_amp = np.sqrt(10.0 ** (p.span_gain_db / 10.0))
-    for _ in range(int(round(n_spans))):
+    for _ in range(n_spans):
         fields = fields / g_amp
         fields = _ssfm(
             fields,

@@ -82,12 +82,21 @@ class CampaignConfig:
         # the receiver needs pilots, and at most one per data symbol
         if not 0 < self.pilot_rate <= 0.5:
             raise HarnessError("pilot_rate must be in (0, 0.5]")
-        # metrics count the blocks between the training blocks and the
-        # trailing block, so at least one must be left
+        # build_frame's rule, checked before any cell transmits
         if not 0 <= self.n_train_blocks <= self.n_blocks - 2:
             raise HarnessError("need 0 <= n_train_blocks <= n_blocks - 2")
         if self.nlms_taps < 1 or self.nlms_taps % 2 == 0:
             raise HarnessError("nlms_taps must be odd and positive")
+        # the NLMS converges in the mean square only for a step in (0, 2)
+        if not 0 < self.nlms_step < 2:
+            raise HarnessError("nlms_step must be in (0, 2)")
+        if not self.pll_bw_norm > 0:
+            raise HarnessError("pll_bw_norm must be positive")
+        # split-step steps are positive and no longer than a span
+        steps = {"[fiber] step_m": self.fiber.step_m, "dbp_step_m": self.dbp_step_m}
+        for name, step in steps.items():
+            if not 0 < step <= 1e3 * self.fiber.span_km:
+                raise HarnessError(f"{name} must be in (0, 1e3 * span_km]")
         for m in self.modes:
             if m not in MODES:
                 raise HarnessError(f"unknown receiver mode {m!r}")
@@ -222,12 +231,11 @@ def run_trial(
         rx, 0.0, bw, out_sample_rate=2 * cfg.baud,
         transition_hz=min(0.15 * bw, guard),
     )
-    distance = n_spans * cfg.fiber.span_km
     if mode == "edc":
-        rx = fib.edc(rx, cfg.fiber, distance)
+        rx = fib.edc(rx, cfg.fiber, n_spans)
     else:
-        rx = fib.dbp(rx, cfg.fiber, distance, cfg.dbp_step_m)
-    rx = coarse_align(matched_filter(rx, cfg.rolloff, cfg.rrc_span, cfg.baud), frame_coi, 2)
+        rx = fib.dbp(rx, cfg.fiber, n_spans, cfg.dbp_step_m)
+    rx = coarse_align(matched_filter(rx, cfg.rolloff, cfg.rrc_span, cfg.baud), frame_coi)
 
     if cfg.bypass_sync_dsp:
         # idealized front end: one static complex gain per polarization, no NLMS/CPR
@@ -239,7 +247,7 @@ def run_trial(
             symbols[p] /= g
     else:
         symbols = nlms_equalize(rx, frame_coi, cfg.nlms_taps, cfg.nlms_step)
-        symbols, _ = ddpll(symbols, frame_coi, c, cfg.pll_bw_norm)
+        symbols, _ = ddpll(symbols, frame_coi, cfg.pll_bw_norm)
         if slips := count_slips(symbols, frame_coi):
             log.warning(
                 "DDPLL: %d possible cycle slips at %+.1f dBm, %d spans, %s, seed %d",
@@ -252,7 +260,6 @@ def run_trial(
         frame_coi,
         replace(cfg.turbo, n_turbo_iters=n_iters),
         code,
-        c,
         decoder_iters=cfg.decoder_iters,
     )
     return [

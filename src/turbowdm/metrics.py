@@ -47,33 +47,13 @@ def gmi_bits_per_2d(llrs: np.ndarray, bits: np.ndarray) -> float:
     return float(q - loss.sum() / m)
 
 
-def post_fec_ber(
-    decoded_bits: np.ndarray,
-    true_bits: np.ndarray,
-    n_blocks: int,
-    skip_head: int,
-    skip_tail: int,
-) -> tuple[float, int]:
-    """Bit error ratio over the counted FEC blocks.
-
-    ``decoded_bits``/``true_bits`` are (n_pols, n_blocks*k) info-bit arrays.
-    The first ``skip_head`` blocks (the receiver's training blocks) and the
-    last ``skip_tail`` blocks (trailing filter transients) are excluded.
-    Returns (ber, number of bits counted).
-    """
-    dec = np.atleast_2d(np.asarray(decoded_bits))
-    ref = np.atleast_2d(np.asarray(true_bits))
+def post_fec_ber(decoded_bits: np.ndarray, true_bits: np.ndarray) -> tuple[float, int]:
+    """Bit error ratio of ``decoded_bits`` against ``true_bits``, equal-shaped
+    info-bit arrays. Returns (ber, number of bits compared)."""
+    dec, ref = np.asarray(decoded_bits), np.asarray(true_bits)
     if dec.shape != ref.shape:
         raise MetricsError("decoded / reference shape mismatch")
-    if skip_head < 0 or skip_tail < 0:
-        raise MetricsError("skip counts must be >= 0")
-    if n_blocks < skip_head + skip_tail + 1:
-        raise MetricsError(f"need more than {skip_head + skip_tail} blocks")
-    k = dec.shape[1] // n_blocks
-    lo, hi = skip_head * k, (n_blocks - skip_tail) * k
-    errors = int(np.sum(dec[:, lo:hi] != ref[:, lo:hi]))
-    counted = dec.shape[0] * (hi - lo)
-    return errors / counted, counted
+    return int(np.sum(dec != ref)) / dec.size, dec.size
 
 
 @dataclass

@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 
-from .constellation import Constellation
 from .waveform import DualPolSignal, SymbolFrame
 
 
@@ -16,9 +15,11 @@ class SyncError(RuntimeError):
     pass
 
 
-def coarse_align(signal: DualPolSignal, frame: SymbolFrame, sps: int = 2) -> DualPolSignal:
+def coarse_align(signal: DualPolSignal, frame: SymbolFrame) -> DualPolSignal:
     """Align the received waveform so sample ``sps*i`` corresponds to symbol
-    instant ``i``, using cross-correlation against the known pilot sequence."""
+    instant ``i`` (``sps`` samples per symbol of the frame), using
+    cross-correlation against the known pilot sequence."""
+    sps = int(round(signal.sample_rate / frame.symbol_rate))
     n_sym = frame.n_instants
     need = n_sym * sps
     ref = np.zeros((2, need), dtype=complex)
@@ -109,12 +110,13 @@ def pll_gains(loop_bw_norm: float) -> tuple[float, float]:
 def ddpll(
     symbols: np.ndarray,
     frame: SymbolFrame,
-    c: Constellation,
     loop_bw_norm: float = 1e-3,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Carrier phase recovery from zero phase, one loop per polarization,
-    pilot-aided at pilot instants and decision directed elsewhere. Returns
-    (corrected symbols, phase track (2, n)); ``count_slips`` counts slips."""
+    pilot-aided at pilot instants and decided on the frame's constellation
+    elsewhere. Returns (corrected symbols, phase track (2, n));
+    ``count_slips`` counts slips."""
+    c = frame.constellation
     kp, ki = pll_gains(loop_bw_norm)
     n = symbols.shape[1]
     out = np.empty_like(symbols)

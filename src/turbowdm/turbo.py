@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constellation as cst
-from .constellation import L_MAX, Constellation
+from .constellation import L_MAX
 from .fec import LdpcCode, decode
 from .metrics import IterationMetrics, effective_snr, gmi_bits_per_2d, post_fec_ber
 from .waveform import SymbolFrame
@@ -220,7 +220,6 @@ def turbo_loop(
     frame: SymbolFrame,
     cfg: SlidingWindowConfig,
     code: LdpcCode,
-    c: Constellation,
     decoder_iters: int = 50,
 ) -> TurboResult:
     """Run the iterative equalize/decode loop on one frame.
@@ -233,7 +232,8 @@ def turbo_loop(
 
     Only the blocks after the frame's training blocks are decoded: the
     receiver knows the training blocks, and their info bits and certain
-    L-values stand in for a decode. The loop stops from iteration 2
+    L-values stand in for a decode. BER, SNR and GMI count only the
+    frame's ``counted_blocks``. The loop stops from iteration 2
     on once every decoded block passes parity and the SNR moved by less than
     0.01 dB.
     """
@@ -241,6 +241,7 @@ def turbo_loop(
     received = np.asarray(received)
     if received.shape != (2, m):
         raise TurboError(f"received shape {received.shape} != (2, {m})")
+    c = frame.constellation
     q = c.q
     nb, n, n_train_blocks = frame.n_blocks, frame.block_len, frame.n_train_blocks
     data_pos = frame.data_positions
@@ -255,8 +256,9 @@ def turbo_loop(
     # symbols that carry a bit of a decoded block (the last bit decides)
     decoded_data = (q * np.arange(data_pos.size) + q - 1) // n >= n_train_blocks
     decoded_pos = data_pos[decoded_data]
-    # policy: metrics skip training blocks and the trailing block
-    counted_data = ~train_data & (frame.block_of_data_symbol(q) < nb - 1)
+    counted = frame.counted_blocks
+    block = frame.block_of_data_symbol()
+    counted_data = (counted.start <= block) & (block < counted.stop)
     counted_pos = data_pos[counted_data]
 
     # noise variance from pilot residuals of the unequalized stream
@@ -264,7 +266,7 @@ def turbo_loop(
     sigma_n2 = float(np.mean(np.abs(pil_res) ** 2))
 
     code_bits = frame.coded_bits[:, to_code].reshape(2, nb, n)
-    true_info = code_bits[:, :, code.info_positions].reshape(2, -1)
+    true_info = code_bits[:, :, code.info_positions]  # (2, nb, k)
     # the receiver knows the training blocks, so it decodes only the others;
     # the known bits' a-posteriori L-values (L = ln P(1)/P(0)) are certain
     known_app = np.where(code_bits[:, :n_train_blocks] == 1, L_MAX, -L_MAX)
@@ -313,7 +315,6 @@ def turbo_loop(
 
         # decode the blocks the receiver does not know
         dec_info = true_info.copy()
-        dec_blocks = dec_info.reshape(2, nb, code.k)
         app = np.empty((2, nb, n))
         app[:, :n_train_blocks] = known_app
         all_ok = True
@@ -321,10 +322,10 @@ def turbo_loop(
         for p in range(2):
             for b in range(n_train_blocks, nb):
                 app[p, b], hard, ok, _ = decode(blocks[p, b], code, decoder_iters)
-                dec_blocks[p, b] = hard[code.info_positions]
+                dec_info[p, b] = hard[code.info_positions]
                 all_ok &= ok
 
-        ber, counted = post_fec_ber(dec_info, true_info, nb, n_train_blocks, 1)
+        ber, n_bits = post_fec_ber(dec_info[:, counted], true_info[:, counted])
         bias = np.where(mu[:, counted_pos] > 1e-6, mu[:, counted_pos], 1.0)
         s_ref = frame.symbols[:, counted_pos]
         s_cnt = s_hat[:, counted_pos] / bias
@@ -340,10 +341,10 @@ def turbo_loop(
             post_fec_ber=ber,
             snr_db=effective_snr(s_ref, s_cnt),
             gmi_bits_per_4d_symbol=gmi4d,
-            n_bits_counted=counted,
+            n_bits_counted=n_bits,
         )
         result.records.append(rec)
-        result.hard_bits = dec_info
+        result.hard_bits = dec_info.reshape(2, -1)
         prior_blocks = app
         # stop once the decoded blocks pass parity and the equalizer SNR has
         # saturated

@@ -42,15 +42,15 @@ class DualPolSignal:
 
 @dataclass
 class SymbolFrame:
-    """Dual-pol symbol sequence and its layout: pilot mask, interleaver
-    order and training region.
+    """Dual-pol symbol sequence and its layout: constellation, pilot mask,
+    interleaver order, training region and counted blocks.
 
     ``symbols`` has shape (2, n_instants). Pilots are co-located across
     polarizations; data instant j of a polarization carries interleaved
-    coded bits q*j .. q*j+q-1 of that polarization's bit stream, whose
-    position i carries bit ``order[i] % block_len`` of codeword
-    ``order[i] // block_len``. The receiver knows the first
-    ``n_train_blocks`` codewords.
+    coded bits q*j .. q*j+q-1 of that polarization's bit stream (q bits
+    per point of ``constellation``), whose position i carries bit
+    ``order[i] % block_len`` of codeword ``order[i] // block_len``. The
+    receiver knows the first ``n_train_blocks`` codewords.
     """
 
     symbols: np.ndarray
@@ -60,6 +60,7 @@ class SymbolFrame:
     n_blocks: int
     block_len: int
     n_train_blocks: int
+    constellation: Constellation
     symbol_rate: float
 
     @property
@@ -75,12 +76,17 @@ class SymbolFrame:
         return int(np.sum(~self.pilot_mask))
 
     @property
+    def counted_blocks(self) -> slice:
+        """Blocks the metrics count: those after the training blocks, but
+        not the last, which trailing filter transients reach."""
+        return slice(self.n_train_blocks, self.n_blocks - 1)
+
+    @property
     def known_mask(self) -> np.ndarray:
         """Instants whose symbols the receiver knows: the pilots and the
         data instants of the training blocks."""
         known = self.pilot_mask.copy()
-        q = self.coded_bits.shape[1] // self.n_data
-        training = self.block_of_data_symbol(q) < self.n_train_blocks
+        training = self.block_of_data_symbol() < self.n_train_blocks
         known[self.data_positions[training]] = True
         return known
 
@@ -90,9 +96,9 @@ class SymbolFrame:
     def pilot_symbols(self) -> np.ndarray:
         return self.symbols[:, self.pilot_mask]
 
-    def block_of_data_symbol(self, q: int) -> np.ndarray:
+    def block_of_data_symbol(self) -> np.ndarray:
         """FEC block index of each data instant (index of its first bit)."""
-        return (np.arange(self.n_data) * q) // self.block_len
+        return (np.arange(self.n_data) * self.constellation.q) // self.block_len
 
 
 def pilot_positions(n_data: int, pilot_rate: float) -> np.ndarray:
@@ -102,10 +108,9 @@ def pilot_positions(n_data: int, pilot_rate: float) -> np.ndarray:
     stride = int(round(1.0 / pilot_rate))
     if stride < 2:
         raise WaveformError(f"pilot rate {pilot_rate} leaves no data between pilots")
-    # total instants T with ceil(T/stride) pilots and n_data data symbols
-    total = n_data
-    while total - int(np.ceil(total / stride)) < n_data:
-        total += 1
+    # each pilot opens a run of stride - 1 data instants, so n_data data
+    # symbols take ceil(n_data / (stride - 1)) pilots
+    total = n_data - (-n_data // (stride - 1))
     mask = np.zeros(total, dtype=bool)
     mask[::stride] = True
     return mask
@@ -124,7 +129,8 @@ def build_frame(
     codewords in code order: interleave them by ``order``, which must
     permute each block within itself (``fec.frame_order`` draws one), map
     them, and insert seeded pilot symbols at a fixed stride. The first
-    ``n_train_blocks`` codewords are training blocks."""
+    ``n_train_blocks`` codewords are training blocks; at least one block
+    after them and before the last must be left to count."""
     codewords = np.asarray(codewords, dtype=np.uint8)
     if codewords.ndim != 3 or codewords.shape[0] != 2:
         raise WaveformError("expected (2, n_blocks, n) codewords")
@@ -135,6 +141,8 @@ def build_frame(
     order = np.asarray(order)
     if order.shape != (total_bits,):
         raise WaveformError(f"order has shape {order.shape}, not ({total_bits},)")
+    if not 0 <= n_train_blocks <= n_blocks - 2:
+        raise WaveformError("need 0 <= n_train_blocks <= n_blocks - 2")
     coded_bits = codewords.reshape(2, -1)[:, order]
     mask = pilot_positions(total_bits // c.q, pilot_rate)
     rng = np.random.default_rng(seed)
@@ -151,13 +159,15 @@ def build_frame(
         n_blocks=n_blocks,
         block_len=block_len,
         n_train_blocks=n_train_blocks,
+        constellation=c,
         symbol_rate=symbol_rate,
     )
 
 
-def extract_data_bits(frame: SymbolFrame, c: Constellation) -> np.ndarray:
+def extract_data_bits(frame: SymbolFrame) -> np.ndarray:
     """Invert the frame's data/bit alignment from its own symbols (round-trip
     check helper): nearest-point demap of the data instants."""
+    c = frame.constellation
     idx = hard_decide(frame.data_symbols(), c)
     return c.bit_labels[idx].reshape(2, -1)
 

@@ -9,6 +9,7 @@ import pytest
 import turbowdm
 from turbowdm import fec, harness, turbo
 from turbowdm.cli import main as cli_main
+from turbowdm.fiber import FiberParams
 from turbowdm.harness import (
     CampaignConfig,
     HarnessError,
@@ -239,6 +240,37 @@ class TestConfig:
         with pytest.raises(HarnessError, match="nlms_taps"):
             load_config(p)
         CampaignConfig(nlms_taps=1)
+
+    @pytest.mark.parametrize("step", [-0.05, 0.0, 2.0, 8.0])
+    def test_unstable_nlms_step_rejected(self, step):
+        # outside (0, 2) the NLMS does not converge in the mean square; a
+        # step of 8 failed every cell with SyncError after propagation
+        with pytest.raises(HarnessError, match="nlms_step"):
+            CampaignConfig(nlms_step=step)
+        CampaignConfig(nlms_step=1.99)
+
+    @pytest.mark.parametrize("bw", [-1.0, 0.0])
+    def test_non_positive_pll_bandwidth_rejected(self, bw):
+        with pytest.raises(HarnessError, match="pll_bw_norm"):
+            CampaignConfig(pll_bw_norm=bw)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[fiber]\nstep_m = 0\n", "step_m"),
+            ("[fiber]\nspan_km = 50\nstep_m = 50001\n", "step_m"),
+            ("[campaign]\ndbp_step_m = -1\n", "dbp_step_m"),
+            ("[campaign]\ndbp_step_m = 1e6\n", "dbp_step_m"),
+        ],
+    )
+    def test_split_step_beyond_span_rejected(self, tmp_path, text, named):
+        # caught when the config loads, not by a FiberError in every cell
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        with pytest.raises(HarnessError, match=named):
+            load_config(p)
+        # one step per span is the longest allowed
+        CampaignConfig(fiber=FiberParams(span_km=50.0, step_m=50e3), dbp_step_m=50e3)
 
     @pytest.mark.parametrize("n_ch", [0, 2, 4])
     def test_even_channel_count_rejected(self, n_ch):

@@ -556,7 +556,7 @@ def hard_run(qpsk, code):
     cfg = SlidingWindowConfig(n_turbo_iters=4)
     rng = np.random.default_rng(1)
     r = apply_channel(frame.symbols, mimo_channel(), cfg.delay, 0.12, rng)
-    return turbo_loop(r, frame, cfg, code, qpsk), frame
+    return turbo_loop(r, frame, cfg, code), frame
 
 
 class TestTurboLoop:
@@ -585,7 +585,7 @@ class TestTurboLoop:
         cfg = SlidingWindowConfig(n_turbo_iters=5)
         rng = np.random.default_rng(3)
         r = apply_channel(frame.symbols, mimo_channel(), cfg.delay, 0.05, rng)
-        res = turbo_loop(r, frame, cfg, code, qpsk)
+        res = turbo_loop(r, frame, cfg, code)
         assert len(res.records) < 6
         assert res.records[-1].post_fec_ber == 0.0
 
@@ -594,7 +594,7 @@ class TestTurboLoop:
         cfg = SlidingWindowConfig(n_turbo_iters=0)
         rng = np.random.default_rng(5)
         r = apply_channel(frame.symbols, mimo_channel(), cfg.delay, 0.05, rng)
-        res = turbo_loop(r, frame, cfg, code, qpsk)
+        res = turbo_loop(r, frame, cfg, code)
         assert len(res.records) == 1
         assert res.records[0].turbo_iteration == 0
 
@@ -602,7 +602,7 @@ class TestTurboLoop:
         frame = encoded_frame(qpsk, code, 6, seed=6)
         cfg = SlidingWindowConfig()
         with pytest.raises(TurboError):
-            turbo_loop(np.zeros((2, 7), complex), frame, cfg, code, qpsk)
+            turbo_loop(np.zeros((2, 7), complex), frame, cfg, code)
 
 
 @pytest.fixture(scope="module")
@@ -613,9 +613,9 @@ def noisy_training_run(qpsk, code):
     cfg = SlidingWindowConfig(n_turbo_iters=5)
     rng = np.random.default_rng(3)
     r = apply_channel(frame.symbols, mimo_channel(), cfg.delay, 0.05, rng)
-    pos = frame.data_positions[frame.block_of_data_symbol(qpsk.q) == 0][:200]
+    pos = frame.data_positions[frame.block_of_data_symbol() == 0][:200]
     r[:, pos] = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
-    return turbo_loop(r, frame, cfg, code, qpsk), frame
+    return turbo_loop(r, frame, cfg, code), frame
 
 
 class TestLoopPolicy:
@@ -633,7 +633,7 @@ class TestLoopPolicy:
         cfg = SlidingWindowConfig(n_turbo_iters=2)
         rng = np.random.default_rng(5)
         r = apply_channel(frame.symbols, mimo_channel(), cfg.delay, 0.05, rng)
-        res = turbo_loop(r, frame, cfg, code, qpsk)
+        res = turbo_loop(r, frame, cfg, code)
         assert len(res.records) == 3
         assert len(calls) == 2 * (frame.n_blocks - n_train) * len(res.records)
 
@@ -662,7 +662,7 @@ class TestLoopPolicy:
 
         monkeypatch.setattr(turbo, "decode", recording_decode)
         cfg = SlidingWindowConfig(n_turbo_iters=0)
-        turbo_loop(r, frame, cfg, code, c)
+        turbo_loop(r, frame, cfg, code)
         pil = frame.pilot_mask
         sigma_n2 = np.mean(np.abs(r[:, pil] - frame.symbols[:, pil]) ** 2)
         n = frame.block_len

@@ -6,6 +6,7 @@ from scipy.signal import upfirdn
 
 from turbowdm.constellation import build_constellation
 from turbowdm.fiber import FiberParams, amplify, dbp, edc, propagate_span
+from turbowdm.metrics import post_fec_ber
 from turbowdm.sync_dsp import coarse_align
 from turbowdm.waveform import (
     DualPolSignal,
@@ -38,9 +39,9 @@ def qpsk():
 
 
 def random_frame(c, n_data_bits=4000, pilot_rate=0.05, seed=0):
-    """One block of random bits, not interleaved, no training block."""
+    """Two blocks of random bits, not interleaved, no training block."""
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, (2, 1, n_data_bits)).astype(np.uint8)
+    bits = rng.integers(0, 2, (2, 2, n_data_bits // 2)).astype(np.uint8)
     return build_frame(bits, np.arange(n_data_bits), 0, c, pilot_rate, seed, symbol_rate=BAUD)
 
 
@@ -66,7 +67,7 @@ class TestFrame:
 
     def test_bit_roundtrip(self, qpsk):
         f = random_frame(qpsk, seed=3)
-        np.testing.assert_array_equal(extract_data_bits(f, qpsk), f.coded_bits)
+        np.testing.assert_array_equal(extract_data_bits(f), f.coded_bits)
 
     def test_pilots_from_constellation(self, qpsk):
         f = random_frame(qpsk)
@@ -87,6 +88,34 @@ class TestFrame:
     def test_bad_bit_count(self, qpsk):
         with pytest.raises(WaveformError):
             build_frame(np.zeros((2, 1, 7), dtype=np.uint8), np.arange(7), 0, qpsk, 0.05, 0)
+
+    def test_counted_blocks_skip_training_and_last(self, qpsk):
+        # errors in the training blocks and the trailing block count for
+        # nothing; the 14 blocks between them count every bit
+        n_blocks, k = 18, 64
+        f = build_frame(
+            np.zeros((2, n_blocks, k), dtype=np.uint8), np.arange(n_blocks * k), 3, qpsk, 0.05, 0
+        )
+        assert f.counted_blocks == slice(3, n_blocks - 1)
+        ref = np.zeros((2, n_blocks, k), dtype=np.uint8)
+        dec = ref.copy()
+        dec[:, :3] = 1
+        dec[:, -1] = 1
+        ber, counted = post_fec_ber(dec[:, f.counted_blocks], ref[:, f.counted_blocks])
+        assert (ber, counted) == (0.0, 2 * 14 * k)
+        dec[0, 5, 3] = 1  # inside a counted block
+        ber, _ = post_fec_ber(dec[:, f.counted_blocks], ref[:, f.counted_blocks])
+        assert ber == 1.0 / (2 * 14 * k)
+
+    @pytest.mark.parametrize("n_train", [-1, 17])
+    def test_training_blocks_out_of_range_rejected(self, qpsk, n_train):
+        # a negative count would count no bit, and 17 training blocks of 18
+        # leave no block between them and the trailing block
+        words = np.zeros((2, 18, 8), dtype=np.uint8)
+        with pytest.raises(WaveformError, match="n_train_blocks"):
+            build_frame(words, np.arange(18 * 8), n_train, qpsk, 0.05, 0)
+        for ok in (0, 16):
+            assert build_frame(words, np.arange(18 * 8), ok, qpsk, 0.05, 0).n_train_blocks == ok
 
     def test_order_length_mismatch(self, qpsk):
         # the order indexes every bit of the frame once
@@ -282,10 +311,10 @@ class TestDualPolLayout:
         "select_channel": lambda s, f: select_channel(s, 5e9, 1.1 * BAUD),
         "amplify": lambda s, f: amplify(s, 10.0, None),
         "propagate_span": lambda s, f: propagate_span(s, FiberParams(step_m=5000.0)),
-        "edc": lambda s, f: edc(s, FiberParams(), 100.0),
-        "dbp": lambda s, f: dbp(s, FiberParams(), 50.0, 10e3),
+        "edc": lambda s, f: edc(s, FiberParams(), 2),
+        "dbp": lambda s, f: dbp(s, FiberParams(), 1, 10e3),
         "coarse_align": lambda s, f: coarse_align(
-            replace(s, fields=np.roll(s.fields, 7, axis=-1)), f, 2
+            replace(s, fields=np.roll(s.fields, 7, axis=-1)), f
         ),
     }
 
