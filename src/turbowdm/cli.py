@@ -35,7 +35,10 @@ def cmd_run(args) -> int:
         return _error(exc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, summary, failures = harness.run_campaign(cfg, jobs=args.jobs)
+    try:
+        records, summary, failures = harness.run_campaign(cfg, jobs=args.jobs)
+    except harness.HarnessError as exc:
+        return _error(exc)
     write_records_ndjson(out_dir / "records.ndjson", records)
     harness.emit_tables(summary, out_dir)
     for row in summary:

@@ -212,6 +212,9 @@ class LdpcCode:
 
 
 _PHI_MIN = 1e-12
+# a block stops once its unsatisfied-check count has stayed the same for
+# this many consecutive iterations (see ``decode``)
+STALL = 12
 
 
 def _log_tanh_half(x: np.ndarray) -> np.ndarray:
@@ -229,7 +232,15 @@ def decode(
     """Flooding sum-product decoding.
 
     ``llrs`` follow the package convention L = ln P(1)/P(0). Returns
-    (a-posteriori L-values, hard bits, converged flag, iterations used).
+    (a-posteriori L-values, hard bits, converged flag, iterations run).
+
+    A block converges once its hard decisions satisfy every check and no
+    L-value is exactly zero. It stops without converging after ``max_iter``
+    iterations, or once its count of unsatisfied checks has stayed the same
+    for ``STALL`` consecutive iterations (iteration 0, the channel L-values,
+    included): a stopping criterion on that count, as in Kienle & Wehn
+    (IEEE VTC 2005-Spring). Such a block is stuck; in turbo equalization
+    the next outer iteration gives it another try.
     """
     llrs = np.asarray(llrs, dtype=float)
     if llrs.size != code.n:
@@ -240,35 +251,38 @@ def decode(
     m_cv = np.zeros(ev.size)
     app = lam
 
-    def settled(a: np.ndarray, g: np.ndarray) -> bool:
-        # parity of the hard decisions from g = a[ev], the gather the next
-        # iteration starts from; exact-zero L-values are erasures, whose
-        # hard decision is undefined
-        return not np.logical_xor.reduceat(g < 0, starts).any() and bool(np.all(a != 0.0))
+    def unsatisfied(g: np.ndarray) -> int:
+        # parity of the hard decisions from g = app[ev], the gather the next
+        # iteration starts from
+        return int(np.count_nonzero(np.logical_xor.reduceat(g < 0, starts)))
 
-    it_used = 0
+    def settled(a: np.ndarray, unsat: int) -> bool:
+        # exact-zero L-values are erasures, whose hard decision is undefined
+        return unsat == 0 and bool(np.all(a != 0.0))
+
     g = app[ev]
-    converged = settled(app, g)
-    if not converged:
-        for it in range(1, max_iter + 1):
-            it_used = it
-            m_vc = g
-            m_vc -= m_cv
-            neg = m_vc < 0
-            # an outgoing message is negative where the signs of the check's
-            # other incoming messages multiply to -1
-            flip = neg ^ np.logical_xor.reduceat(neg, starts)[ec]
-            # t = -phi(|m_vc|). Negated terms sum to the negated sum exactly,
-            # so t - sum(t) over the check is phi's sum over the other edges.
-            t = _log_tanh_half(np.maximum(np.abs(m_vc, out=m_vc), _PHI_MIN, out=m_vc))
-            t -= np.add.reduceat(t, starts)[ec]
-            t = _log_tanh_half(np.maximum(t, _PHI_MIN, out=t))
-            m_cv = np.where(flip, t, -t)
-            app = lam + np.bincount(ev, weights=m_cv, minlength=code.n)
-            g = app[ev]
-            if settled(app, g):
-                converged = True
-                break
+    unsat = unsatisfied(g)
+    converged = settled(app, unsat)
+    it_used = stalled = 0
+    while not converged and it_used < max_iter and stalled < STALL:
+        it_used += 1
+        m_vc = g
+        m_vc -= m_cv
+        neg = m_vc < 0
+        # an outgoing message is negative where the signs of the check's
+        # other incoming messages multiply to -1
+        flip = neg ^ np.logical_xor.reduceat(neg, starts)[ec]
+        # t = -phi(|m_vc|). Negated terms sum to the negated sum exactly,
+        # so t - sum(t) over the check is phi's sum over the other edges.
+        t = _log_tanh_half(np.maximum(np.abs(m_vc, out=m_vc), _PHI_MIN, out=m_vc))
+        t -= np.add.reduceat(t, starts)[ec]
+        t = _log_tanh_half(np.maximum(t, _PHI_MIN, out=t))
+        m_cv = np.where(flip, t, -t)
+        app = lam + np.bincount(ev, weights=m_cv, minlength=code.n)
+        g = app[ev]
+        last, unsat = unsat, unsatisfied(g)
+        converged = settled(app, unsat)
+        stalled = stalled + 1 if unsat == last else 0
     hard = (app < 0).astype(np.uint8)
     return np.clip(-app, -L_MAX, L_MAX), hard, converged, it_used
 

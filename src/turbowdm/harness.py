@@ -284,7 +284,10 @@ def run_campaign(
     cfg: CampaignConfig, jobs: int = 1
 ) -> tuple[list[MetricsRecord], list[dict], list[tuple]]:
     """Execute every (power, spans, mode, trial) cell; aggregate per cell
-    and per iteration. Returns (records, aggregate rows, failed cells)."""
+    and per iteration on ``jobs`` processes (1: in this process). Returns
+    (records, aggregate rows, failed cells)."""
+    if jobs < 1:
+        raise HarnessError("jobs must be >= 1")
     cells = [
         (cfg, power, spans, mode, trial)
         for power in cfg.power_dbm_list

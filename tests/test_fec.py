@@ -8,6 +8,7 @@ import pytest
 
 from turbowdm.constellation import L_MAX
 from turbowdm.fec import (
+    STALL,
     FecError,
     LdpcCode,
     decode,
@@ -373,6 +374,11 @@ class TestDecode:
         _, _, ok, iters = decode(np.zeros(toy.n), toy, max_iter=10)
         assert not ok and iters == 10
 
+    def test_zero_llrs_stop_once_stalled(self, toy):
+        # no check is unsatisfied at any iteration, but the erasures stay
+        _, _, ok, iters = decode(np.zeros(toy.n), toy, max_iter=50)
+        assert not ok and iters == STALL
+
     def test_app_sign_matches_hard(self, toy):
         rng = np.random.default_rng(6)
         cw = toy.encode(rng.integers(0, 2, toy.k).astype(np.uint8))
@@ -424,9 +430,11 @@ class TestDecode:
             decode(np.zeros(toy.n + 1), toy)
 
 
-def reference_decode(llrs, code, max_iter=50):
+def reference_decode(llrs, code, max_iter=50, stall=STALL):
     """Sum-product decoding with sign arrays, phi(x) = -ln tanh(x/2) and a
-    clip at every stage. Oracle for ``decode``."""
+    clip at every stage, stopped once the syndrome weight has stayed the
+    same for ``stall`` consecutive iterations (``stall=None``: never).
+    Oracle for ``decode``."""
 
     def phi(x):
         x = np.clip(x, 1e-12, L_MAX)
@@ -435,12 +443,16 @@ def reference_decode(llrs, code, max_iter=50):
     def settled(a):
         return bool(np.all(a != 0.0)) and code.check((a < 0).astype(np.uint8))
 
+    def weight(a):
+        return int(code.syndrome((a < 0).astype(np.uint8)).sum())
+
     lam = np.clip(-np.asarray(llrs, dtype=float), -L_MAX, L_MAX)
     ev, ec, starts = code.edge_var, code.edge_check, code.check_starts
     m_cv = np.zeros(ev.size)
     app = lam
     it_used = 0
     converged = settled(app)
+    last, since = weight(app), 0
     if not converged:
         for it in range(1, max_iter + 1):
             it_used = it
@@ -455,6 +467,11 @@ def reference_decode(llrs, code, max_iter=50):
             app = lam + np.bincount(ev, weights=m_cv, minlength=code.n)
             if settled(app):
                 converged = True
+                break
+            w = weight(app)
+            since = since + 1 if w == last else 0
+            last = w
+            if since == stall:
                 break
     hard = (app < 0).astype(np.uint8)
     return np.clip(-app, -L_MAX, L_MAX), hard, converged, it_used
@@ -511,6 +528,35 @@ class TestDecodeOracle:
                 assert ref[2:] == (True, 0)
             else:
                 assert ref[2:] == (False, max_iter)
+            if case == "erasures" and not ref[2]:
+                # the erased block's unsatisfied-check count stalls
+                assert ref[3] < max_iter
+
+    def test_converging_blocks_unchanged_by_stall_rule(self, codes):
+        # BPSK-AWGN across the waterfall of the rate-4/5 code (Es/N0 in dB;
+        # about 30% of blocks converge at 1.5, all but a few at 2.25): every
+        # block that the decoder without the stall rule brings to a codeword
+        # within 50 iterations comes out the same bit for bit
+        code = codes("rate45_n2048")
+        rng = np.random.default_rng(31)
+        slowest = stopped = 0
+        for snr_db in (1.5, 1.75, 2.0, 2.25):
+            sigma = np.sqrt(0.5 / 10 ** (snr_db / 10.0))
+            for _ in range(50):
+                cw = code.encode(rng.integers(0, 2, code.k).astype(np.uint8))
+                llr = 2.0 * (2.0 * cw - 1.0 + rng.normal(0, sigma, code.n)) / sigma**2
+                ref = reference_decode(llr, code, 50, stall=None)
+                out = decode(llr, code, 50)
+                if ref[2]:
+                    np.testing.assert_array_equal(out[0], ref[0])
+                    np.testing.assert_array_equal(out[1], ref[1])
+                    assert out[2:] == ref[2:]
+                    slowest = max(slowest, ref[3])
+                else:
+                    stopped += out[3] < 50
+        # the corpus holds blocks that converge long after STALL iterations
+        # and failing blocks that the rule stops
+        assert slowest > STALL and stopped > 0
 
 
 class TestBigCode:

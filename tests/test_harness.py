@@ -422,6 +422,13 @@ class TestCampaign:
         serial, _, _ = run_campaign(cfg, jobs=1)
         assert pooled == serial
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_no_workers_rejected(self, tiny_cfg, jobs, monkeypatch):
+        # rejected before any cell runs, not run serially
+        monkeypatch.setattr(harness, "_run_cell", None)
+        with pytest.raises(HarnessError, match="jobs must be >= 1"):
+            run_campaign(tiny_cfg, jobs=jobs)
+
     def test_summary_shape(self, tiny_cfg):
         recs, summary, failures = run_campaign(tiny_cfg)
         assert not failures
@@ -535,6 +542,16 @@ class TestCli:
         assert err.startswith("turbowdm: error: ") and named in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_no_workers_is_a_one_line_error(self, tmp_path, capsys):
+        cfgp = tmp_path / "tiny.cfg"
+        cfgp.write_text(TINY_CFG)
+        out = tmp_path / "out"
+        rc = cli_main(["run", "--config", str(cfgp), "--out", str(out), "--jobs", "0"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "turbowdm: error: jobs must be >= 1\n"
+        assert not (out / "records.ndjson").exists()
 
     def test_tables_rejects_a_file_of_other_records(self, tmp_path, capsys):
         bad = tmp_path / "bad.ndjson"
