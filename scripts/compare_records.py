@@ -1,0 +1,69 @@
+"""Compare two campaign record files cell by cell.
+
+Run from the repository root:  python scripts/compare_records.py A.ndjson B.ndjson
+
+Records pair by (power, spans, mode, trial, iteration). Prints how many
+pairs are byte-identical as JSON lines, the largest |ΔSNR| and |ΔGMI| over
+the pairs, every trial whose iteration count or post-FEC BER changed, and
+the trials present in one file only.
+"""
+
+import argparse
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from turbowdm.metrics import read_records_ndjson  # noqa: E402
+
+
+def trial_key(r):
+    return (r.launch_power_dbm, r.n_spans, r.mode, r.trial)
+
+
+def compare(a, b) -> list[str]:
+    """Report lines for records ``a`` against records ``b``."""
+    trials: dict[tuple, tuple[dict, dict]] = {}
+    for side, recs in enumerate((a, b)):
+        for r in recs:
+            trials.setdefault(trial_key(r), ({}, {}))[side][r.turbo_iteration] = r
+    pairs = [
+        (ra[it], rb[it])
+        for ra, rb in trials.values()
+        for it in sorted(ra.keys() & rb.keys())
+    ]
+    same = sum(x.to_json_line() == y.to_json_line() for x, y in pairs)
+    lines = [f"{same} of {len(pairs)} paired records identical"]
+    if pairs:
+        d_snr = max(abs(x.snr_db - y.snr_db) for x, y in pairs)
+        d_gmi = max(abs(x.gmi_bits_per_4d_symbol - y.gmi_bits_per_4d_symbol) for x, y in pairs)
+        lines.append(f"max |ΔSNR| {d_snr:.3g} dB, max |ΔGMI| {d_gmi:.3g} bits/4D")
+    for key, (ra, rb) in sorted(trials.items()):
+        cell = "power {:+g} dBm, {} spans, {}, trial {}".format(*key)
+        if not ra or not rb:
+            lines.append(f"{cell}: only in {'B' if not ra else 'A'}")
+            continue
+        changes = []
+        if len(ra) != len(rb):
+            changes.append(f"iterations {len(ra)} -> {len(rb)}")
+        changes += [
+            f"BER at iteration {it} {ra[it].post_fec_ber:.4g} -> {rb[it].post_fec_ber:.4g}"
+            for it in sorted(ra.keys() & rb.keys())
+            if ra[it].post_fec_ber != rb[it].post_fec_ber
+        ]
+        if changes:
+            lines.append(f"{cell}: " + "; ".join(changes))
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("a", help="records.ndjson of the reference run")
+    ap.add_argument("b", help="records.ndjson of the run compared with it")
+    args = ap.parse_args(argv)
+    print("\n".join(compare(read_records_ndjson(args.a), read_records_ndjson(args.b))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -76,39 +76,43 @@ def bit_probs_from_llrs(llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logp0, logp1
 
 
-def symbol_priors(llrs: np.ndarray, c: Constellation) -> np.ndarray:
-    """Per-symbol prior probability table from a-priori bit L-values.
+def _axis_log_weights(logp0: np.ndarray, logp1: np.ndarray, c: Constellation) -> np.ndarray:
+    """(..., 2, sqrt(M)) log prior weight of each I and Q level from the
+    (..., 2, q/2) bit log-probabilities of its axis: a level's label bits
+    are independent a priori, so their log-probabilities add."""
+    b = c.axis_labels  # (sqrt(M), q/2)
+    return sum(np.where(b[:, r], logp1[..., r, None], logp0[..., r, None]) for r in range(c.q // 2))
 
-    ``llrs`` is flat with length q*m or already shaped (m, q). Returns an
-    (m, M) array of probabilities, each row normalized to 1.
+
+def symbol_priors(llrs: np.ndarray, c: Constellation) -> np.ndarray:
+    """Per-axis symbol priors from a-priori bit L-values.
+
+    ``llrs`` has shape (..., q). Returns (..., 2, sqrt(M)) probabilities of
+    the I levels (row 0) and the Q levels (row 1), each row normalized to
+    1; a symbol's prior is the product of its two levels' probabilities.
     """
-    q = c.q
     llrs = np.asarray(llrs, dtype=float)
-    if llrs.ndim == 1:
-        if llrs.size % q:
-            raise ConstellationError(
-                f"LLR length {llrs.size} not divisible by q={q}"
-            )
-        llrs = llrs.reshape(-1, q)
-    elif llrs.shape[1] != q:
-        raise ConstellationError("LLR block shape does not match constellation")
-    logp0, logp1 = bit_probs_from_llrs(llrs)
-    b = c.bit_labels.astype(float)  # (M, q)
-    logp = logp1 @ b.T + logp0 @ (1.0 - b.T)  # (m, M)
-    logp -= logp.max(axis=1, keepdims=True)
-    p = np.exp(logp)
-    p /= p.sum(axis=1, keepdims=True)
-    return p
+    if llrs.shape[-1:] != (c.q,):
+        raise ConstellationError(f"L-values of shape {llrs.shape} do not end in q={c.q}")
+    logp = bit_probs_from_llrs(llrs.reshape(*llrs.shape[:-1], 2, c.q // 2))
+    logw = _axis_log_weights(*logp, c)
+    p = np.exp(logw - logw.max(axis=-1, keepdims=True))
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def soft_stats(priors: np.ndarray, c: Constellation) -> tuple[np.ndarray, np.ndarray]:
-    """First/second-order symbol statistics from a prior probability table.
+    """Symbol mean and variance from the (..., 2, sqrt(M)) per-axis priors
+    of ``symbol_priors``, read off the points as their sqrt(M) x sqrt(M)
+    [I level, Q level] grid: E[s] = sum_ik P_I(i) P_Q(k) points[i, k].
 
-    Returns (mean, variance), each of shape (m,).
+    Returns (mean, variance), each of shape (...).
     """
-    priors = np.atleast_2d(priors)
-    mean = priors @ c.points
-    e2 = priors @ (np.abs(c.points) ** 2)
+    priors = np.asarray(priors)
+    side = c.axis_levels.size
+    p_i, p_q = priors[..., 0, :], priors[..., 1, :]
+    grid = c.points.reshape(side, side)
+    mean = np.sum((p_i @ grid) * p_q, axis=-1)
+    e2 = np.sum((p_i @ np.abs(grid) ** 2) * p_q, axis=-1)
     var = np.maximum(e2 - np.abs(mean) ** 2, 0.0)
     return mean, var
 
@@ -129,37 +133,38 @@ def extrinsic_llrs(
     With real mu and nu2 the log-likelihood and the prior weight of a
     symbol split into an I and a Q term, so in the L-value of an I-bit the
     Q-axis sum cancels: each axis is marginalized over its sqrt(M) levels
-    alone, in the log domain. Returns shape (m, q).
+    alone, in the log domain. ``scale`` and ``noise_var`` broadcast to the
+    shape (...) of ``estimates``, and ``prior_llrs`` has shape (..., q).
+    Returns shape (..., q).
     """
     s_hat = np.atleast_1d(np.asarray(estimates, dtype=complex))
-    m = s_hat.size
+    shape = s_hat.shape
     h = c.q // 2
-    mu = np.broadcast_to(np.asarray(scale, dtype=float), (m,))
+    mu = np.broadcast_to(np.asarray(scale, dtype=float), shape)
     nu2 = np.asarray(noise_var, dtype=float)
     if np.any(nu2 <= 0):
         nu2 = np.maximum(nu2, NU2_FLOOR_REL * c.energy)
-    nu2 = np.broadcast_to(nu2, (m,))
+    nu2 = np.broadcast_to(nu2, shape)
 
-    # (m, 2, sqrt(M)) per-axis log-likelihoods, constants dropped
-    y = np.stack([s_hat.real, s_hat.imag], axis=1)
-    metric = -((y[:, :, None] - mu[:, None, None] * c.axis_levels) ** 2)
-    metric /= nu2[:, None, None]
+    # (..., 2, sqrt(M)) per-axis log-likelihoods, constants dropped
+    y = np.stack([s_hat.real, s_hat.imag], axis=-1)
+    metric = -((y[..., None] - mu[..., None, None] * c.axis_levels) ** 2)
+    metric /= nu2[..., None, None]
 
     b = c.axis_labels  # (sqrt(M), q/2)
     own = 0.0
     if prior_llrs is not None:
-        prior_llrs = np.asarray(prior_llrs, dtype=float).reshape(m, 2, h)
+        prior_llrs = np.asarray(prior_llrs, dtype=float).reshape(*shape, 2, h)
         logp0, logp1 = bit_probs_from_llrs(prior_llrs)
-        for r in range(h):
-            metric += np.where(b[:, r], logp1[..., r, None], logp0[..., r, None])
+        metric += _axis_log_weights(logp0, logp1, c)
         own = logp1 - logp0  # each bit's own prior, taken off the a-posteriori L
 
-    out = np.empty((m, 2, h))
+    out = np.empty((*shape, 2, h))
     for l in range(h):
         out[..., l] = _logsumexp(metric[..., b[:, l] == 1]) - _logsumexp(
             metric[..., b[:, l] == 0]
         )
-    return np.clip((out - own).reshape(m, 2 * h), -l_max, l_max)
+    return np.clip((out - own).reshape(*shape, 2 * h), -l_max, l_max)
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:

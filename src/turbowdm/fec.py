@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -159,11 +158,6 @@ class LdpcCode:
         if any(line.strip() for line in lines[m + 1 :]):
             raise FecError(f"header states {m} rows, file has more")
         return cls(n=n, check_rows=[sorted(map(int, line.split())) for line in lines[1 : m + 1]])
-
-    @classmethod
-    def bundled(cls, name: str) -> "LdpcCode":
-        with resources.as_file(resources.files("turbowdm.codes") / f"{name}.txt") as p:
-            return cls.from_file(p)
 
     def _build_encoder(self) -> None:
         # H as bit-packed rows: bit c % 64 of word c // 64 holds column c

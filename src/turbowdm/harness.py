@@ -19,16 +19,18 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import fiber as fib
-from .constellation import build_constellation
+from .constellation import ConstellationError, build_constellation
 from .fec import LdpcCode, frame_order
 from .metrics import MetricsRecord
 from .sync_dsp import coarse_align, count_slips, ddpll, nlms_equalize
 from .turbo import SlidingWindowConfig, turbo_loop
 from .waveform import (
+    WaveformError,
     build_frame,
     fft_resample,
     matched_filter,
     rrc_shape,
+    rrc_taps,
     select_channel,
     wdm_mux,
 )
@@ -100,6 +102,18 @@ class CampaignConfig:
         for m in self.modes:
             if m not in MODES:
                 raise HarnessError(f"unknown receiver mode {m!r}")
+        if not self.baud > 0:
+            raise HarnessError("baud must be positive")
+        if self.decoder_iters < 1:
+            raise HarnessError("decoder_iters must be >= 1")
+        # each rule checked by its owner; the cells reuse the cached transmit
+        # taps, and only a cell builds the code
+        try:
+            build_constellation(self.modulation)
+            rrc_taps(self.tx_samples_per_symbol, self.rolloff, self.rrc_span)
+        except (ConstellationError, WaveformError) as exc:
+            raise HarnessError(str(exc)) from exc
+        _code_path(self.code_file)
 
 
 def _parse_value(text: str, tp):
@@ -171,13 +185,18 @@ def cell_seed(base_seed: int, power_dbm: float, n_spans: int, mode: str, trial: 
     return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big") >> 1
 
 
+def _code_path(name: str):
+    """The parity file a ``code_file`` names: a path, else a bundled code."""
+    path = Path(name) if Path(name).exists() else resources.files("turbowdm.codes") / f"{name}.txt"
+    if not path.is_file():
+        raise HarnessError(f"code file {name!r} not found")
+    return path
+
+
 @functools.cache
 def _load_code(name: str) -> LdpcCode:
     """Load a code file or bundled code by name, once per process."""
-    p = Path(name)
-    if p.exists():
-        return LdpcCode.from_file(p)
-    return LdpcCode.bundled(name)
+    return LdpcCode.from_file(_code_path(name))
 
 
 def run_trial(

@@ -248,18 +248,15 @@ def turbo_loop(
     pilot = frame.pilot_mask
     to_code = np.argsort(frame.order)
 
-    # receiver-known region: pilots plus the data-aided training blocks
-    known = frame.known_mask
-    train_data = known[data_pos]
-    unknown_pos = data_pos[~train_data]
-
-    # symbols that carry a bit of a decoded block (the last bit decides)
-    decoded_data = (q * np.arange(data_pos.size) + q - 1) // n >= n_train_blocks
-    decoded_pos = data_pos[decoded_data]
+    # receiver-known region: pilots plus the data-aided training blocks;
+    # every other data symbol carries a bit of a decoded block
+    decoded = ~frame.known_mask[data_pos]
+    decoded_pos = data_pos[decoded]
     counted = frame.counted_blocks
     block = frame.block_of_data_symbol()
     counted_data = (counted.start <= block) & (block < counted.stop)
     counted_pos = data_pos[counted_data]
+    counted_bits = frame.coded_bits.reshape(2, -1, q)[:, counted_data]
 
     # noise variance from pilot residuals of the unequalized stream
     pil_res = received[:, pilot] - frame.symbols[:, pilot]
@@ -272,7 +269,7 @@ def turbo_loop(
     known_app = np.where(code_bits[:, :n_train_blocks] == 1, L_MAX, -L_MAX)
 
     result = TurboResult(None, [])
-    prior_blocks = None  # (2, nb, n) L-values in deinterleaved (code) domain
+    priors = None  # (2, decoded symbols, q) decoder L-values of their bits
 
     for it in range(cfg.n_turbo_iters + 1):
         if it == 0:
@@ -280,14 +277,10 @@ def turbo_loop(
             mu = np.ones((2, m))
             nu2 = np.full((2, m), max(sigma_n2, 1e-12))
         else:
-            means = np.empty((2, m), dtype=complex)
-            variances = np.empty((2, m))
-            prior_sym = prior_blocks.reshape(2, -1)[:, frame.order].reshape(2, -1, q)
-            for p in range(2):
-                pr = cst.symbol_priors(prior_sym[p, ~train_data], c)
-                means[p, unknown_pos], variances[p, unknown_pos] = cst.soft_stats(pr, c)
-            means[:, known] = frame.symbols[:, known]
-            variances[:, known] = 0.0
+            # the known symbols are certain; the others come from the priors
+            means, variances = frame.symbols.copy(), np.zeros((2, m))
+            pr = cst.symbol_priors(priors, c)
+            means[:, decoded_pos], variances[:, decoded_pos] = cst.soft_stats(pr, c)
             track, _, rls_err = rls_estimate(received, means, cfg)
             # refresh the noise estimate from the pilot-position residuals,
             # where the regression means are exact
@@ -301,17 +294,12 @@ def turbo_loop(
         # symbols stay unread); GMI reads no-prior L-values of the counted
         # symbols, which iteration 0, having no priors, already has
         llrs = np.empty((2, data_pos.size, q))
-        for p in range(2):
-            prior = None if it == 0 else prior_sym[p, decoded_data]
-            llrs[p, decoded_data] = cst.extrinsic_llrs(
-                s_hat[p, decoded_pos], mu[p, decoded_pos], nu2[p, decoded_pos], prior, c
-            )
-        llrs_noprior = llrs[:, counted_data] if it == 0 else np.stack([
-            cst.extrinsic_llrs(
-                s_hat[p, counted_pos], mu[p, counted_pos], nu2[p, counted_pos], None, c
-            )
-            for p in range(2)
-        ])
+        llrs[:, decoded] = cst.extrinsic_llrs(
+            s_hat[:, decoded_pos], mu[:, decoded_pos], nu2[:, decoded_pos], priors, c
+        )
+        llrs_noprior = llrs[:, counted_data] if it == 0 else cst.extrinsic_llrs(
+            s_hat[:, counted_pos], mu[:, counted_pos], nu2[:, counted_pos], None, c
+        )
 
         # decode the blocks the receiver does not know
         dec_info = true_info.copy()
@@ -329,13 +317,7 @@ def turbo_loop(
         bias = np.where(mu[:, counted_pos] > 1e-6, mu[:, counted_pos], 1.0)
         s_ref = frame.symbols[:, counted_pos]
         s_cnt = s_hat[:, counted_pos] / bias
-        gmi4d = sum(
-            gmi_bits_per_2d(
-                llrs_noprior[p],
-                frame.coded_bits[p].reshape(-1, q)[counted_data],
-            )
-            for p in range(2)
-        )
+        gmi4d = sum(map(gmi_bits_per_2d, llrs_noprior, counted_bits))
         rec = IterationMetrics(
             turbo_iteration=it,
             post_fec_ber=ber,
@@ -345,10 +327,9 @@ def turbo_loop(
         )
         result.records.append(rec)
         result.hard_bits = dec_info.reshape(2, -1)
-        prior_blocks = app
+        priors = app.reshape(2, -1)[:, frame.order].reshape(2, -1, q)[:, decoded]
         # stop once the decoded blocks pass parity and the equalizer SNR has
         # saturated
-        if all_ok and it >= 2:
-            if abs(rec.snr_db - result.records[-2].snr_db) < 0.01:
-                break
+        if all_ok and it >= 2 and abs(rec.snr_db - result.records[-2].snr_db) < 0.01:
+            break
     return result

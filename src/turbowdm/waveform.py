@@ -84,10 +84,10 @@ class SymbolFrame:
     @property
     def known_mask(self) -> np.ndarray:
         """Instants whose symbols the receiver knows: the pilots and the
-        data instants of the training blocks."""
+        data instants whose last bit, and so all bits, lie in training blocks."""
         known = self.pilot_mask.copy()
-        training = self.block_of_data_symbol() < self.n_train_blocks
-        known[self.data_positions[training]] = True
+        last = self.block_of_data_symbol(self.constellation.q - 1)
+        known[self.data_positions[last < self.n_train_blocks]] = True
         return known
 
     def data_symbols(self) -> np.ndarray:
@@ -96,9 +96,9 @@ class SymbolFrame:
     def pilot_symbols(self) -> np.ndarray:
         return self.symbols[:, self.pilot_mask]
 
-    def block_of_data_symbol(self) -> np.ndarray:
-        """FEC block index of each data instant (index of its first bit)."""
-        return (np.arange(self.n_data) * self.constellation.q) // self.block_len
+    def block_of_data_symbol(self, bit: int = 0) -> np.ndarray:
+        """FEC block index of bit ``bit`` (default: the first) of each data instant."""
+        return (np.arange(self.n_data) * self.constellation.q + bit) // self.block_len
 
 
 def pilot_positions(n_data: int, pilot_rate: float) -> np.ndarray:

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from turbowdm.constellation import build_constellation, extrinsic_llrs, map_bits
-from turbowdm.fec import LdpcCode, frame_order
+from turbowdm.fec import frame_order
 from turbowdm.fiber import FiberParams, dbp, propagate_link, propagate_span
 from turbowdm.harness import (
+    _load_code,
     load_config,
     optimal_launch_power,
     run_campaign,
@@ -435,7 +436,7 @@ def synthetic_turbo_run():
     """Seeded 3-tap time-varying ISI channel at an operating point where the
     plain demapper leaves residual post-FEC errors."""
     c = build_constellation(4)
-    code = LdpcCode.bundled("rate45_n2048")
+    code = _load_code("rate45_n2048")
     rng = np.random.default_rng(60)
     words = np.array([
         [code.encode(rng.integers(0, 2, code.k).astype(np.uint8)) for _ in range(6)]

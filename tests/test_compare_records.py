@@ -1,0 +1,42 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_records.py"
+
+
+def line(power, mode, trial, it, snr, gmi=11.0, ber=0.0):
+    return (
+        f'{{"gmi_bits_per_4d_symbol": {gmi}, "launch_power_dbm": {power}, '
+        f'"mode": "{mode}", "n_bits_counted": 100, "n_spans": 10, '
+        f'"post_fec_ber": {ber}, "seed": 1, "snr_db": {snr}, "trial": {trial}, '
+        f'"turbo_iteration": {it}}}\n'
+    )
+
+
+def test_compare_two_record_files(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("compare_records", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+    a.write_text(
+        line(0.0, "dbp", 0, 0, 20.0)
+        + line(0.0, "dbp_turbo", 0, 0, 20.0)
+        + line(0.0, "dbp_turbo", 0, 1, 20.5, gmi=11.25, ber=0.01)
+        + line(0.0, "dbp_turbo", 0, 2, 20.5)
+        + line(2.0, "edc", 1, 0, 15.0)
+    )
+    b.write_text(
+        line(0.0, "dbp", 0, 0, 20.0)
+        + line(0.0, "dbp_turbo", 0, 0, 20.0)
+        + line(0.0, "dbp_turbo", 0, 1, 20.75, gmi=11.0, ber=0.02)
+        + line(4.0, "edc", 0, 0, 12.0)
+    )
+    assert script.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "2 of 3 paired records identical",
+        "max |ΔSNR| 0.25 dB, max |ΔGMI| 0.25 bits/4D",
+        "power +0 dBm, 10 spans, dbp_turbo, trial 0: iterations 3 -> 2; "
+        "BER at iteration 1 0.01 -> 0.02",
+        "power +2 dBm, 10 spans, edc, trial 1: only in A",
+        "power +4 dBm, 10 spans, edc, trial 0: only in B",
+    ]

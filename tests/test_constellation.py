@@ -118,20 +118,39 @@ class TestBuildConstellation:
             build_constellation(8)
 
 
+def reference_symbol_priors(llrs, c):
+    """The full-grid soft mapper: an (m, M) table of symbol priors from
+    (m, q) bit L-values, each row normalized to 1."""
+    logp0, logp1 = bit_probs_from_llrs(np.asarray(llrs, dtype=float))
+    b = c.bit_labels.astype(float)  # (M, q)
+    logp = logp1 @ b.T + logp0 @ (1.0 - b.T)  # (m, M)
+    logp -= logp.max(axis=1, keepdims=True)
+    p = np.exp(logp)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def joint(priors):
+    """(..., M) symbol priors from per-axis (..., 2, sqrt(M)) ones: point
+    i*sqrt(M) + k has I level i and Q level k."""
+    p_i, p_q = priors[..., 0, :], priors[..., 1, :]
+    return (p_i[..., :, None] * p_q[..., None, :]).reshape(*priors.shape[:-2], -1)
+
+
 class TestSymbolPriors:
     def test_zero_llrs_uniform(self, qpsk):
         p = symbol_priors(np.zeros(2), qpsk)
-        np.testing.assert_allclose(p, 0.25, atol=1e-12)
+        assert p.shape == (2, 2)
+        np.testing.assert_allclose(joint(p), 0.25, atol=1e-12)
 
     def test_saturated_llrs_point_mass(self, qam16):
         l = np.full(4, 40.0)
-        p = symbol_priors(l, qam16)
+        p = joint(symbol_priors(l, qam16))
         target = np.nonzero((qam16.bit_labels == 1).all(axis=1))[0][0]
-        assert p[0, target] > 1 - 1e-9
+        assert p[target] > 1 - 1e-9
 
     def test_qpsk_partial(self, qpsk):
         # L = (ln 3, 0): split 0.75/0.25 along bit 1, 0.5/0.5 along bit 2
-        p = symbol_priors(np.array([np.log(3.0), 0.0]), qpsk)[0]
+        p = joint(symbol_priors(np.array([np.log(3.0), 0.0]), qpsk))
         b = qpsk.bit_labels
         assert abs(p[b[:, 0] == 1].sum() - 0.75) < 1e-12
         assert abs(p[b[:, 1] == 1].sum() - 0.5) < 1e-12
@@ -139,37 +158,40 @@ class TestSymbolPriors:
     def test_normalization(self, qam16):
         rng = np.random.default_rng(0)
         p = symbol_priors(rng.normal(0, 10, (50, 4)), qam16)
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+        assert p.shape == (50, 2, 4)
+        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(joint(p).sum(axis=-1), 1.0, atol=1e-12)
 
     def test_point_mass_roundtrip(self, qam16):
         # saturated L-values of one label recover that point mass
         for k in (0, 5, 15):
             l = 40.0 * (2.0 * qam16.bit_labels[k].astype(float) - 1.0)
-            p = symbol_priors(l, qam16)[0]
+            p = joint(symbol_priors(l, qam16))
             assert p[k] > 1 - 1e-9
 
     def test_length_mismatch(self, qpsk):
-        with pytest.raises(ConstellationError):
-            symbol_priors(np.zeros(3), qpsk)
+        for shape in [(3,), (5, 3), (2, 5, 4), ()]:
+            with pytest.raises(ConstellationError):
+                symbol_priors(np.zeros(shape), qpsk)
 
 
 class TestSoftStats:
     def test_uniform(self, qam16):
-        p = np.full((1, 16), 1 / 16)
+        p = np.full((1, 2, 4), 1 / 4)
         mean, var = soft_stats(p, qam16)
         assert abs(mean[0]) < 1e-12
         assert abs(var[0] - 1.0) < 1e-12
 
     def test_point_mass(self, qam16):
-        p = np.zeros((1, 16))
-        p[0, 7] = 1.0
+        p = np.zeros((1, 2, 4))
+        p[0, 0, 1] = p[0, 1, 3] = 1.0  # point 7 = 1 * 4 + 3
         mean, var = soft_stats(p, qam16)
         assert abs(mean[0] - qam16.points[7]) < 1e-12
         assert var[0] < 1e-12
 
     def test_qpsk_one_bit_known(self, qpsk):
         # bit 1 certain (+), bit 2 unknown: mean on the positive real axis
-        p = symbol_priors(np.array([40.0, 0.0]), qpsk)
+        p = symbol_priors(np.array([[40.0, 0.0]]), qpsk)
         mean, var = soft_stats(p, qpsk)
         assert abs(mean[0] - 1.0 / np.sqrt(2)) < 1e-9
         assert abs(var[0] - 0.5) < 1e-9
@@ -184,6 +206,34 @@ class TestSoftStats:
         mean_r, var_r = soft_stats(p, c_rot)
         np.testing.assert_allclose(mean_r, mean * rot, atol=1e-12)
         np.testing.assert_allclose(var_r, var, atol=1e-12)
+
+
+class TestPerAxisSoftStats:
+    """Per-axis priors and statistics against the full-grid soft mapper."""
+
+    @staticmethod
+    def llrs(kind, c, rng):
+        shape = (2, 500, c.q)
+        if kind == "random":
+            return rng.normal(0, 4, shape)
+        # saturated: every bit at or beyond the clip, either sign
+        return rng.choice([-1.0, 1.0], shape) * rng.uniform(L_MAX, 1e3, shape)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("kind", ["random", "saturated"])
+    def test_matches_full_grid(self, order, kind):
+        c = build_constellation(order)
+        rng = np.random.default_rng(40 + order)
+        llrs = self.llrs(kind, c, rng)
+        p = symbol_priors(llrs, c)
+        assert p.shape == (2, 500, 2, c.axis_levels.size)
+        table = reference_symbol_priors(llrs.reshape(-1, c.q), c).reshape(2, 500, -1)
+        np.testing.assert_allclose(joint(p), table, atol=1e-12, rtol=0)
+        mean, var = soft_stats(p, c)
+        want_mean = table @ c.points
+        want_var = np.maximum(table @ np.abs(c.points) ** 2 - np.abs(want_mean) ** 2, 0.0)
+        np.testing.assert_allclose(mean, want_mean, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(var, want_var, atol=1e-12, rtol=0)
 
 
 class TestExtrinsicLlrs:
@@ -289,6 +339,21 @@ class TestPerAxisDemapper:
             want = reference_extrinsic_llrs(s_hat, mu, 1e-4, p, c, l_max=l_max)
             np.testing.assert_allclose(got, want, atol=1e-9, rtol=0)
             assert np.max(np.abs(want)) >= min(l_max, 1e4)
+
+    @pytest.mark.parametrize("with_priors", [False, True])
+    def test_leading_dimensions_match_rows(self, with_priors):
+        # one call for both polarizations gives each row's own call, bit for bit
+        c = build_constellation(64)
+        rng = np.random.default_rng(50)
+        s_hat, mu = self.channel(c, 600, rng)
+        s_hat, mu = s_hat.reshape(2, 300), mu.reshape(2, 300)
+        nu2 = rng.uniform(0.01, 1.0, (2, 300))
+        priors = rng.normal(0, 4, (2, 300, c.q)) if with_priors else None
+        got = extrinsic_llrs(s_hat, mu, nu2, priors, c)
+        assert got.shape == (2, 300, c.q)
+        for p in range(2):
+            row = extrinsic_llrs(s_hat[p], mu[p], nu2[p], None if priors is None else priors[p], c)
+            np.testing.assert_array_equal(got[p], row)
 
     def test_axis_structure(self):
         for order in ORDERS:

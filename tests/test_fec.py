@@ -16,6 +16,7 @@ from turbowdm.fec import (
     make_regular_code,
     save_parity,
 )
+from turbowdm.harness import _load_code
 
 
 def _gf2_row_reduce(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -106,7 +107,7 @@ def _oracle_code(name: str) -> LdpcCode:
         dup = int(name[-1])
         rows = make_regular_code(300, 120, col_weight=3, seed=20 + dup).check_rows
         return LdpcCode(n=300, check_rows=rows + rows[3 : 3 + 7 * dup : 7])
-    return LdpcCode.bundled(name)
+    return _load_code(name)
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +183,7 @@ class TestParityFile:
         spec.loader.exec_module(gen)
         n, m, col_weight, seed = gen.CODES[name]
         made = make_regular_code(n, m, col_weight=col_weight, seed=seed)
-        bundled = LdpcCode.bundled(name)
+        bundled = _load_code(name)
         assert made.n == bundled.n and made.check_rows == bundled.check_rows
 
 

@@ -114,6 +114,10 @@ class TestConfig:
                 return value[::-1]
             if name in ("n_wdm_channels", "nlms_taps"):
                 return value + 2  # odd: a centre channel, a centre tap
+            if name == "modulation":
+                return value * 4  # a square QAM order
+            if name == "code_file":
+                return "toy_n20"  # a bundled code
             if isinstance(value, tuple):
                 return tuple(other(name, v) for v in value) * 2
             if isinstance(value, bool):
@@ -289,6 +293,38 @@ class TestConfig:
     def test_pilot_rate_limits_accepted(self):
         CampaignConfig(pilot_rate=0.5)
         CampaignConfig(pilot_rate=1e-3)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[campaign]\nmodulation = 8\n", "unsupported QAM order 8"),
+            ("[campaign]\nrolloff = 0\n", "rolloff"),
+            ("[campaign]\nrolloff = 1.5\n", "rolloff"),
+            ("[campaign]\ntx_samples_per_symbol = 1\n", "samples/symbol"),
+            ("[campaign]\nbaud = -1\n", "baud"),
+            ("[campaign]\nbaud = 0\n", "baud"),
+            ("[campaign]\ncode_file = no_such_code\n", "no_such_code"),
+            ("[campaign]\ndecoder_iters = -1\n", "decoder_iters"),
+            ("[campaign]\ndecoder_iters = 0\n", "decoder_iters"),
+        ],
+    )
+    def test_value_no_cell_can_run_rejected(self, tmp_path, text, named):
+        # each of these failed every cell after propagation, or, for the
+        # decoder iterations, ran without decoding
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        with pytest.raises(HarnessError, match=named):
+            load_config(p)
+
+    def test_code_name_resolved_not_built(self, tmp_path, monkeypatch):
+        # set-up stays cheap: the check finds the file, only a cell builds the code
+        monkeypatch.setattr(fec.LdpcCode, "from_file", lambda *a: pytest.fail("built"))
+        CampaignConfig(code_file="rate45_n20480")
+        own = tmp_path / "own_code.txt"
+        own.write_text("4 1\n0 1 2 3\n")
+        CampaignConfig(code_file=str(own))
+        with pytest.raises(HarnessError, match="not found"):
+            CampaignConfig(code_file=str(tmp_path / "missing.txt"))
 
     def test_too_few_blocks_rejected(self):
         # metrics need one counted block between training and trailing block
@@ -552,6 +588,14 @@ class TestCli:
         assert rc == 2
         assert err == "turbowdm: error: jobs must be >= 1\n"
         assert not (out / "records.ndjson").exists()
+
+    def test_bad_config_value_is_a_one_line_error(self, tmp_path, capsys):
+        cfgp = tmp_path / "bad.cfg"
+        cfgp.write_text("[campaign]\nmodulation = 8\n")
+        rc = cli_main(["run", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "turbowdm: error: unsupported QAM order 8\n"
+        assert not (tmp_path / "out").exists()
 
     def test_tables_rejects_a_file_of_other_records(self, tmp_path, capsys):
         bad = tmp_path / "bad.ndjson"

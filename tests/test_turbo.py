@@ -4,7 +4,8 @@ from scipy.signal import lfilter
 
 from turbowdm import turbo
 from turbowdm.constellation import NU2_FLOOR_REL, build_constellation, extrinsic_llrs
-from turbowdm.fec import LdpcCode, frame_order
+from turbowdm.fec import frame_order
+from turbowdm.harness import _load_code
 from turbowdm.metrics import effective_snr
 from turbowdm.turbo import (
     SlidingWindowConfig,
@@ -23,7 +24,7 @@ def qpsk():
 
 @pytest.fixture(scope="module")
 def code():
-    return LdpcCode.bundled("rate45_n2048")
+    return _load_code("rate45_n2048")
 
 
 def mimo_channel():
@@ -245,10 +246,10 @@ def test_frame_order_matches_block_interleavers():
             want = np.concatenate([words[p, b, perm] for b, perm in enumerate(perms)])
             np.testing.assert_array_equal(frame.coded_bits[p], want)
             np.testing.assert_array_equal(reference_deinterleave(want, n, seed), words[p].ravel())
-        # a data instant is known when its first bit lies in a training block
+        # a data instant is known when its last bit lies in a training block
         known = frame.pilot_mask.copy()
         for j, t in enumerate(frame.data_positions):
-            known[t] = c.q * j < n_train * n
+            known[t] = c.q * j + c.q - 1 < n_train * n
         np.testing.assert_array_equal(frame.known_mask, known)
         assert frame.known_mask.sum() > frame.pilot_mask.sum()
 
@@ -674,6 +675,34 @@ class TestLoopPolicy:
             for b in range(1, frame.n_blocks):
                 got = inputs[p * (frame.n_blocks - 1) + b - 1]
                 assert_same_bits(got, blocks[b])
+
+    def test_straddling_symbol_is_unknown_and_demapped(self, code, monkeypatch):
+        # the symbol that ends training block 0 also carries bits of block 1:
+        # the receiver does not know it, so no stage pins it to its true
+        # value, and the demapper reads it for block 1's decode
+        c = build_constellation(64)
+        frame = encoded_frame(c, code, 3, seed=8, n_train_blocks=1)
+        n = frame.block_len
+        j = n // c.q  # the straddling symbol
+        assert (c.q * j // n, (c.q * j + c.q - 1) // n) == (0, 1)
+        t = frame.data_positions[j]
+        assert frame.known_mask[frame.data_positions[j - 1]] and not frame.known_mask[t]
+        rng = np.random.default_rng(9)
+        r = frame.symbols + 0.05 * (
+            rng.standard_normal((2, frame.n_instants))
+            + 1j * rng.standard_normal((2, frame.n_instants))
+        )
+        demapped = []
+        real_demap = turbo.cst.extrinsic_llrs
+
+        def recording_demap(estimates, *args):
+            demapped.append(estimates.copy())
+            return real_demap(estimates, *args)
+
+        monkeypatch.setattr(turbo.cst, "extrinsic_llrs", recording_demap)
+        turbo_loop(r, frame, SlidingWindowConfig(n_turbo_iters=0), code)
+        np.testing.assert_array_equal(demapped[0], r[:, ~frame.known_mask])
+        assert np.all(np.isin(r[:, t], demapped[0]))
 
     def test_training_bits_are_the_known_bits(self, noisy_training_run, code):
         res, frame = noisy_training_run
