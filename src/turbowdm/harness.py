@@ -29,8 +29,8 @@ from .waveform import (
     build_frame,
     fft_resample,
     matched_filter,
+    rrc_response,
     rrc_shape,
-    rrc_taps,
     select_channel,
     wdm_mux,
 )
@@ -52,7 +52,6 @@ class CampaignConfig:
     grid_spacing_hz: float = 37.5e9
     pilot_rate: float = 0.05
     rolloff: float = 0.01
-    rrc_span: int = 64
     tx_samples_per_symbol: int = 4
     fiber: fib.FiberParams = field(default_factory=fib.FiberParams)
     dbp_step_m: float = 10e3
@@ -106,11 +105,10 @@ class CampaignConfig:
             raise HarnessError("baud must be positive")
         if self.decoder_iters < 1:
             raise HarnessError("decoder_iters must be >= 1")
-        # each rule checked by its owner; the cells reuse the cached transmit
-        # taps, and only a cell builds the code
+        # each rule checked by its owner; only a cell builds the code
         try:
             build_constellation(self.modulation)
-            rrc_taps(self.tx_samples_per_symbol, self.rolloff, self.rrc_span)
+            rrc_response(1, self.tx_samples_per_symbol, self.rolloff)
         except (ConstellationError, WaveformError) as exc:
             raise HarnessError(str(exc)) from exc
         _code_path(self.code_file)
@@ -234,7 +232,7 @@ def run_trial(
         )
         if ch == coi_index:
             frame_coi = frame
-        channels.append(rrc_shape(frame, cfg.tx_samples_per_symbol, cfg.rolloff, cfg.rrc_span))
+        channels.append(rrc_shape(frame, cfg.tx_samples_per_symbol, cfg.rolloff))
 
     # set per-channel launch power and multiplex
     p_w = 1e-3 * 10.0 ** (power_dbm / 10.0)
@@ -254,7 +252,7 @@ def run_trial(
         rx = fib.edc(rx, cfg.fiber, n_spans)
     else:
         rx = fib.dbp(rx, cfg.fiber, n_spans, cfg.dbp_step_m)
-    rx = coarse_align(matched_filter(rx, cfg.rolloff, cfg.rrc_span, cfg.baud), frame_coi)
+    rx = coarse_align(matched_filter(rx, cfg.rolloff, cfg.baud), frame_coi)
 
     if cfg.bypass_sync_dsp:
         # idealized front end: one static complex gain per polarization, no NLMS/CPR

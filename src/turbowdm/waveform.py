@@ -3,7 +3,6 @@ resampling, WDM multiplexing and channel-of-interest extraction."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -172,108 +171,72 @@ def extract_data_bits(frame: SymbolFrame) -> np.ndarray:
     return c.bit_labels[idx].reshape(2, -1)
 
 
-@functools.cache
-def rrc_taps(samples_per_symbol: int, rolloff: float, span_symbols: int = 64) -> np.ndarray:
-    """Unit-energy root-raised-cosine FIR taps, built once per argument set
-    and shared read-only."""
+def rrc_response(n: int, samples_per_symbol: float, rolloff: float) -> np.ndarray:
+    """Root-raised-cosine amplitude on the ``n``-point FFT grid of a signal
+    at ``samples_per_symbol``: 1 up to (1 - rolloff)/2 of the symbol rate,
+    a quarter cosine period across the rolloff band, and 0 from
+    (1 + rolloff)/2 on. Its squares over frequencies a symbol rate apart
+    sum to 1, so a shaping and a matching pass make a Nyquist pulse."""
     if not 0 < rolloff <= 1:
         raise WaveformError(f"invalid rolloff {rolloff}")
     if samples_per_symbol < 2:
         raise WaveformError("need at least 2 samples/symbol")
+    f = np.abs(np.fft.fftfreq(n, 1.0 / samples_per_symbol))  # in symbol rates
+    x = np.clip((f - (1 - rolloff) / 2) / rolloff, 0.0, 1.0)
+    return np.where(x < 1, np.cos(np.pi / 2 * x), 0.0)
+
+
+def rrc_shape(frame: SymbolFrame, samples_per_symbol: int, rolloff: float) -> DualPolSignal:
+    """Upsample and pulse-shape the frame on the FFT grid: the symbol
+    spectrum, repeated ``samples_per_symbol`` times (zeros stuffed between
+    the symbols), times sqrt(sps) times the RRC response. Each pulse has
+    unit energy and is centred on its symbol: sample ``i*sps`` is symbol
+    instant ``i``, and the frame wraps circularly."""
     sps = samples_per_symbol
-    n = span_symbols * sps
-    t = (np.arange(-n // 2, n // 2 + 1)) / sps  # in symbol periods
-    a = rolloff
-    taps = np.empty_like(t)
-    for i, ti in enumerate(t):
-        if abs(ti) < 1e-9:
-            taps[i] = 1.0 - a + 4.0 * a / np.pi
-        elif abs(abs(ti) - 1.0 / (4.0 * a)) < 1e-9:
-            taps[i] = (a / np.sqrt(2.0)) * (
-                (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * a))
-                + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * a))
-            )
-        else:
-            num = np.sin(np.pi * ti * (1 - a)) + 4 * a * ti * np.cos(np.pi * ti * (1 + a))
-            den = np.pi * ti * (1 - (4 * a * ti) ** 2)
-            taps[i] = num / den
-    taps /= np.sqrt(np.sum(taps**2))
-    taps.setflags(write=False)
-    return taps
-
-
-def upsample_filter(taps: np.ndarray, x: np.ndarray, up: int) -> np.ndarray:
-    """Complex ``x`` upsampled by ``up`` (zeros stuffed along the last axis)
-    and filtered with the real ``taps``, bit for bit
-    ``scipy.signal.upfirdn(taps, x, up)``: polyphase, output j*up + t sums
-    x[j-i] * taps[i*up + t] from the oldest input sample to the newest,
-    starting from 0, as upfirdn does."""
-    per_phase = -(-len(taps) // up)
-    # complex taps: the product is upfirdn's complex one, without a cast
-    padded = np.zeros(per_phase * up, dtype=complex)
-    padded[: len(taps)] = taps
-    n_x = x.shape[-1]
-    n_j = n_x + per_phase - 1
-    xpad = np.zeros((*x.shape[:-1], n_j + per_phase - 1), dtype=complex)
-    xpad[..., per_phase - 1 : per_phase - 1 + n_x] = x
-    # one phase at a time keeps the accumulator in cache at 16 sps
-    acc = np.zeros((up, *x.shape[:-1], n_j), dtype=complex)
-    term = np.empty_like(acc[0])
-    for acc_t, taps_t in zip(acc, padded.reshape(per_phase, up).T):  # taps_t[i] = taps[i*up + t]
-        for k, tap in enumerate(taps_t[::-1]):  # i = per_phase - 1 - k
-            acc_t += np.multiply(xpad[..., k : k + n_j], tap, out=term)
-    out = np.moveaxis(acc, 0, -1).reshape(*x.shape[:-1], n_j * up)
-    return out[..., : (n_x - 1) * up + len(taps)]
-
-
-def rrc_shape(
-    frame: SymbolFrame,
-    samples_per_symbol: int,
-    rolloff: float,
-    span_symbols: int = 64,
-) -> DualPolSignal:
-    """Upsample and pulse-shape the frame; output is delay-compensated so
-    sample ``i*sps`` corresponds to symbol instant ``i``."""
-    g = rrc_taps(samples_per_symbol, rolloff, span_symbols)
-    delay = (len(g) - 1) // 2
-    v = upsample_filter(g, frame.symbols, samples_per_symbol)
+    spec = np.tile(np.fft.fft(frame.symbols), sps)
+    spec *= np.sqrt(sps) * rrc_response(spec.shape[-1], sps, rolloff)
     return DualPolSignal(
-        fields=v[:, delay : delay + frame.n_instants * samples_per_symbol],
-        sample_rate=samples_per_symbol * frame.symbol_rate,
+        fields=np.fft.ifft(spec, out=spec), sample_rate=sps * frame.symbol_rate
     )
 
 
-def matched_filter(
-    signal: DualPolSignal,
-    rolloff: float,
-    span_symbols: int = 64,
-    symbol_rate: float = 32e9,
-) -> DualPolSignal:
+def matched_filter(signal: DualPolSignal, rolloff: float, symbol_rate: float) -> DualPolSignal:
+    """The RRC filter of ``rrc_shape`` at the signal's samples per symbol:
+    after a shaping pass at the same rate, sample ``i*sps`` is symbol ``i``."""
     sps = signal.sample_rate / symbol_rate
     if abs(sps - round(sps)) > 1e-9:
         raise WaveformError("sample rate is not an integer multiple of symbol rate")
-    g = rrc_taps(int(round(sps)), rolloff, span_symbols)
-    delay = (len(g) - 1) // 2
-    # np.convolve, not upsample_filter at up=1: the two sum in a different order
-    full = np.apply_along_axis(np.convolve, -1, signal.fields, g)
-    return replace(signal, fields=full[:, delay : delay + len(signal)])
+    sps = round(sps)
+    spec = np.fft.fft(signal.fields)
+    spec *= np.sqrt(sps) * rrc_response(len(signal), sps, rolloff)
+    return replace(signal, fields=np.fft.ifft(spec, out=spec))
+
+
+def _resampled_length(n: int, ratio: float) -> int:
+    n_new = int(round(n * ratio))
+    if abs(n * ratio - n_new) > 1e-6:
+        raise WaveformError("resampling ratio not commensurate with signal length")
+    return n_new
+
+
+def _crop_spectrum(spec: np.ndarray, out: np.ndarray) -> None:
+    """Copy the lowest positive and negative frequencies of ``spec`` that
+    fit into the zeroed spectrum ``out``: of m = min(len(spec), len(out))
+    bins, (m + 1) // 2 from DC up and m // 2 below DC."""
+    m = min(len(spec), len(out))
+    out[: (m + 1) // 2] = spec[: (m + 1) // 2]
+    out[len(out) - m // 2 :] = spec[len(spec) - m // 2 :]
 
 
 def fft_resample(signal: DualPolSignal, new_sample_rate: float) -> DualPolSignal:
     """Spectral resampling to a commensurate sample rate."""
-    ratio = new_sample_rate / signal.sample_rate
     n = len(signal)
-    n_new = int(round(n * ratio))
-    if abs(n * ratio - n_new) > 1e-6:
-        raise WaveformError("resampling ratio not commensurate with signal length")
-    h = min(n, n_new) // 2
+    n_new = _resampled_length(n, new_sample_rate / signal.sample_rate)
     out = np.zeros((2, n_new), dtype=complex)
     # row by row and in place: a (2, n) transform allocates scratch for both
     # rows at once, which sets the peak memory at paper-sized lengths
     for v, spec_new in zip(signal.fields, out):
-        spec = np.fft.fft(v)
-        spec_new[:h] = spec[:h]
-        spec_new[-h:] = spec[-h:]
+        _crop_spectrum(np.fft.fft(v), spec_new)
         np.fft.ifft(spec_new, out=spec_new)
     out *= n_new / n
     return replace(signal, fields=out, sample_rate=new_sample_rate)
@@ -324,14 +287,18 @@ def select_channel(
     mask[af <= half] = 1.0
     trans = (af > half) & (af < half + transition_hz)
     mask[trans] = 0.5 * (1.0 + np.cos(np.pi * (af[trans] - half) / transition_hz))
-    shift = np.exp(-2j * np.pi * offset_hz * t)
-    fields = signal.fields * shift
-    # row by row and in place, as in fft_resample
-    for v in fields:
+    fields = signal.fields * np.exp(-2j * np.pi * offset_hz * t)
+    if out_sample_rate is None or abs(out_sample_rate - fs) <= 1e-6:
+        out_sample_rate, out = fs, fields
+    else:
+        out = np.zeros((2, _resampled_length(n, out_sample_rate / fs)), dtype=complex)
+        mask *= out.shape[1] / n  # fft_resample's scale
+    # row by row and in place, as in fft_resample; the mask and the
+    # resampling crop act on one spectrum
+    for v, spec_out in zip(fields, out):
         np.fft.fft(v, out=v)
         v *= mask
-        np.fft.ifft(v, out=v)
-    out = DualPolSignal(fields=fields, sample_rate=fs)
-    if out_sample_rate is not None and abs(out_sample_rate - fs) > 1e-6:
-        out = fft_resample(out, out_sample_rate)
-    return out
+        if spec_out is not v:
+            _crop_spectrum(v, spec_out)
+        np.fft.ifft(spec_out, out=spec_out)
+    return DualPolSignal(fields=out, sample_rate=out_sample_rate)

@@ -356,7 +356,7 @@ class TestPropagationPhysics:
         sig = sig.scaled(np.sqrt(p_w / sig.power()))
         p = FiberParams(step_m=1000.0)
         rx = propagate_link(sig, p, n_spans=10, ase=False)
-        rec = matched_filter(dbp(rx, p, 10, 10e3), 0.1)
+        rec = matched_filter(dbp(rx, p, 10, 10e3), 0.1, 32e9)
         est = rec.fields[:, ::4]
         keep = slice(200, n_sym - 200)
         evm = []

@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.signal import upfirdn
 
 from turbowdm.constellation import build_constellation
 from turbowdm.fiber import FiberParams, amplify, dbp, edc, propagate_span
@@ -16,21 +15,13 @@ from turbowdm.waveform import (
     fft_resample,
     matched_filter,
     pilot_positions,
+    rrc_response,
     rrc_shape,
-    rrc_taps,
     select_channel,
-    upsample_filter,
     wdm_mux,
 )
 
 BAUD = 32e9
-
-
-def assert_same_bits(a, b):
-    """Equal as uint64 views, so -0.0 != 0.0 and NaN payloads count."""
-    np.testing.assert_array_equal(
-        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
-    )
 
 
 @pytest.fixture(scope="module")
@@ -136,51 +127,64 @@ class TestFrame:
 
 
 class TestRrc:
-    def test_taps_symmetric_unit_energy(self):
-        g = rrc_taps(4, 0.1, 16)
-        np.testing.assert_allclose(g, g[::-1], atol=1e-12)
-        assert abs(np.sum(g**2) - 1.0) < 1e-12
+    @pytest.mark.parametrize("rolloff", [0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("sps", [2, 4, 16])
+    def test_nyquist_criterion(self, sps, rolloff):
+        # H^2 summed over frequencies a symbol rate apart is 1 at every
+        # grid frequency; on an n*sps grid they are n bins apart. Rounding in
+        # (|f| - (1 - rolloff)/2) / rolloff grows as the rolloff shrinks
+        n = 1000
+        h2 = rrc_response(n * sps, sps, rolloff) ** 2
+        np.testing.assert_allclose(h2.reshape(sps, n).sum(axis=0), 1.0, rtol=0, atol=1e-13)
 
-    def test_taps_cached_read_only(self):
-        g = rrc_taps(4, 0.1, 16)
-        assert rrc_taps(4, 0.1, 16) is g
-        assert not g.flags.writeable
-        with pytest.raises(ValueError):
-            g[0] = 0.0
+    @pytest.mark.parametrize("rolloff", [0.01, 0.1, 1.0])
+    def test_zero_beyond_rolloff_band(self, rolloff):
+        f = np.abs(np.fft.fftfreq(4096, 1 / 4))
+        h = rrc_response(4096, 4, rolloff)
+        assert np.all(h[f >= (1 + rolloff) / 2] == 0.0)
+        assert np.all(h[f <= (1 - rolloff) / 2] == 1.0)
+        assert np.all(h[f < (1 + rolloff) / 2] > 0.0)
 
-    @pytest.mark.parametrize("span", [16, 64])
+    def test_taps_symmetric_unit_energy(self, qpsk):
+        # one symbol shapes into a real, even pulse of unit energy
+        f = random_frame(qpsk, n_data_bits=1000, pilot_rate=0.0)
+        impulse = np.zeros_like(f.symbols)
+        impulse[:, 0] = 1.0
+        g = rrc_shape(replace(f, symbols=impulse), 4, 0.1).fields[0]
+        np.testing.assert_allclose(g.imag, 0.0, atol=1e-15)
+        np.testing.assert_allclose(g[1:], g[:0:-1], atol=1e-15)
+        assert abs(np.sum(np.abs(g) ** 2) - 1.0) < 1e-12
+
     @pytest.mark.parametrize("rolloff", [0.01, 0.1])
-    @pytest.mark.parametrize("sps", [1, 2, 4, 16])
-    def test_upsampler_matches_upfirdn_bits(self, sps, rolloff, span):
-        # the polyphase upsampler adds each output's terms in upfirdn's
-        # order, so every bit agrees; odd frame lengths, and frames shorter
-        # than the filter, cover the ragged ends
-        g = rrc_taps(max(sps, 2), rolloff, span)
-        rng = np.random.default_rng(sps + span)
-        for n in (1, 7, 2 * span + 1, 1001):
-            x = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-            assert_same_bits(upsample_filter(g, x, sps), upfirdn(g, x, up=sps, axis=-1))
-
-    def test_shape_is_upfirdn_delay_compensated(self, qpsk):
-        f = random_frame(qpsk, n_data_bits=1002, pilot_rate=0.05)
-        g = rrc_taps(4, 0.1, 16)
-        ref = upfirdn(g, f.symbols, up=4, axis=-1)
-        delay = (len(g) - 1) // 2
-        assert_same_bits(rrc_shape(f, 4, 0.1, 16).fields, ref[:, delay : delay + 4 * f.n_instants])
+    @pytest.mark.parametrize("sps", [2, 4, 16])
+    def test_shape_match_returns_symbols(self, qpsk, sps, rolloff):
+        # the whole frame, edges included: the filters are circular
+        f = random_frame(qpsk, n_data_bits=8000, pilot_rate=0.05, seed=sps)
+        out = matched_filter(rrc_shape(f, sps, rolloff), rolloff, BAUD).fields[:, ::sps]
+        rms = np.sqrt(np.mean(np.abs(f.symbols) ** 2))
+        assert np.max(np.abs(out - f.symbols)) < 1e-10 * rms
 
     def test_invalid_rolloff(self):
-        with pytest.raises(WaveformError):
-            rrc_taps(4, 0.0)
-        with pytest.raises(WaveformError):
-            rrc_taps(4, 1.5)
+        for rolloff in (0.0, -0.1, 1.5):
+            with pytest.raises(WaveformError, match="rolloff"):
+                rrc_response(64, 4, rolloff)
+
+    def test_invalid_samples_per_symbol(self):
+        # below 2 samples/symbol the rolloff band aliases
+        for sps in (1, 0, 1.5):
+            with pytest.raises(WaveformError, match="samples/symbol"):
+                rrc_response(64, sps, 0.1)
+        sig = DualPolSignal(fields=np.zeros((2, 64), dtype=complex), sample_rate=BAUD)
+        with pytest.raises(WaveformError, match="samples/symbol"):
+            matched_filter(sig, 0.1, BAUD)
 
     @pytest.mark.parametrize("rolloff,limit_db", [(0.1, -40.0), (0.01, -27.0)])
     def test_nyquist_cascade(self, qpsk, rolloff, limit_db):
-        # shape -> match -> downsample residual ISI; a span-64 FIR truncates
-        # the slowly decaying rolloff-0.01 tails, capping that case near -28 dB
+        # shape -> match -> downsample residual ISI; the exact RRC response
+        # leaves only rounding, at either rolloff
         f = random_frame(qpsk, n_data_bits=8000, pilot_rate=0.0, seed=7)
-        sig = rrc_shape(f, 4, rolloff, 64)
-        out = matched_filter(sig, rolloff, 64, BAUD)
+        sig = rrc_shape(f, 4, rolloff)
+        out = matched_filter(sig, rolloff, BAUD)
         sym = out.fields[:, ::4]
         guard = 70  # ignore filter edge transients
         err = sym[:, guard:-guard] - f.symbols[:, guard:-guard]
@@ -191,10 +195,10 @@ class TestRrc:
 
     def test_linear_scaling(self, qpsk):
         f = random_frame(qpsk, n_data_bits=512, pilot_rate=0.0)
-        s1 = rrc_shape(f, 4, 0.2, 16)
+        s1 = rrc_shape(f, 4, 0.2)
         f2 = random_frame(qpsk, n_data_bits=512, pilot_rate=0.0)
         f2.symbols = f.symbols * 2.0
-        s2 = rrc_shape(f2, 4, 0.2, 16)
+        s2 = rrc_shape(f2, 4, 0.2)
         np.testing.assert_allclose(s2.fields[0], 2.0 * s1.fields[0], atol=1e-12)
 
 
@@ -212,10 +216,21 @@ class TestResample:
         err = x_rel_err(up, sig)
         assert err < 1e-25
 
+    @pytest.mark.parametrize("n_out", [9, 10])
+    def test_band_edge_tones_kept(self, n_out):
+        # a grid of odd length has one more bin above DC than below
+        n = 2 * n_out
+        spec = np.zeros(n, dtype=complex)
+        edge = (n_out - 1) // 2
+        spec[[edge, -edge]] = 1.0
+        v = np.fft.ifft(spec)
+        out = fft_resample(DualPolSignal(fields=np.stack([v, v]), sample_rate=2.0), 1.0)
+        np.testing.assert_allclose(np.fft.fft(out.fields[0])[[edge, -edge]], 0.5, atol=1e-15)
+
     def test_roundtrip_interior(self, qpsk):
         # a non-periodic frame wraps at the edges; the interior still survives
         f = random_frame(qpsk, n_data_bits=2048, pilot_rate=0.0)
-        sig = rrc_shape(f, 16, 0.1, 32)
+        sig = rrc_shape(f, 16, 0.1)
         up = fft_resample(fft_resample(sig, 2 * BAUD), 16 * BAUD)
         n = len(sig)
         trim = n // 10
@@ -226,7 +241,7 @@ class TestResample:
 class TestWdm:
     def test_single_channel_identity(self, qpsk):
         f = random_frame(qpsk, n_data_bits=1024, pilot_rate=0.0)
-        sig = rrc_shape(f, 4, 0.1, 16)
+        sig = rrc_shape(f, 4, 0.1)
         out = wdm_mux([sig], 37.5e9)
         np.testing.assert_allclose(out.fields[0], sig.fields[0], atol=1e-12)
 
@@ -246,7 +261,7 @@ class TestWdm:
         chans = []
         for seed in range(3):
             f = random_frame(qpsk, n_data_bits=4096, pilot_rate=0.0, seed=seed)
-            chans.append(rrc_shape(f, 8, 0.01, 64))
+            chans.append(rrc_shape(f, 8, 0.01))
         out = wdm_mux(chans, 37.5e9)
         total = np.sum(np.abs(out.fields) ** 2)
         parts = sum(np.sum(np.abs(c.fields) ** 2) for c in chans)
@@ -262,7 +277,7 @@ class TestWdm:
 class TestSelectChannel:
     def test_mux_select_roundtrip(self, qpsk):
         f = random_frame(qpsk, n_data_bits=4096, pilot_rate=0.0, seed=9)
-        sig = rrc_shape(f, 4, 0.01, 64)
+        sig = rrc_shape(f, 4, 0.01)
         muxed = wdm_mux([sig], 37.5e9)
         sel = select_channel(muxed, 0.0, BAUD * 1.2, out_sample_rate=2 * BAUD)
         back = fft_resample(sel, 4 * BAUD)
@@ -273,7 +288,7 @@ class TestSelectChannel:
         # neighbor-only WDM: energy leaking into the COI band is <= -40 dB
         f = random_frame(qpsk, n_data_bits=8192, pilot_rate=0.0, seed=10)
         fs = 4 * BAUD
-        ch = rrc_shape(f, 4, 0.01, 64)
+        ch = rrc_shape(f, 4, 0.01)
         n = len(ch)
         zero = DualPolSignal(fields=np.zeros((2, n), dtype=complex), sample_rate=fs)
         muxed = wdm_mux([ch, zero, ch], 37.5e9)
@@ -281,11 +296,26 @@ class TestSelectChannel:
         leak = sel.power() / muxed.power()
         assert 10 * np.log10(leak) < -40.0
 
+    @pytest.mark.parametrize("rolloff", [0.01, 0.1])
+    def test_neighbors_outside_band_leave_no_power(self, qpsk, rolloff):
+        # the RRC spectrum is exactly 0 beyond (1 + rolloff)/2 of the baud;
+        # with the stopband starting at the neighbors' band edge, the empty
+        # centre channel receives nothing but rounding (of the mux tones
+        # above all) from them. 8192
+        # samples at 4 sps put the 37.5 GHz grid on the FFT grid.
+        f = random_frame(qpsk, n_data_bits=4096, pilot_rate=0.0, seed=10)
+        ch = rrc_shape(f, 4, rolloff)
+        zero = DualPolSignal(fields=np.zeros_like(ch.fields), sample_rate=ch.sample_rate)
+        muxed = wdm_mux([ch, zero, ch], 37.5e9)
+        bw = BAUD * (1 + rolloff)
+        sel = select_channel(muxed, 0.0, bw, out_sample_rate=2 * BAUD, transition_hz=37.5e9 - bw)
+        assert sel.power() / muxed.power() < 1e-20
+
     def test_select_neighbor_channel(self, qpsk):
         fa = random_frame(qpsk, n_data_bits=4096, pilot_rate=0.0, seed=11)
         fb = random_frame(qpsk, n_data_bits=4096, pilot_rate=0.0, seed=12)
-        ca = rrc_shape(fa, 8, 0.01, 64)
-        cb = rrc_shape(fb, 8, 0.01, 64)
+        ca = rrc_shape(fa, 8, 0.01)
+        cb = rrc_shape(fb, 8, 0.01)
         muxed = wdm_mux([ca, cb], 37.5e9)
         # channels sit at -18.75 and +18.75 GHz; recover the second one
         # (spectral gap is ~5 GHz, so the transition band must stay narrow)
@@ -304,8 +334,8 @@ class TestDualPolLayout:
 
     # each stage maps (T/2 signal, its frame) to a DualPolSignal
     STAGES = {
-        "rrc_shape": lambda s, f: rrc_shape(f, 2, 0.1, 16),
-        "matched_filter": lambda s, f: matched_filter(s, 0.1, 16, BAUD),
+        "rrc_shape": lambda s, f: rrc_shape(f, 2, 0.1),
+        "matched_filter": lambda s, f: matched_filter(s, 0.1, BAUD),
         "fft_resample": lambda s, f: fft_resample(s, 4 * BAUD),
         "wdm_mux": lambda s, f: wdm_mux([s, s.scaled(0.5), s], 20e9),
         "select_channel": lambda s, f: select_channel(s, 5e9, 1.1 * BAUD),
@@ -323,7 +353,7 @@ class TestDualPolLayout:
         # the two rows are two polarizations of one field: no stage may mix
         # them by position, so swapping the input rows swaps the output rows
         f = random_frame(qpsk, n_data_bits=2048, seed=13)
-        sig = rrc_shape(f, 2, 0.1, 16).scaled(0.05)
+        sig = rrc_shape(f, 2, 0.1).scaled(0.05)
         f_sw = replace(f, symbols=f.symbols[::-1], coded_bits=f.coded_bits[::-1])
         sig_sw = replace(sig, fields=sig.fields[::-1])
         run = self.STAGES[stage]
