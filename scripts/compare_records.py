@@ -5,7 +5,9 @@ Run from the repository root:  python scripts/compare_records.py A.ndjson B.ndjs
 Records pair by (power, spans, mode, trial, iteration). Prints how many
 pairs are byte-identical as JSON lines, the largest |ΔSNR| and |ΔGMI| over
 the pairs, every trial whose iteration count or post-FEC BER changed, and
-the trials present in one file only.
+the trials present in one file only. Exits 1 when the files differ (a
+paired record differs, or a trial or iteration is in one file only) and 0
+when they are identical, as ``cmp`` does.
 """
 
 import argparse
@@ -21,8 +23,9 @@ def trial_key(r):
     return (r.launch_power_dbm, r.n_spans, r.mode, r.trial)
 
 
-def compare(a, b) -> list[str]:
-    """Report lines for records ``a`` against records ``b``."""
+def compare(a, b) -> tuple[list[str], bool]:
+    """Report lines for records ``a`` against records ``b``, and whether
+    the two hold the same records."""
     trials: dict[tuple, tuple[dict, dict]] = {}
     for side, recs in enumerate((a, b)):
         for r in recs:
@@ -33,6 +36,7 @@ def compare(a, b) -> list[str]:
         for it in sorted(ra.keys() & rb.keys())
     ]
     same = sum(x.to_json_line() == y.to_json_line() for x, y in pairs)
+    identical = same == len(pairs) and all(ra.keys() == rb.keys() for ra, rb in trials.values())
     lines = [f"{same} of {len(pairs)} paired records identical"]
     if pairs:
         d_snr = max(abs(x.snr_db - y.snr_db) for x, y in pairs)
@@ -53,7 +57,7 @@ def compare(a, b) -> list[str]:
         ]
         if changes:
             lines.append(f"{cell}: " + "; ".join(changes))
-    return lines
+    return lines, identical
 
 
 def main(argv=None) -> int:
@@ -61,8 +65,9 @@ def main(argv=None) -> int:
     ap.add_argument("a", help="records.ndjson of the reference run")
     ap.add_argument("b", help="records.ndjson of the run compared with it")
     args = ap.parse_args(argv)
-    print("\n".join(compare(read_records_ndjson(args.a), read_records_ndjson(args.b))))
-    return 0
+    lines, identical = compare(read_records_ndjson(args.a), read_records_ndjson(args.b))
+    print("\n".join(lines))
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":

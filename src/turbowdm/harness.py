@@ -22,7 +22,7 @@ from . import fiber as fib
 from .constellation import ConstellationError, build_constellation
 from .fec import LdpcCode, frame_order
 from .metrics import MetricsRecord
-from .sync_dsp import coarse_align, count_slips, ddpll, nlms_equalize
+from .sync_dsp import count_slips, ddpll, nlms_equalize
 from .turbo import SlidingWindowConfig, turbo_loop
 from .waveform import (
     WaveformError,
@@ -143,7 +143,7 @@ def _parse_section(cp: configparser.ConfigParser, section: str, cls) -> dict:
 
 
 def load_config(path: str | Path) -> CampaignConfig:
-    """Parse a config file (INI syntax) or a bundled preset given by name.
+    """Parse a config file (INI syntax), else the bundled preset of a bare name.
 
     ``[campaign]`` sets fields of :class:`CampaignConfig`, and a section
     named after one of its dataclass fields (``[fiber]``, ``[turbo]``) sets
@@ -153,7 +153,7 @@ def load_config(path: str | Path) -> CampaignConfig:
     path = Path(path)
     if not path.exists():
         preset = resources.files("turbowdm.presets") / path.name
-        if not preset.is_file():
+        if path.parent != Path() or not preset.is_file():
             raise HarnessError(f"config file {path} not found")
         path = preset
     cp = configparser.ConfigParser(interpolation=None)
@@ -241,18 +241,15 @@ def run_trial(
 
     rx = fib.propagate_link(wdm, cfg.fiber, n_spans, seed=int(rng.integers(0, 2**63 - 1)))
 
-    # receiver front end: channel select, 2 samples/symbol, DBP or EDC, MF, align
+    # receiver front end, circular on one FFT grid: select at 2 sps, DBP or EDC, MF
     bw = cfg.baud * (1.0 + cfg.rolloff)
     guard = max(cfg.grid_spacing_hz - bw, 0.1 * cfg.baud)
-    rx = select_channel(
-        rx, 0.0, bw, out_sample_rate=2 * cfg.baud,
-        transition_hz=min(0.15 * bw, guard),
-    )
+    rx = select_channel(rx, bw, 2 * cfg.baud, min(0.15 * bw, guard))
     if mode == "edc":
         rx = fib.edc(rx, cfg.fiber, n_spans)
     else:
         rx = fib.dbp(rx, cfg.fiber, n_spans, cfg.dbp_step_m)
-    rx = coarse_align(matched_filter(rx, cfg.rolloff, cfg.baud), frame_coi)
+    rx = matched_filter(rx, cfg.rolloff, cfg.baud)
 
     if cfg.bypass_sync_dsp:
         # idealized front end: one static complex gain per polarization, no NLMS/CPR

@@ -1,6 +1,6 @@
-"""Receiver DSP between matched filter and turbo equalizer: frame
-alignment, pilot-based T/2-spaced MIMO 2x2 NLMS equalization, and
-decision-directed PLL carrier phase recovery."""
+"""Receiver DSP between matched filter and turbo equalizer: pilot-based
+T/2-spaced MIMO 2x2 NLMS equalization and decision-directed PLL carrier
+phase recovery."""
 
 from __future__ import annotations
 
@@ -15,28 +15,6 @@ class SyncError(RuntimeError):
     pass
 
 
-def coarse_align(signal: DualPolSignal, frame: SymbolFrame) -> DualPolSignal:
-    """Align the received waveform so sample ``sps*i`` corresponds to symbol
-    instant ``i`` (``sps`` samples per symbol of the frame), using
-    cross-correlation against the known pilot sequence."""
-    sps = int(round(signal.sample_rate / frame.symbol_rate))
-    n_sym = frame.n_instants
-    need = n_sym * sps
-    ref = np.zeros((2, need), dtype=complex)
-    pil = frame.pilot_mask
-    ref[:, np.nonzero(pil)[0] * sps] = frame.symbols[:, pil]
-    n = max(len(signal), need)
-    fa = np.fft.fft(signal.fields, n)
-    fa *= np.conj(np.fft.fft(ref, n))
-    score = np.sum(np.abs(np.fft.ifft(fa)), axis=0)
-    lag = int(np.argmax(score))
-    rolled = np.roll(signal.fields, -lag, axis=-1) if lag else signal.fields
-    pad = need - rolled.shape[1]
-    if pad > 0:
-        rolled = np.pad(rolled, ((0, 0), (0, pad)))
-    return DualPolSignal(fields=rolled[:, :need], sample_rate=signal.sample_rate)
-
-
 def nlms_equalize(
     signal: DualPolSignal,
     frame: SymbolFrame,
@@ -44,7 +22,8 @@ def nlms_equalize(
     step_size: float = 0.05,
 ) -> np.ndarray:
     """Fractionally spaced MIMO 2x2 NLMS equalizer, one output per symbol,
-    on a signal aligned to the frame (``coarse_align``).
+    on a signal whose sample ``sps*i`` carries symbol instant ``i`` (``sps``
+    samples per symbol of the frame), as the matched filter delivers it.
 
     The ``n_taps`` taps per input start as a centred unit pass-through and
     are updated only where the transmitted symbol is known

@@ -122,7 +122,7 @@ def build_frame(
     c: Constellation,
     pilot_rate: float,
     seed: int,
-    symbol_rate: float = 32e9,
+    symbol_rate: float,
 ) -> SymbolFrame:
     """Assemble the dual-pol symbol frame from the (2, n_blocks, n)
     codewords in code order: interleave them by ``order``, which must
@@ -243,13 +243,14 @@ def fft_resample(signal: DualPolSignal, new_sample_rate: float) -> DualPolSignal
 
 
 def wdm_mux(channels: list[DualPolSignal], spacing_hz: float) -> DualPolSignal:
-    """Sum of frequency-shifted channels with the center channel at 0 Hz."""
+    """Sum of equally long frequency-shifted channels, the center one at 0 Hz."""
     if not channels:
         raise WaveformError("no channels")
-    fs = channels[0].sample_rate
-    n = max(len(ch) for ch in channels)
+    fs, n = channels[0].sample_rate, len(channels[0])
     if any(abs(ch.sample_rate - fs) > 1e-6 for ch in channels):
         raise WaveformError("channels must share a sample rate")
+    if any(len(ch) != n for ch in channels):
+        raise WaveformError("channels must share a length")
     n_ch = len(channels)
     if (n_ch - 1) * spacing_hz >= fs:
         raise WaveformError("aggregate WDM band exceeds the sampling bandwidth")
@@ -258,47 +259,37 @@ def wdm_mux(channels: list[DualPolSignal], spacing_hz: float) -> DualPolSignal:
     center = (n_ch - 1) / 2.0
     for i, ch in enumerate(channels):
         f = (i - center) * spacing_hz
-        tone = np.exp(2j * np.pi * f * t)
-        out[:, : len(ch)] += ch.fields * tone[: len(ch)]
+        out += ch.fields * np.exp(2j * np.pi * f * t)
     return DualPolSignal(fields=out, sample_rate=fs)
 
 
 def select_channel(
     signal: DualPolSignal,
-    offset_hz: float,
     bandwidth_hz: float,
-    out_sample_rate: float | None = None,
-    transition_hz: float | None = None,
+    out_sample_rate: float,
+    transition_hz: float,
 ) -> DualPolSignal:
-    """Band-pass filter around ``offset_hz``, downconvert to baseband, and
-    resample. The filter is flat in its passband with a raised-cosine
-    transition to the stopband."""
+    """Band-pass filter the channel at 0 Hz and resample it to
+    ``out_sample_rate``. The filter is flat in its passband with a
+    raised-cosine transition to the stopband."""
     fs = signal.sample_rate
     if bandwidth_hz >= fs:
         raise WaveformError("bandwidth exceeds sample rate")
-    if transition_hz is None:
-        transition_hz = 0.15 * bandwidth_hz
     n = len(signal)
-    t = np.arange(n) / fs
-    f = np.fft.fftfreq(n, d=1.0 / fs)
+    af = np.abs(np.fft.fftfreq(n, d=1.0 / fs))
     half = bandwidth_hz / 2.0
-    af = np.abs(f)
     mask = np.zeros(n)
     mask[af <= half] = 1.0
     trans = (af > half) & (af < half + transition_hz)
     mask[trans] = 0.5 * (1.0 + np.cos(np.pi * (af[trans] - half) / transition_hz))
-    fields = signal.fields * np.exp(-2j * np.pi * offset_hz * t)
-    if out_sample_rate is None or abs(out_sample_rate - fs) <= 1e-6:
-        out_sample_rate, out = fs, fields
-    else:
-        out = np.zeros((2, _resampled_length(n, out_sample_rate / fs)), dtype=complex)
-        mask *= out.shape[1] / n  # fft_resample's scale
-    # row by row and in place, as in fft_resample; the mask and the
-    # resampling crop act on one spectrum
-    for v, spec_out in zip(fields, out):
-        np.fft.fft(v, out=v)
-        v *= mask
-        if spec_out is not v:
-            _crop_spectrum(v, spec_out)
+    out = np.zeros((2, _resampled_length(n, out_sample_rate / fs)), dtype=complex)
+    mask *= out.shape[1] / n  # fft_resample's scale
+    # row by row, as in fft_resample; the mask and the resampling crop act
+    # on one spectrum
+    spec = np.empty(n, dtype=complex)
+    for v, spec_out in zip(signal.fields, out):
+        np.fft.fft(v, out=spec)
+        spec *= mask
+        _crop_spectrum(spec, spec_out)
         np.fft.ifft(spec_out, out=spec_out)
     return DualPolSignal(fields=out, sample_rate=out_sample_rate)

@@ -13,10 +13,15 @@ def line(power, mode, trial, it, snr, gmi=11.0, ber=0.0):
     )
 
 
-def test_compare_two_record_files(tmp_path, capsys):
+def load_script():
     spec = importlib.util.spec_from_file_location("compare_records", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_compare_two_record_files(tmp_path, capsys):
+    script = load_script()
     a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
     a.write_text(
         line(0.0, "dbp", 0, 0, 20.0)
@@ -31,7 +36,7 @@ def test_compare_two_record_files(tmp_path, capsys):
         + line(0.0, "dbp_turbo", 0, 1, 20.75, gmi=11.0, ber=0.02)
         + line(4.0, "edc", 0, 0, 12.0)
     )
-    assert script.main([str(a), str(b)]) == 0
+    assert script.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "2 of 3 paired records identical",
         "max |ΔSNR| 0.25 dB, max |ΔGMI| 0.25 bits/4D",
@@ -40,3 +45,28 @@ def test_compare_two_record_files(tmp_path, capsys):
         "power +2 dBm, 10 spans, edc, trial 1: only in A",
         "power +4 dBm, 10 spans, edc, trial 0: only in B",
     ]
+
+
+def test_identical_files_exit_zero(tmp_path, capsys):
+    # records written in another order are still the same records
+    script = load_script()
+    recs = [line(0.0, "dbp_turbo", 0, it, 20.0 + it) for it in range(3)] + [line(2.0, "edc", 1, 0, 15.0)]
+    a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+    a.write_text("".join(recs))
+    b.write_text("".join(reversed(recs)))
+    assert script.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "4 of 4 paired records identical",
+        "max |ΔSNR| 0 dB, max |ΔGMI| 0 bits/4D",
+    ]
+
+
+def test_iteration_in_one_file_only_differs(tmp_path, capsys):
+    # every paired record is identical, but B stopped a turbo run earlier
+    script = load_script()
+    recs = [line(0.0, "dbp_turbo", 0, it, 20.0) for it in range(3)]
+    a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+    a.write_text("".join(recs))
+    b.write_text("".join(recs[:2]))
+    assert script.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "2 of 2 paired records identical"

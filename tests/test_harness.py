@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -202,6 +203,14 @@ class TestConfig:
     def test_missing_config(self):
         with pytest.raises(HarnessError):
             load_config("no_such_file.cfg")
+
+    def test_missing_path_is_not_a_preset(self, tmp_path):
+        # only a bare name stands for a bundled preset: a mistyped path must
+        # not start the preset's campaign
+        with pytest.raises(HarnessError, match="not found"):
+            load_config(tmp_path / "no_such_dir" / "paper.cfg")
+        bundled = resources.files("turbowdm.presets") / "desk.cfg"
+        assert load_config("desk.cfg") == load_config(bundled)
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(HarnessError):
@@ -410,6 +419,54 @@ class TestRunTrial:
         cfg = dataclasses.replace(tiny_cfg, n_wdm_channels=3)
         run_trial(cfg, 2.0, 2, "dbp_turbo", 5)
         assert len(calls) == 1
+
+
+def pilot_lag(signal, frame):
+    """Lag at which the circular cross-correlation of ``signal`` with the
+    frame's pilots, placed at their symbols' samples, peaks over both
+    polarizations."""
+    sps = round(signal.sample_rate / frame.symbol_rate)
+    ref = np.zeros_like(signal.fields)
+    pil = frame.pilot_mask
+    ref[:, np.nonzero(pil)[0] * sps] = frame.symbols[:, pil]
+    xc = np.fft.ifft(np.fft.fft(signal.fields) * np.conj(np.fft.fft(ref)))
+    return int(np.argmax(np.sum(np.abs(xc), axis=0)))
+
+
+class TestFrontEnd:
+    @pytest.mark.parametrize("sps", [4, 8])
+    def test_matched_filter_output_is_symbol_aligned(self, sps, monkeypatch):
+        # every stage from shaping to matched filter is circular on one FFT
+        # grid with the channel of interest at 0 Hz, so the matched filter
+        # hands the NLMS a frame of 2 samples per symbol whose pilots lie
+        # where the transmitter put them, at all powers and in both modes
+        cfg = CampaignConfig(
+            rolloff=0.1, tx_samples_per_symbol=sps, n_blocks=3, n_train_blocks=1,
+            fiber=FiberParams(n_spans=2, step_m=5000.0), dbp_step_m=25e3,
+        )
+        frames, outs, nlms_in = [], [], []
+
+        def spy(log, fn):
+            def wrapped(*args, **kwargs):
+                log.append(fn(*args, **kwargs))
+                return log[-1]
+            return wrapped
+
+        monkeypatch.setattr(harness, "build_frame", spy(frames, harness.build_frame))
+        monkeypatch.setattr(harness, "matched_filter", spy(outs, harness.matched_filter))
+        nlms = harness.nlms_equalize
+        monkeypatch.setattr(
+            harness, "nlms_equalize", lambda sig, *a: nlms_in.append(sig) or nlms(sig, *a)
+        )
+        for mode in ("edc", "dbp"):
+            for power in (-4.0, 4.0):
+                frames.clear()
+                run_trial(cfg, power, 2, mode, 0)
+                coi = frames[(cfg.n_wdm_channels - 1) // 2]
+                out = outs[-1]
+                assert nlms_in[-1] is out
+                assert len(out) == 2 * coi.n_instants
+                assert pilot_lag(out, coi) == 0
 
 
 class TestCampaign:

@@ -4,7 +4,6 @@ import pytest
 from turbowdm.constellation import build_constellation, hard_decide
 from turbowdm.sync_dsp import (
     SyncError,
-    coarse_align,
     count_slips,
     ddpll,
     nlms_equalize,
@@ -37,27 +36,6 @@ def stuffed_signal(frame, sps=2):
     fields = np.zeros((2, n), dtype=complex)
     fields[:, ::sps] = frame.symbols
     return DualPolSignal(fields=fields, sample_rate=sps * BAUD)
-
-
-class TestCoarseAlign:
-    @pytest.mark.parametrize("lag", [0, 3, 57])
-    def test_recovers_integer_lag(self, qpsk, lag):
-        frame = make_frame(qpsk, seed=1)
-        sig = stuffed_signal(frame)
-        delayed = DualPolSignal(
-            fields=np.roll(sig.fields, lag, axis=-1), sample_rate=sig.sample_rate
-        )
-        back = coarse_align(delayed, frame)
-        np.testing.assert_allclose(back.fields, sig.fields, atol=1e-12)
-
-    def test_trims_to_frame_length(self, qpsk):
-        frame = make_frame(qpsk, seed=2)
-        sig = stuffed_signal(frame)
-        padded = DualPolSignal(
-            fields=np.pad(sig.fields, ((0, 0), (0, 37))), sample_rate=sig.sample_rate
-        )
-        back = coarse_align(padded, frame)
-        assert len(back) == frame.n_instants * 2
 
 
 class TestNlms:

@@ -240,7 +240,7 @@ def test_frame_order_matches_block_interleavers():
     np.testing.assert_array_equal(order, np.concatenate([b * n + p for b, p in enumerate(perms)]))
     words = np.random.default_rng(0).integers(0, 2, (2, nb, n)).astype(np.uint8)
     for c in (build_constellation(4), build_constellation(64)):
-        frame = build_frame(words, order, n_train, c, 0.05, seed=1)
+        frame = build_frame(words, order, n_train, c, 0.05, seed=1, symbol_rate=32e9)
         assert frame.order is order and frame.n_train_blocks == n_train
         for p in range(2):
             want = np.concatenate([words[p, b, perm] for b, perm in enumerate(perms)])

@@ -6,7 +6,6 @@ import pytest
 from turbowdm.constellation import build_constellation
 from turbowdm.fiber import FiberParams, amplify, dbp, edc, propagate_span
 from turbowdm.metrics import post_fec_ber
-from turbowdm.sync_dsp import coarse_align
 from turbowdm.waveform import (
     DualPolSignal,
     WaveformError,
@@ -78,14 +77,15 @@ class TestFrame:
 
     def test_bad_bit_count(self, qpsk):
         with pytest.raises(WaveformError):
-            build_frame(np.zeros((2, 1, 7), dtype=np.uint8), np.arange(7), 0, qpsk, 0.05, 0)
+            build_frame(np.zeros((2, 1, 7), dtype=np.uint8), np.arange(7), 0, qpsk, 0.05, 0, BAUD)
 
     def test_counted_blocks_skip_training_and_last(self, qpsk):
         # errors in the training blocks and the trailing block count for
         # nothing; the 14 blocks between them count every bit
         n_blocks, k = 18, 64
         f = build_frame(
-            np.zeros((2, n_blocks, k), dtype=np.uint8), np.arange(n_blocks * k), 3, qpsk, 0.05, 0
+            np.zeros((2, n_blocks, k), dtype=np.uint8), np.arange(n_blocks * k), 3, qpsk, 0.05, 0,
+            BAUD,
         )
         assert f.counted_blocks == slice(3, n_blocks - 1)
         ref = np.zeros((2, n_blocks, k), dtype=np.uint8)
@@ -104,15 +104,15 @@ class TestFrame:
         # leave no block between them and the trailing block
         words = np.zeros((2, 18, 8), dtype=np.uint8)
         with pytest.raises(WaveformError, match="n_train_blocks"):
-            build_frame(words, np.arange(18 * 8), n_train, qpsk, 0.05, 0)
+            build_frame(words, np.arange(18 * 8), n_train, qpsk, 0.05, 0, BAUD)
         for ok in (0, 16):
-            assert build_frame(words, np.arange(18 * 8), ok, qpsk, 0.05, 0).n_train_blocks == ok
+            assert build_frame(words, np.arange(18 * 8), ok, qpsk, 0.05, 0, BAUD).n_train_blocks == ok
 
     def test_order_length_mismatch(self, qpsk):
         # the order indexes every bit of the frame once
         for order in (np.arange(7), np.arange(9)):
             with pytest.raises(WaveformError, match="order"):
-                build_frame(np.zeros((2, 2, 4), dtype=np.uint8), order, 0, qpsk, 0.05, 0)
+                build_frame(np.zeros((2, 2, 4), dtype=np.uint8), order, 0, qpsk, 0.05, 0, BAUD)
 
     @pytest.mark.parametrize("rate", [1.0, 0.7, 5.0, -0.05])
     def test_pilot_stride_below_two_rejected(self, rate):
@@ -267,6 +267,15 @@ class TestWdm:
         parts = sum(np.sum(np.abs(c.fields) ** 2) for c in chans)
         assert abs(total - parts) / parts < 1e-3
 
+    def test_unequal_lengths_rejected(self):
+        # a short channel is an error, not a channel padded with zeros
+        long, short = (
+            DualPolSignal(fields=np.ones((2, n), dtype=complex), sample_rate=150e9)
+            for n in (8, 5)
+        )
+        with pytest.raises(WaveformError, match="length"):
+            wdm_mux([long, short, long], 37.5e9)
+
     def test_aliasing_rejected(self):
         one = np.ones(64, dtype=complex)
         ch = DualPolSignal(fields=np.stack([one, one]), sample_rate=50e9)
@@ -279,7 +288,9 @@ class TestSelectChannel:
         f = random_frame(qpsk, n_data_bits=4096, pilot_rate=0.0, seed=9)
         sig = rrc_shape(f, 4, 0.01)
         muxed = wdm_mux([sig], 37.5e9)
-        sel = select_channel(muxed, 0.0, BAUD * 1.2, out_sample_rate=2 * BAUD)
+        rx = muxed.fields.copy()
+        sel = select_channel(muxed, BAUD * 1.2, 2 * BAUD, 0.15 * BAUD * 1.2)
+        assert np.array_equal(muxed.fields, rx)  # the caller's fields are left alone
         back = fft_resample(sel, 4 * BAUD)
         err = x_rel_err(back, sig)
         assert 10 * np.log10(err) < -35.0
@@ -292,7 +303,7 @@ class TestSelectChannel:
         n = len(ch)
         zero = DualPolSignal(fields=np.zeros((2, n), dtype=complex), sample_rate=fs)
         muxed = wdm_mux([ch, zero, ch], 37.5e9)
-        sel = select_channel(muxed, 0.0, BAUD * 1.01, transition_hz=4e9)
+        sel = select_channel(muxed, BAUD * 1.01, fs, 4e9)
         leak = sel.power() / muxed.power()
         assert 10 * np.log10(leak) < -40.0
 
@@ -308,22 +319,8 @@ class TestSelectChannel:
         zero = DualPolSignal(fields=np.zeros_like(ch.fields), sample_rate=ch.sample_rate)
         muxed = wdm_mux([ch, zero, ch], 37.5e9)
         bw = BAUD * (1 + rolloff)
-        sel = select_channel(muxed, 0.0, bw, out_sample_rate=2 * BAUD, transition_hz=37.5e9 - bw)
+        sel = select_channel(muxed, bw, 2 * BAUD, 37.5e9 - bw)
         assert sel.power() / muxed.power() < 1e-20
-
-    def test_select_neighbor_channel(self, qpsk):
-        fa = random_frame(qpsk, n_data_bits=4096, pilot_rate=0.0, seed=11)
-        fb = random_frame(qpsk, n_data_bits=4096, pilot_rate=0.0, seed=12)
-        ca = rrc_shape(fa, 8, 0.01)
-        cb = rrc_shape(fb, 8, 0.01)
-        muxed = wdm_mux([ca, cb], 37.5e9)
-        # channels sit at -18.75 and +18.75 GHz; recover the second one
-        # (spectral gap is ~5 GHz, so the transition band must stay narrow)
-        sel = select_channel(
-            muxed, +18.75e9, BAUD * 1.2, out_sample_rate=8 * BAUD, transition_hz=2e9
-        )
-        err = x_rel_err(sel, cb)
-        assert 10 * np.log10(err) < -30.0
 
 
 class TestDualPolLayout:
@@ -338,14 +335,11 @@ class TestDualPolLayout:
         "matched_filter": lambda s, f: matched_filter(s, 0.1, BAUD),
         "fft_resample": lambda s, f: fft_resample(s, 4 * BAUD),
         "wdm_mux": lambda s, f: wdm_mux([s, s.scaled(0.5), s], 20e9),
-        "select_channel": lambda s, f: select_channel(s, 5e9, 1.1 * BAUD),
+        "select_channel": lambda s, f: select_channel(s, 1.1 * BAUD, BAUD, 0.15 * BAUD),
         "amplify": lambda s, f: amplify(s, 10.0, None),
         "propagate_span": lambda s, f: propagate_span(s, FiberParams(step_m=5000.0)),
         "edc": lambda s, f: edc(s, FiberParams(), 2),
         "dbp": lambda s, f: dbp(s, FiberParams(), 1, 10e3),
-        "coarse_align": lambda s, f: coarse_align(
-            replace(s, fields=np.roll(s.fields, 7, axis=-1)), f
-        ),
     }
 
     @pytest.mark.parametrize("stage", list(STAGES))
