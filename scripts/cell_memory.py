@@ -1,0 +1,50 @@
+"""Peak memory of one paper-sized cell.
+
+Run from the repository root:  python scripts/cell_memory.py
+
+Runs one `dbp` trial of `paper.cfg` at 0 dBm with the link cut to one
+1 km span, propagated and backpropagated in one 1 km step each. The
+signal keeps the preset's size (11 channels of PM-256QAM at 16
+samples/symbol, 776,096 samples, and the n = 20480 code), so the
+transmitter and the receiver's front end hold paper-sized fields while the
+split-step stays short. The cell is narrowed with `dataclasses.replace`
+only. Prints the process's own peak RSS (`ru_maxrss`), the cell's wall
+time and the sha256 of its records as `records.ndjson` would hold them.
+"""
+
+import hashlib
+import resource
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from turbowdm import harness  # noqa: E402
+
+
+def main() -> int:
+    cfg = harness.load_config("paper.cfg")
+    cfg = replace(
+        cfg,
+        fiber=replace(cfg.fiber, span_km=1.0, step_m=1000.0),
+        dbp_step_m=1000.0,
+        power_dbm_list=(0.0,),
+        span_list=(1,),
+        modes=("dbp",),
+        n_trials=1,
+    )
+    t0 = time.perf_counter()
+    records = harness.run_trial(cfg, 0.0, 1, "dbp", 0)
+    wall = time.perf_counter() - t0
+    text = "".join(r.to_json_line() + "\n" for r in records)
+    print(f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f}")
+    print(f"wall_s {wall:.1f}")
+    print(f"snr_db {records[-1].snr_db:.4f}")
+    print(f"records_sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

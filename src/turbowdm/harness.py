@@ -25,6 +25,8 @@ from .metrics import MetricsRecord
 from .sync_dsp import count_slips, ddpll, nlms_equalize
 from .turbo import SlidingWindowConfig, turbo_loop
 from .waveform import (
+    DualPolSignal,
+    SymbolFrame,
     WaveformError,
     build_frame,
     fft_resample,
@@ -197,6 +199,45 @@ def _load_code(name: str) -> LdpcCode:
     return LdpcCode.from_file(_code_path(name))
 
 
+def transmit(
+    cfg: CampaignConfig,
+    power_dbm: float,
+    rng: np.random.Generator,
+    code: LdpcCode,
+    order: np.ndarray,
+) -> tuple[DualPolSignal, SymbolFrame]:
+    """The WDM field at the fiber input and the frame of the channel of
+    interest (the centre one). Each channel in turn is encoded, framed,
+    shaped, set to ``power_dbm`` and added into the multiplex, so the sum
+    and one channel are all the field memory held. Per channel ``rng``
+    draws the info bits, then the frame's pilot seed."""
+    c = build_constellation(cfg.modulation)
+    p_w = 1e-3 * 10.0 ** (power_dbm / 10.0)
+    coi_index = (cfg.n_wdm_channels - 1) // 2
+    frame_coi = None
+
+    def channels():
+        nonlocal frame_coi
+        for ch in range(cfg.n_wdm_channels):
+            # codewords of polarization x, then y, each in block order
+            words = np.stack(
+                [code.encode(rng.integers(0, 2, code.k)) for _ in range(2 * cfg.n_blocks)]
+            )
+            frame = build_frame(
+                words.reshape(2, cfg.n_blocks, -1), order, cfg.n_train_blocks, c,
+                cfg.pilot_rate, seed=int(rng.integers(0, 2**31)), symbol_rate=cfg.baud,
+            )
+            if ch == coi_index:
+                frame_coi = frame
+            sig = rrc_shape(frame, cfg.tx_samples_per_symbol, cfg.rolloff)
+            sig.fields *= np.sqrt(p_w / sig.power())
+            yield sig
+            del sig  # added into the sum: free it before the next channel
+
+    wdm = wdm_mux(channels(), cfg.n_wdm_channels, cfg.grid_spacing_hz)
+    return wdm, frame_coi
+
+
 def run_trial(
     cfg: CampaignConfig,
     power_dbm: float,
@@ -212,32 +253,9 @@ def run_trial(
         raise HarnessError(f"unknown receiver mode {mode!r}")
     seed = cell_seed(cfg.base_seed, power_dbm, n_spans, mode, trial)
     rng = np.random.default_rng(seed)
-    c = build_constellation(cfg.modulation)
     code = _load_code(cfg.code_file)
-
-    coi_index = (cfg.n_wdm_channels - 1) // 2
     order = frame_order(code.n, cfg.n_blocks, seed % (2**31))
-
-    # transmit waveforms per channel; the channel of interest keeps its frame
-    channels = []
-    frame_coi = None
-    for ch in range(cfg.n_wdm_channels):
-        # codewords of polarization x, then y, each in block order
-        words = np.stack(
-            [code.encode(rng.integers(0, 2, code.k)) for _ in range(2 * cfg.n_blocks)]
-        )
-        frame = build_frame(
-            words.reshape(2, cfg.n_blocks, -1), order, cfg.n_train_blocks, c,
-            cfg.pilot_rate, seed=int(rng.integers(0, 2**31)), symbol_rate=cfg.baud,
-        )
-        if ch == coi_index:
-            frame_coi = frame
-        channels.append(rrc_shape(frame, cfg.tx_samples_per_symbol, cfg.rolloff))
-
-    # set per-channel launch power and multiplex
-    p_w = 1e-3 * 10.0 ** (power_dbm / 10.0)
-    channels = [ch.scaled(np.sqrt(p_w / ch.power())) for ch in channels]
-    wdm = wdm_mux(channels, cfg.grid_spacing_hz)
+    wdm, frame_coi = transmit(cfg, power_dbm, rng, code, order)
 
     rx = fib.propagate_link(wdm, cfg.fiber, n_spans, seed=int(rng.integers(0, 2**63 - 1)))
 

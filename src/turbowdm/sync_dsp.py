@@ -4,6 +4,7 @@ phase recovery."""
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -38,24 +39,26 @@ def nlms_equalize(
     half = n_taps // 2
     rx = np.pad(signal.fields / scale, ((0, 0), (half, half)))
     n_sym = frame.n_instants
-    update = frame.known_mask
+    # windows[:, i] is instant i's regression window, centred on its sample
+    windows = np.lib.stride_tricks.sliding_window_view(rx, n_taps, axis=1)
+    windows = windows[:, : sps * n_sym : sps, ::-1]
     out = np.empty((2, n_sym), dtype=complex)
     w = np.zeros((2, 2, n_taps), dtype=complex)  # [out, in, tap]
     w[0, 0, half] = w[1, 1, half] = 1.0
     in_power = np.mean(np.abs(rx) ** 2)
-    for i in range(n_sym):
-        # regression window centered on the symbol's sample
-        u = rx[:, i * sps : i * sps + n_taps][:, ::-1]  # (2, n_taps)
-        y0 = np.sum(np.conj(w[0]) * u)
-        y1 = np.sum(np.conj(w[1]) * u)
-        out[0, i], out[1, i] = y0, y1
-        if update[i]:
+    start = 0
+    for i in [*np.flatnonzero(frame.known_mask).tolist(), n_sym]:
+        # the taps are fixed from one update to the next: the outputs up to
+        # the next known instant in one batch, each a sum over its
+        # contiguous (2, n_taps) product, as one instant alone would be
+        u = np.ascontiguousarray(windows[:, start : i + 1].transpose(1, 0, 2))
+        out[:, start : i + 1] = np.sum(np.conj(w)[:, None] * u, axis=(2, 3))
+        if i < n_sym:
+            u = windows[:, i]
             norm = np.sum(np.abs(u) ** 2) + 1e-6  # eps: keeps an all-zero window finite
-            e0 = frame.symbols[0, i] - y0
-            e1 = frame.symbols[1, i] - y1
-            g = (step_size / norm) * u
-            w[0] += np.conj(e0) * g
-            w[1] += np.conj(e1) * g
+            e = frame.symbols[:, i] - out[:, i]
+            w += np.conj(e)[:, None, None] * ((step_size / norm) * u)
+        start = i + 1
     with np.errstate(over="ignore", invalid="ignore"):
         out_power = np.mean(np.abs(out) ** 2)
     if not np.isfinite(out_power) or out_power > 10.0 * max(in_power, 1e-30):
@@ -97,26 +100,29 @@ def ddpll(
     ``count_slips`` counts slips."""
     c = frame.constellation
     kp, ki = pll_gains(loop_bw_norm)
-    n = symbols.shape[1]
-    out = np.empty_like(symbols)
-    track = np.empty((2, n))
     a = c.axis_levels
     n_lv, step = a.size, float(a[1] - a[0])
+    points = c.points.tolist()
+    pilot = frame.pilot_mask.tolist()
 
     def level(x: float) -> int:  # hard_decide's per-axis rule, on a scalar
         return min(max(math.ceil(x / step + n_lv / 2) - 1, 0), n_lv - 1)
 
+    # the loop runs on Python scalars; the phase error keeps np.arctan2,
+    # whose rounding math.atan2 does not always match
+    out = np.empty_like(symbols)
+    track = np.empty(symbols.shape)
     for p in range(2):
         theta = acc = 0.0
-        for i in range(n):
-            v = symbols[p, i] * np.exp(-1j * theta)
-            out[p, i] = v
-            track[p, i] = theta
-            if frame.pilot_mask[i]:
-                ref = frame.symbols[p, i]
-            else:
-                ref = c.points[level(v.real) * n_lv + level(v.imag)]
-            err = float(np.angle(v * np.conj(ref)))
+        out_p, track_p = [], []
+        for x, known, pil in zip(symbols[p].tolist(), frame.symbols[p].tolist(), pilot):
+            v = x * cmath.exp(-1j * theta)
+            out_p.append(v)
+            track_p.append(theta)
+            ref = known if pil else points[level(v.real) * n_lv + level(v.imag)]
+            z = v * ref.conjugate()
+            err = float(np.arctan2(z.imag, z.real))
             acc += ki * err
             theta += kp * err + acc
+        out[p], track[p] = out_p, track_p
     return out, track

@@ -3,6 +3,7 @@ resampling, WDM multiplexing and channel-of-interest extraction."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -242,24 +243,40 @@ def fft_resample(signal: DualPolSignal, new_sample_rate: float) -> DualPolSignal
     return replace(signal, fields=out, sample_rate=new_sample_rate)
 
 
-def wdm_mux(channels: list[DualPolSignal], spacing_hz: float) -> DualPolSignal:
-    """Sum of equally long frequency-shifted channels, the center one at 0 Hz."""
-    if not channels:
+def wdm_mux(
+    channels: Iterable[DualPolSignal], n_channels: int, spacing_hz: float
+) -> DualPolSignal:
+    """Sum of ``n_channels`` equally long frequency-shifted channels, the
+    center one at 0 Hz. The channels are taken one at a time and checked as
+    they arrive, so a generator that shapes each one on demand keeps a
+    single channel alive beside the sum."""
+    if n_channels < 1:
         raise WaveformError("no channels")
-    fs, n = channels[0].sample_rate, len(channels[0])
-    if any(abs(ch.sample_rate - fs) > 1e-6 for ch in channels):
-        raise WaveformError("channels must share a sample rate")
-    if any(len(ch) != n for ch in channels):
-        raise WaveformError("channels must share a length")
-    n_ch = len(channels)
-    if (n_ch - 1) * spacing_hz >= fs:
-        raise WaveformError("aggregate WDM band exceeds the sampling bandwidth")
-    t = np.arange(n) / fs
-    out = np.zeros((2, n), dtype=complex)
-    center = (n_ch - 1) / 2.0
-    for i, ch in enumerate(channels):
-        f = (i - center) * spacing_hz
-        out += ch.fields * np.exp(2j * np.pi * f * t)
+    center = (n_channels - 1) / 2.0
+    # counted by hand, and each channel deleted once added: enumerate's
+    # reused tuple or a live loop name would keep it alive while the
+    # iterator makes the next
+    i = 0
+    for ch in channels:
+        if i == 0:
+            fs, n = ch.sample_rate, len(ch)
+            if (n_channels - 1) * spacing_hz >= fs:
+                raise WaveformError("aggregate WDM band exceeds the sampling bandwidth")
+            t = np.arange(n) / fs
+            out = np.zeros((2, n), dtype=complex)
+        elif i == n_channels:
+            raise WaveformError(f"more than {n_channels} channels")
+        elif abs(ch.sample_rate - fs) > 1e-6:
+            raise WaveformError("channels must share a sample rate")
+        elif len(ch) != n:
+            raise WaveformError("channels must share a length")
+        shift = np.exp(2j * np.pi * ((i - center) * spacing_hz) * t)
+        for p in range(2):  # one row's product at a time
+            out[p] += ch.fields[p] * shift
+        del ch, shift
+        i += 1
+    if i != n_channels:
+        raise WaveformError(f"{i} of {n_channels} channels")
     return DualPolSignal(fields=out, sample_rate=fs)
 
 

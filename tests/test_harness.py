@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import turbowdm
 from turbowdm import fec, harness, turbo
 from turbowdm.cli import main as cli_main
+from turbowdm.constellation import build_constellation
 from turbowdm.fiber import FiberParams
 from turbowdm.harness import (
     CampaignConfig,
@@ -26,6 +28,7 @@ from turbowdm.harness import (
 )
 from turbowdm.metrics import MetricsRecord, read_records_ndjson
 from turbowdm.turbo import TurboError
+from turbowdm.waveform import build_frame, rrc_shape, wdm_mux
 
 TINY_CFG = """
 [campaign]
@@ -374,6 +377,74 @@ class TestCellSeed:
     def test_nonnegative_63_bit(self):
         s = cell_seed(123, -3.5, 24, "dbp_turbo", 4)
         assert 0 <= s < 2**63
+
+
+def list_transmitter(cfg, power_dbm, rng, code, order):
+    """The transmitter as first written: every channel shaped and kept in a
+    list, a scaled copy of the list, then one multiplex. Oracle for
+    ``transmit``."""
+    c = build_constellation(cfg.modulation)
+    channels = []
+    for ch in range(cfg.n_wdm_channels):
+        words = np.stack(
+            [code.encode(rng.integers(0, 2, code.k)) for _ in range(2 * cfg.n_blocks)]
+        )
+        frame = build_frame(
+            words.reshape(2, cfg.n_blocks, -1), order, cfg.n_train_blocks, c,
+            cfg.pilot_rate, seed=int(rng.integers(0, 2**31)), symbol_rate=cfg.baud,
+        )
+        if ch == (cfg.n_wdm_channels - 1) // 2:
+            frame_coi = frame
+        channels.append(rrc_shape(frame, cfg.tx_samples_per_symbol, cfg.rolloff))
+    p_w = 1e-3 * 10.0 ** (power_dbm / 10.0)
+    channels = [ch.scaled(np.sqrt(p_w / ch.power())) for ch in channels]
+    return wdm_mux(channels, len(channels), cfg.grid_spacing_hz), frame_coi
+
+
+class TestTransmit:
+    @pytest.fixture(scope="class")
+    def small(self):
+        # QPSK, four n=2048 blocks at 8 samples/symbol: 34,496 samples, and
+        # seven channels 37.5 GHz apart fit in 256 GS/s
+        cfg = dataclasses.replace(
+            load_config("desk.cfg"), modulation=4, n_blocks=4, n_train_blocks=1,
+            tx_samples_per_symbol=8,
+        )
+        code = _load_code(cfg.code_file)
+        return cfg, code, fec.frame_order(code.n, cfg.n_blocks, 0)
+
+    @pytest.mark.parametrize("n_ch", [1, 3, 7])
+    def test_matches_list_transmitter(self, small, n_ch):
+        # same field bits, same frame and the same draws left in the generator
+        cfg, code, order = small
+        cfg = dataclasses.replace(cfg, n_wdm_channels=n_ch)
+        rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+        wdm, frame = harness.transmit(cfg, 1.0, rng, code, order)
+        wdm_ref, frame_ref = list_transmitter(cfg, 1.0, rng_ref, code, order)
+        assert np.array_equal(wdm.fields, wdm_ref.fields)
+        assert wdm.sample_rate == wdm_ref.sample_rate
+        assert np.array_equal(frame.symbols, frame_ref.symbols)
+        assert np.array_equal(frame.coded_bits, frame_ref.coded_bits)
+        assert rng.integers(0, 2**63 - 1) == rng_ref.integers(0, 2**63 - 1)
+
+    def test_peak_memory_independent_of_channel_count(self, small):
+        # the sum and one channel are all the transmitter holds: seven
+        # channels peak within one field of one channel (numpy reports its
+        # buffers to tracemalloc)
+        cfg, code, order = small
+        peaks = {}
+        for n_ch in (1, 7):
+            tracemalloc.start()
+            try:
+                wdm, _ = harness.transmit(
+                    dataclasses.replace(cfg, n_wdm_channels=n_ch), 0.0,
+                    np.random.default_rng(0), code, order,
+                )
+                peaks[n_ch] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        field = 2 * len(wdm) * 16
+        assert peaks[7] - peaks[1] <= field
 
 
 class TestRunTrial:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from turbowdm.sync_dsp import (
     nlms_equalize,
     pll_gains,
 )
-from turbowdm.waveform import DualPolSignal, build_frame
+from turbowdm.waveform import DualPolSignal, build_frame, rrc_shape
 
 BAUD = 32e9
 
@@ -36,6 +38,74 @@ def stuffed_signal(frame, sps=2):
     fields = np.zeros((2, n), dtype=complex)
     fields[:, ::sps] = frame.symbols
     return DualPolSignal(fields=fields, sample_rate=sps * BAUD)
+
+
+def distorted_signal(frame, sps, seed):
+    """RRC-shaped frame behind a random polarization mix with a little
+    ISI, plus white noise: every NLMS update moves the taps."""
+    rng = np.random.default_rng(seed)
+    x, y = rrc_shape(frame, sps, 0.1).fields
+    mix = rng.normal(0, 0.3, (2, 2)) + 1j * rng.normal(0, 0.3, (2, 2)) + np.eye(2)
+    fields = mix @ np.stack([x, y])
+    fields += 0.3 * np.roll(fields, sps // 2, axis=1)
+    fields += rng.normal(0, 0.05, fields.shape) + 1j * rng.normal(0, 0.05, fields.shape)
+    return DualPolSignal(fields=fields, sample_rate=sps * BAUD)
+
+
+def reference_nlms(signal, frame, n_taps, step_size):
+    """The per-instant NLMS loop as first written, without the divergence
+    check. Oracle for ``nlms_equalize``."""
+    sps = int(round(signal.sample_rate / frame.symbol_rate))
+    scale = np.sqrt(signal.power() / 2.0)
+    half = n_taps // 2
+    rx = np.pad(signal.fields / scale, ((0, 0), (half, half)))
+    update = frame.known_mask
+    out = np.empty((2, frame.n_instants), dtype=complex)
+    w = np.zeros((2, 2, n_taps), dtype=complex)
+    w[0, 0, half] = w[1, 1, half] = 1.0
+    for i in range(frame.n_instants):
+        u = rx[:, i * sps : i * sps + n_taps][:, ::-1]
+        y0 = np.sum(np.conj(w[0]) * u)
+        y1 = np.sum(np.conj(w[1]) * u)
+        out[0, i], out[1, i] = y0, y1
+        if update[i]:
+            norm = np.sum(np.abs(u) ** 2) + 1e-6
+            e0 = frame.symbols[0, i] - y0
+            e1 = frame.symbols[1, i] - y1
+            g = (step_size / norm) * u
+            w[0] += np.conj(e0) * g
+            w[1] += np.conj(e1) * g
+    return out
+
+
+def reference_ddpll(symbols, frame, loop_bw_norm):
+    """The DDPLL loop as first written, on numpy scalars. Oracle for
+    ``ddpll``."""
+    c = frame.constellation
+    kp, ki = pll_gains(loop_bw_norm)
+    n = symbols.shape[1]
+    out = np.empty_like(symbols)
+    track = np.empty((2, n))
+    n_lv = c.axis_levels.size
+    step = float(c.axis_levels[1] - c.axis_levels[0])
+
+    def level(x):
+        return min(max(math.ceil(x / step + n_lv / 2) - 1, 0), n_lv - 1)
+
+    for p in range(2):
+        theta = acc = 0.0
+        for i in range(n):
+            v = symbols[p, i] * np.exp(-1j * theta)
+            out[p, i] = v
+            track[p, i] = theta
+            if frame.pilot_mask[i]:
+                ref = frame.symbols[p, i]
+            else:
+                ref = c.points[level(v.real) * n_lv + level(v.imag)]
+            err = float(np.angle(v * np.conj(ref)))
+            acc += ki * err
+            theta += kp * err + acc
+    return out, track
 
 
 class TestNlms:
@@ -85,6 +155,25 @@ class TestNlms:
         out = nlms_equalize(sig, frame)
         passthrough = sig.fields[:, ::2] / np.sqrt(sig.power() / 2.0)
         assert np.array_equal(out, passthrough) != training
+
+    @pytest.mark.parametrize(
+        "order, pilot_rate, training, sps, n_taps",
+        [
+            (4, 0.05, False, 2, 13),
+            (4, 0.05, True, 2, 13),
+            (16, 0.0, True, 2, 13),
+            (64, 0.5, False, 2, 7),
+            (256, 0.05, True, 4, 13),
+            (16, 0.1, False, 3, 1),
+        ],
+    )
+    def test_bit_identical_to_reference_loop(self, order, pilot_rate, training, sps, n_taps):
+        # batched runs between known instants give the per-instant loop's bits
+        c = build_constellation(order)
+        frame = make_frame(c, 4800, pilot_rate, seed=order, training=training)
+        sig = distorted_signal(frame, sps, seed=order + sps)
+        out = nlms_equalize(sig, frame, n_taps, 0.05)
+        assert np.array_equal(out, reference_nlms(sig, frame, n_taps, 0.05))
 
     def test_even_tap_count_rejected(self, qpsk):
         frame = make_frame(qpsk, seed=7)
@@ -165,6 +254,23 @@ class TestDdpll:
         n = frame.n_instants
         out, _ = ddpll(frame.symbols * np.where(np.arange(n) < n // 2, 1.0, 1j), frame)
         assert count_slips(out, frame) == 2
+
+    @pytest.mark.parametrize("order", [4, 64, 256])
+    @pytest.mark.parametrize("pilot_rate", [0.0, 0.05])
+    def test_bit_identical_to_reference_loop(self, order, pilot_rate):
+        # noisy, rotated and drifting symbols: decisions often wrong, the
+        # phase error near +-pi now and then
+        c = build_constellation(order)
+        frame = make_frame(c, n_data_bits=9600, pilot_rate=pilot_rate, seed=order)
+        rng = np.random.default_rng(order)
+        shape = frame.symbols.shape
+        drift = np.exp(1j * (0.4 + 2e-4 * np.arange(shape[1])))
+        noise = rng.normal(0, 0.1, shape) + 1j * rng.normal(0, 0.1, shape)
+        rx = 1.1 * frame.symbols * drift + noise
+        out, track = ddpll(rx, frame, 2e-3)
+        ref_out, ref_track = reference_ddpll(rx, frame, 2e-3)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(track, ref_track)
 
     @pytest.mark.parametrize("order", [16, 256])
     def test_decisions_match_hard_decide(self, order):

@@ -242,7 +242,7 @@ class TestWdm:
     def test_single_channel_identity(self, qpsk):
         f = random_frame(qpsk, n_data_bits=1024, pilot_rate=0.0)
         sig = rrc_shape(f, 4, 0.1)
-        out = wdm_mux([sig], 37.5e9)
+        out = wdm_mux([sig], 1, 37.5e9)
         np.testing.assert_allclose(out.fields[0], sig.fields[0], atol=1e-12)
 
     def test_two_tone_peaks(self):
@@ -250,7 +250,7 @@ class TestWdm:
         n = 1 << 16
         one = np.ones(n, dtype=complex)
         ch = DualPolSignal(fields=np.stack([one, one]), sample_rate=fs)
-        out = wdm_mux([ch, ch], 37.5e9)
+        out = wdm_mux([ch, ch], 2, 37.5e9)
         spec = np.abs(np.fft.fft(out.fields[0]))
         freqs = np.fft.fftfreq(n, 1 / fs)
         peaks = freqs[np.argsort(spec)[-2:]]
@@ -262,7 +262,7 @@ class TestWdm:
         for seed in range(3):
             f = random_frame(qpsk, n_data_bits=4096, pilot_rate=0.0, seed=seed)
             chans.append(rrc_shape(f, 8, 0.01))
-        out = wdm_mux(chans, 37.5e9)
+        out = wdm_mux(chans, 3, 37.5e9)
         total = np.sum(np.abs(out.fields) ** 2)
         parts = sum(np.sum(np.abs(c.fields) ** 2) for c in chans)
         assert abs(total - parts) / parts < 1e-3
@@ -274,20 +274,50 @@ class TestWdm:
             for n in (8, 5)
         )
         with pytest.raises(WaveformError, match="length"):
-            wdm_mux([long, short, long], 37.5e9)
+            wdm_mux([long, short, long], 3, 37.5e9)
 
     def test_aliasing_rejected(self):
         one = np.ones(64, dtype=complex)
         ch = DualPolSignal(fields=np.stack([one, one]), sample_rate=50e9)
         with pytest.raises(WaveformError):
-            wdm_mux([ch, ch, ch], 37.5e9)
+            wdm_mux([ch, ch, ch], 3, 37.5e9)
+
+    def test_generator_matches_list(self, qpsk):
+        # channels taken one at a time from a generator sum to the same bits
+        chans = [
+            rrc_shape(random_frame(qpsk, n_data_bits=1024, pilot_rate=0.0, seed=s), 8, 0.01)
+            for s in range(3)
+        ]
+        out = wdm_mux((ch for ch in chans), 3, 37.5e9)
+        assert np.array_equal(out.fields, wdm_mux(chans, 3, 37.5e9).fields)
+
+    def test_checks_each_channel_as_it_arrives(self):
+        long, short = (
+            DualPolSignal(fields=np.ones((2, n), dtype=complex), sample_rate=150e9)
+            for n in (8, 5)
+        )
+
+        def channels():
+            yield long
+            yield short
+            raise AssertionError("a channel was asked for after a bad one")
+
+        with pytest.raises(WaveformError, match="length"):
+            wdm_mux(channels(), 3, 37.5e9)
+
+    @pytest.mark.parametrize("n_channels", [2, 4])
+    def test_channel_count_mismatch_rejected(self, n_channels):
+        one = np.ones(64, dtype=complex)
+        ch = DualPolSignal(fields=np.stack([one, one]), sample_rate=150e9)
+        with pytest.raises(WaveformError, match="channels"):
+            wdm_mux(iter([ch, ch, ch]), n_channels, 37.5e9)
 
 
 class TestSelectChannel:
     def test_mux_select_roundtrip(self, qpsk):
         f = random_frame(qpsk, n_data_bits=4096, pilot_rate=0.0, seed=9)
         sig = rrc_shape(f, 4, 0.01)
-        muxed = wdm_mux([sig], 37.5e9)
+        muxed = wdm_mux([sig], 1, 37.5e9)
         rx = muxed.fields.copy()
         sel = select_channel(muxed, BAUD * 1.2, 2 * BAUD, 0.15 * BAUD * 1.2)
         assert np.array_equal(muxed.fields, rx)  # the caller's fields are left alone
@@ -302,7 +332,7 @@ class TestSelectChannel:
         ch = rrc_shape(f, 4, 0.01)
         n = len(ch)
         zero = DualPolSignal(fields=np.zeros((2, n), dtype=complex), sample_rate=fs)
-        muxed = wdm_mux([ch, zero, ch], 37.5e9)
+        muxed = wdm_mux([ch, zero, ch], 3, 37.5e9)
         sel = select_channel(muxed, BAUD * 1.01, fs, 4e9)
         leak = sel.power() / muxed.power()
         assert 10 * np.log10(leak) < -40.0
@@ -317,7 +347,7 @@ class TestSelectChannel:
         f = random_frame(qpsk, n_data_bits=4096, pilot_rate=0.0, seed=10)
         ch = rrc_shape(f, 4, rolloff)
         zero = DualPolSignal(fields=np.zeros_like(ch.fields), sample_rate=ch.sample_rate)
-        muxed = wdm_mux([ch, zero, ch], 37.5e9)
+        muxed = wdm_mux([ch, zero, ch], 3, 37.5e9)
         bw = BAUD * (1 + rolloff)
         sel = select_channel(muxed, bw, 2 * BAUD, 37.5e9 - bw)
         assert sel.power() / muxed.power() < 1e-20
@@ -334,7 +364,7 @@ class TestDualPolLayout:
         "rrc_shape": lambda s, f: rrc_shape(f, 2, 0.1),
         "matched_filter": lambda s, f: matched_filter(s, 0.1, BAUD),
         "fft_resample": lambda s, f: fft_resample(s, 4 * BAUD),
-        "wdm_mux": lambda s, f: wdm_mux([s, s.scaled(0.5), s], 20e9),
+        "wdm_mux": lambda s, f: wdm_mux([s, s.scaled(0.5), s], 3, 20e9),
         "select_channel": lambda s, f: select_channel(s, 1.1 * BAUD, BAUD, 0.15 * BAUD),
         "amplify": lambda s, f: amplify(s, 10.0, None),
         "propagate_span": lambda s, f: propagate_span(s, FiberParams(step_m=5000.0)),
