@@ -4,8 +4,8 @@ without the stall rule of ``fec.decode``.
 Run from the repository root:  python scripts/decoder_study.py [--seeds 7 1700]
 
 For each desk launch power and base seed, trials 0 and 1 run twice: with
-``fec.STALL`` as shipped, and with the rule off (``STALL`` above the
-preset's ``decoder_iters``, set here by patching the module constant). The
+``fec.STALL`` as shipped, and with the rule off (``STALL`` above
+``fec.MAX_ITER``, set here by patching the module constant). The
 two runs of a trial alternate which goes first. Prints a markdown table:
 sum-product iterations, decode calls that end without a codeword, the
 trial's wall time, and the final iteration's SNR, GMI and post-FEC BER.
@@ -27,8 +27,8 @@ def run(cfg, power, trial, stall):
     decoder iterations, failed decode calls, wall seconds)."""
     counts = [0, 0]
 
-    def counted(llrs, code, max_iter=50):
-        out = fec.decode(llrs, code, max_iter)
+    def counted(llrs, code):
+        out = fec.decode(llrs, code)
         counts[0] += out[3]
         counts[1] += not out[2]
         return out
@@ -49,8 +49,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[7, 1700], help="base seeds")
     args = ap.parse_args(argv)
     desk = harness.load_config("desk.cfg")
-    settings = {"off": desk.decoder_iters + 1, "on": fec.STALL}
-    print(f"STALL = {fec.STALL}, decoder_iters = {desk.decoder_iters}; each pair reads off -> on\n")
+    settings = {"off": fec.MAX_ITER + 1, "on": fec.STALL}
+    print(f"STALL = {fec.STALL}, MAX_ITER = {fec.MAX_ITER}; each pair reads off -> on\n")
     print("| power dBm | seed | trial | decoder iters | failed decodes | wall s "
           "| ΔSNR dB | ΔGMI b/4D | BER |")
     print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")

@@ -206,6 +206,8 @@ class LdpcCode:
 
 
 _PHI_MIN = 1e-12
+# sum-product iterations a block runs at most (see ``decode``)
+MAX_ITER = 50
 # a block stops once its unsatisfied-check count has stayed the same for
 # this many consecutive iterations (see ``decode``)
 STALL = 12
@@ -221,7 +223,7 @@ def _log_tanh_half(x: np.ndarray) -> np.ndarray:
 
 
 def decode(
-    llrs: np.ndarray, code: LdpcCode, max_iter: int = 50
+    llrs: np.ndarray, code: LdpcCode, max_iter: int = MAX_ITER
 ) -> tuple[np.ndarray, np.ndarray, bool, int]:
     """Flooding sum-product decoding.
 

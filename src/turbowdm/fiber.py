@@ -134,14 +134,14 @@ def amplify(
     signal: DualPolSignal,
     gain_db: float,
     nf_db: float | None,
+    wavelength_nm: float,
     seed: int | None = None,
-    wavelength_nm: float = 1550.0,
 ) -> DualPolSignal:
     """Flat-gain EDFA with additive circular Gaussian ASE per polarization.
 
-    The ASE PSD per polarization is (G-1)*h*nu*NF/2 [W/Hz]; the noise
-    variance added to the sampled field is PSD * sample_rate. ``nf_db=None``
-    disables noise.
+    The ASE PSD per polarization is (G-1)*h*nu*NF/2 [W/Hz], nu the optical
+    frequency at ``wavelength_nm``; the noise variance added to the sampled
+    field is PSD * sample_rate. ``nf_db=None`` disables noise.
     """
     if gain_db < 0:
         raise FiberError("gain must be nonnegative")
@@ -174,8 +174,8 @@ def propagate_link(
             out,
             p.span_gain_db,
             p.nf_db if ase else None,
+            p.center_wavelength_nm,
             seed=int(rng.integers(0, 2**63 - 1)),
-            wavelength_nm=p.center_wavelength_nm,
         )
     return out
 

@@ -60,11 +60,7 @@ class CampaignConfig:
     code_file: str = "rate45_n2048"
     n_blocks: int = 18
     n_train_blocks: int = 3
-    decoder_iters: int = 50
     turbo: SlidingWindowConfig = field(default_factory=SlidingWindowConfig)
-    nlms_taps: int = 13
-    nlms_step: float = 0.05
-    pll_bw_norm: float = 1e-3
     bypass_sync_dsp: bool = False
     power_dbm_list: tuple[float, ...] = (2.0,)
     span_list: tuple[int, ...] = (10,)
@@ -88,13 +84,6 @@ class CampaignConfig:
         # build_frame's rule, checked before any cell transmits
         if not 0 <= self.n_train_blocks <= self.n_blocks - 2:
             raise HarnessError("need 0 <= n_train_blocks <= n_blocks - 2")
-        if self.nlms_taps < 1 or self.nlms_taps % 2 == 0:
-            raise HarnessError("nlms_taps must be odd and positive")
-        # the NLMS converges in the mean square only for a step in (0, 2)
-        if not 0 < self.nlms_step < 2:
-            raise HarnessError("nlms_step must be in (0, 2)")
-        if not self.pll_bw_norm > 0:
-            raise HarnessError("pll_bw_norm must be positive")
         # split-step steps are positive and no longer than a span
         steps = {"[fiber] step_m": self.fiber.step_m, "dbp_step_m": self.dbp_step_m}
         for name, step in steps.items():
@@ -105,8 +94,6 @@ class CampaignConfig:
                 raise HarnessError(f"unknown receiver mode {m!r}")
         if not self.baud > 0:
             raise HarnessError("baud must be positive")
-        if self.decoder_iters < 1:
-            raise HarnessError("decoder_iters must be >= 1")
         # each rule checked by its owner; only a cell builds the code
         try:
             build_constellation(self.modulation)
@@ -114,6 +101,10 @@ class CampaignConfig:
         except (ConstellationError, WaveformError) as exc:
             raise HarnessError(str(exc)) from exc
         _code_path(self.code_file)
+        # wdm_mux's rule, checked before any cell transmits
+        fs = self.tx_samples_per_symbol * self.baud
+        if (self.n_wdm_channels - 1) * self.grid_spacing_hz >= fs:
+            raise HarnessError("aggregate WDM band exceeds the sampling bandwidth")
 
 
 def _parse_value(text: str, tp):
@@ -278,8 +269,8 @@ def run_trial(
             g = np.vdot(ref, symbols[p, pil]) / np.vdot(ref, ref)
             symbols[p] /= g
     else:
-        symbols = nlms_equalize(rx, frame_coi, cfg.nlms_taps, cfg.nlms_step)
-        symbols, _ = ddpll(symbols, frame_coi, cfg.pll_bw_norm)
+        symbols = nlms_equalize(rx, frame_coi)
+        symbols, _ = ddpll(symbols, frame_coi)
         if slips := count_slips(symbols, frame_coi):
             log.warning(
                 "DDPLL: %d possible cycle slips at %+.1f dBm, %d spans, %s, seed %d",
@@ -287,13 +278,7 @@ def run_trial(
             )
 
     n_iters = cfg.turbo.n_turbo_iters if mode == "dbp_turbo" else 0
-    result = turbo_loop(
-        symbols,
-        frame_coi,
-        replace(cfg.turbo, n_turbo_iters=n_iters),
-        code,
-        decoder_iters=cfg.decoder_iters,
-    )
+    result = turbo_loop(symbols, frame_coi, replace(cfg.turbo, n_turbo_iters=n_iters), code)
     return [
         MetricsRecord(
             **asdict(r), launch_power_dbm=power_dbm, n_spans=n_spans, mode=mode,

@@ -38,16 +38,13 @@ LMMSE_CHUNK = 1024
 class SlidingWindowConfig:
     """Equalizer window of N = N1+N2+1 rows, N1 before and N2 after s_j's
     own row (it covers s_j's whole span when N1 >= d and N2 >= L-d),
-    channel memory L, RLS forgetting factor and regularization delta (the
-    RLS starts from zero taps with the regulariser delta lam^i |h|^2), and
-    turbo iteration count."""
+    channel memory L, RLS forgetting factor and turbo iteration count."""
 
     n1: int = 1
     n2: int = 1
     channel_memory: int = 2  # L
     forgetting: float = 0.99
     n_turbo_iters: int = 5
-    rls_delta: float = 0.01
 
     def __post_init__(self):
         if self.n1 < 0 or self.n2 < 0:
@@ -58,8 +55,6 @@ class SlidingWindowConfig:
             raise TurboError("forgetting factor must be in (0, 1]")
         if self.n_turbo_iters < 0:
             raise TurboError("n_turbo_iters must be nonnegative")
-        if not self.rls_delta > 0:
-            raise TurboError("rls_delta must be positive")
 
     @property
     def n_window(self) -> int:
@@ -91,6 +86,7 @@ def rls_estimate(
     received: np.ndarray,
     means: np.ndarray,
     cfg: SlidingWindowConfig,
+    delta: float = 0.01,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exponentially weighted RLS tracking of the 2x2 channel taps.
 
@@ -118,7 +114,7 @@ def rls_estimate(
     u = regs[keep]
     # (kept + 1, dim, dim + 2): [R_0 | p_0], then the [R | p] increments
     stats = np.empty((len(u) + 1, dim, dim + 2), dtype=complex)
-    stats[0] = cfg.rls_delta * np.eye(dim, dim + 2)
+    stats[0] = delta * np.eye(dim, dim + 2)
     np.multiply(u[:, :, None], np.conj(u[:, None, :]), out=stats[1:, :, :dim])
     np.multiply(u[:, :, None], np.conj(received[:, keep].T)[:, None, :], out=stats[1:, :, dim:])
     # in place, row i becomes increment_i + lam * row_{i-1}: the one product
@@ -220,7 +216,6 @@ def turbo_loop(
     frame: SymbolFrame,
     cfg: SlidingWindowConfig,
     code: LdpcCode,
-    decoder_iters: int = 50,
 ) -> TurboResult:
     """Run the iterative equalize/decode loop on one frame.
 
@@ -309,7 +304,7 @@ def turbo_loop(
         blocks = llrs.reshape(2, -1)[:, to_code].reshape(2, nb, n)
         for p in range(2):
             for b in range(n_train_blocks, nb):
-                app[p, b], hard, ok, _ = decode(blocks[p, b], code, decoder_iters)
+                app[p, b], hard, ok, _ = decode(blocks[p, b], code)
                 dec_info[p, b] = hard[code.info_positions]
                 all_ok &= ok
 

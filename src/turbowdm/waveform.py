@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constellation import Constellation, hard_decide, map_bits
+from .constellation import Constellation, map_bits
 
 
 class WaveformError(ValueError):
@@ -78,7 +78,9 @@ class SymbolFrame:
     @property
     def counted_blocks(self) -> slice:
         """Blocks the metrics count: those after the training blocks, but
-        not the last, which trailing filter transients reach."""
+        not the last. The circular RRC filters leave the last block no
+        transient; it stays uncounted only to keep the records comparable
+        until a change that re-measures the turbo gain counts it."""
         return slice(self.n_train_blocks, self.n_blocks - 1)
 
     @property
@@ -89,9 +91,6 @@ class SymbolFrame:
         last = self.block_of_data_symbol(self.constellation.q - 1)
         known[self.data_positions[last < self.n_train_blocks]] = True
         return known
-
-    def data_symbols(self) -> np.ndarray:
-        return self.symbols[:, ~self.pilot_mask]
 
     def pilot_symbols(self) -> np.ndarray:
         return self.symbols[:, self.pilot_mask]
@@ -162,14 +161,6 @@ def build_frame(
         constellation=c,
         symbol_rate=symbol_rate,
     )
-
-
-def extract_data_bits(frame: SymbolFrame) -> np.ndarray:
-    """Invert the frame's data/bit alignment from its own symbols (round-trip
-    check helper): nearest-point demap of the data instants."""
-    c = frame.constellation
-    idx = hard_decide(frame.data_symbols(), c)
-    return c.bit_labels[idx].reshape(2, -1)
 
 
 def rrc_response(n: int, samples_per_symbol: float, rolloff: float) -> np.ndarray:

@@ -34,18 +34,10 @@ from turbowdm.turbo import (
 )
 from turbowdm.waveform import DualPolSignal, build_frame, matched_filter, rrc_shape
 
+from conftest import mimo_channel, qpsk_stream
+
 # --------------------------------------------------------------------------
 # shared synthetic-channel helpers
-
-
-def mimo_channel():
-    """Static 3-tap 2x2 ISI channel, main tap at the decision delay."""
-    h = np.zeros((2, 2, 3), dtype=complex)
-    h[0, 0] = [0.3, 0.85, 0.2j]
-    h[1, 1] = [0.25j, 0.9, 0.15]
-    h[0, 1] = [0.05, 0.1, 0.02]
-    h[1, 0] = [0.0, 0.08j, 0.05]
-    return h
 
 
 def apply_channel(s, h, delay, noise_var=0.0, rng=None, rotation=None):
@@ -63,13 +55,6 @@ def apply_channel(s, h, delay, noise_var=0.0, rng=None, rotation=None):
             rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
         )
     return r
-
-
-def qpsk_stream(m, seed):
-    rng = np.random.default_rng(seed)
-    re = rng.integers(0, 2, (2, m)) * 2 - 1
-    im = rng.integers(0, 2, (2, m)) * 2 - 1
-    return (re + 1j * im) / np.sqrt(2.0)
 
 
 # --------------------------------------------------------------------------
@@ -228,13 +213,13 @@ class TestRlsEstimator:
         # lam = 1 solves the delta-regularized normal equations exactly
         t0 = time.perf_counter()
         delta = 0.01
-        cfg = SlidingWindowConfig(forgetting=1.0, rls_delta=delta)
+        cfg = SlidingWindowConfig(forgetting=1.0)
         m = 3000
         s = qpsk_stream(m, 30)
         h = mimo_channel()
         rng = np.random.default_rng(31)
         r = apply_channel(s, h, cfg.delay, 1e-3, rng)
-        _, taps, _ = rls_estimate(r, s, cfg)
+        _, taps, _ = rls_estimate(r, s, cfg, delta)
         umat = np.zeros((m, 6), dtype=complex)
         for i in range(m):
             idx = i + cfg.delay - np.arange(3)

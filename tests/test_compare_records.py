@@ -1,7 +1,4 @@
-import importlib.util
-from pathlib import Path
-
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_records.py"
+from conftest import load_script
 
 
 def line(power, mode, trial, it, snr, gmi=11.0, ber=0.0):
@@ -13,15 +10,8 @@ def line(power, mode, trial, it, snr, gmi=11.0, ber=0.0):
     )
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("compare_records", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 def test_compare_two_record_files(tmp_path, capsys):
-    script = load_script()
+    script = load_script("compare_records")
     a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
     a.write_text(
         line(0.0, "dbp", 0, 0, 20.0)
@@ -49,7 +39,7 @@ def test_compare_two_record_files(tmp_path, capsys):
 
 def test_identical_files_exit_zero(tmp_path, capsys):
     # records written in another order are still the same records
-    script = load_script()
+    script = load_script("compare_records")
     recs = [line(0.0, "dbp_turbo", 0, it, 20.0 + it) for it in range(3)] + [line(2.0, "edc", 1, 0, 15.0)]
     a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
     a.write_text("".join(recs))
@@ -63,7 +53,7 @@ def test_identical_files_exit_zero(tmp_path, capsys):
 
 def test_iteration_in_one_file_only_differs(tmp_path, capsys):
     # every paired record is identical, but B stopped a turbo run earlier
-    script = load_script()
+    script = load_script("compare_records")
     recs = [line(0.0, "dbp_turbo", 0, it, 20.0) for it in range(3)]
     a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
     a.write_text("".join(recs))

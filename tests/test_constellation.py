@@ -16,11 +16,6 @@ from turbowdm.constellation import (
 
 
 @pytest.fixture(scope="module")
-def qpsk():
-    return build_constellation(4)
-
-
-@pytest.fixture(scope="module")
 def qam16():
     return build_constellation(16)
 

@@ -1,0 +1,29 @@
+import dataclasses
+
+from turbowdm import fec, turbo
+from turbowdm.harness import load_config
+
+from conftest import load_script
+
+
+def test_study_counts_decodes_with_and_without_the_stall_rule():
+    # the study wraps turbo.decode by name: a renamed or re-signatured call
+    # would print zero counts, or fail, here rather than in a long run
+    study = load_script("decoder_study")
+    desk = load_config("desk.cfg")
+    # QPSK at -30 dBm over one span: about 3 dB SNR, so blocks fail and stall
+    cfg = dataclasses.replace(
+        desk, modulation=4, n_wdm_channels=1, code_file="toy_n20", n_blocks=60,
+        n_train_blocks=10, fiber=dataclasses.replace(desk.fiber, step_m=5000.0),
+        dbp_step_m=25e3, turbo=dataclasses.replace(desk.turbo, n_turbo_iters=1),
+        power_dbm_list=(-30.0,), span_list=(1,), modes=("dbp_turbo",),
+    )
+    shipped = fec.STALL
+    _, iters_off, failed_off, _ = study.run(cfg, -30.0, 0, fec.MAX_ITER + 1)
+    _, iters_on, failed_on, _ = study.run(cfg, -30.0, 0, shipped)
+    assert iters_on > 0 and failed_on > 0
+    assert failed_off > 0
+    # the rule only stops blocks early, and here it stops some
+    assert iters_off > iters_on
+    assert fec.STALL == shipped
+    assert turbo.decode is fec.decode

@@ -1,7 +1,5 @@
 import functools
-import importlib.util
 import itertools
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +15,8 @@ from turbowdm.fec import (
     save_parity,
 )
 from turbowdm.harness import _load_code
+
+from conftest import load_script
 
 
 def _gf2_row_reduce(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -113,11 +113,7 @@ def _oracle_code(name: str) -> LdpcCode:
 @pytest.fixture(scope="module")
 def gen_codes():
     """scripts/gen_codes.py, imported as a module."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "gen_codes.py"
-    spec = importlib.util.spec_from_file_location("gen_codes", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("gen_codes")
 
 
 @pytest.fixture(scope="module")

@@ -27,8 +27,9 @@ from turbowdm.harness import (
     run_trial,
 )
 from turbowdm.metrics import MetricsRecord, read_records_ndjson
+from turbowdm.sync_dsp import SyncError, nlms_equalize
 from turbowdm.turbo import TurboError
-from turbowdm.waveform import build_frame, rrc_shape, wdm_mux
+from turbowdm.waveform import DualPolSignal, WaveformError, build_frame, rrc_shape, wdm_mux
 
 TINY_CFG = """
 [campaign]
@@ -116,8 +117,8 @@ class TestConfig:
             """A value unlike the default that the config still accepts."""
             if name == "modes":
                 return value[::-1]
-            if name in ("n_wdm_channels", "nlms_taps"):
-                return value + 2  # odd: a centre channel, a centre tap
+            if name == "n_wdm_channels":
+                return value + 2  # odd: a centre channel
             if name == "modulation":
                 return value * 4  # a square QAM order
             if name == "code_file":
@@ -164,6 +165,10 @@ class TestConfig:
             ("[signal]\nmodulation = 4\n", "[signal]"),
             ("[DEFAULT]\nmodulation = 4\n", "[DEFAULT]"),
             ("[turbo]\nforgeting = 0.9\n", "[turbo] forgeting"),
+            # receiver constants owned by the function that reads them:
+            # fec.MAX_ITER and rls_estimate's delta
+            ("[campaign]\ndecoder_iters = 50\n", "[campaign] decoder_iters: unknown key"),
+            ("[turbo]\nrls_delta = 0.01\n", "[turbo] rls_delta: unknown key"),
             ("[campaign]\nfiber = 1\n", "[campaign] fiber"),
         ],
     )
@@ -193,8 +198,6 @@ class TestConfig:
         [
             ("[turbo]\nchannel_memory = -1\n", "channel_memory"),
             ("[turbo]\nn_turbo_iters = -1\n", "n_turbo_iters"),
-            ("[turbo]\nrls_delta = 0\n", "rls_delta"),
-            ("[turbo]\nrls_delta = -1\n", "rls_delta"),
         ],
     )
     def test_out_of_range_turbo_value_rejected(self, tmp_path, text, named):
@@ -250,25 +253,36 @@ class TestConfig:
 
     @pytest.mark.parametrize("taps", [-1, 0, 12])
     def test_unusable_nlms_tap_count_rejected(self, tmp_path, taps):
-        # caught when the config loads, not in every cell after propagation
+        # the tap count is nlms_equalize's own 13: a config that asks for
+        # one fails, and the equalizer rejects an unusable one itself
         p = tmp_path / "bad.cfg"
         p.write_text(f"[campaign]\nnlms_taps = {taps}\n")
-        with pytest.raises(HarnessError, match="nlms_taps"):
+        with pytest.raises(HarnessError, match="nlms_taps: unknown key"):
             load_config(p)
-        CampaignConfig(nlms_taps=1)
+        c = build_constellation(4)
+        frame = build_frame(np.zeros((2, 3, 20), np.uint8), np.arange(60), 0, c, 0.05, 0, 32e9)
+        signal = rrc_shape(frame, 2, 0.1)
+        with pytest.raises(SyncError, match="n_taps"):
+            nlms_equalize(signal, frame, n_taps=taps)
 
     @pytest.mark.parametrize("step", [-0.05, 0.0, 2.0, 8.0])
-    def test_unstable_nlms_step_rejected(self, step):
+    def test_unstable_nlms_step_rejected(self, tmp_path, step):
         # outside (0, 2) the NLMS does not converge in the mean square; a
-        # step of 8 failed every cell with SyncError after propagation
-        with pytest.raises(HarnessError, match="nlms_step"):
-            CampaignConfig(nlms_step=step)
-        CampaignConfig(nlms_step=1.99)
+        # step of 8 failed every cell after propagation. The step is
+        # nlms_equalize's own 0.05, and a config that asks for one fails
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[campaign]\nnlms_step = {step}\n")
+        with pytest.raises(HarnessError, match="nlms_step: unknown key"):
+            load_config(p)
 
     @pytest.mark.parametrize("bw", [-1.0, 0.0])
-    def test_non_positive_pll_bandwidth_rejected(self, bw):
-        with pytest.raises(HarnessError, match="pll_bw_norm"):
-            CampaignConfig(pll_bw_norm=bw)
+    def test_non_positive_pll_bandwidth_rejected(self, tmp_path, bw):
+        # the loop bandwidth is ddpll's own 1e-3, and a config that asks
+        # for one fails
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[campaign]\npll_bw_norm = {bw}\n")
+        with pytest.raises(HarnessError, match="pll_bw_norm: unknown key"):
+            load_config(p)
 
     @pytest.mark.parametrize(
         "text, named",
@@ -294,7 +308,28 @@ class TestConfig:
         # which only an odd channel count puts a channel on
         with pytest.raises(HarnessError, match="n_wdm_channels"):
             CampaignConfig(n_wdm_channels=n_ch)
-        CampaignConfig(n_wdm_channels=n_ch + 1)
+        # 8 samples/symbol: five channels 37.5 GHz apart fit in 256 GS/s
+        CampaignConfig(n_wdm_channels=n_ch + 1, tx_samples_per_symbol=8)
+
+    @pytest.mark.parametrize(
+        "n_ch, sps, spacing, fits",
+        [(5, 2, 37.5e9, False), (5, 4, 32e9, False), (5, 5, 37.5e9, True), (3, 4, 37.5e9, True)],
+    )
+    def test_wdm_band_checked_at_load(self, n_ch, sps, spacing, fits):
+        # wdm_mux's rule, checked when the config loads: the first case
+        # loaded and then failed every cell in wdm_mux; the second sits on
+        # the limit, where the outer channels alias onto each other
+        desk = load_config("desk.cfg")
+        sig = DualPolSignal(np.zeros((2, 8), dtype=complex), sps * desk.baud)
+        grid = dict(n_wdm_channels=n_ch, tx_samples_per_symbol=sps, grid_spacing_hz=spacing)
+        if fits:
+            dataclasses.replace(desk, **grid)
+            wdm_mux([sig] * n_ch, n_ch, spacing)
+        else:
+            with pytest.raises(HarnessError, match="aggregate WDM band"):
+                dataclasses.replace(desk, **grid)
+            with pytest.raises(WaveformError, match="aggregate WDM band"):
+                wdm_mux([sig] * n_ch, n_ch, spacing)
 
     @pytest.mark.parametrize("rate", [0.0, -0.05, 0.51, 1.0])
     def test_unusable_pilot_rate_rejected(self, rate):
@@ -322,7 +357,8 @@ class TestConfig:
     )
     def test_value_no_cell_can_run_rejected(self, tmp_path, text, named):
         # each of these failed every cell after propagation, or, for the
-        # decoder iterations, ran without decoding
+        # decoder iterations, ran without decoding; the iteration cap is
+        # fec.MAX_ITER, which no config sets
         p = tmp_path / "bad.cfg"
         p.write_text(text)
         with pytest.raises(HarnessError, match=named):

@@ -16,11 +16,6 @@ from turbowdm.waveform import DualPolSignal, build_frame, rrc_shape
 BAUD = 32e9
 
 
-@pytest.fixture(scope="module")
-def qpsk():
-    return build_constellation(4)
-
-
 def make_frame(c, n_data_bits=8000, pilot_rate=0.05, seed=0, training=False):
     """Eight blocks of random bits, not interleaved; the first six are
     training blocks if ``training``, so three quarters of the data

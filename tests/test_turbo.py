@@ -16,25 +16,12 @@ from turbowdm.turbo import (
 )
 from turbowdm.waveform import build_frame
 
-
-@pytest.fixture(scope="module")
-def qpsk():
-    return build_constellation(4)
+from conftest import mimo_channel, qpsk_stream
 
 
 @pytest.fixture(scope="module")
 def code():
     return _load_code("rate45_n2048")
-
-
-def mimo_channel():
-    """Static 2x2 ISI channel taps, main tap at the decision delay."""
-    h = np.zeros((2, 2, 3), dtype=complex)
-    h[0, 0] = [0.3, 0.85, 0.2j]
-    h[1, 1] = [0.25j, 0.9, 0.15]
-    h[0, 1] = [0.05, 0.1, 0.02]
-    h[1, 0] = [0.0, 0.08j, 0.05]
-    return h
 
 
 def apply_channel(s, h, delay, noise_var=0.0, rng=None):
@@ -53,13 +40,6 @@ def apply_channel(s, h, delay, noise_var=0.0, rng=None):
             rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
         )
     return r
-
-
-def qpsk_stream(m, seed):
-    rng = np.random.default_rng(seed)
-    re = rng.integers(0, 2, (2, m)) * 2 - 1
-    im = rng.integers(0, 2, (2, m)) * 2 - 1
-    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def reference_permutations(n, nb, seed):
@@ -102,12 +82,12 @@ def static_track(h, m):
     return np.tile(h, (m, 1, 1, 1))
 
 
-def reference_rls(received, means, cfg, initial_taps):
+def reference_rls(received, means, cfg, initial_taps, delta):
     """Per-symbol RLS recursion on the inverse correlation matrix, with the
     estimator's skip rule: the reference for the closed form."""
     m = received.shape[1]
     lam, lp1 = cfg.forgetting, cfg.channel_memory + 1
-    sigma = np.eye(2 * lp1, dtype=complex) / cfg.rls_delta
+    sigma = np.eye(2 * lp1, dtype=complex) / delta
     h = initial_taps.reshape(2, 2 * lp1).astype(complex)
     track = np.empty((m, 2, 2 * lp1), dtype=complex)
     errors = np.empty((2, m), dtype=complex)
@@ -130,7 +110,7 @@ def reference_rls(received, means, cfg, initial_taps):
     return track.reshape(m, 2, 2, lp1), h.reshape(2, 2, lp1), errors
 
 
-def lfilter_rls(received, means, cfg, initial_taps):
+def lfilter_rls(received, means, cfg, initial_taps, delta):
     """The closed form with R and p run through scipy.signal.lfilter, as it
     stood before the in-place recursion: the bit-for-bit reference."""
     m = received.shape[1]
@@ -146,7 +126,7 @@ def lfilter_rls(received, means, cfg, initial_taps):
         axis=2,
     )
     lam = cfg.forgetting
-    init = cfg.rls_delta * np.concatenate([np.eye(dim), h0.T], axis=1)
+    init = delta * np.concatenate([np.eye(dim), h0.T], axis=1)
     stats, _ = lfilter([1.0], [1.0, -lam], stats, axis=0, zi=lam * init[None])
     solved = np.linalg.solve(stats[:, :, :dim], stats[:, :, dim:])
     after = np.concatenate([h0[None], solved.transpose(0, 2, 1)])
@@ -272,7 +252,7 @@ class TestConfig:
 class TestRls:
     def test_matches_batch_least_squares(self):
         # lam = 1: RLS solves the same normal equations as batch LS
-        cfg = SlidingWindowConfig(forgetting=1.0, rls_delta=0.01)
+        cfg = SlidingWindowConfig(forgetting=1.0)
         m = 3000
         s = qpsk_stream(m, 0)
         h = mimo_channel()
@@ -345,9 +325,7 @@ class TestRls:
     def test_matches_recursive_rls(self, lam, delta, memory, stretch):
         # the closed form equals the per-symbol recursion it replaces; the
         # stretch of zero, then near-zero, means exercises the skip rule
-        cfg = SlidingWindowConfig(
-            channel_memory=memory, forgetting=lam, rls_delta=delta
-        )
+        cfg = SlidingWindowConfig(channel_memory=memory, forgetting=lam)
         m, lp1 = 2000, memory + 1
         rng = np.random.default_rng(memory)
         h = 0.1 * (rng.standard_normal((2, 2, lp1))
@@ -360,8 +338,8 @@ class TestRls:
         if stretch:
             means[:, 600:800] = 0.0
             means[:, 800:1000] *= 0.01
-        track, taps, err = rls_estimate(r, means, cfg)
-        ref_track, ref_taps, ref_err = reference_rls(r, means, cfg, np.zeros_like(h))
+        track, taps, err = rls_estimate(r, means, cfg, delta)
+        ref_track, ref_taps, ref_err = reference_rls(r, means, cfg, np.zeros_like(h), delta)
         np.testing.assert_allclose(track, ref_track, rtol=0, atol=1e-10)
         np.testing.assert_allclose(taps, ref_taps, rtol=0, atol=1e-10)
         np.testing.assert_allclose(err, ref_err, rtol=0, atol=1e-10)
@@ -387,8 +365,8 @@ class TestRls:
             means[:, 700:700 + kept] = s[:, 700:700 + kept]
             regs = turbo._regressors(means, cfg)
             assert np.sum(np.sum(np.abs(regs) ** 2, axis=1) > 1e-3 * lp1) == kept
-        got = rls_estimate(r, means, cfg)
-        ref = lfilter_rls(r, means, cfg, np.zeros_like(h))
+        got = rls_estimate(r, means, cfg, 0.01)
+        ref = lfilter_rls(r, means, cfg, np.zeros_like(h), 0.01)
         for a, b in zip(got, ref):
             assert_same_bits(a, b)
 
