@@ -4,10 +4,10 @@ Run from the repository root:  python scripts/compare_records.py A.ndjson B.ndjs
 
 Records pair by (power, spans, mode, trial, iteration). Prints how many
 pairs are byte-identical as JSON lines, the largest |ΔSNR| and |ΔGMI| over
-the pairs, every trial whose iteration count or post-FEC BER changed, and
-the trials present in one file only. Exits 1 when the files differ (a
-paired record differs, or a trial or iteration is in one file only) and 0
-when they are identical, as ``cmp`` does.
+the pairs, every trial whose iteration count, counted bits or post-FEC BER
+changed, and the trials present in one file only. Exits 1 when the files
+differ (a paired record differs, or a trial or iteration is in one file
+only) and 0 when they are identical, as ``cmp`` does.
 """
 
 import argparse
@@ -47,12 +47,15 @@ def compare(a, b) -> tuple[list[str], bool]:
         if not ra or not rb:
             lines.append(f"{cell}: only in {'B' if not ra else 'A'}")
             continue
+        paired = sorted(ra.keys() & rb.keys())
         changes = []
         if len(ra) != len(rb):
             changes.append(f"iterations {len(ra)} -> {len(rb)}")
+        counts = sorted({(ra[it].n_bits_counted, rb[it].n_bits_counted) for it in paired})
+        changes += [f"bits counted {x} -> {y}" for x, y in counts if x != y]
         changes += [
             f"BER at iteration {it} {ra[it].post_fec_ber:.4g} -> {rb[it].post_fec_ber:.4g}"
-            for it in sorted(ra.keys() & rb.keys())
+            for it in paired
             if ra[it].post_fec_ber != rb[it].post_fec_ber
         ]
         if changes:

@@ -9,7 +9,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import harness
-from .fiber import FiberError
 from .metrics import read_records_ndjson, write_records_ndjson
 from .turbo import TurboError
 
@@ -31,7 +30,7 @@ def cmd_run(args) -> int:
             cfg = replace(cfg, span_list=tuple(args.spans))
         if args.modes:
             cfg = replace(cfg, modes=tuple(args.modes))
-    except (harness.HarnessError, TurboError, FiberError) as exc:
+    except (harness.HarnessError, TurboError) as exc:
         return _error(exc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

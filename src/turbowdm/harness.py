@@ -81,9 +81,9 @@ class CampaignConfig:
         # the receiver needs pilots, and at most one per data symbol
         if not 0 < self.pilot_rate <= 0.5:
             raise HarnessError("pilot_rate must be in (0, 0.5]")
-        # build_frame's rule, checked before any cell transmits
-        if not 0 <= self.n_train_blocks <= self.n_blocks - 2:
-            raise HarnessError("need 0 <= n_train_blocks <= n_blocks - 2")
+        # build_frame's rule, checked before any cell transmits: a block to decode
+        if not 0 <= self.n_train_blocks <= self.n_blocks - 1:
+            raise HarnessError("need 0 <= n_train_blocks <= n_blocks - 1")
         # split-step steps are positive and no longer than a span
         steps = {"[fiber] step_m": self.fiber.step_m, "dbp_step_m": self.dbp_step_m}
         for name, step in steps.items():

@@ -227,8 +227,9 @@ def turbo_loop(
 
     Only the blocks after the frame's training blocks are decoded: the
     receiver knows the training blocks, and their info bits and certain
-    L-values stand in for a decode. BER, SNR and GMI count only the
-    frame's ``counted_blocks``. The loop stops from iteration 2
+    L-values stand in for a decode. The data instants after the frame's
+    ``n_known_data`` carry the decoded bits; BER counts the decoded blocks,
+    and SNR and GMI the decoded instants. The loop stops from iteration 2
     on once every decoded block passes parity and the SNR moved by less than
     0.01 dB.
     """
@@ -239,19 +240,14 @@ def turbo_loop(
     c = frame.constellation
     q = c.q
     nb, n, n_train_blocks = frame.n_blocks, frame.block_len, frame.n_train_blocks
-    data_pos = frame.data_positions
     pilot = frame.pilot_mask
     to_code = np.argsort(frame.order)
 
-    # receiver-known region: pilots plus the data-aided training blocks;
-    # every other data symbol carries a bit of a decoded block
-    decoded = ~frame.known_mask[data_pos]
-    decoded_pos = data_pos[decoded]
-    counted = frame.counted_blocks
-    block = frame.block_of_data_symbol()
-    counted_data = (counted.start <= block) & (block < counted.stop)
-    counted_pos = data_pos[counted_data]
-    counted_bits = frame.coded_bits.reshape(2, -1, q)[:, counted_data]
+    # the data instants after the known prefix carry a bit of a decoded
+    # block; the loop demaps, decodes and measures them
+    decoded = slice(frame.n_known_data, None)
+    decoded_pos = frame.data_positions[decoded]
+    decoded_bits = frame.coded_bits.reshape(2, -1, q)[:, decoded]
 
     # noise variance from pilot residuals of the unequalized stream
     pil_res = received[:, pilot] - frame.symbols[:, pilot]
@@ -286,14 +282,14 @@ def turbo_loop(
             )
 
         # demap the symbols the decoder reads (the rows of training-only
-        # symbols stay unread); GMI reads no-prior L-values of the counted
-        # symbols, which iteration 0, having no priors, already has
-        llrs = np.empty((2, data_pos.size, q))
+        # symbols stay unread); GMI reads their no-prior L-values, which
+        # iteration 0, having no priors, already has
+        llrs = np.empty((2, frame.n_data, q))
         llrs[:, decoded] = cst.extrinsic_llrs(
             s_hat[:, decoded_pos], mu[:, decoded_pos], nu2[:, decoded_pos], priors, c
         )
-        llrs_noprior = llrs[:, counted_data] if it == 0 else cst.extrinsic_llrs(
-            s_hat[:, counted_pos], mu[:, counted_pos], nu2[:, counted_pos], None, c
+        llrs_noprior = llrs[:, decoded] if it == 0 else cst.extrinsic_llrs(
+            s_hat[:, decoded_pos], mu[:, decoded_pos], nu2[:, decoded_pos], None, c
         )
 
         # decode the blocks the receiver does not know
@@ -308,15 +304,13 @@ def turbo_loop(
                 dec_info[p, b] = hard[code.info_positions]
                 all_ok &= ok
 
-        ber, n_bits = post_fec_ber(dec_info[:, counted], true_info[:, counted])
-        bias = np.where(mu[:, counted_pos] > 1e-6, mu[:, counted_pos], 1.0)
-        s_ref = frame.symbols[:, counted_pos]
-        s_cnt = s_hat[:, counted_pos] / bias
-        gmi4d = sum(map(gmi_bits_per_2d, llrs_noprior, counted_bits))
+        ber, n_bits = post_fec_ber(dec_info[:, n_train_blocks:], true_info[:, n_train_blocks:])
+        bias = np.where(mu[:, decoded_pos] > 1e-6, mu[:, decoded_pos], 1.0)
+        gmi4d = sum(map(gmi_bits_per_2d, llrs_noprior, decoded_bits))
         rec = IterationMetrics(
             turbo_iteration=it,
             post_fec_ber=ber,
-            snr_db=effective_snr(s_ref, s_cnt),
+            snr_db=effective_snr(frame.symbols[:, decoded_pos], s_hat[:, decoded_pos] / bias),
             gmi_bits_per_4d_symbol=gmi4d,
             n_bits_counted=n_bits,
         )

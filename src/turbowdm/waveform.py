@@ -43,14 +43,16 @@ class DualPolSignal:
 @dataclass
 class SymbolFrame:
     """Dual-pol symbol sequence and its layout: constellation, pilot mask,
-    interleaver order, training region and counted blocks.
+    interleaver order and training region.
 
     ``symbols`` has shape (2, n_instants). Pilots are co-located across
     polarizations; data instant j of a polarization carries interleaved
     coded bits q*j .. q*j+q-1 of that polarization's bit stream (q bits
     per point of ``constellation``), whose position i carries bit
     ``order[i] % block_len`` of codeword ``order[i] // block_len``. The
-    receiver knows the first ``n_train_blocks`` codewords.
+    receiver knows the first ``n_train_blocks`` codewords, so the data
+    instants are a known prefix of ``n_known_data`` and a suffix the
+    receiver decodes.
     """
 
     symbols: np.ndarray
@@ -76,28 +78,21 @@ class SymbolFrame:
         return int(np.sum(~self.pilot_mask))
 
     @property
-    def counted_blocks(self) -> slice:
-        """Blocks the metrics count: those after the training blocks, but
-        not the last. The circular RRC filters leave the last block no
-        transient; it stays uncounted only to keep the records comparable
-        until a change that re-measures the turbo gain counts it."""
-        return slice(self.n_train_blocks, self.n_blocks - 1)
+    def n_known_data(self) -> int:
+        """Data instants whose bits all lie in training blocks: instant j
+        is one iff q*(j+1) <= n_train_blocks*block_len, so they are the first."""
+        return self.n_train_blocks * self.block_len // self.constellation.q
 
     @property
     def known_mask(self) -> np.ndarray:
         """Instants whose symbols the receiver knows: the pilots and the
-        data instants whose last bit, and so all bits, lie in training blocks."""
+        first ``n_known_data`` data instants."""
         known = self.pilot_mask.copy()
-        last = self.block_of_data_symbol(self.constellation.q - 1)
-        known[self.data_positions[last < self.n_train_blocks]] = True
+        known[self.data_positions[: self.n_known_data]] = True
         return known
 
     def pilot_symbols(self) -> np.ndarray:
         return self.symbols[:, self.pilot_mask]
-
-    def block_of_data_symbol(self, bit: int = 0) -> np.ndarray:
-        """FEC block index of bit ``bit`` (default: the first) of each data instant."""
-        return (np.arange(self.n_data) * self.constellation.q + bit) // self.block_len
 
 
 def pilot_positions(n_data: int, pilot_rate: float) -> np.ndarray:
@@ -129,7 +124,7 @@ def build_frame(
     permute each block within itself (``fec.frame_order`` draws one), map
     them, and insert seeded pilot symbols at a fixed stride. The first
     ``n_train_blocks`` codewords are training blocks; at least one block
-    after them and before the last must be left to count."""
+    after them must be left to decode."""
     codewords = np.asarray(codewords, dtype=np.uint8)
     if codewords.ndim != 3 or codewords.shape[0] != 2:
         raise WaveformError("expected (2, n_blocks, n) codewords")
@@ -140,8 +135,9 @@ def build_frame(
     order = np.asarray(order)
     if order.shape != (total_bits,):
         raise WaveformError(f"order has shape {order.shape}, not ({total_bits},)")
-    if not 0 <= n_train_blocks <= n_blocks - 2:
-        raise WaveformError("need 0 <= n_train_blocks <= n_blocks - 2")
+    # the receiver decodes, and the metrics count, the blocks after training
+    if not 0 <= n_train_blocks <= n_blocks - 1:
+        raise WaveformError("need 0 <= n_train_blocks <= n_blocks - 1")
     coded_bits = codewords.reshape(2, -1)[:, order]
     mask = pilot_positions(total_bits // c.q, pilot_rate)
     rng = np.random.default_rng(seed)

@@ -1,10 +1,10 @@
 from conftest import load_script
 
 
-def line(power, mode, trial, it, snr, gmi=11.0, ber=0.0):
+def line(power, mode, trial, it, snr, gmi=11.0, ber=0.0, bits=100):
     return (
         f'{{"gmi_bits_per_4d_symbol": {gmi}, "launch_power_dbm": {power}, '
-        f'"mode": "{mode}", "n_bits_counted": 100, "n_spans": 10, '
+        f'"mode": "{mode}", "n_bits_counted": {bits}, "n_spans": 10, '
         f'"post_fec_ber": {ber}, "seed": 1, "snr_db": {snr}, "trial": {trial}, '
         f'"turbo_iteration": {it}}}\n'
     )
@@ -60,3 +60,26 @@ def test_iteration_in_one_file_only_differs(tmp_path, capsys):
     b.write_text("".join(recs[:2]))
     assert script.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines()[0] == "2 of 2 paired records identical"
+
+
+def test_counted_bits_change_is_reported(tmp_path, capsys):
+    # every iteration of a trial counts the same bits, so a changed count
+    # is one entry per trial, before the BER entries
+    script = load_script("compare_records")
+    a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+    a.write_text(
+        line(0.0, "dbp", 0, 0, 20.0)
+        + "".join(line(0.0, "dbp_turbo", 0, it, 20.0, ber=0.01) for it in range(2))
+    )
+    b.write_text(
+        line(0.0, "dbp", 0, 0, 20.0, bits=120)
+        + "".join(line(0.0, "dbp_turbo", 0, it, 20.0, ber=0.02, bits=120) for it in range(2))
+    )
+    assert script.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "0 of 3 paired records identical",
+        "max |ΔSNR| 0 dB, max |ΔGMI| 0 bits/4D",
+        "power +0 dBm, 10 spans, dbp, trial 0: bits counted 100 -> 120",
+        "power +0 dBm, 10 spans, dbp_turbo, trial 0: bits counted 100 -> 120; "
+        "BER at iteration 0 0.01 -> 0.02; BER at iteration 1 0.01 -> 0.02",
+    ]

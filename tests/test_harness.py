@@ -375,10 +375,10 @@ class TestConfig:
             CampaignConfig(code_file=str(tmp_path / "missing.txt"))
 
     def test_too_few_blocks_rejected(self):
-        # metrics need one counted block between training and trailing block
-        with pytest.raises(HarnessError):
-            CampaignConfig(n_blocks=4, n_train_blocks=3)
-        CampaignConfig(n_blocks=5, n_train_blocks=3)
+        # the receiver needs one block after the training blocks to decode
+        with pytest.raises(HarnessError, match="n_train_blocks"):
+            CampaignConfig(n_blocks=3, n_train_blocks=3)
+        CampaignConfig(n_blocks=4, n_train_blocks=3)
 
 
 def test_load_code_cached_per_process():
@@ -506,6 +506,15 @@ class TestRunTrial:
         campaign, _, failures = run_campaign(cfg)
         assert not failures
         assert recs == [r for r in campaign if r.trial == 1]
+
+    def test_one_block_after_training_is_decoded_and_counted(self, tiny_cfg):
+        # the last block is the only decoded one, and every metric counts it
+        cfg = dataclasses.replace(tiny_cfg, n_blocks=2, n_train_blocks=1)
+        recs = run_trial(cfg, 2.0, 2, "dbp_turbo", 0)
+        assert len(recs) >= 2
+        assert {r.n_bits_counted for r in recs} == {2 * _load_code(cfg.code_file).k}
+        with pytest.raises(HarnessError, match="n_train_blocks"):
+            dataclasses.replace(tiny_cfg, n_blocks=2, n_train_blocks=2)
 
     def test_unknown_mode(self, tiny_cfg):
         with pytest.raises(HarnessError):

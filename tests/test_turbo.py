@@ -592,7 +592,7 @@ def noisy_training_run(qpsk, code):
     cfg = SlidingWindowConfig(n_turbo_iters=5)
     rng = np.random.default_rng(3)
     r = apply_channel(frame.symbols, mimo_channel(), cfg.delay, 0.05, rng)
-    pos = frame.data_positions[frame.block_of_data_symbol() == 0][:200]
+    pos = frame.data_positions[:200]
     r[:, pos] = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
     return turbo_loop(r, frame, cfg, code), frame
 
@@ -615,6 +615,9 @@ class TestLoopPolicy:
         res = turbo_loop(r, frame, cfg, code)
         assert len(res.records) == 3
         assert len(calls) == 2 * (frame.n_blocks - n_train) * len(res.records)
+        # the metrics count every decoded block, the last one included
+        n_decoded = frame.n_blocks - n_train
+        assert {r.n_bits_counted for r in res.records} == {2 * n_decoded * code.k}
 
     def test_stops_although_training_block_is_noise(self, noisy_training_run):
         res, _ = noisy_training_run

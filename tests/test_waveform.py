@@ -3,9 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from turbowdm.constellation import hard_decide
+from turbowdm.constellation import build_constellation, hard_decide
 from turbowdm.fiber import FiberParams, amplify, dbp, edc, propagate_span
-from turbowdm.metrics import post_fec_ber
 from turbowdm.waveform import (
     DualPolSignal,
     WaveformError,
@@ -76,33 +75,33 @@ class TestFrame:
         with pytest.raises(WaveformError):
             build_frame(np.zeros((2, 1, 7), dtype=np.uint8), np.arange(7), 0, qpsk, 0.05, 0, BAUD)
 
-    def test_counted_blocks_skip_training_and_last(self, qpsk):
-        # errors in the training blocks and the trailing block count for
-        # nothing; the 14 blocks between them count every bit
-        n_blocks, k = 18, 64
-        f = build_frame(
-            np.zeros((2, n_blocks, k), dtype=np.uint8), np.arange(n_blocks * k), 3, qpsk, 0.05, 0,
-            BAUD,
-        )
-        assert f.counted_blocks == slice(3, n_blocks - 1)
-        ref = np.zeros((2, n_blocks, k), dtype=np.uint8)
-        dec = ref.copy()
-        dec[:, :3] = 1
-        dec[:, -1] = 1
-        ber, counted = post_fec_ber(dec[:, f.counted_blocks], ref[:, f.counted_blocks])
-        assert (ber, counted) == (0.0, 2 * 14 * k)
-        dec[0, 5, 3] = 1  # inside a counted block
-        ber, _ = post_fec_ber(dec[:, f.counted_blocks], ref[:, f.counted_blocks])
-        assert ber == 1.0 / (2 * 14 * k)
+    @pytest.mark.parametrize("n_train", [0, 1, 2])
+    def test_known_data_is_a_prefix(self, n_train):
+        # at 64-QAM a 22-bit block ends inside a symbol: the known data
+        # instants are those whose every bit, the last one included, lies
+        # in a training block, and they are the first n_known_data
+        c, n_blocks, block_len = build_constellation(64), 3, 22
+        words = np.zeros((2, n_blocks, block_len), dtype=np.uint8)
+        f = build_frame(words, np.arange(n_blocks * block_len), n_train, c, 0.05, 0, BAUD)
+        last_bit_block = (np.arange(f.n_data) * c.q + c.q - 1) // block_len
+        known = f.pilot_mask.copy()
+        known[f.data_positions[last_bit_block < n_train]] = True
+        assert f.n_known_data == np.sum(last_bit_block < n_train) == n_train * block_len // c.q
+        np.testing.assert_array_equal(f.known_mask, known)
+        if n_train:
+            # the straddling symbol starts in training and is not known
+            j = f.n_known_data
+            assert c.q * j // block_len < n_train <= (c.q * j + c.q - 1) // block_len
+            assert not f.known_mask[f.data_positions[j]]
 
-    @pytest.mark.parametrize("n_train", [-1, 17])
+    @pytest.mark.parametrize("n_train", [-1, 18])
     def test_training_blocks_out_of_range_rejected(self, qpsk, n_train):
-        # a negative count would count no bit, and 17 training blocks of 18
-        # leave no block between them and the trailing block
+        # a negative count would count no bit, and 18 training blocks of 18
+        # leave no block to decode
         words = np.zeros((2, 18, 8), dtype=np.uint8)
         with pytest.raises(WaveformError, match="n_train_blocks"):
             build_frame(words, np.arange(18 * 8), n_train, qpsk, 0.05, 0, BAUD)
-        for ok in (0, 16):
+        for ok in (0, 17):
             assert build_frame(words, np.arange(18 * 8), ok, qpsk, 0.05, 0, BAUD).n_train_blocks == ok
 
     def test_order_length_mismatch(self, qpsk):
