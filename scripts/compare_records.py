@@ -7,7 +7,8 @@ pairs are byte-identical as JSON lines, the largest |ΔSNR| and |ΔGMI| over
 the pairs, every trial whose iteration count, counted bits or post-FEC BER
 changed, and the trials present in one file only. Exits 1 when the files
 differ (a paired record differs, or a trial or iteration is in one file
-only) and 0 when they are identical, as ``cmp`` does.
+only) and 0 when they are identical, as ``cmp`` does; exits 2 when either
+file holds no records.
 """
 
 import argparse
@@ -68,7 +69,12 @@ def main(argv=None) -> int:
     ap.add_argument("a", help="records.ndjson of the reference run")
     ap.add_argument("b", help="records.ndjson of the run compared with it")
     args = ap.parse_args(argv)
-    lines, identical = compare(read_records_ndjson(args.a), read_records_ndjson(args.b))
+    a, b = read_records_ndjson(args.a), read_records_ndjson(args.b)
+    # a run that wrote nothing must not pass as reproducing another
+    for path, recs in ((args.a, a), (args.b, b)):
+        if not recs:
+            ap.error(f"{path}: no records")
+    lines, identical = compare(a, b)
     print("\n".join(lines))
     return 0 if identical else 1
 

@@ -30,6 +30,8 @@ def cmd_run(args) -> int:
             cfg = replace(cfg, span_list=tuple(args.spans))
         if args.modes:
             cfg = replace(cfg, modes=tuple(args.modes))
+        if args.jobs < 1:  # checked before --out is created
+            raise harness.HarnessError("jobs must be >= 1")
     except (harness.HarnessError, TurboError) as exc:
         return _error(exc)
     out_dir = Path(args.out)
@@ -59,6 +61,8 @@ def cmd_tables(args) -> int:
         records = read_records_ndjson(args.results)
     except (OSError, ValueError, TypeError) as exc:  # missing, or not records
         return _error(f"{args.results}: {exc}")
+    if not records:
+        return _error(f"{args.results}: no records")
     print(harness.emit_tables(harness.aggregate(records), Path(args.out)))
     return 0
 

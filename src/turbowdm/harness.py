@@ -69,8 +69,10 @@ class CampaignConfig:
     base_seed: int = 1234
 
     def __post_init__(self):
-        if not self.power_dbm_list or not self.span_list or not self.modes:
-            raise HarnessError("sweep axes must be non-empty")
+        for name in ("power_dbm_list", "span_list", "modes"):
+            axis = getattr(self, name)  # a repeated value would run its cells twice
+            if not axis or len(set(axis)) < len(axis):
+                raise HarnessError(f"sweep axis {name} must be non-empty, with no value twice")
         if min(self.span_list) < 0:
             raise HarnessError("span counts must be >= 0")
         if self.n_trials < 1:
@@ -151,8 +153,8 @@ def load_config(path: str | Path) -> CampaignConfig:
         path = preset
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read_string(path.read_text())
-    except configparser.Error as exc:
+        cp.read_string(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise HarnessError(f"{path}: {exc}") from exc
     if cp.defaults():
         raise HarnessError(f"[{cp.default_section}]: unknown section")
@@ -278,13 +280,12 @@ def run_trial(
             )
 
     n_iters = cfg.turbo.n_turbo_iters if mode == "dbp_turbo" else 0
-    result = turbo_loop(symbols, frame_coi, replace(cfg.turbo, n_turbo_iters=n_iters), code)
     return [
         MetricsRecord(
             **asdict(r), launch_power_dbm=power_dbm, n_spans=n_spans, mode=mode,
             seed=seed, trial=trial,
         )
-        for r in result.records
+        for r in turbo_loop(symbols, frame_coi, replace(cfg.turbo, n_turbo_iters=n_iters), code)
     ]
 
 

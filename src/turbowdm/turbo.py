@@ -138,9 +138,11 @@ def lmmse_equalize(
     variances: np.ndarray,
     cfg: SlidingWindowConfig,
     noise_var: float,
+    instants: np.ndarray,
     symbol_energy: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sliding-window MIMO 2x2 LMMSE estimation with symbol priors.
+    """Sliding-window MIMO 2x2 LMMSE estimation with symbol priors, at the
+    frame instants ``instants`` (in any order).
 
     s_j is estimated from the rows r_{j-N1} .. r_{j+N2}, which hold the
     symbols s_{j-N1+d-L} .. s_{j+N2+d}. The windowed channel matrix takes
@@ -149,14 +151,17 @@ def lmmse_equalize(
     s_j is excluded from the interference cancellation while its variance
     entry is the blind symbol energy, and the Wiener solution is obtained by
     a direct Hermitian solve. Beyond the frame, rows are zero and symbols
-    have mean 0 and the blind symbol energy as variance. The instants are
-    solved ``LMMSE_CHUNK`` at a time, so memory does not grow with the frame.
+    have mean 0 and the blind symbol energy as variance. No instant's solve
+    depends on another's, and they are solved ``LMMSE_CHUNK`` at a time, so
+    memory does not grow with the frame.
 
-    Returns (estimates (2, m), scale mu (2, m), noise nu2 (2, m)).
+    Returns (estimates, scale mu, noise nu2), each (2, len(instants)).
     """
     m = received.shape[1]
     if track.shape[0] != m:
         raise TurboError("tap track does not cover all instants")
+    if np.any((instants < 0) | (instants >= m)):
+        raise TurboError("instants outside the frame")
     n1, mem, nw, d = cfg.n1, cfg.channel_memory, cfg.n_window, cfg.delay
     wwin = nw + mem  # symbol window width per polarization
     sig2 = symbol_energy
@@ -167,10 +172,9 @@ def lmmse_equalize(
     band = np.arange(nw)[:, None, None] + mem - np.arange(wwin)  # (N, 1, W)
     track_h = np.conj(track)
 
-    s_hat = np.empty((2, m), dtype=complex)
-    mu = np.empty((2, m))
-    for lo in range(0, m, LMMSE_CHUNK):
-        j = np.arange(lo, min(lo + LMMSE_CHUNK, m))[:, None, None]
+    s_hat, mu = np.empty((2, instants.size), dtype=complex), np.empty((2, instants.size))
+    for lo in range(0, instants.size, LMMSE_CHUNK):
+        j = instants[lo : lo + LMMSE_CHUNK, None, None]
         mc = j.shape[0]
         rows = j - n1 + np.arange(nw)  # (mc, 1, N) row instants
         syms = j - n1 + d - mem + np.arange(wwin)  # (mc, 1, W) symbol indices
@@ -205,19 +209,14 @@ def lmmse_equalize(
     return s_hat, mu, nu2
 
 
-@dataclass
-class TurboResult:
-    hard_bits: np.ndarray  # (2, nb*k) info bits, final iteration
-    records: list[IterationMetrics]  # one per iteration run
-
-
 def turbo_loop(
     received: np.ndarray,
     frame: SymbolFrame,
     cfg: SlidingWindowConfig,
     code: LdpcCode,
-) -> TurboResult:
-    """Run the iterative equalize/decode loop on one frame.
+) -> list[IterationMetrics]:
+    """Run the iterative equalize/decode loop on one frame and return what
+    each iteration run measures, in order.
 
     ``received`` is the symbol-rate dual-pol output of the front-end DSP,
     aligned to the frame. Iteration 0 bypasses the equalizer and demaps the
@@ -226,12 +225,12 @@ def turbo_loop(
     equalizer, then demap its output with the updated priors.
 
     Only the blocks after the frame's training blocks are decoded: the
-    receiver knows the training blocks, and their info bits and certain
-    L-values stand in for a decode. The data instants after the frame's
-    ``n_known_data`` carry the decoded bits; BER counts the decoded blocks,
-    and SNR and GMI the decoded instants. The loop stops from iteration 2
-    on once every decoded block passes parity and the SNR moved by less than
-    0.01 dB.
+    receiver knows the training blocks, and their certain L-values stand in
+    for a decode. The data instants after the frame's ``n_known_data`` carry
+    the decoded bits, and only they are equalized, demapped and measured:
+    BER counts the decoded blocks, and SNR and GMI the decoded instants. The
+    loop stops from iteration 2 on once every decoded block passes parity
+    and the SNR moved by less than 0.01 dB.
     """
     m = frame.n_instants
     received = np.asarray(received)
@@ -244,29 +243,27 @@ def turbo_loop(
     to_code = np.argsort(frame.order)
 
     # the data instants after the known prefix carry a bit of a decoded
-    # block; the loop demaps, decodes and measures them
+    # block; the loop equalizes, demaps, decodes and measures them
     decoded = slice(frame.n_known_data, None)
     decoded_pos = frame.data_positions[decoded]
     decoded_bits = frame.coded_bits.reshape(2, -1, q)[:, decoded]
 
     # noise variance from pilot residuals of the unequalized stream
-    pil_res = received[:, pilot] - frame.symbols[:, pilot]
-    sigma_n2 = float(np.mean(np.abs(pil_res) ** 2))
+    sigma_n2 = float(np.mean(np.abs(received[:, pilot] - frame.symbols[:, pilot]) ** 2))
 
     code_bits = frame.coded_bits[:, to_code].reshape(2, nb, n)
-    true_info = code_bits[:, :, code.info_positions]  # (2, nb, k)
+    # (2, decoded blocks, k) info bits the decoder must return
+    true_info = code_bits[:, n_train_blocks:, code.info_positions]
     # the receiver knows the training blocks, so it decodes only the others;
     # the known bits' a-posteriori L-values (L = ln P(1)/P(0)) are certain
     known_app = np.where(code_bits[:, :n_train_blocks] == 1, L_MAX, -L_MAX)
 
-    result = TurboResult(None, [])
+    records: list[IterationMetrics] = []
     priors = None  # (2, decoded symbols, q) decoder L-values of their bits
 
     for it in range(cfg.n_turbo_iters + 1):
         if it == 0:
-            s_hat = received
-            mu = np.ones((2, m))
-            nu2 = np.full((2, m), max(sigma_n2, 1e-12))
+            s_hat, mu, nu2 = received[:, decoded_pos], 1.0, max(sigma_n2, 1e-12)
         else:
             # the known symbols are certain; the others come from the priors
             means, variances = frame.symbols.copy(), np.zeros((2, m))
@@ -277,23 +274,18 @@ def turbo_loop(
             # where the regression means are exact
             sigma_n2 = max(float(np.mean(np.abs(rls_err[:, pilot]) ** 2)), 1e-12)
             s_hat, mu, nu2 = lmmse_equalize(
-                received, track, means, variances, cfg, sigma_n2,
+                received, track, means, variances, cfg, sigma_n2, decoded_pos,
                 symbol_energy=c.energy,
             )
 
-        # demap the symbols the decoder reads (the rows of training-only
-        # symbols stay unread); GMI reads their no-prior L-values, which
-        # iteration 0, having no priors, already has
+        # the rows of training-only symbols stay unread; GMI reads the
+        # no-prior L-values, which iteration 0, having no priors, already has
         llrs = np.empty((2, frame.n_data, q))
-        llrs[:, decoded] = cst.extrinsic_llrs(
-            s_hat[:, decoded_pos], mu[:, decoded_pos], nu2[:, decoded_pos], priors, c
-        )
-        llrs_noprior = llrs[:, decoded] if it == 0 else cst.extrinsic_llrs(
-            s_hat[:, decoded_pos], mu[:, decoded_pos], nu2[:, decoded_pos], None, c
-        )
+        llrs[:, decoded] = cst.extrinsic_llrs(s_hat, mu, nu2, priors, c)
+        llrs_noprior = llrs[:, decoded] if it == 0 else cst.extrinsic_llrs(s_hat, mu, nu2, None, c)
 
         # decode the blocks the receiver does not know
-        dec_info = true_info.copy()
+        dec_info = np.empty_like(true_info)
         app = np.empty((2, nb, n))
         app[:, :n_train_blocks] = known_app
         all_ok = True
@@ -301,24 +293,23 @@ def turbo_loop(
         for p in range(2):
             for b in range(n_train_blocks, nb):
                 app[p, b], hard, ok, _ = decode(blocks[p, b], code)
-                dec_info[p, b] = hard[code.info_positions]
+                dec_info[p, b - n_train_blocks] = hard[code.info_positions]
                 all_ok &= ok
 
-        ber, n_bits = post_fec_ber(dec_info[:, n_train_blocks:], true_info[:, n_train_blocks:])
-        bias = np.where(mu[:, decoded_pos] > 1e-6, mu[:, decoded_pos], 1.0)
+        ber, n_bits = post_fec_ber(dec_info, true_info)
+        bias = np.where(mu > 1e-6, mu, 1.0)
         gmi4d = sum(map(gmi_bits_per_2d, llrs_noprior, decoded_bits))
         rec = IterationMetrics(
             turbo_iteration=it,
             post_fec_ber=ber,
-            snr_db=effective_snr(frame.symbols[:, decoded_pos], s_hat[:, decoded_pos] / bias),
+            snr_db=effective_snr(frame.symbols[:, decoded_pos], s_hat / bias),
             gmi_bits_per_4d_symbol=gmi4d,
             n_bits_counted=n_bits,
         )
-        result.records.append(rec)
-        result.hard_bits = dec_info.reshape(2, -1)
+        records.append(rec)
         priors = app.reshape(2, -1)[:, frame.order].reshape(2, -1, q)[:, decoded]
         # stop once the decoded blocks pass parity and the equalizer SNR has
         # saturated
-        if all_ok and it >= 2 and abs(rec.snr_db - result.records[-2].snr_db) < 0.01:
+        if all_ok and it >= 2 and abs(rec.snr_db - records[-2].snr_db) < 0.01:
             break
-    return result
+    return records

@@ -1,3 +1,5 @@
+import pytest
+
 from conftest import load_script
 
 
@@ -83,3 +85,18 @@ def test_counted_bits_change_is_reported(tmp_path, capsys):
         "power +0 dBm, 10 spans, dbp_turbo, trial 0: bits counted 100 -> 120; "
         "BER at iteration 0 0.01 -> 0.02; BER at iteration 1 0.01 -> 0.02",
     ]
+
+
+@pytest.mark.parametrize("empty_side", ["a", "b", "both"])
+def test_file_without_records_is_an_error(tmp_path, capsys, empty_side):
+    # a run that wrote nothing must not pass as identical to anything
+    script = load_script("compare_records")
+    a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+    rec = line(0.0, "dbp", 0, 0, 20.0)
+    a.write_text("\n" if empty_side in ("a", "both") else rec)
+    b.write_text("" if empty_side in ("b", "both") else rec)
+    with pytest.raises(SystemExit) as exc:
+        script.main([str(a), str(b)])
+    assert exc.value.code == 2
+    empty = a if empty_side != "b" else b
+    assert f"error: {empty}: no records" in capsys.readouterr().err

@@ -123,8 +123,8 @@ class TestConfig:
                 return value * 4  # a square QAM order
             if name == "code_file":
                 return "toy_n20"  # a bundled code
-            if isinstance(value, tuple):
-                return tuple(other(name, v) for v in value) * 2
+            if isinstance(value, tuple):  # longer, without a repeated value
+                return tuple(other(name, v) for v in value) + value
             if isinstance(value, bool):
                 return not value
             if isinstance(value, int):
@@ -225,6 +225,24 @@ class TestConfig:
     def test_empty_sweep_rejected(self):
         with pytest.raises(HarnessError):
             CampaignConfig(power_dbm_list=())
+
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("power_dbm_list", (0.0, 2.0, 0.0)),
+            ("span_list", (10, 10)),
+            ("modes", ("dbp", "edc", "dbp")),
+        ],
+    )
+    def test_repeated_sweep_value_rejected(self, tmp_path, axis, values):
+        # a repeated value would run its cells twice, and run_campaign keeps
+        # one copy of each cell
+        with pytest.raises(HarnessError, match=f"sweep axis {axis} .* no value twice"):
+            CampaignConfig(**{axis: values})
+        p = tmp_path / "rep.cfg"
+        p.write_text(f"[campaign]\n{axis} = {' '.join(map(str, values))}\n")
+        with pytest.raises(HarnessError, match=axis):
+            load_config(p)
 
     def test_negative_span_count_rejected(self, tmp_path, capsys):
         # a negative count would run forward dispersion under edc and skip
@@ -742,9 +760,20 @@ class TestCli:
             (["run", "--config", "no_such_file.cfg"], "no_such_file.cfg not found"),
             (["run", "--config", "desk.cfg", "--spans", "-1"], "span counts"),
             (["tables", "--results", "no_such_file.ndjson"], "No such file"),
+            # a path that exists but is not a readable config names itself
+            (["run", "--config", "{tmp}"], "{tmp}: "),
+            (["run", "--config", "{tmp}/latin1.cfg"], "{tmp}/latin1.cfg: "),
+            # a results file without records makes no table
+            (["tables", "--results", "{tmp}/empty.ndjson"], "{tmp}/empty.ndjson: no records"),
+            (["tables", "--results", "{tmp}/blank.ndjson"], "{tmp}/blank.ndjson: no records"),
         ],
     )
     def test_bad_input_is_a_one_line_error(self, tmp_path, capsys, argv, named):
+        (tmp_path / "latin1.cfg").write_bytes("[campaign]\n# d\xe9j\xe0 vu\n".encode("latin-1"))
+        (tmp_path / "empty.ndjson").write_text("")
+        (tmp_path / "blank.ndjson").write_text("\n  \n\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        named = named.format(tmp=tmp_path)
         rc = cli_main(argv + ["--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
@@ -760,7 +789,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert err == "turbowdm: error: jobs must be >= 1\n"
-        assert not (out / "records.ndjson").exists()
+        assert not out.exists()
 
     def test_bad_config_value_is_a_one_line_error(self, tmp_path, capsys):
         cfgp = tmp_path / "bad.cfg"
