@@ -8,8 +8,9 @@ signal keeps the preset's size (11 channels of PM-256QAM at 16
 samples/symbol, 776,096 samples, and the n = 20480 code), so the
 transmitter and the receiver's front end hold paper-sized fields while the
 split-step stays short. The cell is narrowed with `dataclasses.replace`
-only. Prints the process's own peak RSS (`ru_maxrss`), the cell's wall
-time and the sha256 of its records as `records.ndjson` would hold them.
+only. Prints the process's own peak RSS (`ru_maxrss`) and minor page
+faults (`ru_minflt`), the cell's wall time and the sha256 of its records
+as `records.ndjson` would hold them.
 """
 
 import hashlib
@@ -39,7 +40,9 @@ def main() -> int:
     records = harness.run_trial(cfg, 0.0, 1, "dbp", 0)
     wall = time.perf_counter() - t0
     text = "".join(r.to_json_line() + "\n" for r in records)
-    print(f"peak_rss_mb {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f}")
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    print(f"peak_rss_mb {usage.ru_maxrss / 1024.0:.1f}")
+    print(f"minor_faults {usage.ru_minflt}")
     print(f"wall_s {wall:.1f}")
     print(f"snr_db {records[-1].snr_db:.4f}")
     print(f"records_sha256 {hashlib.sha256(text.encode()).hexdigest()}")

@@ -35,7 +35,10 @@ def cmd_run(args) -> int:
     except (harness.HarnessError, TurboError) as exc:
         return _error(exc)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file, or a place that cannot hold one
+        return _error(exc)
     try:
         records, summary, failures = harness.run_campaign(cfg, jobs=args.jobs)
     except harness.HarnessError as exc:

@@ -101,11 +101,16 @@ def _gf2_rref(h: np.ndarray, n: int) -> list[int]:
 class LdpcCode:
     """Binary LDPC code defined by its sparse parity-check matrix.
 
-    Encoding is systematic over the non-pivot (information) columns; parity
-    values at the pivot columns are produced by a precomputed GF(2) map,
-    held as the bit-packed rows of the reduced row echelon form of H. That
-    form, with the leftmost pivots, is unique, so the pivots and the map
-    do not depend on how the elimination is ordered.
+    Encoding is systematic over the non-pivot (information) columns. The
+    parity bits p at the pivot columns solve H_P p = H u, u being the word
+    with the information bits and zeros at the pivots, so p = T (H u) with
+    T, the inverse of the pivot block H_P, held as bit-packed rows. T comes
+    from reducing [H_left | I]: H_left, a prefix of whole 64-column words
+    of H that holds every pivot, becomes the reduced row echelon form of H
+    on those columns, and the identity records the row operations. That
+    form, with the leftmost pivots, is unique, so the pivots, T and every
+    codeword depend neither on how the elimination is ordered nor on the
+    prefix.
 
     The elimination is Gauss-Jordan blocked by 64-column word, the Method
     of Four Russians (Arlazarov, Dinic, Kronrod & Faradzev, 1970; Albrecht,
@@ -160,16 +165,32 @@ class LdpcCode:
         return cls(n=n, check_rows=[sorted(map(int, line.split())) for line in lines[1 : m + 1]])
 
     def _build_encoder(self) -> None:
-        # H as bit-packed rows: bit c % 64 of word c // 64 holds column c
-        h = np.zeros((self.nonempty_rows.size, -(-self.n // 64)), dtype=np.uint64)
-        bit = np.left_shift(np.uint64(1), (self.edge_var % 64).astype(np.uint64))
-        np.bitwise_or.at(h, (self.edge_check, self.edge_var // 64), bit)
-        pivots = _gf2_rref(h, self.n)
-        rank = len(pivots)
-        self._enc["pivot_cols"] = np.asarray(pivots, dtype=int)
-        self._enc["info_cols"] = np.setdiff1d(np.arange(self.n), pivots)
-        # reduced row i reads: parity bit at pivot i = A_info row i . u (mod 2)
-        self._enc["rows"] = h[:rank].copy()
+        m, nw = self.nonempty_rows.size, -(-self.n // 64)
+        mw = -(-m // 64)
+        eye = np.arange(m)
+        # start one word past the square block and double the prefix while
+        # it holds fewer than m pivots, so a rank-deficient code ends with
+        # all of H
+        width = min(nw, mw + 1)
+        while True:
+            # [H_left | I_m] as bit-packed rows: bit c % 64 of word c // 64
+            # holds column c
+            left = self.edge_var < 64 * width
+            row = np.concatenate([self.edge_check[left], eye])
+            col = np.concatenate([self.edge_var[left], 64 * width + eye])
+            h = np.zeros((m, width + mw), dtype=np.uint64)
+            bit = np.left_shift(np.uint64(1), (col % 64).astype(np.uint64))
+            np.bitwise_or.at(h, (row, col // 64), bit)
+            pivots = _gf2_rref(h, 64 * width + m)
+            # pivots past H_left are in the identity block
+            rank = sum(c < 64 * width for c in pivots)
+            if rank == m or width == nw:
+                break
+            width = min(nw, 2 * width)
+        self._enc["pivot_cols"] = np.asarray(pivots[:rank], dtype=int)
+        self._enc["info_cols"] = np.setdiff1d(np.arange(self.n), pivots[:rank])
+        # row i of T H is reduced row i of H: the parity bit at pivot i
+        self._enc["inverse"] = h[:rank, width:].copy()
         for a in self._enc.values():
             a.flags.writeable = False
         self.k = self.n - rank
@@ -186,13 +207,15 @@ class LdpcCode:
         info_bits = np.asarray(info_bits, dtype=np.uint8)
         if info_bits.size != self.k:
             raise FecError(f"expected {self.k} info bits, got {info_bits.size}")
-        rows = self._enc["rows"]
-        cw = np.zeros(64 * rows.shape[1], dtype=np.uint8)
+        t = self._enc["inverse"]
+        cw = np.zeros(self.n, dtype=np.uint8)
         cw[self._enc["info_cols"]] = info_bits
-        # pivot positions are still zero, so each reduced row sees only A_info
-        u = np.packbits(cw, bitorder="little").view("<u8")
-        cw[self._enc["pivot_cols"]] = np.bitwise_count(rows & u).sum(axis=1) & 1
-        return cw[: self.n]
+        # the pivot positions are still zero: H cw is the syndrome of u
+        s = np.zeros(64 * t.shape[1], dtype=np.uint8)
+        s[: self.nonempty_rows.size] = self.syndrome(cw)[self.nonempty_rows]
+        s = np.packbits(s, bitorder="little").view("<u8")
+        cw[self._enc["pivot_cols"]] = np.bitwise_count(t & s).sum(axis=1) & 1
+        return cw
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
         """H bits mod 2, one entry per check row."""

@@ -9,6 +9,7 @@ exp(-j*(8/9)*gamma*(|Ex|^2+|Ey|^2)*dz). EDC and DBP apply the conjugates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,6 +69,27 @@ def _steps(length_m: float, step_m: float) -> np.ndarray:
     return np.asarray(steps)
 
 
+@functools.cache
+def _keep_fft_scratch_on_heap() -> None:
+    """Fix glibc's mmap threshold at its 32 MiB maximum, and its trim
+    threshold above it, once per process (nothing without ``mallopt``).
+
+    ``np.fft`` allocates scratch in every call. Above the dynamic threshold
+    (128 kB until a larger mapped block is freed) glibc maps and unmaps it
+    each time, so every page faults again and the split-step's speed would
+    depend on what the process freed before it.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def _ssfm(
     fields: np.ndarray,
     sample_rate: float,
@@ -84,6 +106,7 @@ def _ssfm(
     distinct step length.
     Output is bit for bit that of the textbook loop kept in the tests.
     """
+    _keep_fft_scratch_on_heap()
     n = fields.shape[1]
     w = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / sample_rate)
     steps = _steps(length_m, step_m)
@@ -152,10 +175,12 @@ def amplify(
     nu = C_LIGHT / (wavelength_nm * 1e-9)
     psd = (g - 1.0) * H_PLANCK * nu * 10.0 ** (nf_db / 10.0) / 2.0
     sigma2 = psd * signal.sample_rate
-    rng = np.random.default_rng(seed)
-    n = len(signal)
-    noise = rng.standard_normal((2, n, 2)) @ np.array([1.0, 1j]) * np.sqrt(sigma2 / 2.0)
-    return replace(out, fields=out.fields + noise)
+    # the normals fill re, im of each sample in turn, as a (2, n, 2) draw
+    noise = np.empty((2, len(signal)), dtype=complex)
+    np.random.default_rng(seed).standard_normal(out=noise.view(float))
+    noise *= np.sqrt(sigma2 / 2.0)
+    out.fields += noise
+    return out
 
 
 def propagate_link(

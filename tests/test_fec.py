@@ -74,12 +74,36 @@ def reference_build(code: LdpcCode) -> dict:
     }
 
 
+def _transpose_packed(a: np.ndarray, n_cols: int) -> np.ndarray:
+    """Transpose of the bit-packed rows ``a`` of an (a.shape[0] x n_cols)
+    GF(2) matrix, bit-packed the same way; one 64-column word at a time."""
+    rows = a.shape[0]
+    out = np.zeros((64 * a.shape[1], -(-rows // 64)), dtype=np.uint64)
+    for w in range(a.shape[1]):
+        word = np.ascontiguousarray(a[:, w]).view(np.uint8).reshape(rows, 8)
+        bits = np.unpackbits(word, axis=1, bitorder="little")
+        block = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+        out[64 * w : 64 * w + 64].view(np.uint8)[:, : block.shape[1]] = block
+    return out[:n_cols]
+
+
+def _times_h(t: np.ndarray, code: LdpcCode) -> np.ndarray:
+    """T H over GF(2) for the bit-packed rows T of a (rank x checks) matrix,
+    bit-packed as ``reference_build``'s rows: column c of T H is the XOR of
+    the columns of T at the checks of column c."""
+    t_cols = _transpose_packed(t, code.nonempty_rows.size)
+    th_cols = np.zeros((64 * -(-code.n // 64), t_cols.shape[1]), dtype=np.uint64)
+    np.bitwise_xor.at(th_cols, code.edge_var, t_cols[code.edge_check])
+    return _transpose_packed(th_cols, t.shape[0])
+
+
 # small codes that reach each branch of the word-blocked elimination
 BLOCKED_CASES = [
     "regular_100x50",
     "rank_deficient",
     "repeated_word",
     *(f"random_300x120_dup{d}" for d in range(4)),
+    "late_pivots",
 ]
 
 
@@ -103,6 +127,14 @@ def _oracle_code(name: str) -> LdpcCode:
         rows = make_regular_code(236, 120, col_weight=3, seed=5).check_rows
         rows = [sorted([c + 64 * (c >= 64) for c in r] + [c + 64 for c in r if c < 64]) for r in rows]
         return LdpcCode(n=300, check_rows=rows + rows[10:13])
+    if name == "late_pivots":
+        # full rank, yet columns 0-127 reach only rows 0-19: the pivots run
+        # past the first ceil(m / 64) + 1 words, so the encoder's prefix of
+        # H has to widen
+        early = make_regular_code(128, 20, col_weight=3, seed=6).check_rows
+        rows = make_regular_code(472, 120, col_weight=3, seed=7).check_rows
+        rows = [(early[i] if i < 20 else []) + [c + 128 for c in r] for i, r in enumerate(rows)]
+        return LdpcCode(n=600, check_rows=rows)
     if name.startswith("random_300x120_dup"):
         dup = int(name[-1])
         rows = make_regular_code(300, 120, col_weight=3, seed=20 + dup).check_rows
@@ -274,10 +306,17 @@ class TestEncoderOracle:
     @pytest.mark.parametrize("name", ["toy_n20", "rate45_n2048", "rate45_n20480", *BLOCKED_CASES])
     def test_matches_reference_build(self, name, codes, references):
         code, ref = codes(name), references(name)
-        for key in ("pivot_cols", "info_cols", "rows"):
+        for key in ("pivot_cols", "info_cols"):
             assert code._enc[key].dtype == ref[key].dtype
             np.testing.assert_array_equal(code._enc[key], ref[key])
         assert code.k == ref["k"]
+        # T H is the reduced form of H
+        np.testing.assert_array_equal(_times_h(code._enc["inverse"], code), ref["rows"])
+
+    def test_late_pivots_widen_the_prefix(self, codes):
+        code = codes("late_pivots")
+        assert code.k == code.n - code.m
+        assert code._enc["pivot_cols"][-1] >= 64 * (-(-code.m // 64) + 1)
 
     def test_cases_reach_every_branch(self, codes, references):
         # the regimes of the word-blocked elimination, read off the

@@ -1,3 +1,7 @@
+import ctypes
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -240,6 +244,40 @@ class TestSsfmOracle:
         out = _ssfm(*args)
         assert np.array_equal(out, reference_ssfm(*args))
         assert np.array_equal(fields, before)
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+# minor page faults per split-step in a fresh interpreter; with the FFT
+# scratch mapped and unmapped in every call, one step at desk's length
+# takes about 750
+FAULTS_PER_STEP_MAX = 100
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_split_step_keeps_fft_scratch_on_heap():
+    # a fresh interpreter has freed nothing large, so nothing has raised
+    # glibc's dynamic mmap threshold; its own ru_minflt counts its faults
+    child = (
+        "import resource, numpy as np\n"
+        "from turbowdm.fiber import FiberParams, _ssfm\n"
+        "p = FiberParams()\n"
+        "rng = np.random.default_rng(0)\n"
+        "x = (rng.standard_normal((2, 25872)) + 1j * rng.standard_normal((2, 25872))) * 1e-2\n"
+        "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "_ssfm(x, 128e9, 5000.0, 100.0, p.beta2_s2_per_m, p.gamma_per_w_m, p.alpha_per_m)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / 50)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fiber.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True)
+    assert float(out.stdout) < FAULTS_PER_STEP_MAX
 
 
 class TestSplitStepOrder:

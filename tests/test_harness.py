@@ -766,20 +766,25 @@ class TestCli:
             # a results file without records makes no table
             (["tables", "--results", "{tmp}/empty.ndjson"], "{tmp}/empty.ndjson: no records"),
             (["tables", "--results", "{tmp}/blank.ndjson"], "{tmp}/blank.ndjson: no records"),
+            # an output path that is a file, before the campaign runs
+            (["run", "--config", "desk.cfg", "--out", "{tmp}/afile"], "File exists: '{tmp}/afile'"),
         ],
     )
     def test_bad_input_is_a_one_line_error(self, tmp_path, capsys, argv, named):
         (tmp_path / "latin1.cfg").write_bytes("[campaign]\n# d\xe9j\xe0 vu\n".encode("latin-1"))
         (tmp_path / "empty.ndjson").write_text("")
         (tmp_path / "blank.ndjson").write_text("\n  \n\n")
+        (tmp_path / "afile").write_text("")
         argv = [a.format(tmp=tmp_path) for a in argv]
         named = named.format(tmp=tmp_path)
-        rc = cli_main(argv + ["--out", str(tmp_path / "out")])
+        # the last --out counts, so a case's own --out wins over this one
+        rc = cli_main(argv[:1] + ["--out", str(tmp_path / "out")] + argv[1:])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("turbowdm: error: ") and named in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+        assert (tmp_path / "afile").read_text() == ""
 
     def test_no_workers_is_a_one_line_error(self, tmp_path, capsys):
         cfgp = tmp_path / "tiny.cfg"
