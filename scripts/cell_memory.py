@@ -37,7 +37,7 @@ def main() -> int:
         n_trials=1,
     )
     t0 = time.perf_counter()
-    records = harness.run_trial(cfg, 0.0, 1, "dbp", 0)
+    records = harness.run_trial(cfg, 0.0, 1, ("dbp",), 0)
     wall = time.perf_counter() - t0
     text = "".join(r.to_json_line() + "\n" for r in records)
     usage = resource.getrusage(resource.RUSAGE_SELF)

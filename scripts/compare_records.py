@@ -3,7 +3,7 @@
 Run from the repository root:  python scripts/compare_records.py A.ndjson B.ndjson
 
 Records pair by (power, spans, mode, trial, iteration). Prints how many
-pairs are byte-identical as JSON lines, the largest |ΔSNR| and |ΔGMI| over
+pairs are byte-identical as JSON lines, in all and per mode, the largest |ΔSNR| and |ΔGMI| over
 the pairs, every trial whose iteration count, counted bits or post-FEC BER
 changed, and the trials present in one file only. Exits 1 when the files
 differ (a paired record differs, or a trial or iteration is in one file
@@ -36,9 +36,13 @@ def compare(a, b) -> tuple[list[str], bool]:
         for ra, rb in trials.values()
         for it in sorted(ra.keys() & rb.keys())
     ]
-    same = sum(x.to_json_line() == y.to_json_line() for x, y in pairs)
+    equal = [(x.mode, x.to_json_line() == y.to_json_line()) for x, y in pairs]
+    same = sum(eq for _, eq in equal)
     identical = same == len(pairs) and all(ra.keys() == rb.keys() for ra, rb in trials.values())
     lines = [f"{same} of {len(pairs)} paired records identical"]
+    for mode in sorted({key[2] for key in trials}):
+        own = [eq for m, eq in equal if m == mode]
+        lines.append(f"{mode}: {sum(own)} of {len(own)} paired records identical")
     if pairs:
         d_snr = max(abs(x.snr_db - y.snr_db) for x, y in pairs)
         d_gmi = max(abs(x.gmi_bits_per_4d_symbol - y.gmi_bits_per_4d_symbol) for x, y in pairs)

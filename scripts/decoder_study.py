@@ -37,7 +37,7 @@ def run(cfg, power, trial, stall):
     fec.STALL, turbo.decode = stall, counted
     try:
         t0 = time.perf_counter()
-        recs = harness.run_trial(cfg, power, cfg.span_list[0], "dbp_turbo", trial)
+        recs = harness.run_trial(cfg, power, cfg.span_list[0], ("dbp_turbo",), trial)
         wall = time.perf_counter() - t0
     finally:
         fec.STALL, turbo.decode = shipped, fec.decode

@@ -13,9 +13,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from turbowdm.fec import make_regular_code, save_parity  # noqa: E402
+from turbowdm.fec import LdpcCode  # noqa: E402
 
 OUT = Path(__file__).resolve().parents[1] / "src" / "turbowdm" / "codes"
 
@@ -29,6 +31,48 @@ CODES = {
     # full-scale rate-4/5 code (block length matching the paper preset)
     "rate45_n20480": (20480, 4096, 3, 13),
 }
+
+
+def make_regular_code(n: int, m: int, col_weight: int = 3, seed: int = 0) -> LdpcCode:
+    """Random near-regular LDPC construction with double-edge avoidance and
+    best-effort 4-cycle avoidance; adequate for desk-scale simulation codes.
+    """
+    rng = np.random.default_rng(seed)
+    rows: list[set[int]] = [set() for _ in range(m)]
+    row_load = np.zeros(m, dtype=int)
+    pair_seen: set[tuple[int, int]] = set()
+    for col in range(n):
+        chosen: list[int] = []
+        for _ in range(col_weight):
+            order = np.lexsort((rng.random(m), row_load))
+            placed = False
+            for r in order:
+                if r in chosen:
+                    continue
+                pairs = [(min(r, c), max(r, c)) for c in chosen]
+                if any(p in pair_seen for p in pairs) and rng.random() < 0.95:
+                    continue
+                chosen.append(int(r))
+                placed = True
+                break
+            if not placed:
+                r = int(order[0]) if order[0] not in chosen else int(order[1])
+                chosen.append(r)
+        for r in chosen:
+            rows[r].add(col)
+            row_load[r] += 1
+        for i in range(len(chosen)):
+            for j in range(i + 1, len(chosen)):
+                a, b = sorted((chosen[i], chosen[j]))
+                pair_seen.add((a, b))
+    return LdpcCode(n=n, check_rows=[sorted(r) for r in rows])
+
+
+def save_parity(path: str | Path, n: int, rows: list[list[int]]) -> None:
+    """Write a parity-check file in the format ``LdpcCode.from_file`` reads."""
+    out = [f"{n} {len(rows)}"]
+    out += [" ".join(str(c) for c in sorted(r)) for r in rows]
+    Path(path).write_text("\n".join(out) + "\n")
 
 
 def emit(name: str, out_dir: Path) -> Path:

@@ -1,8 +1,9 @@
-"""LDPC coding: parity-check file I/O, systematic encoding, the
+"""LDPC coding: parity-check file parsing, systematic encoding, the
 interleaved frame order, and soft-output sum-product decoding.
 
 Parity-check file format: first line "n m", then m lines of space-separated
-0-based column indices (one line per check row).
+0-based column indices (one line per check row). ``scripts/gen_codes.py``
+builds and writes the bundled files.
 """
 
 from __future__ import annotations
@@ -18,12 +19,6 @@ from .constellation import L_MAX
 
 class FecError(ValueError):
     pass
-
-
-def save_parity(path: str | Path, n: int, rows: list[list[int]]) -> None:
-    out = [f"{n} {len(rows)}"]
-    out += [" ".join(str(c) for c in sorted(r)) for r in rows]
-    Path(path).write_text("\n".join(out) + "\n")
 
 
 _CHUNK = 256  # rows per table update: its temporaries stay under 1 MB at n = 20480
@@ -313,38 +308,3 @@ def frame_order(n: int, nb: int, seed: int) -> np.ndarray:
     every block, and one with its inverse (argsort) deinterleaves them."""
     perm = np.stack([np.random.default_rng(seed + b).permutation(n) for b in range(nb)])
     return (perm + n * np.arange(nb)[:, None]).ravel()
-
-
-def make_regular_code(n: int, m: int, col_weight: int = 3, seed: int = 0) -> LdpcCode:
-    """Random near-regular LDPC construction with double-edge avoidance and
-    best-effort 4-cycle avoidance; adequate for desk-scale simulation codes.
-    """
-    rng = np.random.default_rng(seed)
-    rows: list[set[int]] = [set() for _ in range(m)]
-    row_load = np.zeros(m, dtype=int)
-    pair_seen: set[tuple[int, int]] = set()
-    for col in range(n):
-        chosen: list[int] = []
-        for _ in range(col_weight):
-            order = np.lexsort((rng.random(m), row_load))
-            placed = False
-            for r in order:
-                if r in chosen:
-                    continue
-                pairs = [(min(r, c), max(r, c)) for c in chosen]
-                if any(p in pair_seen for p in pairs) and rng.random() < 0.95:
-                    continue
-                chosen.append(int(r))
-                placed = True
-                break
-            if not placed:
-                r = int(order[0]) if order[0] not in chosen else int(order[1])
-                chosen.append(r)
-        for r in chosen:
-            rows[r].add(col)
-            row_load[r] += 1
-        for i in range(len(chosen)):
-            for j in range(i + 1, len(chosen)):
-                a, b = sorted((chosen[i], chosen[j]))
-                pair_seen.add((a, b))
-    return LdpcCode(n=n, check_rows=[sorted(r) for r in rows])

@@ -39,7 +39,11 @@ from .waveform import (
 
 log = logging.getLogger(__name__)
 
-MODES = ("edc", "dbp", "dbp_turbo")
+# The draw (the mode in ``cell_seed``'s key) each receiver mode is scored
+# on. edc shares dbp's, so one propagation serves both; dbp_turbo keeps its
+# own, so its records and the turbo gain over dbp stay those of two draws.
+DRAW = {"edc": "dbp", "dbp": "dbp", "dbp_turbo": "dbp_turbo"}
+MODES = tuple(DRAW)
 
 
 class HarnessError(RuntimeError):
@@ -235,16 +239,22 @@ def run_trial(
     cfg: CampaignConfig,
     power_dbm: float,
     n_spans: int,
-    mode: str,
+    modes: tuple[str, ...],
     trial: int,
 ) -> list[MetricsRecord]:
-    """Trial ``trial`` of the cell (power, spans, mode): transmit, propagate,
-    receive, and run the turbo loop (single iteration-0 pass for edc/dbp
-    modes), seeded by ``cell_seed``. Returns one record per turbo iteration,
-    each labelled with the cell's key and seed."""
-    if mode not in MODES:
-        raise HarnessError(f"unknown receiver mode {mode!r}")
-    seed = cell_seed(cfg.base_seed, power_dbm, n_spans, mode, trial)
+    """Trial ``trial`` of the cells (power, spans, mode) of ``modes``, which
+    share one draw (``DRAW``): transmit and propagate once, seeded by
+    ``cell_seed`` of the draw, then run each mode's receiver on the same
+    waveform, with the turbo loop (a single iteration-0 pass for edc and
+    dbp). Returns one record per mode and turbo iteration, in the order of
+    ``modes``, each labelled with its cell's key and the draw's seed."""
+    for mode in modes:
+        if mode not in DRAW:
+            raise HarnessError(f"unknown receiver mode {mode!r}")
+    draws = {DRAW[mode] for mode in modes}
+    if len(draws) != 1 or len(set(modes)) < len(modes):
+        raise HarnessError(f"modes {modes!r} do not share one draw")
+    seed = cell_seed(cfg.base_seed, power_dbm, n_spans, draws.pop(), trial)
     rng = np.random.default_rng(seed)
     code = _load_code(cfg.code_file)
     order = frame_order(code.n, cfg.n_blocks, seed % (2**31))
@@ -256,45 +266,50 @@ def run_trial(
     bw = cfg.baud * (1.0 + cfg.rolloff)
     guard = max(cfg.grid_spacing_hz - bw, 0.1 * cfg.baud)
     rx = select_channel(rx, bw, 2 * cfg.baud, min(0.15 * bw, guard))
-    if mode == "edc":
-        rx = fib.edc(rx, cfg.fiber, n_spans)
-    else:
-        rx = fib.dbp(rx, cfg.fiber, n_spans, cfg.dbp_step_m)
-    rx = matched_filter(rx, cfg.rolloff, cfg.baud)
+    records = []
+    for mode in modes:
+        if mode == "edc":
+            mf = fib.edc(rx, cfg.fiber, n_spans)
+        else:
+            mf = fib.dbp(rx, cfg.fiber, n_spans, cfg.dbp_step_m)
+        if mode == modes[-1]:
+            del rx  # free the selected channel before the last receiver runs
+        mf = matched_filter(mf, cfg.rolloff, cfg.baud)
 
-    if cfg.bypass_sync_dsp:
-        # idealized front end: one static complex gain per polarization, no NLMS/CPR
-        symbols = fft_resample(rx, cfg.baud).fields
-        pil = frame_coi.pilot_mask
-        for p in range(2):
-            ref = frame_coi.symbols[p, pil]
-            g = np.vdot(ref, symbols[p, pil]) / np.vdot(ref, ref)
-            symbols[p] /= g
-    else:
-        symbols = nlms_equalize(rx, frame_coi)
-        symbols, _ = ddpll(symbols, frame_coi)
-        if slips := count_slips(symbols, frame_coi):
-            log.warning(
-                "DDPLL: %d possible cycle slips at %+.1f dBm, %d spans, %s, seed %d",
-                slips, power_dbm, n_spans, mode, seed,
+        if cfg.bypass_sync_dsp:
+            # idealized front end: one static complex gain per polarization, no NLMS/CPR
+            symbols = fft_resample(mf, cfg.baud).fields
+            pil = frame_coi.pilot_mask
+            for p in range(2):
+                ref = frame_coi.symbols[p, pil]
+                g = np.vdot(ref, symbols[p, pil]) / np.vdot(ref, ref)
+                symbols[p] /= g
+        else:
+            symbols = nlms_equalize(mf, frame_coi)
+            symbols, _ = ddpll(symbols, frame_coi)
+            if slips := count_slips(symbols, frame_coi):
+                log.warning(
+                    "DDPLL: %d possible cycle slips at %+.1f dBm, %d spans, %s, seed %d",
+                    slips, power_dbm, n_spans, mode, seed,
+                )
+
+        n_iters = cfg.turbo.n_turbo_iters if mode == "dbp_turbo" else 0
+        records += [
+            MetricsRecord(
+                **asdict(r), launch_power_dbm=power_dbm, n_spans=n_spans, mode=mode,
+                seed=seed, trial=trial,
             )
-
-    n_iters = cfg.turbo.n_turbo_iters if mode == "dbp_turbo" else 0
-    return [
-        MetricsRecord(
-            **asdict(r), launch_power_dbm=power_dbm, n_spans=n_spans, mode=mode,
-            seed=seed, trial=trial,
-        )
-        for r in turbo_loop(symbols, frame_coi, replace(cfg.turbo, n_turbo_iters=n_iters), code)
-    ]
+            for r in turbo_loop(symbols, frame_coi, replace(cfg.turbo, n_turbo_iters=n_iters), code)
+        ]
+    return records
 
 
-def _run_cell(args) -> tuple[tuple, list[MetricsRecord] | None, str | None]:
+def _run_task(args) -> tuple[tuple, list[MetricsRecord] | None, str | None]:
     cfg, key = args[0], args[1:]
     try:
         return key, run_trial(cfg, *key), None
-    except Exception as exc:  # cell failures must not kill the campaign
-        log.exception("cell %s failed", key)
+    except Exception as exc:  # a failed task must not kill the campaign
+        log.exception("task %s failed", key)
         return key, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -302,29 +317,36 @@ def run_campaign(
     cfg: CampaignConfig, jobs: int = 1
 ) -> tuple[list[MetricsRecord], list[dict], list[tuple]]:
     """Execute every (power, spans, mode, trial) cell; aggregate per cell
-    and per iteration on ``jobs`` processes (1: in this process). Returns
+    and per iteration on ``jobs`` processes (1: in this process). One task
+    runs the modes of ``cfg.modes`` that share a draw (``DRAW``). Returns
     (records, aggregate rows, failed cells)."""
     if jobs < 1:
         raise HarnessError("jobs must be >= 1")
-    cells = [
-        (cfg, power, spans, mode, trial)
+    groups: dict[str, tuple[str, ...]] = {}
+    for mode in cfg.modes:
+        groups[DRAW[mode]] = groups.get(DRAW[mode], ()) + (mode,)
+    tasks = [
+        (cfg, power, spans, modes, trial)
         for power in cfg.power_dbm_list
         for spans in cfg.span_list
-        for mode in cfg.modes
+        for modes in groups.values()
         for trial in range(cfg.n_trials)
     ]
-    # a dbp_turbo cell runs n_turbo_iters + 1 receiver passes; starting
-    # those first keeps the longest cells off the end of a pool's schedule
-    cells.sort(key=lambda cell: cell[3] != "dbp_turbo")
-    results: dict[tuple, list[MetricsRecord]] = {}
+    # a dbp_turbo task runs n_turbo_iters + 1 receiver passes; starting
+    # those first keeps the longest tasks off the end of a pool's schedule
+    tasks.sort(key=lambda task: "dbp_turbo" not in task[3])
+    records: list[MetricsRecord] = []
     failures: list[tuple] = []
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for key, recs, err in (pool.map if jobs > 1 else map)(_run_cell, cells):
+        for (power, spans, modes, trial), recs, err in (
+            pool.map if jobs > 1 else map
+        )(_run_task, tasks):
             if recs is None:
-                failures.append((key, err))
+                failures += [((power, spans, mode, trial), err) for mode in modes]
             else:
-                results[key] = recs
-    records = [r for key in sorted(results) for r in results[key]]
+                records += recs
+    # in cell order; a cell's records stay in iteration order
+    records.sort(key=lambda r: (r.launch_power_dbm, r.n_spans, r.mode, r.trial))
     summary = aggregate(records)
     return records, summary, failures
 

@@ -580,7 +580,7 @@ class TestDeterminism:
     def test_rerun_is_byte_identical(self, desk_campaign):
         cfg, records, summary, _ = desk_campaign
         power = peak_rows(cfg, summary)["edc"]["power_dbm"]
-        rerun = run_trial(cfg, power, cfg.span_list[0], "edc", 0)
+        rerun = run_trial(cfg, power, cfg.span_list[0], ("edc",), 0)
         original = [
             r
             for r in records

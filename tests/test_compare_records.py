@@ -31,6 +31,9 @@ def test_compare_two_record_files(tmp_path, capsys):
     assert script.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "2 of 3 paired records identical",
+        "dbp: 1 of 1 paired records identical",
+        "dbp_turbo: 1 of 2 paired records identical",
+        "edc: 0 of 0 paired records identical",
         "max |ΔSNR| 0.25 dB, max |ΔGMI| 0.25 bits/4D",
         "power +0 dBm, 10 spans, dbp_turbo, trial 0: iterations 3 -> 2; "
         "BER at iteration 1 0.01 -> 0.02",
@@ -49,6 +52,8 @@ def test_identical_files_exit_zero(tmp_path, capsys):
     assert script.main([str(a), str(b)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         "4 of 4 paired records identical",
+        "dbp_turbo: 3 of 3 paired records identical",
+        "edc: 1 of 1 paired records identical",
         "max |ΔSNR| 0 dB, max |ΔGMI| 0 bits/4D",
     ]
 
@@ -80,10 +85,29 @@ def test_counted_bits_change_is_reported(tmp_path, capsys):
     assert script.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "0 of 3 paired records identical",
+        "dbp: 0 of 1 paired records identical",
+        "dbp_turbo: 0 of 2 paired records identical",
         "max |ΔSNR| 0 dB, max |ΔGMI| 0 bits/4D",
         "power +0 dBm, 10 spans, dbp, trial 0: bits counted 100 -> 120",
         "power +0 dBm, 10 spans, dbp_turbo, trial 0: bits counted 100 -> 120; "
         "BER at iteration 0 0.01 -> 0.02; BER at iteration 1 0.01 -> 0.02",
+    ]
+
+
+def test_per_mode_counts_show_which_mode_moved(tmp_path, capsys):
+    # only edc's records changed: its own line says so, the others read
+    # every pair identical
+    script = load_script("compare_records")
+    same = [line(0.0, "dbp", 0, 0, 20.0)] + [line(0.0, "dbp_turbo", 0, it, 20.0) for it in range(2)]
+    a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+    a.write_text("".join(same) + line(0.0, "edc", 0, 0, 18.0) + line(2.0, "edc", 0, 0, 17.0))
+    b.write_text("".join(same) + line(0.0, "edc", 0, 0, 18.5) + line(2.0, "edc", 0, 0, 17.0))
+    assert script.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[:4] == [
+        "4 of 5 paired records identical",
+        "dbp: 1 of 1 paired records identical",
+        "dbp_turbo: 2 of 2 paired records identical",
+        "edc: 1 of 2 paired records identical",
     ]
 
 

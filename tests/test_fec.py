@@ -11,12 +11,15 @@ from turbowdm.fec import (
     LdpcCode,
     decode,
     frame_order,
-    make_regular_code,
-    save_parity,
 )
 from turbowdm.harness import _load_code
 
 from conftest import load_script
+
+# the code construction and the parity-file writer live in the script
+# that builds the bundled codes
+GEN_CODES = load_script("gen_codes")
+make_regular_code, save_parity = GEN_CODES.make_regular_code, GEN_CODES.save_parity
 
 
 def _gf2_row_reduce(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -145,7 +148,7 @@ def _oracle_code(name: str) -> LdpcCode:
 @pytest.fixture(scope="module")
 def gen_codes():
     """scripts/gen_codes.py, imported as a module."""
-    return load_script("gen_codes")
+    return GEN_CODES
 
 
 @pytest.fixture(scope="module")

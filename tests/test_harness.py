@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import turbowdm
-from turbowdm import fec, harness, turbo
+from turbowdm import fec, fiber, harness, turbo
 from turbowdm.cli import main as cli_main
 from turbowdm.constellation import build_constellation
 from turbowdm.fiber import FiberParams
 from turbowdm.harness import (
+    MODES,
     CampaignConfig,
     HarnessError,
     _load_code,
@@ -503,12 +504,12 @@ class TestTransmit:
 
 class TestRunTrial:
     def test_deterministic(self, tiny_cfg):
-        a = run_trial(tiny_cfg, 2.0, 2, "dbp_turbo", 0)
-        b = run_trial(tiny_cfg, 2.0, 2, "dbp_turbo", 0)
+        a = run_trial(tiny_cfg, 2.0, 2, ("dbp_turbo",), 0)
+        b = run_trial(tiny_cfg, 2.0, 2, ("dbp_turbo",), 0)
         assert a == b
 
     def test_record_context(self, tiny_cfg):
-        recs = run_trial(tiny_cfg, 2.0, 2, "dbp", 0)
+        recs = run_trial(tiny_cfg, 2.0, 2, ("dbp",), 0)
         assert len(recs) == 1  # non-turbo modes stop at iteration 0
         assert recs[0].mode == "dbp"
         assert recs[0].launch_power_dbm == 2.0
@@ -519,7 +520,7 @@ class TestRunTrial:
         # run_trial derives the cell's seed from the trial index and labels
         # its records with both, as the campaign does
         cfg = dataclasses.replace(tiny_cfg, modes=("dbp",), n_trials=2)
-        recs = run_trial(cfg, 2.0, 2, "dbp", 1)
+        recs = run_trial(cfg, 2.0, 2, ("dbp",), 1)
         assert {(r.trial, r.seed) for r in recs} == {(1, cell_seed(cfg.base_seed, 2.0, 2, "dbp", 1))}
         campaign, _, failures = run_campaign(cfg)
         assert not failures
@@ -528,7 +529,7 @@ class TestRunTrial:
     def test_one_block_after_training_is_decoded_and_counted(self, tiny_cfg):
         # the last block is the only decoded one, and every metric counts it
         cfg = dataclasses.replace(tiny_cfg, n_blocks=2, n_train_blocks=1)
-        recs = run_trial(cfg, 2.0, 2, "dbp_turbo", 0)
+        recs = run_trial(cfg, 2.0, 2, ("dbp_turbo",), 0)
         assert len(recs) >= 2
         assert {r.n_bits_counted for r in recs} == {2 * _load_code(cfg.code_file).k}
         with pytest.raises(HarnessError, match="n_train_blocks"):
@@ -536,7 +537,7 @@ class TestRunTrial:
 
     def test_unknown_mode(self, tiny_cfg):
         with pytest.raises(HarnessError):
-            run_trial(tiny_cfg, 2.0, 2, "warp", 1)
+            run_trial(tiny_cfg, 2.0, 2, ("warp",), 1)
 
     def test_one_frame_order_per_trial(self, tiny_cfg, monkeypatch):
         # the transmitter draws the interleaver order once; the receiver
@@ -551,8 +552,38 @@ class TestRunTrial:
             if hasattr(mod, "frame_order"):
                 monkeypatch.setattr(mod, "frame_order", counting_order)
         cfg = dataclasses.replace(tiny_cfg, n_wdm_channels=3)
-        run_trial(cfg, 2.0, 2, "dbp_turbo", 5)
+        run_trial(cfg, 2.0, 2, ("dbp_turbo",), 5)
         assert len(calls) == 1
+
+
+class TestSharedDraw:
+    """edc is scored on dbp's draw: one transmit and one propagation serve
+    both receivers, and the records do not depend on how modes are grouped."""
+
+    def test_one_propagation_for_edc_and_dbp(self, tiny_cfg, monkeypatch):
+        calls = []
+        propagate = fiber.propagate_link
+        monkeypatch.setattr(
+            fiber, "propagate_link", lambda *a, **kw: calls.append(a) or propagate(*a, **kw)
+        )
+        recs = run_trial(tiny_cfg, 2.0, 2, ("edc", "dbp"), 0)
+        assert len(calls) == 1
+        assert [r.mode for r in recs] == ["edc", "dbp"]
+        assert {r.seed for r in recs} == {cell_seed(tiny_cfg.base_seed, 2.0, 2, "dbp", 0)}
+
+    def test_records_do_not_depend_on_grouping(self, tiny_cfg):
+        both = run_trial(tiny_cfg, 2.0, 2, ("edc", "dbp"), 0)
+        for mode in ("edc", "dbp"):
+            assert [r for r in both if r.mode == mode] == run_trial(tiny_cfg, 2.0, 2, (mode,), 0)
+
+    @pytest.mark.parametrize(
+        "modes", [("dbp", "dbp_turbo"), ("edc", "dbp_turbo"), ("dbp", "dbp"), ()]
+    )
+    def test_modes_not_on_one_draw_rejected(self, tiny_cfg, modes, monkeypatch):
+        # rejected before anything is transmitted
+        monkeypatch.setattr(harness, "transmit", None)
+        with pytest.raises(HarnessError, match="do not share one draw"):
+            run_trial(tiny_cfg, 2.0, 2, modes, 0)
 
 
 def pilot_lag(signal, frame):
@@ -595,7 +626,7 @@ class TestFrontEnd:
         for mode in ("edc", "dbp"):
             for power in (-4.0, 4.0):
                 frames.clear()
-                run_trial(cfg, power, 2, mode, 0)
+                run_trial(cfg, power, 2, (mode,), 0)
                 coi = frames[(cfg.n_wdm_channels - 1) // 2]
                 out = outs[-1]
                 assert nlms_in[-1] is out
@@ -613,13 +644,13 @@ class TestCampaign:
         assert recs_f == recs_r  # merged in sorted cell order
 
     def test_pool_starts_turbo_cells_first(self, tiny_cfg, monkeypatch):
-        cfg = dataclasses.replace(
-            tiny_cfg, modes=("edc", "dbp", "dbp_turbo"), power_dbm_list=(0.0, 2.0)
-        )
+        # one task per (power, spans, trial, draw): the dbp_turbo tasks
+        # first, then one task holding edc and dbp per power
+        cfg = dataclasses.replace(tiny_cfg, modes=MODES, power_dbm_list=(0.0, 2.0))
         submitted = []
 
         class RecordingPool:
-            """Runs the cells in this process, in the order they are given."""
+            """Runs the tasks in this process, in the order they are given."""
 
             def __init__(self, max_workers):
                 pass
@@ -630,29 +661,55 @@ class TestCampaign:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, cells):
-                submitted.extend(cells)
-                return map(fn, cells)
+            def map(self, fn, tasks):
+                submitted.extend(tasks)
+                return map(fn, tasks)
 
-        def fake_cell(cell):
-            _, power, spans, mode, trial = cell
-            recs = [record(power=power, spans=spans, mode=mode, trial=trial)]
-            return (power, spans, mode, trial), recs, None
+        def fake_task(task):
+            _, power, spans, modes, trial = task
+            recs = [record(power=power, spans=spans, mode=m, trial=trial) for m in modes]
+            return (power, spans, modes, trial), recs, None
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(harness, "_run_cell", fake_cell)
+        monkeypatch.setattr(harness, "_run_task", fake_task)
         pooled, _, _ = run_campaign(cfg, jobs=2)
-        assert [(c[3], c[1]) for c in submitted] == [
-            ("dbp_turbo", 0.0), ("dbp_turbo", 2.0),
-            ("edc", 0.0), ("dbp", 0.0), ("edc", 2.0), ("dbp", 2.0),
+        assert [(t[3], t[1]) for t in submitted] == [
+            (("dbp_turbo",), 0.0), (("dbp_turbo",), 2.0),
+            (("edc", "dbp"), 0.0), (("edc", "dbp"), 2.0),
         ]
         serial, _, _ = run_campaign(cfg, jobs=1)
+        assert pooled == serial
+
+    def test_failed_task_lists_each_of_its_cells(self, tiny_cfg, monkeypatch):
+        # a task that raises fails every cell it holds, each under its own
+        # (power, spans, mode, trial); the other tasks' records still come back
+        cfg = dataclasses.replace(tiny_cfg, modes=MODES, power_dbm_list=(0.0, 2.0))
+
+        def fake_trial(cfg, power, spans, modes, trial):
+            if "edc" in modes and power == 2.0:
+                raise RuntimeError("shared draw lost")
+            return [record(power=power, spans=spans, mode=m, trial=trial) for m in modes]
+
+        monkeypatch.setattr(harness, "run_trial", fake_trial)
+        records, _, failures = run_campaign(cfg)
+        err = "RuntimeError: shared draw lost"
+        assert failures == [((2.0, 2, "edc", 0), err), ((2.0, 2, "dbp", 0), err)]
+        assert [(r.launch_power_dbm, r.mode) for r in records] == [
+            (0.0, "dbp"), (0.0, "dbp_turbo"), (0.0, "edc"), (2.0, "dbp_turbo"),
+        ]
+
+    def test_pool_equals_serial_for_every_mode(self, tiny_cfg):
+        cfg = dataclasses.replace(tiny_cfg, modes=MODES)
+        pooled, _, fail_p = run_campaign(cfg, jobs=2)
+        serial, _, fail_s = run_campaign(cfg, jobs=1)
+        assert not fail_p and not fail_s
+        assert {r.mode for r in serial} == set(MODES)
         assert pooled == serial
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_no_workers_rejected(self, tiny_cfg, jobs, monkeypatch):
         # rejected before any cell runs, not run serially
-        monkeypatch.setattr(harness, "_run_cell", None)
+        monkeypatch.setattr(harness, "_run_task", None)
         with pytest.raises(HarnessError, match="jobs must be >= 1"):
             run_campaign(tiny_cfg, jobs=jobs)
 
