@@ -20,7 +20,7 @@ from .metrics import (
 )
 from .sync_dsp import ddpll, nlms_equalize
 from .turbo import (
-    SlidingWindowConfig,
+    TurboConfig,
     lmmse_equalize,
     rls_estimate,
     turbo_loop,

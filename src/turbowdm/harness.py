@@ -11,7 +11,7 @@ import hashlib
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass
 from importlib import resources
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -23,13 +23,12 @@ from .constellation import ConstellationError, build_constellation
 from .fec import LdpcCode, frame_order
 from .metrics import MetricsRecord
 from .sync_dsp import count_slips, ddpll, nlms_equalize
-from .turbo import SlidingWindowConfig, turbo_loop
+from .turbo import TurboConfig, turbo_loop
 from .waveform import (
     DualPolSignal,
     SymbolFrame,
     WaveformError,
     build_frame,
-    fft_resample,
     matched_filter,
     rrc_response,
     rrc_shape,
@@ -64,7 +63,7 @@ class CampaignConfig:
     code_file: str = "rate45_n2048"
     n_blocks: int = 18
     n_train_blocks: int = 3
-    turbo: SlidingWindowConfig = field(default_factory=SlidingWindowConfig)
+    turbo: TurboConfig = field(default_factory=TurboConfig)
     bypass_sync_dsp: bool = False
     power_dbm_list: tuple[float, ...] = (2.0,)
     span_list: tuple[int, ...] = (10,)
@@ -277,8 +276,11 @@ def run_trial(
         mf = matched_filter(mf, cfg.rolloff, cfg.baud)
 
         if cfg.bypass_sync_dsp:
-            # idealized front end: one static complex gain per polarization, no NLMS/CPR
-            symbols = fft_resample(mf, cfg.baud).fields
+            # idealized front end: the matched-filter output cropped to 1 sps
+            # (a brick wall past the kept band: one at exactly the symbol rate
+            # can round the Nyquist bin away), then one static complex gain
+            # per polarization, no NLMS/CPR
+            symbols = select_channel(mf, 1.5 * cfg.baud, cfg.baud, 0.0).fields
             pil = frame_coi.pilot_mask
             for p in range(2):
                 ref = frame_coi.symbols[p, pil]
@@ -299,7 +301,7 @@ def run_trial(
                 **asdict(r), launch_power_dbm=power_dbm, n_spans=n_spans, mode=mode,
                 seed=seed, trial=trial,
             )
-            for r in turbo_loop(symbols, frame_coi, replace(cfg.turbo, n_turbo_iters=n_iters), code)
+            for r in turbo_loop(symbols, frame_coi, n_iters, code)
         ]
     return records
 

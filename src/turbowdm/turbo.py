@@ -5,11 +5,12 @@ symbol priors, and the iteration loop with the SISO LDPC decoder.
 Channel convention: the received symbol stream r is modeled per
 polarization pair as r_i = sum_n conj(h_n) * s_{i+d-n} + noise, n = 0..L,
 with decision delay d = floor((L+1)/2), so the main tap h_d multiplies s_i
-and both pre- and post-cursor ISI are covered. s_j thus reaches rows
-r_{j-d} .. r_{j+L-d}, and the equalizer estimates s_j from rows
-r_{j-N1} .. r_{j+N2} around its own row r_j (Tuechler, Singer & Koetter,
-"Minimum mean squared error equalization using a priori information",
-IEEE Trans. Signal Process. 50(3), 2002).
+and both pre- and post-cursor ISI are covered. ``rls_estimate`` tracks
+memory L = 2 with forgetting factor 0.99 by default. s_j thus reaches the
+rows r_{j-d} .. r_{j+L-d}, and the equalizer estimates s_j from exactly
+those L + 1 rows, with L read off the tap track (Tuechler, Singer &
+Koetter, "Minimum mean squared error equalization using a priori
+information", IEEE Trans. Signal Process. 50(3), 2002).
 """
 
 from __future__ import annotations
@@ -29,40 +30,22 @@ class TurboError(RuntimeError):
     pass
 
 
-# instants per LMMSE pass: the window matrices take 2N x 2W entries per
-# instant, 21 kB at L = 6 with the covering window (3, 3)
+# instants per LMMSE pass: the window matrices over the rows
+# r_{j-d} .. r_{j+L-d} take 2N x 2W entries per instant (N = L + 1,
+# W = 2L + 1), 21 kB at L = 6
 LMMSE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
-class SlidingWindowConfig:
-    """Equalizer window of N = N1+N2+1 rows, N1 before and N2 after s_j's
-    own row (it covers s_j's whole span when N1 >= d and N2 >= L-d),
-    channel memory L, RLS forgetting factor and turbo iteration count."""
+class TurboConfig:
+    """The dbp_turbo receiver's iteration budget: at most ``n_turbo_iters``
+    equalize/decode iterations after iteration 0."""
 
-    n1: int = 1
-    n2: int = 1
-    channel_memory: int = 2  # L
-    forgetting: float = 0.99
     n_turbo_iters: int = 5
 
     def __post_init__(self):
-        if self.n1 < 0 or self.n2 < 0:
-            raise TurboError("window bounds must be nonnegative")
-        if self.channel_memory < 0:
-            raise TurboError("channel_memory must be nonnegative")
-        if not 0 < self.forgetting <= 1:
-            raise TurboError("forgetting factor must be in (0, 1]")
         if self.n_turbo_iters < 0:
             raise TurboError("n_turbo_iters must be nonnegative")
-
-    @property
-    def n_window(self) -> int:
-        return self.n1 + self.n2 + 1
-
-    @property
-    def delay(self) -> int:
-        return (self.channel_memory + 1) // 2
 
 
 def _gather(arr: np.ndarray, idx: np.ndarray, fill) -> np.ndarray:
@@ -74,21 +57,23 @@ def _gather(arr: np.ndarray, idx: np.ndarray, fill) -> np.ndarray:
     return out
 
 
-def _regressors(means: np.ndarray, cfg: SlidingWindowConfig) -> np.ndarray:
-    """(m, 2(L+1)) joint regressors: row i holds s_mean_p(i+d-n) for input
-    polarization p and tap n = 0..L, zero outside the frame."""
+def _regressors(means: np.ndarray, memory: int) -> np.ndarray:
+    """(m, 2(L+1)) joint regressors for memory L: row i holds s_mean_p(i+d-n)
+    for input polarization p and tap n = 0..L, zero outside the frame."""
     m = means.shape[1]
-    idx = np.arange(m)[:, None, None] + cfg.delay - np.arange(cfg.channel_memory + 1)
+    idx = np.arange(m)[:, None, None] + (memory + 1) // 2 - np.arange(memory + 1)
     return _gather(means[None], idx, 0.0).reshape(m, -1)
 
 
 def rls_estimate(
     received: np.ndarray,
     means: np.ndarray,
-    cfg: SlidingWindowConfig,
+    memory: int = 2,
+    forgetting: float = 0.99,
     delta: float = 0.01,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exponentially weighted RLS tracking of the 2x2 channel taps.
+    """Exponentially weighted RLS tracking of the 2x2 channel taps of
+    memory L = ``memory``, with forgetting factor lam = ``forgetting``.
 
     ``received`` and ``means`` are (2, m): symbol-rate samples and the soft
     symbol means aligned to them (pilot means pinned to the pilot symbols).
@@ -105,9 +90,9 @@ def rls_estimate(
     from R_0 = delta I and p_0 = 0.
     """
     m = received.shape[1]
-    lp1 = cfg.channel_memory + 1
+    lp1 = memory + 1
     dim = 2 * lp1
-    regs = _regressors(means, cfg)
+    regs = _regressors(means, memory)
     # near-zero regressors (uninformative priors) carry no tap information;
     # filtering them in would only make R and p forget what came before
     keep = np.sum(np.abs(regs) ** 2, axis=1) > 1e-3 * lp1
@@ -119,7 +104,7 @@ def rls_estimate(
     np.multiply(u[:, :, None], np.conj(received[:, keep].T)[:, None, :], out=stats[1:, :, dim:])
     # in place, row i becomes increment_i + lam * row_{i-1}: the one product
     # and one sum per entry of scipy.signal.lfilter's direct form, same bits
-    lam = cfg.forgetting
+    lam = forgetting
     for prev, row in zip(stats[:-1], stats[1:]):
         row += lam * prev
     solved = np.linalg.solve(stats[1:, :, :dim], stats[1:, :, dim:])
@@ -136,7 +121,6 @@ def lmmse_equalize(
     track: np.ndarray,
     means: np.ndarray,
     variances: np.ndarray,
-    cfg: SlidingWindowConfig,
     noise_var: float,
     instants: np.ndarray,
     symbol_energy: float = 1.0,
@@ -144,10 +128,11 @@ def lmmse_equalize(
     """Sliding-window MIMO 2x2 LMMSE estimation with symbol priors, at the
     frame instants ``instants`` (in any order).
 
-    s_j is estimated from the rows r_{j-N1} .. r_{j+N2}, which hold the
-    symbols s_{j-N1+d-L} .. s_{j+N2+d}. The windowed channel matrix takes
-    each row's taps from the (m, 2, 2, L+1) tap track of ``rls_estimate``
-    (the first or last instant's taps beyond the frame), the prior mean of
+    s_j is estimated from the N = L + 1 rows r_{j-d} .. r_{j+L-d} that it
+    reaches, which hold the symbols s_{j-L} .. s_{j+L}; L is the memory of
+    the (m, 2, 2, L+1) tap track of ``rls_estimate``. The windowed channel
+    matrix takes each row's taps from that track (the first or last
+    instant's taps beyond the frame), the prior mean of
     s_j is excluded from the interference cancellation while its variance
     entry is the blind symbol energy, and the Wiener solution is obtained by
     a direct Hermitian solve. Beyond the frame, rows are zero and symbols
@@ -162,10 +147,12 @@ def lmmse_equalize(
         raise TurboError("tap track does not cover all instants")
     if np.any((instants < 0) | (instants >= m)):
         raise TurboError("instants outside the frame")
-    n1, mem, nw, d = cfg.n1, cfg.channel_memory, cfg.n_window, cfg.delay
+    mem = track.shape[-1] - 1
+    d = (mem + 1) // 2
+    nw = mem + 1  # rows per polarization
     wwin = nw + mem  # symbol window width per polarization
     sig2 = symbol_energy
-    center = n1 + mem - d  # window position of s_j
+    center = mem  # window position of s_j
     # banded window matrix H (2N, 2W) per instant: row i, symbol s_t takes
     # tap n = i + d - t, that is n = row + L - col within the window, from
     # the taps at the row's instant
@@ -176,8 +163,8 @@ def lmmse_equalize(
     for lo in range(0, instants.size, LMMSE_CHUNK):
         j = instants[lo : lo + LMMSE_CHUNK, None, None]
         mc = j.shape[0]
-        rows = j - n1 + np.arange(nw)  # (mc, 1, N) row instants
-        syms = j - n1 + d - mem + np.arange(wwin)  # (mc, 1, W) symbol indices
+        rows = j - d + np.arange(nw)  # (mc, 1, N) row instants
+        syms = j - mem + np.arange(wwin)  # (mc, 1, W) symbol indices
         hmat = _gather(
             track_h[np.clip(rows[:, 0], 0, m - 1)].transpose(0, 2, 1, 3, 4),
             band[None, None],
@@ -212,7 +199,7 @@ def lmmse_equalize(
 def turbo_loop(
     received: np.ndarray,
     frame: SymbolFrame,
-    cfg: SlidingWindowConfig,
+    n_iters: int,
     code: LdpcCode,
 ) -> list[IterationMetrics]:
     """Run the iterative equalize/decode loop on one frame and return what
@@ -220,9 +207,10 @@ def turbo_loop(
 
     ``received`` is the symbol-rate dual-pol output of the front-end DSP,
     aligned to the frame. Iteration 0 bypasses the equalizer and demaps the
-    received symbols under a scalar AWGN assumption; subsequent iterations
-    feed decoder soft output to the RLS channel estimator and the LMMSE
-    equalizer, then demap its output with the updated priors.
+    received symbols under a scalar AWGN assumption; up to ``n_iters``
+    subsequent iterations feed decoder soft output to the RLS channel
+    estimator and the LMMSE equalizer, then demap its output with the
+    updated priors.
 
     Only the blocks after the frame's training blocks are decoded: the
     receiver knows the training blocks, and their certain L-values stand in
@@ -261,7 +249,7 @@ def turbo_loop(
     records: list[IterationMetrics] = []
     priors = None  # (2, decoded symbols, q) decoder L-values of their bits
 
-    for it in range(cfg.n_turbo_iters + 1):
+    for it in range(n_iters + 1):
         if it == 0:
             s_hat, mu, nu2 = received[:, decoded_pos], 1.0, max(sigma_n2, 1e-12)
         else:
@@ -269,12 +257,12 @@ def turbo_loop(
             means, variances = frame.symbols.copy(), np.zeros((2, m))
             pr = cst.symbol_priors(priors, c)
             means[:, decoded_pos], variances[:, decoded_pos] = cst.soft_stats(pr, c)
-            track, _, rls_err = rls_estimate(received, means, cfg)
+            track, _, rls_err = rls_estimate(received, means)
             # refresh the noise estimate from the pilot-position residuals,
             # where the regression means are exact
             sigma_n2 = max(float(np.mean(np.abs(rls_err[:, pilot]) ** 2)), 1e-12)
             s_hat, mu, nu2 = lmmse_equalize(
-                received, track, means, variances, cfg, sigma_n2, decoded_pos,
+                received, track, means, variances, sigma_n2, decoded_pos,
                 symbol_energy=c.energy,
             )
 

@@ -1,5 +1,5 @@
-"""Symbol framing with pilots, RRC shaping/matched filtering, FFT
-resampling, WDM multiplexing and channel-of-interest extraction."""
+"""Symbol framing with pilots, RRC shaping/matched filtering, WDM
+multiplexing and channel-of-interest extraction with FFT resampling."""
 
 from __future__ import annotations
 
@@ -200,13 +200,6 @@ def matched_filter(signal: DualPolSignal, rolloff: float, symbol_rate: float) ->
     return replace(signal, fields=np.fft.ifft(spec, out=spec))
 
 
-def _resampled_length(n: int, ratio: float) -> int:
-    n_new = int(round(n * ratio))
-    if abs(n * ratio - n_new) > 1e-6:
-        raise WaveformError("resampling ratio not commensurate with signal length")
-    return n_new
-
-
 def _crop_spectrum(spec: np.ndarray, out: np.ndarray) -> None:
     """Copy the lowest positive and negative frequencies of ``spec`` that
     fit into the zeroed spectrum ``out``: of m = min(len(spec), len(out))
@@ -214,20 +207,6 @@ def _crop_spectrum(spec: np.ndarray, out: np.ndarray) -> None:
     m = min(len(spec), len(out))
     out[: (m + 1) // 2] = spec[: (m + 1) // 2]
     out[len(out) - m // 2 :] = spec[len(spec) - m // 2 :]
-
-
-def fft_resample(signal: DualPolSignal, new_sample_rate: float) -> DualPolSignal:
-    """Spectral resampling to a commensurate sample rate."""
-    n = len(signal)
-    n_new = _resampled_length(n, new_sample_rate / signal.sample_rate)
-    out = np.zeros((2, n_new), dtype=complex)
-    # row by row and in place: a (2, n) transform allocates scratch for both
-    # rows at once, which sets the peak memory at paper-sized lengths
-    for v, spec_new in zip(signal.fields, out):
-        _crop_spectrum(np.fft.fft(v), spec_new)
-        np.fft.ifft(spec_new, out=spec_new)
-    out *= n_new / n
-    return replace(signal, fields=out, sample_rate=new_sample_rate)
 
 
 def wdm_mux(
@@ -274,8 +253,9 @@ def select_channel(
     transition_hz: float,
 ) -> DualPolSignal:
     """Band-pass filter the channel at 0 Hz and resample it to
-    ``out_sample_rate``. The filter is flat in its passband with a
-    raised-cosine transition to the stopband."""
+    ``out_sample_rate`` by cropping its spectrum. The filter is flat in its
+    passband with a raised-cosine transition to the stopband; a zero
+    ``transition_hz`` makes it a brick wall."""
     fs = signal.sample_rate
     if bandwidth_hz >= fs:
         raise WaveformError("bandwidth exceeds sample rate")
@@ -286,10 +266,15 @@ def select_channel(
     mask[af <= half] = 1.0
     trans = (af > half) & (af < half + transition_hz)
     mask[trans] = 0.5 * (1.0 + np.cos(np.pi * (af[trans] - half) / transition_hz))
-    out = np.zeros((2, _resampled_length(n, out_sample_rate / fs)), dtype=complex)
-    mask *= out.shape[1] / n  # fft_resample's scale
-    # row by row, as in fft_resample; the mask and the resampling crop act
-    # on one spectrum
+    ratio = out_sample_rate / fs
+    n_out = int(round(n * ratio))
+    if abs(n * ratio - n_out) > 1e-6:
+        raise WaveformError("resampling ratio not commensurate with signal length")
+    out = np.zeros((2, n_out), dtype=complex)
+    mask *= n_out / n  # keeps the amplitude across the shorter inverse FFT
+    # row by row and in place: a (2, n) transform allocates scratch for both
+    # rows at once, which sets the peak memory at paper-sized lengths; the
+    # mask and the resampling crop act on one spectrum
     spec = np.empty(n, dtype=complex)
     for v, spec_out in zip(signal.fields, out):
         np.fft.fft(v, out=spec)

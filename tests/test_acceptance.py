@@ -26,15 +26,12 @@ from turbowdm.harness import (
     run_trial,
 )
 from turbowdm.metrics import effective_snr, gmi_bits_per_2d
-from turbowdm.turbo import (
-    SlidingWindowConfig,
-    lmmse_equalize,
-    rls_estimate,
-    turbo_loop,
-)
+from turbowdm.turbo import lmmse_equalize, rls_estimate, turbo_loop
 from turbowdm.waveform import DualPolSignal, build_frame, matched_filter, rrc_shape
 
 from conftest import mimo_channel, qpsk_stream
+
+DELAY = 1  # decision delay (L + 1) // 2 at rls_estimate's default memory L = 2
 
 # --------------------------------------------------------------------------
 # shared synthetic-channel helpers
@@ -147,13 +144,12 @@ class TestLmmseClosedForms:
         rng = np.random.default_rng(20)
         r = rng.normal(0, 1, (2, m)) + 1j * rng.normal(0, 1, (2, m))
         coeff = np.array([0.8 * np.exp(0.3j), 1.1 * np.exp(-0.7j)])
-        cfg = SlidingWindowConfig(n1=0, n2=0, channel_memory=0)
         track = np.zeros((m, 2, 2, 1), dtype=complex)
         track[:, 0, 0] = np.conj(coeff[0])
         track[:, 1, 1] = np.conj(coeff[1])
         sn2 = 0.37
         s_hat, mu, nu2 = lmmse_equalize(
-            r, track, np.zeros((2, m), complex), np.ones((2, m)), cfg, sn2, np.arange(m)
+            r, track, np.zeros((2, m), complex), np.ones((2, m)), sn2, np.arange(m)
         )
         for p in range(2):
             g = np.abs(coeff[p]) ** 2
@@ -175,7 +171,6 @@ class TestLmmseClosedForms:
         # strictly below the single-polarization matched-filter bound
         t0 = time.perf_counter()
         d = (memory + 1) // 2
-        cfg = SlidingWindowConfig(n1=d, n2=memory - d, channel_memory=memory)
         m, lp1 = 150_000, memory + 1
         s = qpsk_stream(m, 21)
         rng = np.random.default_rng(22 + memory)
@@ -184,18 +179,18 @@ class TestLmmseClosedForms:
             h[p, p] = 0.3 * (rng.standard_normal(lp1) + 1j * rng.standard_normal(lp1))
             h[p, p, d] += 0.9
         sn2 = 0.02
-        r = apply_channel(s, h, cfg.delay, sn2, rng)
+        r = apply_channel(s, h, d, sn2, rng)
         track = np.broadcast_to(h, (m, 2, 2, lp1))
         # 5000 instants at a time, each on a slice that holds every row and
         # symbol its window reads, so it sees the same window as in one call;
         # this bounds the memory of the slices' tap tracks
-        chunk, pad = 5000, cfg.n_window + memory
+        chunk, pad = 5000, 2 * memory + 1
         s_hat, mu = np.empty((2, m), dtype=complex), np.empty((2, m))
         for lo in range(0, m, chunk):
             a, b = max(lo - pad, 0), min(lo + chunk + pad, m)
             keep = np.arange(lo, min(lo + chunk, m))
             s_hat[:, keep], mu[:, keep], _ = lmmse_equalize(
-                r[:, a:b], track[a:b], s[:, a:b], np.zeros((2, b - a)), cfg, sn2, keep - a
+                r[:, a:b], track[a:b], s[:, a:b], np.zeros((2, b - a)), sn2, keep - a
             )
         for p in range(2):
             mfb_db = 10.0 * np.log10(np.sum(np.abs(h[:, p, :]) ** 2) / sn2)
@@ -213,16 +208,15 @@ class TestRlsEstimator:
         # lam = 1 solves the delta-regularized normal equations exactly
         t0 = time.perf_counter()
         delta = 0.01
-        cfg = SlidingWindowConfig(forgetting=1.0)
         m = 3000
         s = qpsk_stream(m, 30)
         h = mimo_channel()
         rng = np.random.default_rng(31)
-        r = apply_channel(s, h, cfg.delay, 1e-3, rng)
-        _, taps, _ = rls_estimate(r, s, cfg, delta)
+        r = apply_channel(s, h, DELAY, 1e-3, rng)
+        _, taps, _ = rls_estimate(r, s, forgetting=1.0, delta=delta)
         umat = np.zeros((m, 6), dtype=complex)
         for i in range(m):
-            idx = i + cfg.delay - np.arange(3)
+            idx = i + DELAY - np.arange(3)
             v = np.zeros((2, 3), dtype=complex)
             ok = (idx >= 0) & (idx < m)
             v[:, ok] = s[:, idx[ok]]
@@ -238,17 +232,16 @@ class TestRlsEstimator:
     def test_static_channel_nmse(self):
         # tap NMSE <= -25 dB after 500 symbols at 30 dB SNR
         t0 = time.perf_counter()
-        cfg = SlidingWindowConfig()
         m = 500
         s = qpsk_stream(m, 32)
         h = mimo_channel()
-        clean = apply_channel(s, h, cfg.delay)
+        clean = apply_channel(s, h, DELAY)
         sn2 = np.mean(np.abs(clean) ** 2) / 1000.0
         rng = np.random.default_rng(33)
         r = clean + np.sqrt(sn2 / 2.0) * (
             rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
         )
-        _, taps, _ = rls_estimate(r, s, cfg)
+        _, taps, _ = rls_estimate(r, s)
         nmse = np.sum(np.abs(taps - h) ** 2) / np.sum(np.abs(h) ** 2)
         assert 10.0 * np.log10(nmse) <= -25.0
         assert time.perf_counter() - t0 < 30.0
@@ -256,15 +249,14 @@ class TestRlsEstimator:
     def test_rotating_channel_tracking_nmse(self):
         # slow common phase rotation tracked to <= -20 dB tap NMSE
         t0 = time.perf_counter()
-        cfg = SlidingWindowConfig(forgetting=0.99)
         m = 4000
         s = qpsk_stream(m, 34)
         h = mimo_channel()
         rot = np.exp(1j * 2.0 * np.pi * 5e-5 * np.arange(m))
         rng = np.random.default_rng(35)
         sn2 = 0.01
-        r = apply_channel(s, h, cfg.delay, sn2, rng, rotation=rot)
-        est, _, _ = rls_estimate(r, s, cfg)  # (m, 2, 2, L+1)
+        r = apply_channel(s, h, DELAY, sn2, rng, rotation=rot)
+        est, _, _ = rls_estimate(r, s, forgetting=0.99)  # (m, 2, 2, L+1)
         truth = h[None] * np.conj(rot)[:, None, None, None]
         tail = slice(m - 1000, m)
         nmse = np.sum(np.abs(est[tail] - truth[tail]) ** 2) / np.sum(
@@ -429,15 +421,14 @@ def synthetic_turbo_run():
     ])
     # three training blocks, as in the presets
     frame = build_frame(words, frame_order(code.n, 6, 0), 3, c, 0.05, seed=60, symbol_rate=32e9)
-    cfg = SlidingWindowConfig(n_turbo_iters=4)
     m = frame.n_instants
     rot = np.exp(1j * 2.0 * np.pi * 1e-6 * np.arange(m))
     r = apply_channel(
-        frame.symbols, mimo_channel(), cfg.delay, 0.12,
+        frame.symbols, mimo_channel(), DELAY, 0.12,
         np.random.default_rng(61), rotation=rot,
     )
     t0 = time.perf_counter()
-    recs = turbo_loop(r, frame, cfg, code)
+    recs = turbo_loop(r, frame, 4, code)
     return recs, time.perf_counter() - t0
 
 

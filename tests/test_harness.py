@@ -170,6 +170,12 @@ class TestConfig:
             # fec.MAX_ITER and rls_estimate's delta
             ("[campaign]\ndecoder_iters = 50\n", "[campaign] decoder_iters: unknown key"),
             ("[turbo]\nrls_delta = 0.01\n", "[turbo] rls_delta: unknown key"),
+            # the equalizer window follows from the tap track's memory, and
+            # the memory and forgetting factor are rls_estimate's defaults
+            ("[turbo]\nn1 = 1\n", "[turbo] n1: unknown key"),
+            ("[turbo]\nn2 = 1\n", "[turbo] n2: unknown key"),
+            ("[turbo]\nchannel_memory = 2\n", "[turbo] channel_memory: unknown key"),
+            ("[turbo]\nforgetting = 0.99\n", "[turbo] forgetting: unknown key"),
             ("[campaign]\nfiber = 1\n", "[campaign] fiber"),
         ],
     )
@@ -197,7 +203,6 @@ class TestConfig:
     @pytest.mark.parametrize(
         "text, named",
         [
-            ("[turbo]\nchannel_memory = -1\n", "channel_memory"),
             ("[turbo]\nn_turbo_iters = -1\n", "n_turbo_iters"),
         ],
     )

@@ -7,16 +7,12 @@ from turbowdm.constellation import NU2_FLOOR_REL, build_constellation, extrinsic
 from turbowdm.fec import frame_order
 from turbowdm.harness import _load_code
 from turbowdm.metrics import effective_snr
-from turbowdm.turbo import (
-    SlidingWindowConfig,
-    TurboError,
-    lmmse_equalize,
-    rls_estimate,
-    turbo_loop,
-)
+from turbowdm.turbo import TurboError, lmmse_equalize, rls_estimate, turbo_loop
 from turbowdm.waveform import build_frame
 
 from conftest import mimo_channel, qpsk_stream
+
+DELAY = 1  # decision delay (L + 1) // 2 at rls_estimate's default memory L = 2
 
 
 @pytest.fixture(scope="module")
@@ -74,17 +70,17 @@ def static_track(h, m):
     return np.tile(h, (m, 1, 1, 1))
 
 
-def reference_rls(received, means, cfg, initial_taps, delta):
+def reference_rls(received, means, memory, lam, initial_taps, delta):
     """Per-symbol RLS recursion on the inverse correlation matrix, with the
     estimator's skip rule: the reference for the closed form."""
     m = received.shape[1]
-    lam, lp1 = cfg.forgetting, cfg.channel_memory + 1
+    lp1 = memory + 1
     sigma = np.eye(2 * lp1, dtype=complex) / delta
     h = initial_taps.reshape(2, 2 * lp1).astype(complex)
     track = np.empty((m, 2, 2 * lp1), dtype=complex)
     errors = np.empty((2, m), dtype=complex)
     for i in range(m):
-        idx = i + cfg.delay - np.arange(lp1)
+        idx = i + (memory + 1) // 2 - np.arange(lp1)
         ok = (idx >= 0) & (idx < m)
         v = np.zeros((2, lp1), dtype=complex)
         v[:, ok] = means[:, idx[ok]]
@@ -102,14 +98,14 @@ def reference_rls(received, means, cfg, initial_taps, delta):
     return track.reshape(m, 2, 2, lp1), h.reshape(2, 2, lp1), errors
 
 
-def lfilter_rls(received, means, cfg, initial_taps, delta):
+def lfilter_rls(received, means, memory, lam, initial_taps, delta):
     """The closed form with R and p run through scipy.signal.lfilter, as it
     stood before the in-place recursion: the bit-for-bit reference."""
     m = received.shape[1]
-    lp1 = cfg.channel_memory + 1
+    lp1 = memory + 1
     dim = 2 * lp1
     h0 = initial_taps.reshape(2, dim).astype(complex)
-    regs = turbo._regressors(means, cfg)
+    regs = turbo._regressors(means, memory)
     keep = np.sum(np.abs(regs) ** 2, axis=1) > 1e-3 * lp1
     u = regs[keep]
     stats = np.concatenate(
@@ -117,7 +113,6 @@ def lfilter_rls(received, means, cfg, initial_taps, delta):
          u[:, :, None] * np.conj(received[:, keep].T)[:, None, :]],
         axis=2,
     )
-    lam = cfg.forgetting
     init = delta * np.concatenate([np.eye(dim), h0.T], axis=1)
     stats, _ = lfilter([1.0], [1.0, -lam], stats, axis=0, zi=lam * init[None])
     solved = np.linalg.solve(stats[:, :, :dim], stats[:, :, dim:])
@@ -226,34 +221,18 @@ def test_frame_order_matches_block_interleavers():
         assert frame.known_mask.sum() > frame.pilot_mask.sum()
 
 
-class TestConfig:
-    def test_window_and_delay(self):
-        cfg = SlidingWindowConfig(n1=1, n2=3, channel_memory=2)
-        assert cfg.n_window == 5
-        assert cfg.delay == 1
-
-    def test_invalid_window(self):
-        with pytest.raises(TurboError):
-            SlidingWindowConfig(n1=-1)
-
-    def test_invalid_forgetting(self):
-        with pytest.raises(TurboError):
-            SlidingWindowConfig(forgetting=1.5)
-
-
 class TestRls:
     def test_matches_batch_least_squares(self):
         # lam = 1: RLS solves the same normal equations as batch LS
-        cfg = SlidingWindowConfig(forgetting=1.0)
         m = 3000
         s = qpsk_stream(m, 0)
         h = mimo_channel()
         rng = np.random.default_rng(1)
-        r = apply_channel(s, h, cfg.delay, 1e-4, rng)
-        _, taps, _ = rls_estimate(r, s, cfg)
+        r = apply_channel(s, h, DELAY, 1e-4, rng)
+        _, taps, _ = rls_estimate(r, s, forgetting=1.0)
         vmat = np.zeros((m, 6), dtype=complex)
         for i in range(m):
-            idx = i + cfg.delay - np.arange(3)
+            idx = i + DELAY - np.arange(3)
             v = np.zeros((2, 3), dtype=complex)
             ok = (idx >= 0) & (idx < m)
             v[:, ok] = s[:, idx[ok]]
@@ -265,14 +244,13 @@ class TestRls:
             )
 
     def test_static_channel_convergence(self):
-        cfg = SlidingWindowConfig()
         m = 4000
         s = qpsk_stream(m, 2)
         h = mimo_channel()
         rng = np.random.default_rng(3)
         sn2 = 0.02
-        r = apply_channel(s, h, cfg.delay, sn2, rng)
-        _, taps, err = rls_estimate(r, s, cfg)
+        r = apply_channel(s, h, DELAY, sn2, rng)
+        _, taps, err = rls_estimate(r, s)
         assert np.max(np.abs(taps - h)) < 0.05
         tail = np.mean(np.abs(err[:, -500:]) ** 2)
         assert abs(tail - sn2) < 0.5 * sn2
@@ -280,32 +258,30 @@ class TestRls:
     def test_tracks_rotating_channel(self):
         # slow common phase rotation: prediction error stays near the
         # noise floor instead of growing with the accumulated phase
-        cfg = SlidingWindowConfig()
         m = 4000
         s = qpsk_stream(m, 4)
         h = mimo_channel()
         rng = np.random.default_rng(5)
         sn2 = 0.01
         rot = np.exp(1j * 2.0 * np.pi * 5e-5 * np.arange(m))
-        r_static = apply_channel(s, h, cfg.delay, 0.0)
+        r_static = apply_channel(s, h, DELAY, 0.0)
         r = r_static * rot + np.sqrt(sn2 / 2.0) * (
             rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
         )
-        _, _, err = rls_estimate(r, s, cfg)
+        _, _, err = rls_estimate(r, s)
         tail = np.mean(np.abs(err[:, -1000:]) ** 2)
         assert tail < 5.0 * sn2
 
     def test_skips_uninformative_regressors(self):
         # long stretches of zero means must not destabilize the estimator
-        cfg = SlidingWindowConfig()
         m = 3000
         s = qpsk_stream(m, 6)
         means = s.copy()
         means[:, 500:2500] = 0.0
         h = mimo_channel()
         rng = np.random.default_rng(7)
-        r = apply_channel(s, h, cfg.delay, 0.01, rng)
-        track, taps, err = rls_estimate(r, means, cfg)
+        r = apply_channel(s, h, DELAY, 0.01, rng)
+        track, taps, err = rls_estimate(r, means)
         assert np.all(np.isfinite(track))
         assert np.all(np.isfinite(taps))
         assert np.mean(np.abs(err[:, -200:]) ** 2) < 0.1
@@ -317,21 +293,22 @@ class TestRls:
     def test_matches_recursive_rls(self, lam, delta, memory, stretch):
         # the closed form equals the per-symbol recursion it replaces; the
         # stretch of zero, then near-zero, means exercises the skip rule
-        cfg = SlidingWindowConfig(channel_memory=memory, forgetting=lam)
-        m, lp1 = 2000, memory + 1
+        m, lp1, d = 2000, memory + 1, (memory + 1) // 2
         rng = np.random.default_rng(memory)
         h = 0.1 * (rng.standard_normal((2, 2, lp1))
                    + 1j * rng.standard_normal((2, 2, lp1)))
-        h[0, 0, cfg.delay] += 0.9
-        h[1, 1, cfg.delay] += 0.9
+        h[0, 0, d] += 0.9
+        h[1, 1, d] += 0.9
         s = qpsk_stream(m, 20 + memory)
-        r = apply_channel(s, h, cfg.delay, 0.01, rng)
+        r = apply_channel(s, h, d, 0.01, rng)
         means = s.copy()
         if stretch:
             means[:, 600:800] = 0.0
             means[:, 800:1000] *= 0.01
-        track, taps, err = rls_estimate(r, means, cfg, delta)
-        ref_track, ref_taps, ref_err = reference_rls(r, means, cfg, np.zeros_like(h), delta)
+        track, taps, err = rls_estimate(r, means, memory=memory, forgetting=lam, delta=delta)
+        ref_track, ref_taps, ref_err = reference_rls(
+            r, means, memory, lam, np.zeros_like(h), delta
+        )
         np.testing.assert_allclose(track, ref_track, rtol=0, atol=1e-10)
         np.testing.assert_allclose(taps, ref_taps, rtol=0, atol=1e-10)
         np.testing.assert_allclose(err, ref_err, rtol=0, atol=1e-10)
@@ -343,22 +320,21 @@ class TestRls:
         # at memory 0 a frame of zero means keeps no instant, and one
         # nonzero mean keeps exactly one
         memory = 2 if kept is None else 0
-        cfg = SlidingWindowConfig(channel_memory=memory, forgetting=lam)
-        m, lp1 = 1500, memory + 1
+        m, lp1, d = 1500, memory + 1, (memory + 1) // 2
         rng = np.random.default_rng(31)
         h = 0.1 * (rng.standard_normal((2, 2, lp1)) + 1j * rng.standard_normal((2, 2, lp1)))
-        h[0, 0, cfg.delay] += 0.9
-        h[1, 1, cfg.delay] += 0.9
+        h[0, 0, d] += 0.9
+        h[1, 1, d] += 0.9
         s = qpsk_stream(m, 32)
-        r = apply_channel(s, h, cfg.delay, 0.01, rng)
+        r = apply_channel(s, h, d, 0.01, rng)
         means = s.copy()
         if kept is not None:
             means[:] = 0.0
             means[:, 700:700 + kept] = s[:, 700:700 + kept]
-            regs = turbo._regressors(means, cfg)
+            regs = turbo._regressors(means, memory)
             assert np.sum(np.sum(np.abs(regs) ** 2, axis=1) > 1e-3 * lp1) == kept
-        got = rls_estimate(r, means, cfg, 0.01)
-        ref = lfilter_rls(r, means, cfg, np.zeros_like(h), 0.01)
+        got = rls_estimate(r, means, memory=memory, forgetting=lam, delta=0.01)
+        ref = lfilter_rls(r, means, memory, lam, np.zeros_like(h), 0.01)
         for a, b in zip(got, ref):
             assert_same_bits(a, b)
 
@@ -376,14 +352,13 @@ class TestRls:
         # The factor 3 covers the spread of the squared error, a chi-square
         # with 2 * 2 * dim = 24 real degrees of freedom over both output
         # pols (its 99.9th percentile is 2.1 times its mean).
-        cfg = SlidingWindowConfig(forgetting=lam)
         m, n, sn2 = 4000, 300, 0.01
         s = qpsk_stream(m, 8)
         h = mimo_channel()
         rng = np.random.default_rng(9)
-        r = apply_channel(s, h, cfg.delay, sn2, rng)
-        track, _, _ = rls_estimate(r, s, cfg)
-        dim = 2 * (cfg.channel_memory + 1)
+        r = apply_channel(s, h, DELAY, sn2, rng)
+        track, _, _ = rls_estimate(r, s, forgetting=lam)
+        dim = 2 * (2 + 1)  # memory L = 2
         w = lam ** np.arange(n)
         n_eff = np.sum(w) ** 2 / np.sum(w**2)
         ls_error = 2 * dim * sn2 / n_eff  # both output pols
@@ -395,64 +370,60 @@ class TestLmmse:
         # unit memoryless channel with sigma_n^2 = 1: w = mu = 0.5, nu2 = 0.25
         m = 64
         s = qpsk_stream(m, 10)
-        cfg = SlidingWindowConfig(n1=0, n2=0, channel_memory=0)
         track = static_track(np.eye(2, dtype=complex)[:, :, None], m)
         s_hat, mu, nu2 = lmmse_equalize(
-            s, track, np.zeros((2, m), complex), np.ones((2, m)), cfg, 1.0, np.arange(m)
+            s, track, np.zeros((2, m), complex), np.ones((2, m)), 1.0, np.arange(m)
         )
         np.testing.assert_allclose(s_hat, 0.5 * s, atol=1e-12)
         np.testing.assert_allclose(mu, 0.5, atol=1e-12)
         np.testing.assert_allclose(nu2, 0.25, atol=1e-12)
 
     def test_genie_priors_reach_matched_filter_bound(self):
-        cfg = SlidingWindowConfig()
         m = 4000
         s = qpsk_stream(m, 11)
         h = mimo_channel()
         rng = np.random.default_rng(12)
         sn2 = 0.02
-        r = apply_channel(s, h, cfg.delay, sn2, rng)
+        r = apply_channel(s, h, DELAY, sn2, rng)
         track = static_track(h, m)
-        s_hat, mu, _ = lmmse_equalize(r, track, s, np.zeros((2, m)), cfg, sn2, np.arange(m))
+        s_hat, mu, _ = lmmse_equalize(r, track, s, np.zeros((2, m)), sn2, np.arange(m))
         for p in range(2):
             mfb_db = 10.0 * np.log10(np.sum(np.abs(h[:, p, :]) ** 2) / sn2)
             snr_db = effective_snr(s[p], s_hat[p] / mu[p])
             assert abs(snr_db - mfb_db) < 0.3
 
     def test_priors_improve_over_blind(self):
-        cfg = SlidingWindowConfig()
         m = 4000
         s = qpsk_stream(m, 13)
         h = mimo_channel()
         rng = np.random.default_rng(14)
         sn2 = 0.02
-        r = apply_channel(s, h, cfg.delay, sn2, rng)
+        r = apply_channel(s, h, DELAY, sn2, rng)
         track = static_track(h, m)
         every = np.arange(m)
         blind, mu0, _ = lmmse_equalize(
-            r, track, np.zeros((2, m), complex), np.ones((2, m)), cfg, sn2, every
+            r, track, np.zeros((2, m), complex), np.ones((2, m)), sn2, every
         )
-        genie, mu1, _ = lmmse_equalize(r, track, s, np.zeros((2, m)), cfg, sn2, every)
+        genie, mu1, _ = lmmse_equalize(r, track, s, np.zeros((2, m)), sn2, every)
         for p in range(2):
             a = effective_snr(s[p], blind[p] / mu0[p])
             b = effective_snr(s[p], genie[p] / mu1[p])
             assert b > a + 1.0
 
     def test_phase_equivariance(self):
-        cfg = SlidingWindowConfig()
         m = 500
         s = qpsk_stream(m, 15)
         h = mimo_channel()
         rng = np.random.default_rng(16)
-        r = apply_channel(s, h, cfg.delay, 0.02, rng)
+        r = apply_channel(s, h, DELAY, 0.02, rng)
         track = static_track(h, m)
         every = np.arange(m)
         base, mu, nu2 = lmmse_equalize(
-            r, track, np.zeros((2, m), complex), np.ones((2, m)), cfg, 0.02, every
+            r, track, np.zeros((2, m), complex), np.ones((2, m)), 0.02, every
         )
         rot = np.exp(0.7j)
         out, mu_r, nu2_r = lmmse_equalize(
-            r * rot, track, np.zeros((2, m), complex), np.ones((2, m)), cfg, 0.02, every
+            r * rot, track, np.zeros((2, m), complex), np.ones((2, m)), 0.02, every
         )
         np.testing.assert_allclose(out, rot * base, atol=1e-12)
         np.testing.assert_allclose(mu_r, mu, atol=1e-12)
@@ -460,78 +431,66 @@ class TestLmmse:
 
     def test_equivalent_awgn_variance_relation(self):
         # nu2 = mu*sig2 - mu^2*sig2 by construction, floored away from zero
-        cfg = SlidingWindowConfig()
         m = 300
         s = qpsk_stream(m, 17)
         h = mimo_channel()
         rng = np.random.default_rng(18)
-        r = apply_channel(s, h, cfg.delay, 0.05, rng)
+        r = apply_channel(s, h, DELAY, 0.05, rng)
         _, mu, nu2 = lmmse_equalize(
             r, static_track(h, m), np.zeros((2, m), complex), np.ones((2, m)),
-            cfg, 0.05, np.arange(m),
+            0.05, np.arange(m),
         )
         np.testing.assert_allclose(nu2, np.maximum(mu - mu**2, 1e-9), atol=1e-12)
         assert np.all((mu >= 0.0) & (mu <= 1.0))
 
     @pytest.mark.parametrize("memory", range(7))
     def test_matches_delay_anchored_reference(self, memory):
-        # rows r_{j-N1} .. r_{j+N2} are the reference's rows for the bounds
-        # (N1-d, N2+d); N1 runs up to 2+d, so both every window with
-        # N1, N2 in {0, 1, 2} and every reference window (N1, N2) in
-        # {0, 1, 2}^2 that keeps s_j's row (N2 >= d) are covered. A subset
-        # of the instants, unsorted or empty, gets the whole frame's bits
-        # at those instants
-        d = (memory + 1) // 2
-        for m in (3, 300):  # 3 instants: shorter than every window here
+        # the rows r_{j-d} .. r_{j+L-d} that s_j reaches are the reference's
+        # rows for the bounds (0, L), counted from r_{j-d}. A subset of the
+        # instants, unsorted or empty, gets the whole frame's bits at those
+        # instants
+        for m in (3, 300):  # 3 instants: shorter than the window from L = 2 on
             rng = np.random.default_rng(100 * memory + m)
             cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             r, means = cplx(2, m), cplx(2, m)
             track = cplx(m, 2, 2, memory + 1)
             variances = rng.random((2, m))
             subsets = (np.arange(m), rng.permutation(m)[: m // 2 + 1], np.arange(0))
-            for n1 in range(3 + d):
-                for n2 in range(3):
-                    cfg = SlidingWindowConfig(n1=n1, n2=n2, channel_memory=memory)
-                    want = reference_lmmse(
-                        r, track, means, variances, n1 - d, n2 + d, memory, 0.1, 1.3
-                    )
-                    for instants in subsets:
-                        got = lmmse_equalize(r, track, means, variances, cfg, 0.1, instants, 1.3)
-                        for a, b in zip(got, want):
-                            assert_same_bits(a, b[:, instants])
+            want = reference_lmmse(r, track, means, variances, 0, memory, memory, 0.1, 1.3)
+            for instants in subsets:
+                got = lmmse_equalize(r, track, means, variances, 0.1, instants, 1.3)
+                for a, b in zip(got, want):
+                    assert_same_bits(a, b[:, instants])
 
     def test_chunks_match_one_whole_frame_pass(self, monkeypatch):
-        # two whole chunks and a one-instant tail, at L = 6 with the
-        # covering window (3, 3); each chunk's windows read the whole frame
+        # two whole chunks and a one-instant tail, at L = 6 with its
+        # window (3, 3); each chunk's windows read the whole frame
         m = 2 * turbo.LMMSE_CHUNK + 1
-        cfg = SlidingWindowConfig(n1=3, n2=3, channel_memory=6)
         rng = np.random.default_rng(20)
         cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         r, means, track = cplx(2, m), cplx(2, m), cplx(m, 2, 2, 7)
         variances = rng.random((2, m))
-        args = (r, track, means, variances, cfg, 0.1, np.arange(m), 1.3)
+        args = (r, track, means, variances, 0.1, np.arange(m), 1.3)
         chunked = lmmse_equalize(*args)
         monkeypatch.setattr(turbo, "LMMSE_CHUNK", m)
         for a, b in zip(chunked, lmmse_equalize(*args)):
             assert_same_bits(a, b)
 
     def test_track_length_mismatch(self):
-        cfg = SlidingWindowConfig()
         s = qpsk_stream(10, 19)
         with pytest.raises(TurboError):
             lmmse_equalize(
                 s, static_track(mimo_channel(), 9),
-                np.zeros((2, 10), complex), np.ones((2, 10)), cfg, 0.1, np.arange(9),
+                np.zeros((2, 10), complex), np.ones((2, 10)), 0.1, np.arange(9),
             )
 
     @pytest.mark.parametrize("instants", [[0, 10], [-1, 3]])
     def test_instants_outside_frame_rejected(self, instants):
-        cfg = SlidingWindowConfig()
         s = qpsk_stream(10, 19)
         with pytest.raises(TurboError, match="outside the frame"):
             lmmse_equalize(
                 s, static_track(mimo_channel(), 10),
-                np.zeros((2, 10), complex), np.ones((2, 10)), cfg, 0.1, np.array(instants),
+                np.zeros((2, 10), complex), np.ones((2, 10)), 0.1, np.array(instants),
             )
 
 
@@ -540,10 +499,9 @@ def hard_run(qpsk, code):
     # noise chosen so plain demapping fails but the first turbo
     # iteration decodes cleanly
     frame = encoded_frame(qpsk, code, 6, seed=0)
-    cfg = SlidingWindowConfig(n_turbo_iters=4)
     rng = np.random.default_rng(1)
-    r = apply_channel(frame.symbols, mimo_channel(), cfg.delay, 0.12, rng)
-    return turbo_loop(r, frame, cfg, code), frame
+    r = apply_channel(frame.symbols, mimo_channel(), DELAY, 0.12, rng)
+    return turbo_loop(r, frame, 4, code), frame
 
 
 class TestTurboLoop:
@@ -565,27 +523,24 @@ class TestTurboLoop:
 
     def test_early_exit_on_saturation(self, qpsk, code):
         frame = encoded_frame(qpsk, code, 6, seed=2)
-        cfg = SlidingWindowConfig(n_turbo_iters=5)
         rng = np.random.default_rng(3)
-        r = apply_channel(frame.symbols, mimo_channel(), cfg.delay, 0.05, rng)
-        recs = turbo_loop(r, frame, cfg, code)
+        r = apply_channel(frame.symbols, mimo_channel(), DELAY, 0.05, rng)
+        recs = turbo_loop(r, frame, 5, code)
         assert len(recs) < 6
         assert recs[-1].post_fec_ber == 0.0
 
     def test_zero_iterations_single_record(self, qpsk, code):
         frame = encoded_frame(qpsk, code, 6, seed=4)
-        cfg = SlidingWindowConfig(n_turbo_iters=0)
         rng = np.random.default_rng(5)
-        r = apply_channel(frame.symbols, mimo_channel(), cfg.delay, 0.05, rng)
-        recs = turbo_loop(r, frame, cfg, code)
+        r = apply_channel(frame.symbols, mimo_channel(), DELAY, 0.05, rng)
+        recs = turbo_loop(r, frame, 0, code)
         assert len(recs) == 1
         assert recs[0].turbo_iteration == 0
 
     def test_shape_mismatch(self, qpsk, code):
         frame = encoded_frame(qpsk, code, 6, seed=6)
-        cfg = SlidingWindowConfig()
         with pytest.raises(TurboError):
-            turbo_loop(np.zeros((2, 7), complex), frame, cfg, code)
+            turbo_loop(np.zeros((2, 7), complex), frame, 5, code)
 
 
 @pytest.fixture(scope="module")
@@ -593,12 +548,11 @@ def noisy_training_run(qpsk, code):
     # the first 200 symbols of training block 0 arrive as pure noise, so a
     # decode of that block could not pass parity
     frame = encoded_frame(qpsk, code, 6, seed=2)
-    cfg = SlidingWindowConfig(n_turbo_iters=5)
     rng = np.random.default_rng(3)
-    r = apply_channel(frame.symbols, mimo_channel(), cfg.delay, 0.05, rng)
+    r = apply_channel(frame.symbols, mimo_channel(), DELAY, 0.05, rng)
     pos = frame.data_positions[:200]
     r[:, pos] = rng.standard_normal((2, 200)) + 1j * rng.standard_normal((2, 200))
-    return turbo_loop(r, frame, cfg, code), frame
+    return turbo_loop(r, frame, 5, code), frame
 
 
 class TestLoopPolicy:
@@ -613,10 +567,9 @@ class TestLoopPolicy:
 
         monkeypatch.setattr(turbo, "decode", counting_decode)
         frame = encoded_frame(qpsk, code, 6, seed=4, n_train_blocks=n_train)
-        cfg = SlidingWindowConfig(n_turbo_iters=2)
         rng = np.random.default_rng(5)
-        r = apply_channel(frame.symbols, mimo_channel(), cfg.delay, 0.05, rng)
-        recs = turbo_loop(r, frame, cfg, code)
+        r = apply_channel(frame.symbols, mimo_channel(), DELAY, 0.05, rng)
+        recs = turbo_loop(r, frame, 2, code)
         assert len(recs) == 3
         assert len(calls) == 2 * (frame.n_blocks - n_train) * len(recs)
         # the metrics count every decoded block, the last one included
@@ -647,8 +600,7 @@ class TestLoopPolicy:
             return real_decode(llrs, *args)
 
         monkeypatch.setattr(turbo, "decode", recording_decode)
-        cfg = SlidingWindowConfig(n_turbo_iters=0)
-        turbo_loop(r, frame, cfg, code)
+        turbo_loop(r, frame, 0, code)
         pil = frame.pilot_mask
         sigma_n2 = np.mean(np.abs(r[:, pil] - frame.symbols[:, pil]) ** 2)
         n = frame.block_len
@@ -685,7 +637,7 @@ class TestLoopPolicy:
             return real_demap(estimates, *args)
 
         monkeypatch.setattr(turbo.cst, "extrinsic_llrs", recording_demap)
-        turbo_loop(r, frame, SlidingWindowConfig(n_turbo_iters=0), code)
+        turbo_loop(r, frame, 0, code)
         np.testing.assert_array_equal(demapped[0], r[:, ~frame.known_mask])
         assert np.all(np.isin(r[:, t], demapped[0]))
 
@@ -702,12 +654,12 @@ class TestLoopPolicy:
         asked = []
         real_lmmse = turbo.lmmse_equalize
 
-        def recording_lmmse(received, track, means, variances, cfg, noise_var, instants, **kw):
+        def recording_lmmse(received, track, means, variances, noise_var, instants, **kw):
             asked.append(instants.copy())
-            return real_lmmse(received, track, means, variances, cfg, noise_var, instants, **kw)
+            return real_lmmse(received, track, means, variances, noise_var, instants, **kw)
 
         monkeypatch.setattr(turbo, "lmmse_equalize", recording_lmmse)
-        recs = turbo_loop(r, frame, SlidingWindowConfig(n_turbo_iters=2), code)
+        recs = turbo_loop(r, frame, 2, code)
         assert len(asked) == len(recs) - 1 == 2
         for instants in asked:
             np.testing.assert_array_equal(instants, frame.data_positions[frame.n_known_data:])

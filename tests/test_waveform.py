@@ -9,7 +9,6 @@ from turbowdm.waveform import (
     DualPolSignal,
     WaveformError,
     build_frame,
-    fft_resample,
     matched_filter,
     pilot_positions,
     rrc_response,
@@ -21,6 +20,18 @@ from turbowdm.waveform import (
 from conftest import x_rel_err
 
 BAUD = 32e9
+
+
+def upsample(signal, sample_rate):
+    """Zero-pad the spectrum of ``signal`` up to ``sample_rate``: the
+    inverse of the crop, (m + 1) // 2 bins from DC up and m // 2 below."""
+    m = len(signal)
+    n = int(round(m * sample_rate / signal.sample_rate))
+    spec = np.fft.fft(signal.fields)
+    out = np.zeros((2, n), dtype=complex)
+    out[:, : (m + 1) // 2] = spec[:, : (m + 1) // 2]
+    out[:, n - m // 2 :] = spec[:, m - m // 2 :]
+    return DualPolSignal(fields=np.fft.ifft(out) * (n / m), sample_rate=sample_rate)
 
 
 def random_frame(c, n_data_bits=4000, pilot_rate=0.05, seed=0):
@@ -198,42 +209,6 @@ class TestRrc:
         np.testing.assert_allclose(s2.fields[0], 2.0 * s1.fields[0], atol=1e-12)
 
 
-class TestResample:
-    def test_roundtrip_periodic_exact(self):
-        # exact on a circularly band-limited signal: 16 -> 2 -> 16 sps
-        rng = np.random.default_rng(0)
-        n, band = 4096, 200
-        spec = np.zeros(n, dtype=complex)
-        spec[:band] = rng.standard_normal(band) + 1j * rng.standard_normal(band)
-        spec[-band:] = rng.standard_normal(band) + 1j * rng.standard_normal(band)
-        v = np.fft.ifft(spec)
-        sig = DualPolSignal(fields=np.stack([v, v]), sample_rate=16 * BAUD)
-        up = fft_resample(fft_resample(sig, 2 * BAUD), 16 * BAUD)
-        err = x_rel_err(up, sig)
-        assert err < 1e-25
-
-    @pytest.mark.parametrize("n_out", [9, 10])
-    def test_band_edge_tones_kept(self, n_out):
-        # a grid of odd length has one more bin above DC than below
-        n = 2 * n_out
-        spec = np.zeros(n, dtype=complex)
-        edge = (n_out - 1) // 2
-        spec[[edge, -edge]] = 1.0
-        v = np.fft.ifft(spec)
-        out = fft_resample(DualPolSignal(fields=np.stack([v, v]), sample_rate=2.0), 1.0)
-        np.testing.assert_allclose(np.fft.fft(out.fields[0])[[edge, -edge]], 0.5, atol=1e-15)
-
-    def test_roundtrip_interior(self, qpsk):
-        # a non-periodic frame wraps at the edges; the interior still survives
-        f = random_frame(qpsk, n_data_bits=2048, pilot_rate=0.0)
-        sig = rrc_shape(f, 16, 0.1)
-        up = fft_resample(fft_resample(sig, 2 * BAUD), 16 * BAUD)
-        n = len(sig)
-        trim = n // 10
-        err = np.mean(np.abs(up.fields[0] - sig.fields[0])[trim:-trim] ** 2)
-        assert err / np.mean(np.abs(sig.fields[0]) ** 2) < 2e-6
-
-
 class TestWdm:
     def test_single_channel_identity(self, qpsk):
         f = random_frame(qpsk, n_data_bits=1024, pilot_rate=0.0)
@@ -317,7 +292,7 @@ class TestSelectChannel:
         rx = muxed.fields.copy()
         sel = select_channel(muxed, BAUD * 1.2, 2 * BAUD, 0.15 * BAUD * 1.2)
         assert np.array_equal(muxed.fields, rx)  # the caller's fields are left alone
-        back = fft_resample(sel, 4 * BAUD)
+        back = upsample(sel, 4 * BAUD)
         err = x_rel_err(back, sig)
         assert 10 * np.log10(err) < -35.0
 
@@ -348,6 +323,56 @@ class TestSelectChannel:
         sel = select_channel(muxed, bw, 2 * BAUD, 37.5e9 - bw)
         assert sel.power() / muxed.power() < 1e-20
 
+    def test_roundtrip_periodic_exact(self):
+        # a circularly band-limited signal inside the passband is kept
+        # exactly: 16 -> 2 sps, then zero-padded back to 16
+        rng = np.random.default_rng(0)
+        n, band = 4096, 200  # 200 bins: up to 0.78 of the symbol rate
+        spec = np.zeros(n, dtype=complex)
+        spec[:band] = rng.standard_normal(band) + 1j * rng.standard_normal(band)
+        spec[-band:] = rng.standard_normal(band) + 1j * rng.standard_normal(band)
+        v = np.fft.ifft(spec)
+        sig = DualPolSignal(fields=np.stack([v, v]), sample_rate=16 * BAUD)
+        sel = select_channel(sig, 1.8 * BAUD, 2 * BAUD, 0.1 * BAUD)
+        err = x_rel_err(upsample(sel, 16 * BAUD), sig)
+        assert err < 1e-25
+
+    @pytest.mark.parametrize("n_out", [9, 10])
+    def test_band_edge_tones_kept(self, n_out):
+        # the crop to n_out bins keeps (n_out + 1) // 2 from DC up and
+        # n_out // 2 below, so a grid of odd length has one more bin above DC
+        # than below, and at even n_out the lowest kept bin is the Nyquist
+        # bin, whose mirror above DC goes
+        n = 2 * n_out
+        spec = np.zeros(n, dtype=complex)
+        edge = (n_out - 1) // 2
+        kept, dropped = [edge, -edge, -(n_out // 2)], [(n_out + 1) // 2, -(n_out // 2) - 1]
+        spec[kept + dropped] = 1.0
+        v = np.fft.ifft(spec)
+        sig = DualPolSignal(fields=np.stack([v, v]), sample_rate=2.0)
+        out = np.fft.fft(select_channel(sig, 1.5, 1.0, 0.0).fields[0])
+        np.testing.assert_allclose(out[kept], 0.5, atol=1e-15)
+        out[kept] = 0.0
+        np.testing.assert_allclose(out, 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("m", [113, 114, 12936])
+    def test_symbol_rate_crop_is_bit_exact(self, m):
+        # the bypass front end's call, 2 sps to 1 sps behind a brick wall
+        # wider than the kept band, gives the bits of a plain FFT crop: its
+        # 0.5 scale is exact. At m = 114 a passband of exactly the symbol
+        # rate would round the Nyquist bin's frequency past its edge and
+        # drop that bin; 12,936 is the desk preset's frame
+        rng = np.random.default_rng(m)
+        v = rng.standard_normal((2, 2 * m)) + 1j * rng.standard_normal((2, 2 * m))
+        out = select_channel(DualPolSignal(fields=v, sample_rate=2 * BAUD), 1.5 * BAUD, BAUD, 0.0)
+        spec = np.fft.fft(v)
+        crop = np.zeros((2, m), dtype=complex)
+        crop[:, : (m + 1) // 2] = spec[:, : (m + 1) // 2]
+        crop[:, m - m // 2 :] = spec[:, 2 * m - m // 2 :]
+        want = 0.5 * np.fft.ifft(crop)
+        assert np.array_equal(out.fields.view(np.uint8), want.view(np.uint8))
+        assert out.sample_rate == BAUD
+
 
 class TestDualPolLayout:
     @pytest.mark.parametrize("shape", [(64,), (3, 64), (2, 64, 1)])
@@ -359,7 +384,6 @@ class TestDualPolLayout:
     STAGES = {
         "rrc_shape": lambda s, f: rrc_shape(f, 2, 0.1),
         "matched_filter": lambda s, f: matched_filter(s, 0.1, BAUD),
-        "fft_resample": lambda s, f: fft_resample(s, 4 * BAUD),
         "wdm_mux": lambda s, f: wdm_mux([s, s.scaled(0.5), s], 3, 20e9),
         "select_channel": lambda s, f: select_channel(s, 1.1 * BAUD, BAUD, 0.15 * BAUD),
         "amplify": lambda s, f: amplify(s, 10.0, None, 1550.0),
