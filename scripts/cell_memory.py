@@ -2,15 +2,17 @@
 
 Run from the repository root:  python scripts/cell_memory.py
 
-Runs one `dbp` trial of `paper.cfg` at 0 dBm with the link cut to one
-1 km span, propagated and backpropagated in one 1 km step each. The
-signal keeps the preset's size (11 channels of PM-256QAM at 16
-samples/symbol, 776,096 samples, and the n = 20480 code), so the
-transmitter and the receiver's front end hold paper-sized fields while the
-split-step stays short. The cell is narrowed with `dataclasses.replace`
-only. Prints the process's own peak RSS (`ru_maxrss`) and minor page
-faults (`ru_minflt`), the cell's wall time and the sha256 of its records
-as `records.ndjson` would hold them.
+Runs one `dbp_turbo` trial of `paper.cfg` at 0 dBm with the link cut to
+one 1 km span, propagated and backpropagated in one 1 km step each, and
+the turbo loop cut to 2 iterations after iteration 0. The signal keeps the
+preset's size (11 channels of PM-256QAM at 16 samples/symbol, 776,096
+samples, and the n = 20480 code), so the transmitter, the receiver's front
+end and the turbo receiver (RLS, LMMSE, prior statistics, demapper and
+decoder over 48,506 instants) hold paper-sized arrays while the split-step
+stays short. The cell is narrowed with `dataclasses.replace` only. Prints
+the process's own peak RSS (`ru_maxrss`) and minor page faults
+(`ru_minflt`), the cell's wall time and the sha256 of its records as
+`records.ndjson` would hold them.
 """
 
 import hashlib
@@ -33,11 +35,12 @@ def main() -> int:
         dbp_step_m=1000.0,
         power_dbm_list=(0.0,),
         span_list=(1,),
-        modes=("dbp",),
+        modes=("dbp_turbo",),
         n_trials=1,
+        turbo=replace(cfg.turbo, n_turbo_iters=2),
     )
     t0 = time.perf_counter()
-    records = harness.run_trial(cfg, 0.0, 1, ("dbp",), 0)
+    records = harness.run_trial(cfg, 0.0, 1, ("dbp_turbo",), 0)
     wall = time.perf_counter() - t0
     text = "".join(r.to_json_line() + "\n" for r in records)
     usage = resource.getrusage(resource.RUSAGE_SELF)

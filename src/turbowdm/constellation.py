@@ -16,6 +16,15 @@ L_MAX = 40.0
 # singularity when priors become certain and the residual variance collapses.
 NU2_FLOOR_REL = 1e-9
 
+# Symbols or instants per pass of the receiver's per-symbol stages: the
+# demapper here, and the RLS, the LMMSE and the prior statistics of
+# ``turbo``. No symbol's result depends on the pass it falls in, so memory
+# does not grow with the frame. The largest per-instant temporaries are the
+# RLS's [R | p] rows, 2(L+1) x 2(L+2) complex, 768 B at L = 2, and the
+# LMMSE's window matrices over N = L + 1 rows and W = 2L + 1 symbols per
+# polarization with their products, 21 kB at L = 6.
+CHUNK = 1024
+
 
 class ConstellationError(ValueError):
     pass
@@ -109,12 +118,16 @@ def soft_stats(priors: np.ndarray, c: Constellation) -> tuple[np.ndarray, np.nda
     """
     priors = np.asarray(priors)
     side = c.axis_levels.size
-    p_i, p_q = priors[..., 0, :], priors[..., 1, :]
+    # every symbol a row of one product: numpy hands a one-row product to
+    # BLAS's gemv, whose bits differ from gemm's, so a chunk of one symbol
+    # per polarization must still be two rows to match the whole frame
+    flat = priors.reshape(-1, 2, side)
+    p_i, p_q = flat[:, 0], flat[:, 1]
     grid = c.points.reshape(side, side)
     mean = np.sum((p_i @ grid) * p_q, axis=-1)
     e2 = np.sum((p_i @ np.abs(grid) ** 2) * p_q, axis=-1)
     var = np.maximum(e2 - np.abs(mean) ** 2, 0.0)
-    return mean, var
+    return mean.reshape(priors.shape[:-2]), var.reshape(priors.shape[:-2])
 
 
 def extrinsic_llrs(
@@ -135,7 +148,8 @@ def extrinsic_llrs(
     Q-axis sum cancels: each axis is marginalized over its sqrt(M) levels
     alone, in the log domain. ``scale`` and ``noise_var`` broadcast to the
     shape (...) of ``estimates``, and ``prior_llrs`` has shape (..., q).
-    Returns shape (..., q).
+    Returns shape (..., q). The symbols are demapped ``CHUNK`` at a time, so
+    memory beyond the returned array does not grow with the frame.
     """
     s_hat = np.atleast_1d(np.asarray(estimates, dtype=complex))
     shape = s_hat.shape
@@ -145,8 +159,24 @@ def extrinsic_llrs(
     if np.any(nu2 <= 0):
         nu2 = np.maximum(nu2, NU2_FLOOR_REL * c.energy)
     nu2 = np.broadcast_to(nu2, shape)
+    if prior_llrs is not None:
+        prior_llrs = np.asarray(prior_llrs, dtype=float).reshape(*shape, 2, h)
 
-    # (..., 2, sqrt(M)) per-axis log-likelihoods, constants dropped
+    # CHUNK symbols at a time, in C order
+    out = np.empty((*shape, 2, h))
+    size = s_hat.size
+    for lo in range(0, size, CHUNK):
+        at = np.unravel_index(np.arange(lo, min(lo + CHUNK, size)), shape)
+        pr = None if prior_llrs is None else prior_llrs[at]
+        out[at] = _demap(s_hat[at], mu[at], nu2[at], pr, c, l_max)
+    return out.reshape(*shape, 2 * h)
+
+
+def _demap(s_hat, mu, nu2, prior_llrs, c, l_max):
+    """``extrinsic_llrs`` of the (k,) symbols ``s_hat`` with their (k,)
+    scales and noise variances and (k, 2, q/2) prior L-values (or None):
+    the (k, 2, q/2) clipped L-values of their I and Q bits."""
+    # (k, 2, sqrt(M)) per-axis log-likelihoods, constants dropped
     y = np.stack([s_hat.real, s_hat.imag], axis=-1)
     metric = -((y[..., None] - mu[..., None, None] * c.axis_levels) ** 2)
     metric /= nu2[..., None, None]
@@ -154,17 +184,17 @@ def extrinsic_llrs(
     b = c.axis_labels  # (sqrt(M), q/2)
     own = 0.0
     if prior_llrs is not None:
-        prior_llrs = np.asarray(prior_llrs, dtype=float).reshape(*shape, 2, h)
         logp0, logp1 = bit_probs_from_llrs(prior_llrs)
         metric += _axis_log_weights(logp0, logp1, c)
         own = logp1 - logp0  # each bit's own prior, taken off the a-posteriori L
 
-    out = np.empty((*shape, 2, h))
+    h = b.shape[1]
+    out = np.empty((*s_hat.shape, 2, h))
     for l in range(h):
         out[..., l] = _logsumexp(metric[..., b[:, l] == 1]) - _logsumexp(
             metric[..., b[:, l] == 0]
         )
-    return np.clip((out - own).reshape(*shape, 2 * h), -l_max, l_max)
+    return np.clip(out - own, -l_max, l_max)
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:

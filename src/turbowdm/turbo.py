@@ -30,12 +30,6 @@ class TurboError(RuntimeError):
     pass
 
 
-# instants per LMMSE pass: the window matrices over the rows
-# r_{j-d} .. r_{j+L-d} take 2N x 2W entries per instant (N = L + 1,
-# W = 2L + 1), 21 kB at L = 6
-LMMSE_CHUNK = 1024
-
-
 @dataclass(frozen=True)
 class TurboConfig:
     """The dbp_turbo receiver's iteration budget: at most ``n_turbo_iters``
@@ -57,12 +51,13 @@ def _gather(arr: np.ndarray, idx: np.ndarray, fill) -> np.ndarray:
     return out
 
 
-def _regressors(means: np.ndarray, memory: int) -> np.ndarray:
-    """(m, 2(L+1)) joint regressors for memory L: row i holds s_mean_p(i+d-n)
-    for input polarization p and tap n = 0..L, zero outside the frame."""
-    m = means.shape[1]
-    idx = np.arange(m)[:, None, None] + (memory + 1) // 2 - np.arange(memory + 1)
-    return _gather(means[None], idx, 0.0).reshape(m, -1)
+def _regressors(means: np.ndarray, memory: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """(hi - lo, 2(L+1)) joint regressors for memory L at the instants
+    lo .. hi - 1 (all by default): row i holds s_mean_p(i+d-n) for input
+    polarization p and tap n = 0..L, zero outside the frame."""
+    hi = means.shape[1] if hi is None else hi
+    idx = np.arange(lo, hi)[:, None, None] + (memory + 1) // 2 - np.arange(memory + 1)
+    return _gather(means[None], idx, 0.0).reshape(hi - lo, -1)
 
 
 def rls_estimate(
@@ -87,33 +82,50 @@ def rls_estimate(
     taps after the i-th update solve R_i h = p_i, where R_i =
     lam R_{i-1} + u_i u_i^H and p_i = lam p_{i-1} + u_i conj(r_i) are
     first-order recursions over the instants the skip rule keeps, started
-    from R_0 = delta I and p_0 = 0.
+    from R_0 = delta I and p_0 = 0. The frame is filtered and solved
+    ``CHUNK`` instants at a time, each pass starting from the [R | p] and
+    the taps the last one left, so memory beyond the returned arrays does
+    not grow with the frame.
     """
     m = received.shape[1]
     lp1 = memory + 1
     dim = 2 * lp1
-    regs = _regressors(means, memory)
-    # near-zero regressors (uninformative priors) carry no tap information;
-    # filtering them in would only make R and p forget what came before
-    keep = np.sum(np.abs(regs) ** 2, axis=1) > 1e-3 * lp1
-    u = regs[keep]
-    # (kept + 1, dim, dim + 2): [R_0 | p_0], then the [R | p] increments
-    stats = np.empty((len(u) + 1, dim, dim + 2), dtype=complex)
-    stats[0] = delta * np.eye(dim, dim + 2)
-    np.multiply(u[:, :, None], np.conj(u[:, None, :]), out=stats[1:, :, :dim])
-    np.multiply(u[:, :, None], np.conj(received[:, keep].T)[:, None, :], out=stats[1:, :, dim:])
-    # in place, row i becomes increment_i + lam * row_{i-1}: the one product
-    # and one sum per entry of scipy.signal.lfilter's direct form, same bits
     lam = forgetting
-    for prev, row in zip(stats[:-1], stats[1:]):
-        row += lam * prev
-    solved = np.linalg.solve(stats[1:, :, :dim], stats[1:, :, dim:])
-    # (kept + 1, 2, dim): the zero taps, then the taps after each update
-    after = np.concatenate([np.zeros((1, 2, dim)), solved.transpose(0, 2, 1)])
-    # each instant predicts with the taps left by the last kept instant before it
-    track = after[np.cumsum(keep) - keep]
-    errors = received - np.einsum("mok,mk->om", np.conj(track), regs)
-    return track.reshape(m, 2, 2, lp1), after[-1].reshape(2, 2, lp1), errors
+    track = np.empty((m, 2, dim), dtype=complex)
+    errors = np.empty((2, m), dtype=complex)
+    # [R | p] and the taps after the last kept instant so far
+    last, taps = delta * np.eye(dim, dim + 2), np.zeros((2, dim), dtype=complex)
+    for lo in range(0, m, cst.CHUNK):
+        hi = min(lo + cst.CHUNK, m)
+        regs = _regressors(means, memory, lo, hi)
+        # near-zero regressors (uninformative priors) carry no tap information;
+        # filtering them in would only make R and p forget what came before
+        keep = np.sum(np.abs(regs) ** 2, axis=1) > 1e-3 * lp1
+        u = regs[keep]
+        # (kept + 1, dim, dim + 2): the last [R | p], then the increments
+        stats = np.empty((len(u) + 1, dim, dim + 2), dtype=complex)
+        stats[0] = last
+        np.multiply(u[:, :, None], np.conj(u[:, None, :]), out=stats[1:, :, :dim])
+        np.multiply(
+            u[:, :, None], np.conj(received[:, lo:hi][:, keep].T)[:, None, :],
+            out=stats[1:, :, dim:],
+        )
+        # in place, row i becomes increment_i + lam * row_{i-1}: the one
+        # product and one sum per entry of scipy.signal.lfilter's direct
+        # form, same bits
+        for prev, row in zip(stats[:-1], stats[1:]):
+            row += lam * prev
+        solved = np.linalg.solve(stats[1:, :, :dim], stats[1:, :, dim:])
+        # (kept + 1, 2, dim): the last taps, then the taps after each update
+        after = np.concatenate([taps[None], solved.transpose(0, 2, 1)])
+        # each instant predicts with the taps left by the last kept instant
+        # before it
+        track[lo:hi] = after[np.cumsum(keep) - keep]
+        errors[:, lo:hi] = received[:, lo:hi] - np.einsum(
+            "mok,mk->om", np.conj(track[lo:hi]), regs
+        )
+        last, taps = stats[-1].copy(), after[-1].copy()
+    return track.reshape(m, 2, 2, lp1), taps.reshape(2, 2, lp1), errors
 
 
 def lmmse_equalize(
@@ -137,7 +149,7 @@ def lmmse_equalize(
     entry is the blind symbol energy, and the Wiener solution is obtained by
     a direct Hermitian solve. Beyond the frame, rows are zero and symbols
     have mean 0 and the blind symbol energy as variance. No instant's solve
-    depends on another's, and they are solved ``LMMSE_CHUNK`` at a time, so
+    depends on another's, and they are solved ``CHUNK`` at a time, so
     memory does not grow with the frame.
 
     Returns (estimates, scale mu, noise nu2), each (2, len(instants)).
@@ -157,16 +169,15 @@ def lmmse_equalize(
     # tap n = i + d - t, that is n = row + L - col within the window, from
     # the taps at the row's instant
     band = np.arange(nw)[:, None, None] + mem - np.arange(wwin)  # (N, 1, W)
-    track_h = np.conj(track)
 
     s_hat, mu = np.empty((2, instants.size), dtype=complex), np.empty((2, instants.size))
-    for lo in range(0, instants.size, LMMSE_CHUNK):
-        j = instants[lo : lo + LMMSE_CHUNK, None, None]
+    for lo in range(0, instants.size, cst.CHUNK):
+        j = instants[lo : lo + cst.CHUNK, None, None]
         mc = j.shape[0]
         rows = j - d + np.arange(nw)  # (mc, 1, N) row instants
         syms = j - mem + np.arange(wwin)  # (mc, 1, W) symbol indices
         hmat = _gather(
-            track_h[np.clip(rows[:, 0], 0, m - 1)].transpose(0, 2, 1, 3, 4),
+            np.conj(track[np.clip(rows[:, 0], 0, m - 1)]).transpose(0, 2, 1, 3, 4),
             band[None, None],
             0.0,
         )  # (mc, 2, N, 2, W)
@@ -253,10 +264,13 @@ def turbo_loop(
         if it == 0:
             s_hat, mu, nu2 = received[:, decoded_pos], 1.0, max(sigma_n2, 1e-12)
         else:
-            # the known symbols are certain; the others come from the priors
+            # the known symbols are certain; the others come from the
+            # priors, CHUNK symbols at a time
             means, variances = frame.symbols.copy(), np.zeros((2, m))
-            pr = cst.symbol_priors(priors, c)
-            means[:, decoded_pos], variances[:, decoded_pos] = cst.soft_stats(pr, c)
+            for lo in range(0, decoded_pos.size, cst.CHUNK):
+                at = decoded_pos[lo : lo + cst.CHUNK]
+                pr = cst.symbol_priors(priors[:, lo : lo + cst.CHUNK], c)
+                means[:, at], variances[:, at] = cst.soft_stats(pr, c)
             track, _, rls_err = rls_estimate(received, means)
             # refresh the noise estimate from the pilot-position residuals,
             # where the regression means are exact

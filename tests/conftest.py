@@ -1,6 +1,7 @@
 """Fixtures and helpers that several test modules share."""
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,20 @@ def mimo_channel():
     h[0, 1] = [0.05, 0.1, 0.02]
     h[1, 0] = [0.0, 0.08j, 0.05]
     return h
+
+
+def peak_over_returned(fn, *args):
+    """``fn(*args)`` and the peak memory it traced (numpy reports its
+    buffers to tracemalloc), as a multiple of the bytes of the arrays it
+    returned."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = out if isinstance(out, tuple) else (out,)
+    return out, peak / sum(a.nbytes for a in arrays)
 
 
 def x_rel_err(out, ref):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from turbowdm import constellation
 from turbowdm.constellation import (
     L_MAX,
     NU2_FLOOR_REL,
@@ -13,6 +14,8 @@ from turbowdm.constellation import (
     soft_stats,
     symbol_priors,
 )
+
+from conftest import peak_over_returned
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +233,18 @@ class TestPerAxisSoftStats:
         np.testing.assert_allclose(mean, want_mean, atol=1e-12, rtol=0)
         np.testing.assert_allclose(var, want_var, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_slices_match_whole_frame_bits(self, order):
+        # the turbo loop takes the statistics a chunk of symbols at a time:
+        # any slice of the symbols, one symbol per polarization included,
+        # gives the bits of one call on the whole frame
+        c = build_constellation(order)
+        p = symbol_priors(self.llrs("random", c, np.random.default_rng(70 + order)), c)
+        whole = soft_stats(p, c)
+        for lo, hi in [(0, 1), (7, 8), (499, 500), (3, 10), (0, 500)]:
+            for part, want in zip(soft_stats(p[:, lo:hi], c), whole):
+                assert np.array_equal(part, want[:, lo:hi])
+
 
 class TestExtrinsicLlrs:
     def test_qpsk_closed_form(self, qpsk):
@@ -349,6 +364,36 @@ class TestPerAxisDemapper:
         for p in range(2):
             row = extrinsic_llrs(s_hat[p], mu[p], nu2[p], None if priors is None else priors[p], c)
             np.testing.assert_array_equal(got[p], row)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1201])
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    @pytest.mark.parametrize("with_priors", [False, True])
+    def test_chunks_match_one_whole_frame_pass(self, monkeypatch, chunk, per_symbol, with_priors):
+        # one symbol, a non-divisor of the 2 x 600 symbols or more than
+        # them per pass gives the two-pass default's bits; the priors are
+        # a strided view, as the turbo loop passes them
+        c = build_constellation(256)
+        rng = np.random.default_rng(60)
+        s_hat, mu = self.channel(c, 1200, rng)
+        s_hat, mu = s_hat.reshape(2, 600), mu.reshape(2, 600)
+        nu2 = rng.uniform(0.01, 1.0, (2, 600))
+        if not per_symbol:
+            mu, nu2 = 0.7, 0.2
+        priors = rng.normal(0, 4, (2, 605, c.q))[:, 5:] if with_priors else None
+        args = (s_hat, mu, nu2, priors, c)
+        default = extrinsic_llrs(*args)
+        monkeypatch.setattr(constellation, "CHUNK", chunk)
+        assert np.array_equal(extrinsic_llrs(*args), default)
+
+    def test_memory_does_not_grow_with_the_frame(self):
+        # the returned 256-QAM L-values take 64 B per symbol; the
+        # whole-frame metric and log-sum-exps took 14.75 times that
+        c = build_constellation(256)
+        rng = np.random.default_rng(61)
+        s_hat, mu = self.channel(c, 80000, rng)
+        priors = rng.normal(0, 4, (80000, c.q))
+        _, ratio = peak_over_returned(extrinsic_llrs, s_hat, mu, 0.2, priors, c)
+        assert ratio < 2.0
 
     def test_axis_structure(self):
         for order in ORDERS:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from turbowdm import turbo
+from turbowdm import constellation, turbo
 from turbowdm.constellation import NU2_FLOOR_REL, build_constellation, extrinsic_llrs
 from turbowdm.fec import frame_order
 from turbowdm.harness import _load_code
@@ -10,7 +10,7 @@ from turbowdm.metrics import effective_snr
 from turbowdm.turbo import TurboError, lmmse_equalize, rls_estimate, turbo_loop
 from turbowdm.waveform import build_frame
 
-from conftest import mimo_channel, qpsk_stream
+from conftest import mimo_channel, peak_over_returned, qpsk_stream
 
 DELAY = 1  # decision delay (L + 1) // 2 at rls_estimate's default memory L = 2
 
@@ -338,6 +338,39 @@ class TestRls:
         for a, b in zip(got, ref):
             assert_same_bits(a, b)
 
+    @pytest.mark.parametrize("memory", [0, 2])
+    @pytest.mark.parametrize("chunk", [1, 333, 1501])
+    def test_chunks_match_one_whole_frame_pass(self, monkeypatch, chunk, memory):
+        # one instant, a non-divisor of the frame or more than the frame per
+        # pass gives the two-pass default's bits. Skipped instants straddle
+        # the pass edges 333 and 1024, and from 1300 on no instant is kept,
+        # so the last passes carry [R | p] and the taps through
+        m, lp1, d = 1500, memory + 1, (memory + 1) // 2
+        rng = np.random.default_rng(33)
+        h = 0.1 * (rng.standard_normal((2, 2, lp1)) + 1j * rng.standard_normal((2, 2, lp1)))
+        h[0, 0, d] += 0.9
+        h[1, 1, d] += 0.9
+        s = qpsk_stream(m, 34)
+        r = apply_channel(s, h, d, 0.01, rng)
+        means = s.copy()
+        means[:, 320:350] = 0.0
+        means[:, 1010:1040] *= 0.01
+        means[:, 1300:] = 0.0
+        args = (r, means, memory, 0.95)
+        default = rls_estimate(*args)
+        monkeypatch.setattr(constellation, "CHUNK", chunk)
+        for a, b in zip(rls_estimate(*args), default):
+            assert_same_bits(a, b)
+
+    def test_memory_does_not_grow_with_the_frame(self):
+        # the returned track and errors take 224 B per instant at L = 2; the
+        # whole-frame [R | p] stack and its solve took 7.9 times that
+        m = 40000
+        s = qpsk_stream(m, 35)
+        r = apply_channel(s, mimo_channel(), DELAY, 0.01, np.random.default_rng(36))
+        _, ratio = peak_over_returned(rls_estimate, r, s)
+        assert ratio < 2.0
+
     @pytest.mark.parametrize("lam", [1.0, 0.99])
     def test_zero_start_reaches_least_squares_level(self, lam):
         # started from zero taps, the taps after the first n = 300 updates
@@ -465,16 +498,26 @@ class TestLmmse:
     def test_chunks_match_one_whole_frame_pass(self, monkeypatch):
         # two whole chunks and a one-instant tail, at L = 6 with its
         # window (3, 3); each chunk's windows read the whole frame
-        m = 2 * turbo.LMMSE_CHUNK + 1
+        m = 2 * constellation.CHUNK + 1
         rng = np.random.default_rng(20)
         cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         r, means, track = cplx(2, m), cplx(2, m), cplx(m, 2, 2, 7)
         variances = rng.random((2, m))
         args = (r, track, means, variances, 0.1, np.arange(m), 1.3)
         chunked = lmmse_equalize(*args)
-        monkeypatch.setattr(turbo, "LMMSE_CHUNK", m)
+        monkeypatch.setattr(constellation, "CHUNK", m)
         for a, b in zip(chunked, lmmse_equalize(*args)):
             assert_same_bits(a, b)
+
+    def test_memory_does_not_grow_with_the_frame(self):
+        # the estimates, mu and nu2 take 64 B per instant; a whole-frame
+        # conjugate of the L = 2 tap track took 192 B more
+        m = 80000
+        rng = np.random.default_rng(21)
+        cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        args = (cplx(2, m), cplx(m, 2, 2, 3), cplx(2, m), rng.random((2, m)), 0.1, np.arange(m))
+        _, ratio = peak_over_returned(lmmse_equalize, *args)
+        assert ratio < 2.5
 
     def test_track_length_mismatch(self):
         s = qpsk_stream(10, 19)
@@ -495,12 +538,17 @@ class TestLmmse:
 
 
 @pytest.fixture(scope="module")
-def hard_run(qpsk, code):
+def hard_input(qpsk, code):
     # noise chosen so plain demapping fails but the first turbo
     # iteration decodes cleanly
     frame = encoded_frame(qpsk, code, 6, seed=0)
     rng = np.random.default_rng(1)
-    r = apply_channel(frame.symbols, mimo_channel(), DELAY, 0.12, rng)
+    return apply_channel(frame.symbols, mimo_channel(), DELAY, 0.12, rng), frame
+
+
+@pytest.fixture(scope="module")
+def hard_run(hard_input, code):
+    r, frame = hard_input
     return turbo_loop(r, frame, 4, code), frame
 
 
@@ -541,6 +589,17 @@ class TestTurboLoop:
         frame = encoded_frame(qpsk, code, 6, seed=6)
         with pytest.raises(TurboError):
             turbo_loop(np.zeros((2, 7), complex), frame, 5, code)
+
+    @pytest.mark.parametrize("chunk", [1, 333, 6469])
+    def test_chunks_match_one_whole_frame_pass(
+        self, hard_input, hard_run, code, monkeypatch, chunk
+    ):
+        # one symbol, a non-divisor of the frame or more than the 6,468
+        # instants per pass gives the records of the default passes; one
+        # iteration after iteration 0 runs every chunked stage
+        r, frame = hard_input
+        monkeypatch.setattr(constellation, "CHUNK", chunk)
+        assert turbo_loop(r, frame, 1, code) == hard_run[0][:2]
 
 
 @pytest.fixture(scope="module")
