@@ -16,15 +16,6 @@ L_MAX = 40.0
 # singularity when priors become certain and the residual variance collapses.
 NU2_FLOOR_REL = 1e-9
 
-# Symbols or instants per pass of the receiver's per-symbol stages: the
-# demapper here, and the RLS, the LMMSE and the prior statistics of
-# ``turbo``. No symbol's result depends on the pass it falls in, so memory
-# does not grow with the frame. The largest per-instant temporaries are the
-# RLS's [R | p] rows, 2(L+1) x 2(L+2) complex, 768 B at L = 2, and the
-# LMMSE's window matrices over N = L + 1 rows and W = 2L + 1 symbols per
-# polarization with their products, 21 kB at L = 6.
-CHUNK = 1024
-
 
 class ConstellationError(ValueError):
     pass
@@ -137,9 +128,9 @@ def extrinsic_llrs(
     prior_llrs: np.ndarray | None,
     c: Constellation,
     l_max: float = L_MAX,
-) -> np.ndarray:
-    """Extrinsic bit L-values from equalized symbols on the equivalent
-    AWGN channel s_hat = mu*s + eta.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Extrinsic and prior-free bit L-values from equalized symbols on the
+    equivalent AWGN channel s_hat = mu*s + eta.
 
     The prior of bit l itself is excluded from the likelihood weighting of
     L_e(b^l); only the priors of the other bits of the same symbol enter.
@@ -148,53 +139,41 @@ def extrinsic_llrs(
     Q-axis sum cancels: each axis is marginalized over its sqrt(M) levels
     alone, in the log domain. ``scale`` and ``noise_var`` broadcast to the
     shape (...) of ``estimates``, and ``prior_llrs`` has shape (..., q).
-    Returns shape (..., q). The symbols are demapped ``CHUNK`` at a time, so
-    memory beyond the returned array does not grow with the frame.
+    Returns (extrinsic, prior_free), each of shape (..., q). The per-axis
+    metric is built once: prior_free marginalizes it before the priors
+    enter, and without priors it is the extrinsic array itself.
     """
     s_hat = np.atleast_1d(np.asarray(estimates, dtype=complex))
     shape = s_hat.shape
-    h = c.q // 2
-    mu = np.broadcast_to(np.asarray(scale, dtype=float), shape)
     nu2 = np.asarray(noise_var, dtype=float)
     if np.any(nu2 <= 0):
         nu2 = np.maximum(nu2, NU2_FLOOR_REL * c.energy)
-    nu2 = np.broadcast_to(nu2, shape)
-    if prior_llrs is not None:
-        prior_llrs = np.asarray(prior_llrs, dtype=float).reshape(*shape, 2, h)
-
-    # CHUNK symbols at a time, in C order
-    out = np.empty((*shape, 2, h))
-    size = s_hat.size
-    for lo in range(0, size, CHUNK):
-        at = np.unravel_index(np.arange(lo, min(lo + CHUNK, size)), shape)
-        pr = None if prior_llrs is None else prior_llrs[at]
-        out[at] = _demap(s_hat[at], mu[at], nu2[at], pr, c, l_max)
-    return out.reshape(*shape, 2 * h)
-
-
-def _demap(s_hat, mu, nu2, prior_llrs, c, l_max):
-    """``extrinsic_llrs`` of the (k,) symbols ``s_hat`` with their (k,)
-    scales and noise variances and (k, 2, q/2) prior L-values (or None):
-    the (k, 2, q/2) clipped L-values of their I and Q bits."""
-    # (k, 2, sqrt(M)) per-axis log-likelihoods, constants dropped
+    # (..., 2, sqrt(M)) per-axis log-likelihoods, constants dropped
     y = np.stack([s_hat.real, s_hat.imag], axis=-1)
+    mu = np.asarray(scale, dtype=float)
     metric = -((y[..., None] - mu[..., None, None] * c.axis_levels) ** 2)
     metric /= nu2[..., None, None]
+    prior_free = _axis_llrs(metric, 0.0, c, l_max)
+    if prior_llrs is None:
+        return prior_free, prior_free
+    prior_llrs = np.asarray(prior_llrs, dtype=float).reshape(*shape, 2, c.q // 2)
+    logp0, logp1 = bit_probs_from_llrs(prior_llrs)
+    metric += _axis_log_weights(logp0, logp1, c)
+    # each bit's own prior, taken off the a-posteriori L
+    return _axis_llrs(metric, logp1 - logp0, c, l_max), prior_free
 
+
+def _axis_llrs(metric, own, c, l_max):
+    """The (..., q) clipped L-values of the I and Q bits from the
+    (..., 2, sqrt(M)) per-axis metric, less ``own``."""
     b = c.axis_labels  # (sqrt(M), q/2)
-    own = 0.0
-    if prior_llrs is not None:
-        logp0, logp1 = bit_probs_from_llrs(prior_llrs)
-        metric += _axis_log_weights(logp0, logp1, c)
-        own = logp1 - logp0  # each bit's own prior, taken off the a-posteriori L
-
     h = b.shape[1]
-    out = np.empty((*s_hat.shape, 2, h))
+    out = np.empty((*metric.shape[:-1], h))
     for l in range(h):
         out[..., l] = _logsumexp(metric[..., b[:, l] == 1]) - _logsumexp(
             metric[..., b[:, l] == 0]
         )
-    return np.clip(out - own, -l_max, l_max)
+    return np.clip(out - own, -l_max, l_max).reshape(*metric.shape[:-2], 2 * h)
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:

@@ -94,6 +94,13 @@ class CampaignConfig:
         for name, step in steps.items():
             if not 0 < step <= 1e3 * self.fiber.span_km:
                 raise HarnessError(f"{name} must be in (0, 1e3 * span_km]")
+        # each amplifier's gain is the span loss, and the ASE photon energy
+        # is h c / wavelength: a cell with either out of range fails after
+        # propagation
+        if not self.fiber.alpha_db_per_km >= 0:
+            raise HarnessError("[fiber] alpha_db_per_km must be >= 0")
+        if not self.fiber.center_wavelength_nm > 0:
+            raise HarnessError("[fiber] center_wavelength_nm must be positive")
         for m in self.modes:
             if m not in MODES:
                 raise HarnessError(f"unknown receiver mode {m!r}")

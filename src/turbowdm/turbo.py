@@ -25,6 +25,17 @@ from .fec import LdpcCode, decode
 from .metrics import IterationMetrics, effective_snr, gmi_bits_per_2d, post_fec_ber
 from .waveform import SymbolFrame
 
+# Instants or symbols per pass of the turbo receiver: the RLS filters and
+# solves the frame this many instants at a time, and each iteration
+# equalizes and demaps the decoded symbols, and turns their priors into
+# soft statistics, this many at a time. No symbol's result depends on the
+# pass it falls in, so memory does not grow with the frame. The largest
+# per-instant temporaries are the RLS's [R | p] rows, 2(L+1) x 2(L+2)
+# complex, 768 B at L = 2, and the LMMSE's window matrices over N = L + 1
+# rows and W = 2L + 1 symbols per polarization with their products, 21 kB
+# at L = 6.
+CHUNK = 1024
+
 
 class TurboError(RuntimeError):
     pass
@@ -82,10 +93,11 @@ def rls_estimate(
     taps after the i-th update solve R_i h = p_i, where R_i =
     lam R_{i-1} + u_i u_i^H and p_i = lam p_{i-1} + u_i conj(r_i) are
     first-order recursions over the instants the skip rule keeps, started
-    from R_0 = delta I and p_0 = 0. The frame is filtered and solved
-    ``CHUNK`` instants at a time, each pass starting from the [R | p] and
-    the taps the last one left, so memory beyond the returned arrays does
-    not grow with the frame.
+    from R_0 = delta I and p_0 = 0. [R | p] carries across the frame, so
+    the estimator owns its passes: it filters and solves ``CHUNK`` instants
+    at a time, each pass starting from the [R | p] and the taps the last
+    one left, and memory beyond the returned arrays does not grow with the
+    frame.
     """
     m = received.shape[1]
     lp1 = memory + 1
@@ -95,8 +107,8 @@ def rls_estimate(
     errors = np.empty((2, m), dtype=complex)
     # [R | p] and the taps after the last kept instant so far
     last, taps = delta * np.eye(dim, dim + 2), np.zeros((2, dim), dtype=complex)
-    for lo in range(0, m, cst.CHUNK):
-        hi = min(lo + cst.CHUNK, m)
+    for lo in range(0, m, CHUNK):
+        hi = min(lo + CHUNK, m)
         regs = _regressors(means, memory, lo, hi)
         # near-zero regressors (uninformative priors) carry no tap information;
         # filtering them in would only make R and p forget what came before
@@ -149,8 +161,8 @@ def lmmse_equalize(
     entry is the blind symbol energy, and the Wiener solution is obtained by
     a direct Hermitian solve. Beyond the frame, rows are zero and symbols
     have mean 0 and the blind symbol energy as variance. No instant's solve
-    depends on another's, and they are solved ``CHUNK`` at a time, so
-    memory does not grow with the frame.
+    depends on another's, so all of ``instants`` are solved in one pass and
+    the caller bounds its memory by how many it asks for.
 
     Returns (estimates, scale mu, noise nu2), each (2, len(instants)).
     """
@@ -170,39 +182,35 @@ def lmmse_equalize(
     # the taps at the row's instant
     band = np.arange(nw)[:, None, None] + mem - np.arange(wwin)  # (N, 1, W)
 
-    s_hat, mu = np.empty((2, instants.size), dtype=complex), np.empty((2, instants.size))
-    for lo in range(0, instants.size, cst.CHUNK):
-        j = instants[lo : lo + cst.CHUNK, None, None]
-        mc = j.shape[0]
-        rows = j - d + np.arange(nw)  # (mc, 1, N) row instants
-        syms = j - mem + np.arange(wwin)  # (mc, 1, W) symbol indices
-        hmat = _gather(
-            np.conj(track[np.clip(rows[:, 0], 0, m - 1)]).transpose(0, 2, 1, 3, 4),
-            band[None, None],
-            0.0,
-        )  # (mc, 2, N, 2, W)
-        hsel = hmat[..., center].reshape(mc, 2 * nw, 2)  # response to s_j
-        hmat = hmat.reshape(mc, 2 * nw, 2 * wwin)
+    j = instants[:, None, None]
+    mc = j.shape[0]
+    rows = j - d + np.arange(nw)  # (mc, 1, N) row instants
+    syms = j - mem + np.arange(wwin)  # (mc, 1, W) symbol indices
+    hmat = _gather(
+        np.conj(track[np.clip(rows[:, 0], 0, m - 1)]).transpose(0, 2, 1, 3, 4),
+        band[None, None],
+        0.0,
+    )  # (mc, 2, N, 2, W)
+    hsel = hmat[..., center].reshape(mc, 2 * nw, 2)  # response to s_j
+    hmat = hmat.reshape(mc, 2 * nw, 2 * wwin)
 
-        sbar = _gather(means[None], syms, 0.0)  # (mc, 2, W)
-        svar = _gather(variances[None], syms, sig2)
-        sbar[..., center] = 0.0
-        svar[..., center] = sig2
-        sbar, svar = sbar.reshape(mc, -1), svar.reshape(mc, -1)
-        rwin = _gather(received[None], rows, 0.0).reshape(mc, -1)
+    sbar = _gather(means[None], syms, 0.0)  # (mc, 2, W)
+    svar = _gather(variances[None], syms, sig2)
+    sbar[..., center] = 0.0
+    svar[..., center] = sig2
+    sbar, svar = sbar.reshape(mc, 2 * wwin), svar.reshape(mc, 2 * wwin)
+    rwin = _gather(received[None], rows, 0.0).reshape(mc, 2 * nw)
 
-        # A = H R H^H + sigma_n^2 I ; b = H e sig2 (response to the center symbol)
-        hr = hmat * svar[:, None, :]
-        a = hr @ hmat.conj().transpose(0, 2, 1)
-        a += noise_var * np.eye(2 * nw)[None]
-        w = np.linalg.solve(a, hsel * sig2)  # (mc, 2N, 2)
+    # A = H R H^H + sigma_n^2 I ; b = H e sig2 (response to the center symbol)
+    hr = hmat * svar[:, None, :]
+    a = hr @ hmat.conj().transpose(0, 2, 1)
+    a += noise_var * np.eye(2 * nw)[None]
+    w = np.linalg.solve(a, hsel * sig2)  # (mc, 2N, 2)
 
-        resid = rwin - np.einsum("mrc,mc->mr", hmat, sbar)
-        s_hat[:, lo : lo + mc] = np.einsum("mrp,mr->pm", np.conj(w), resid)
-        mu_full = np.einsum("mrp,mrk->mpk", np.conj(w), hsel)  # (mc, 2, 2)
-        mu[:, lo : lo + mc] = np.real(np.einsum("mpp->pm", mu_full))
-
-    mu = np.clip(mu, 0.0, 1.0)
+    resid = rwin - np.einsum("mrc,mc->mr", hmat, sbar)
+    s_hat = np.einsum("mrp,mr->pm", np.conj(w), resid)
+    mu_full = np.einsum("mrp,mrk->mpk", np.conj(w), hsel)  # (mc, 2, 2)
+    mu = np.clip(np.real(np.einsum("mpp->pm", mu_full)), 0.0, 1.0)
     nu2 = np.maximum(mu * sig2 - mu**2 * sig2, cst.NU2_FLOOR_REL * sig2)
     return s_hat, mu, nu2
 
@@ -221,7 +229,9 @@ def turbo_loop(
     received symbols under a scalar AWGN assumption; up to ``n_iters``
     subsequent iterations feed decoder soft output to the RLS channel
     estimator and the LMMSE equalizer, then demap its output with the
-    updated priors.
+    updated priors. Each iteration equalizes and demaps the decoded
+    symbols ``CHUNK`` at a time, and demaps each once: the demapper's
+    prior-free L-values give the GMI.
 
     Only the blocks after the frame's training blocks are decoded: the
     receiver knows the training blocks, and their certain L-values stand in
@@ -235,10 +245,12 @@ def turbo_loop(
     received = np.asarray(received)
     if received.shape != (2, m):
         raise TurboError(f"received shape {received.shape} != (2, {m})")
+    pilot = frame.pilot_mask
+    if not pilot.any():
+        raise TurboError("frame has no pilots to estimate the noise variance from")
     c = frame.constellation
     q = c.q
     nb, n, n_train_blocks = frame.n_blocks, frame.block_len, frame.n_train_blocks
-    pilot = frame.pilot_mask
     to_code = np.argsort(frame.order)
 
     # the data instants after the known prefix carry a bit of a decoded
@@ -259,32 +271,38 @@ def turbo_loop(
 
     records: list[IterationMetrics] = []
     priors = None  # (2, decoded symbols, q) decoder L-values of their bits
+    nd = decoded_pos.size
+    # iteration 0 takes the received symbols with mu = 1; the rows of
+    # training-only symbols in llrs stay unread
+    s_hat, mu, nu2 = np.empty((2, nd), dtype=complex), np.ones((2, nd)), max(sigma_n2, 1e-12)
+    llrs = np.empty((2, frame.n_data, q))
+    extrinsic, prior_free = llrs[:, decoded], np.empty((2, nd, q))
 
     for it in range(n_iters + 1):
-        if it == 0:
-            s_hat, mu, nu2 = received[:, decoded_pos], 1.0, max(sigma_n2, 1e-12)
-        else:
-            # the known symbols are certain; the others come from the
-            # priors, CHUNK symbols at a time
+        if it > 0:
+            # the known symbols are certain; the others come from the priors
             means, variances = frame.symbols.copy(), np.zeros((2, m))
-            for lo in range(0, decoded_pos.size, cst.CHUNK):
-                at = decoded_pos[lo : lo + cst.CHUNK]
-                pr = cst.symbol_priors(priors[:, lo : lo + cst.CHUNK], c)
+            for lo in range(0, nd, CHUNK):
+                at = decoded_pos[lo : lo + CHUNK]
+                pr = cst.symbol_priors(priors[:, lo : lo + CHUNK], c)
                 means[:, at], variances[:, at] = cst.soft_stats(pr, c)
             track, _, rls_err = rls_estimate(received, means)
             # refresh the noise estimate from the pilot-position residuals,
             # where the regression means are exact
             sigma_n2 = max(float(np.mean(np.abs(rls_err[:, pilot]) ** 2)), 1e-12)
-            s_hat, mu, nu2 = lmmse_equalize(
-                received, track, means, variances, sigma_n2, decoded_pos,
-                symbol_energy=c.energy,
-            )
 
-        # the rows of training-only symbols stay unread; GMI reads the
-        # no-prior L-values, which iteration 0, having no priors, already has
-        llrs = np.empty((2, frame.n_data, q))
-        llrs[:, decoded] = cst.extrinsic_llrs(s_hat, mu, nu2, priors, c)
-        llrs_noprior = llrs[:, decoded] if it == 0 else cst.extrinsic_llrs(s_hat, mu, nu2, None, c)
+        for lo in range(0, nd, CHUNK):
+            at = slice(lo, lo + CHUNK)
+            if it == 0:
+                s_hat[:, at] = received[:, decoded_pos[at]]
+            else:
+                s_hat[:, at], mu[:, at], nu2 = lmmse_equalize(
+                    received, track, means, variances, sigma_n2, decoded_pos[at],
+                    symbol_energy=c.energy,
+                )
+            extrinsic[:, at], prior_free[:, at] = cst.extrinsic_llrs(
+                s_hat[:, at], mu[:, at], nu2, None if priors is None else priors[:, at], c
+            )
 
         # decode the blocks the receiver does not know
         dec_info = np.empty_like(true_info)
@@ -300,7 +318,7 @@ def turbo_loop(
 
         ber, n_bits = post_fec_ber(dec_info, true_info)
         bias = np.where(mu > 1e-6, mu, 1.0)
-        gmi4d = sum(map(gmi_bits_per_2d, llrs_noprior, decoded_bits))
+        gmi4d = sum(map(gmi_bits_per_2d, prior_free, decoded_bits))
         rec = IterationMetrics(
             turbo_iteration=it,
             post_fec_ber=ber,

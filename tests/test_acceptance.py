@@ -99,7 +99,7 @@ class TestExtrinsicDemapperOracle:
             rng.standard_normal(m) + 1j * rng.standard_normal(m)
         )
         priors = np.clip(rng.normal(0.0, 3.0, (m, c.q)), -8.0, 8.0)
-        got = extrinsic_llrs(s_hat, mu, nu2, priors, c, l_max=np.inf)
+        got, _ = extrinsic_llrs(s_hat, mu, nu2, priors, c, l_max=np.inf)
         want = marginalization_oracle(s_hat, mu, nu2, priors, c)
         np.testing.assert_allclose(got, want, atol=1e-9, rtol=0.0)
         assert time.perf_counter() - t0 < 10.0
@@ -111,7 +111,7 @@ class TestExtrinsicDemapperOracle:
         s_hat = rng.normal(0, 1, m) + 1j * rng.normal(0, 1, m)
         mu = np.full(m, 0.8)
         nu2 = np.full(m, 0.3)
-        got = extrinsic_llrs(s_hat, mu, nu2, None, c, l_max=np.inf)
+        got, _ = extrinsic_llrs(s_hat, mu, nu2, None, c, l_max=np.inf)
         want = marginalization_oracle(s_hat, mu, nu2, np.zeros((m, c.q)), c)
         np.testing.assert_allclose(got, want, atol=1e-9, rtol=0.0)
 
@@ -126,7 +126,7 @@ class TestExtrinsicDemapperOracle:
         s_hat = mu * s + np.sqrt(nu2 / 2.0) * (
             rng.standard_normal(m) + 1j * rng.standard_normal(m)
         )
-        got = extrinsic_llrs(s_hat, mu, nu2, None, c, l_max=np.inf)
+        got, _ = extrinsic_llrs(s_hat, mu, nu2, None, c, l_max=np.inf)
         want = marginalization_oracle(s_hat, mu, nu2, np.zeros((m, c.q)), c)
         np.testing.assert_allclose(got, want, atol=1e-9, rtol=0.0)
         assert time.perf_counter() - t0 < 10.0
@@ -397,7 +397,7 @@ class TestGmiOracle:
         for snr_db in snr_points:
             sigma2 = 10 ** (-snr_db / 10.0)
             y = s + np.sqrt(sigma2 / 2.0) * noise
-            llrs = extrinsic_llrs(y, 1.0, sigma2, None, c, l_max=300.0)
+            llrs, _ = extrinsic_llrs(y, 1.0, sigma2, None, c, l_max=300.0)
             est = gmi_bits_per_2d(llrs, bits)
             ref = gauss_hermite_gmi(order, snr_db)
             assert abs(est - ref) < 0.02, f"{order}-QAM at {snr_db} dB"

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from turbowdm import constellation
 from turbowdm.constellation import (
     L_MAX,
     NU2_FLOOR_REL,
@@ -14,8 +13,6 @@ from turbowdm.constellation import (
     soft_stats,
     symbol_priors,
 )
-
-from conftest import peak_over_returned
 
 
 @pytest.fixture(scope="module")
@@ -250,11 +247,11 @@ class TestExtrinsicLlrs:
     def test_qpsk_closed_form(self, qpsk):
         # real-axis bit LLR is 2*sqrt(2)*a for mu=1, nu2=1
         for a in (-0.9, -0.2, 0.4, 1.3):
-            out = extrinsic_llrs(np.array([a + 0j]), 1.0, 1.0, None, qpsk)
+            out, _ = extrinsic_llrs(np.array([a + 0j]), 1.0, 1.0, None, qpsk)
             assert abs(out[0, 0] - 2.0 * np.sqrt(2.0) * a) < 1e-9
 
     def test_midpoint_symmetry(self, qam16):
-        out = extrinsic_llrs(np.array([0.0 + 0j]), 1.0, 0.5, None, qam16)
+        out, _ = extrinsic_llrs(np.array([0.0 + 0j]), 1.0, 0.5, None, qam16)
         # bit 0 splits the I axis symmetrically at 0
         assert abs(out[0, 0]) < 1e-9
 
@@ -267,7 +264,7 @@ class TestExtrinsicLlrs:
         mu = rng.uniform(0.3, 1.0, m)
         nu2 = rng.uniform(0.05, 1.0, m)
         priors = rng.normal(0, 2, (m, c.q))
-        out = extrinsic_llrs(s_hat, mu, nu2, priors, c)
+        out, _ = extrinsic_llrs(s_hat, mu, nu2, priors, c)
         for i in range(m):
             ref = brute_force_llrs(s_hat[i], mu[i], nu2[i], priors[i], c)
             np.testing.assert_allclose(out[i], ref, atol=1e-9)
@@ -277,19 +274,19 @@ class TestExtrinsicLlrs:
         rng = np.random.default_rng(3)
         s_hat = np.array([0.3 - 0.2j])
         priors = rng.normal(0, 1, (1, 4))
-        base = extrinsic_llrs(s_hat, 0.8, 0.3, priors, qam16)
+        base, _ = extrinsic_llrs(s_hat, 0.8, 0.3, priors, qam16)
         for l in range(4):
             shifted = priors.copy()
             shifted[0, l] += 5.0
-            out = extrinsic_llrs(s_hat, 0.8, 0.3, shifted, qam16)
+            out, _ = extrinsic_llrs(s_hat, 0.8, 0.3, shifted, qam16)
             assert abs(out[0, l] - base[0, l]) < 1e-9
 
     def test_clipping(self, qpsk):
-        out = extrinsic_llrs(np.array([100.0 + 0j]), 1.0, 1e-3, None, qpsk)
+        out, _ = extrinsic_llrs(np.array([100.0 + 0j]), 1.0, 1e-3, None, qpsk)
         assert np.all(np.abs(out) <= 40.0)
 
     def test_noise_floor(self, qpsk):
-        out = extrinsic_llrs(np.array([0.5 + 0j]), 1.0, 0.0, None, qpsk)
+        out, _ = extrinsic_llrs(np.array([0.5 + 0j]), 1.0, 0.0, None, qpsk)
         assert np.all(np.isfinite(out))
 
 
@@ -318,7 +315,7 @@ class TestPerAxisDemapper:
         priors = rng.normal(0, 4, (m, c.q)) if with_priors else None
         args = (s_hat, mu, nu2, priors, c)
         for l_max in (L_MAX, np.inf):
-            got = extrinsic_llrs(*args, l_max=l_max)
+            got, _ = extrinsic_llrs(*args, l_max=l_max)
             want = reference_extrinsic_llrs(*args, l_max=l_max)
             np.testing.assert_allclose(got, want, atol=1e-9, rtol=0)
 
@@ -331,7 +328,7 @@ class TestPerAxisDemapper:
         priors = rng.normal(0, 4, (m, c.q))
         nu2 = np.where(rng.random(m) < 0.5, 0.0, 0.1)
         for nv in (0.0, nu2):
-            got = extrinsic_llrs(s_hat, mu, nv, priors, c)
+            got, _ = extrinsic_llrs(s_hat, mu, nv, priors, c)
             want = reference_extrinsic_llrs(s_hat, mu, nv, priors, c)
             np.testing.assert_allclose(got, want, atol=1e-9, rtol=0)
 
@@ -345,14 +342,15 @@ class TestPerAxisDemapper:
         s_hat, mu = self.channel(c, m, rng, spread=3.0)
         priors = rng.normal(0, 4, (m, c.q))
         for p in (None, priors):
-            got = extrinsic_llrs(s_hat, mu, 1e-4, p, c, l_max=l_max)
+            got, _ = extrinsic_llrs(s_hat, mu, 1e-4, p, c, l_max=l_max)
             want = reference_extrinsic_llrs(s_hat, mu, 1e-4, p, c, l_max=l_max)
             np.testing.assert_allclose(got, want, atol=1e-9, rtol=0)
             assert np.max(np.abs(want)) >= min(l_max, 1e4)
 
     @pytest.mark.parametrize("with_priors", [False, True])
     def test_leading_dimensions_match_rows(self, with_priors):
-        # one call for both polarizations gives each row's own call, bit for bit
+        # one call for both polarizations gives each row's own call, bit for
+        # bit, in both L-value sets
         c = build_constellation(64)
         rng = np.random.default_rng(50)
         s_hat, mu = self.channel(c, 600, rng)
@@ -360,18 +358,20 @@ class TestPerAxisDemapper:
         nu2 = rng.uniform(0.01, 1.0, (2, 300))
         priors = rng.normal(0, 4, (2, 300, c.q)) if with_priors else None
         got = extrinsic_llrs(s_hat, mu, nu2, priors, c)
-        assert got.shape == (2, 300, c.q)
+        assert [g.shape for g in got] == [(2, 300, c.q)] * 2
         for p in range(2):
             row = extrinsic_llrs(s_hat[p], mu[p], nu2[p], None if priors is None else priors[p], c)
-            np.testing.assert_array_equal(got[p], row)
+            for a, b in zip(got, row):
+                np.testing.assert_array_equal(a[p], b)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1201])
     @pytest.mark.parametrize("per_symbol", [False, True])
     @pytest.mark.parametrize("with_priors", [False, True])
-    def test_chunks_match_one_whole_frame_pass(self, monkeypatch, chunk, per_symbol, with_priors):
-        # one symbol, a non-divisor of the 2 x 600 symbols or more than
-        # them per pass gives the two-pass default's bits; the priors are
-        # a strided view, as the turbo loop passes them
+    def test_chunks_match_one_whole_frame_pass(self, chunk, per_symbol, with_priors):
+        # a caller that demaps one symbol per polarization, a non-divisor of
+        # the 600 symbols or more than them per call gets one whole-frame
+        # call's bits in both L-value sets; the priors are a strided view,
+        # as the turbo loop passes them
         c = build_constellation(256)
         rng = np.random.default_rng(60)
         s_hat, mu = self.channel(c, 1200, rng)
@@ -380,20 +380,35 @@ class TestPerAxisDemapper:
         if not per_symbol:
             mu, nu2 = 0.7, 0.2
         priors = rng.normal(0, 4, (2, 605, c.q))[:, 5:] if with_priors else None
-        args = (s_hat, mu, nu2, priors, c)
-        default = extrinsic_llrs(*args)
-        monkeypatch.setattr(constellation, "CHUNK", chunk)
-        assert np.array_equal(extrinsic_llrs(*args), default)
+        args = (s_hat, mu, nu2, priors)
+        whole = extrinsic_llrs(*args, c)
+        for lo in range(0, 600, chunk):
+            at = slice(lo, lo + chunk)
+            part = extrinsic_llrs(*(a if np.ndim(a) < 2 else a[:, at] for a in args), c)
+            for a, b in zip(part, whole):
+                assert np.array_equal(a, b[:, at])
 
-    def test_memory_does_not_grow_with_the_frame(self):
-        # the returned 256-QAM L-values take 64 B per symbol; the
-        # whole-frame metric and log-sum-exps took 14.75 times that
-        c = build_constellation(256)
-        rng = np.random.default_rng(61)
-        s_hat, mu = self.channel(c, 80000, rng)
-        priors = rng.normal(0, 4, (80000, c.q))
-        _, ratio = peak_over_returned(extrinsic_llrs, s_hat, mu, 0.2, priors, c)
-        assert ratio < 2.0
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("per_symbol", [False, True])
+    def test_prior_free_matches_a_call_without_priors(self, order, per_symbol):
+        # the turbo loop reads the GMI off the prior-free L-values of its
+        # one call with priors: they are a call without priors, bit for
+        # bit, and the full-grid reference without priors
+        c = build_constellation(order)
+        rng = np.random.default_rng(80 + order)
+        m = 1000
+        s_hat, mu = self.channel(c, m, rng)
+        nu2 = rng.uniform(0.01, 1.0, m)
+        if not per_symbol:
+            mu, nu2 = 0.7, 0.2
+        priors = rng.normal(0, 4, (m, c.q))
+        extrinsic, prior_free = extrinsic_llrs(s_hat, mu, nu2, priors, c)
+        alone, same = extrinsic_llrs(s_hat, mu, nu2, None, c)
+        assert same is alone
+        assert np.array_equal(prior_free, alone)
+        assert not np.array_equal(extrinsic, prior_free)
+        want = reference_extrinsic_llrs(s_hat, mu, nu2, None, c)
+        np.testing.assert_allclose(prior_free, want, atol=1e-9, rtol=0)
 
     def test_axis_structure(self):
         for order in ORDERS:

@@ -377,6 +377,9 @@ class TestConfig:
             ("[campaign]\ncode_file = no_such_code\n", "no_such_code"),
             ("[campaign]\ndecoder_iters = -1\n", "decoder_iters"),
             ("[campaign]\ndecoder_iters = 0\n", "decoder_iters"),
+            ("[fiber]\nalpha_db_per_km = -0.2\n", "alpha_db_per_km must be >= 0"),
+            ("[fiber]\ncenter_wavelength_nm = 0\n", "center_wavelength_nm must be positive"),
+            ("[fiber]\ncenter_wavelength_nm = -1550\n", "center_wavelength_nm must be positive"),
         ],
     )
     def test_value_no_cell_can_run_rejected(self, tmp_path, text, named):

@@ -95,7 +95,7 @@ class TestGmi:
         s = map_bits(bits.ravel(), c)
         sigma2 = 10 ** (-snr_db / 10.0)
         y = s + np.sqrt(sigma2 / 2) * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
-        llrs = extrinsic_llrs(y, 1.0, sigma2, None, c, l_max=300.0)
+        llrs, _ = extrinsic_llrs(y, 1.0, sigma2, None, c, l_max=300.0)
         est = gmi_bits_per_2d(llrs, bits)
         ref = gauss_hermite_gmi(order, snr_db)
         assert abs(est - ref) < 0.02

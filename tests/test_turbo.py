@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from turbowdm import constellation, turbo
+from turbowdm import turbo
 from turbowdm.constellation import NU2_FLOOR_REL, build_constellation, extrinsic_llrs
 from turbowdm.fec import frame_order
 from turbowdm.harness import _load_code
@@ -358,7 +358,7 @@ class TestRls:
         means[:, 1300:] = 0.0
         args = (r, means, memory, 0.95)
         default = rls_estimate(*args)
-        monkeypatch.setattr(constellation, "CHUNK", chunk)
+        monkeypatch.setattr(turbo, "CHUNK", chunk)
         for a, b in zip(rls_estimate(*args), default):
             assert_same_bits(a, b)
 
@@ -495,29 +495,23 @@ class TestLmmse:
                 for a, b in zip(got, want):
                     assert_same_bits(a, b[:, instants])
 
-    def test_chunks_match_one_whole_frame_pass(self, monkeypatch):
+    def test_chunks_match_one_whole_frame_pass(self):
         # two whole chunks and a one-instant tail, at L = 6 with its
-        # window (3, 3); each chunk's windows read the whole frame
-        m = 2 * constellation.CHUNK + 1
+        # window (3, 3), asked for in the turbo loop's passes: each pass's
+        # windows read the whole frame, and the passes give one whole-frame
+        # call's bits
+        m = 2 * turbo.CHUNK + 1
         rng = np.random.default_rng(20)
         cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         r, means, track = cplx(2, m), cplx(2, m), cplx(m, 2, 2, 7)
         variances = rng.random((2, m))
-        args = (r, track, means, variances, 0.1, np.arange(m), 1.3)
-        chunked = lmmse_equalize(*args)
-        monkeypatch.setattr(constellation, "CHUNK", m)
-        for a, b in zip(chunked, lmmse_equalize(*args)):
-            assert_same_bits(a, b)
-
-    def test_memory_does_not_grow_with_the_frame(self):
-        # the estimates, mu and nu2 take 64 B per instant; a whole-frame
-        # conjugate of the L = 2 tap track took 192 B more
-        m = 80000
-        rng = np.random.default_rng(21)
-        cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        args = (cplx(2, m), cplx(m, 2, 2, 3), cplx(2, m), rng.random((2, m)), 0.1, np.arange(m))
-        _, ratio = peak_over_returned(lmmse_equalize, *args)
-        assert ratio < 2.5
+        args = (r, track, means, variances, 0.1)
+        passes = [
+            lmmse_equalize(*args, np.arange(lo, min(lo + turbo.CHUNK, m)), 1.3)
+            for lo in range(0, m, turbo.CHUNK)
+        ]
+        for a, b in zip(zip(*passes), lmmse_equalize(*args, np.arange(m), 1.3)):
+            assert_same_bits(np.concatenate(a, axis=1), b)
 
     def test_track_length_mismatch(self):
         s = qpsk_stream(10, 19)
@@ -598,8 +592,57 @@ class TestTurboLoop:
         # instants per pass gives the records of the default passes; one
         # iteration after iteration 0 runs every chunked stage
         r, frame = hard_input
-        monkeypatch.setattr(constellation, "CHUNK", chunk)
+        monkeypatch.setattr(turbo, "CHUNK", chunk)
         assert turbo_loop(r, frame, 1, code) == hard_run[0][:2]
+
+    @pytest.mark.parametrize("chunk", [1000, 6469])
+    def test_each_pass_equalizes_and_demaps_its_chunk_once(
+        self, hard_input, code, monkeypatch, chunk
+    ):
+        # every iteration asks the LMMSE and then the demapper for each
+        # chunk of decoded symbols in turn, at most CHUNK per polarization:
+        # iteration 0 demaps the received symbols, later ones the LMMSE's
+        # estimates, and no second demapper call serves the GMI
+        r, frame = hard_input
+        decoded_pos = frame.data_positions[frame.n_known_data :]
+        asked, equalized, demapped = [], [], []
+        real_lmmse, real_demap = turbo.lmmse_equalize, turbo.cst.extrinsic_llrs
+
+        def recording_lmmse(*args, **kw):
+            asked.append(args[5].copy())
+            out = real_lmmse(*args, **kw)
+            equalized.append(out[0].copy())
+            return out
+
+        def recording_demap(estimates, *args):
+            demapped.append(estimates.copy())
+            return real_demap(estimates, *args)
+
+        monkeypatch.setattr(turbo, "CHUNK", chunk)
+        monkeypatch.setattr(turbo, "lmmse_equalize", recording_lmmse)
+        monkeypatch.setattr(turbo.cst, "extrinsic_llrs", recording_demap)
+        recs = turbo_loop(r, frame, 2, code)
+        passes = -(-decoded_pos.size // chunk)
+        assert len(demapped) == passes * len(recs)
+        assert len(asked) == passes * (len(recs) - 1)
+        assert max(a.size for a in asked) <= chunk
+        assert all(d.shape[0] == 2 and d.shape[1] <= chunk for d in demapped)
+        np.testing.assert_array_equal(
+            np.concatenate(asked), np.tile(decoded_pos, len(recs) - 1)
+        )
+        np.testing.assert_array_equal(
+            np.concatenate(demapped, axis=1),
+            np.concatenate([r[:, decoded_pos], *equalized], axis=1),
+        )
+
+    def test_frame_without_pilots_rejected(self, qpsk, code, monkeypatch):
+        # the noise variance comes from the pilots: without them every
+        # metric read NaN, so the loop refuses before any stage runs
+        frame = encoded_frame(qpsk, code, 6, seed=6, pilot_rate=0.0)
+        assert not frame.pilot_mask.any()
+        monkeypatch.setattr(turbo.cst, "extrinsic_llrs", lambda *a: pytest.fail("demapped"))
+        with pytest.raises(TurboError, match="no pilots"):
+            turbo_loop(frame.symbols, frame, 1, code)
 
 
 @pytest.fixture(scope="module")
@@ -666,7 +709,7 @@ class TestLoopPolicy:
         j = n // c.q  # the straddling symbol
         assert (c.q * j // n, (c.q * j + c.q - 1) // n) == (0, 1)
         for p in range(2):
-            bits = extrinsic_llrs(r[p, ~pil], 1.0, sigma_n2, None, c).ravel()
+            bits = extrinsic_llrs(r[p, ~pil], 1.0, sigma_n2, None, c)[0].ravel()
             blocks = reference_deinterleave(bits, n).reshape(-1, n)
             for b in range(1, frame.n_blocks):
                 got = inputs[p * (frame.n_blocks - 1) + b - 1]
@@ -697,8 +740,9 @@ class TestLoopPolicy:
 
         monkeypatch.setattr(turbo.cst, "extrinsic_llrs", recording_demap)
         turbo_loop(r, frame, 0, code)
-        np.testing.assert_array_equal(demapped[0], r[:, ~frame.known_mask])
-        assert np.all(np.isin(r[:, t], demapped[0]))
+        demapped = np.concatenate(demapped, axis=1)
+        np.testing.assert_array_equal(demapped, r[:, ~frame.known_mask])
+        assert np.all(np.isin(r[:, t], demapped))
 
     def test_equalizes_only_the_decoded_instants(self, code, monkeypatch):
         # each iteration after 0 asks the LMMSE for the data instants after
@@ -719,6 +763,7 @@ class TestLoopPolicy:
 
         monkeypatch.setattr(turbo, "lmmse_equalize", recording_lmmse)
         recs = turbo_loop(r, frame, 2, code)
-        assert len(asked) == len(recs) - 1 == 2
-        for instants in asked:
-            np.testing.assert_array_equal(instants, frame.data_positions[frame.n_known_data:])
+        assert len(recs) == 3
+        np.testing.assert_array_equal(
+            np.concatenate(asked), np.tile(frame.data_positions[frame.n_known_data :], 2)
+        )
