@@ -108,12 +108,18 @@ class CampaignConfig:
             raise HarnessError("baud must be positive")
         # each rule checked by its owner; only a cell builds the code
         try:
-            build_constellation(self.modulation)
+            q = build_constellation(self.modulation).q
             rrc_response(1, self.tx_samples_per_symbol, self.rolloff)
         except (ConstellationError, WaveformError) as exc:
             raise HarnessError(str(exc)) from exc
-        _code_path(self.code_file)
-        # wdm_mux's rule, checked before any cell transmits
+        try:  # the code length n, from the header line "n m"
+            with _code_path(self.code_file).open() as f:
+                n, _ = map(int, f.readline().split())
+        except (OSError, ValueError) as exc:
+            raise HarnessError(f"code file {self.code_file!r}: no 'n m' header line") from exc
+        if self.n_blocks * n % q:  # a frame's coded bits fill whole symbols
+            raise HarnessError(f"n_blocks * n = {self.n_blocks * n} is not a multiple of q = {q}")
+        # the channels' grid offsets must stay below the sampling bandwidth
         fs = self.tx_samples_per_symbol * self.baud
         if (self.n_wdm_channels - 1) * self.grid_spacing_hz >= fs:
             raise HarnessError("aggregate WDM band exceeds the sampling bandwidth")
@@ -210,34 +216,31 @@ def transmit(
     order: np.ndarray,
 ) -> tuple[DualPolSignal, SymbolFrame]:
     """The WDM field at the fiber input and the frame of the channel of
-    interest (the centre one). Each channel in turn is encoded, framed,
-    shaped, set to ``power_dbm`` and added into the multiplex, so the sum
-    and one channel are all the field memory held. Per channel ``rng``
-    draws the info bits, then the frame's pilot seed."""
+    interest (the centre one, at 0 Hz). Each channel in turn is encoded,
+    framed, shaped, set to ``power_dbm`` and added into the sum at its grid
+    offset, then freed, so the sum and one channel are all the field memory
+    held. Per channel ``rng`` draws the info bits, then the frame's pilot
+    seed."""
     c = build_constellation(cfg.modulation)
     p_w = 1e-3 * 10.0 ** (power_dbm / 10.0)
-    coi_index = (cfg.n_wdm_channels - 1) // 2
-    frame_coi = None
-
-    def channels():
-        nonlocal frame_coi
-        for ch in range(cfg.n_wdm_channels):
-            # codewords of polarization x, then y, each in block order
-            words = np.stack(
-                [code.encode(rng.integers(0, 2, code.k)) for _ in range(2 * cfg.n_blocks)]
-            )
-            frame = build_frame(
-                words.reshape(2, cfg.n_blocks, -1), order, cfg.n_train_blocks, c,
-                cfg.pilot_rate, seed=int(rng.integers(0, 2**31)), symbol_rate=cfg.baud,
-            )
-            if ch == coi_index:
-                frame_coi = frame
-            sig = rrc_shape(frame, cfg.tx_samples_per_symbol, cfg.rolloff)
-            sig.fields *= np.sqrt(p_w / sig.power())
-            yield sig
-            del sig  # added into the sum: free it before the next channel
-
-    wdm = wdm_mux(channels(), cfg.n_wdm_channels, cfg.grid_spacing_hz)
+    coi = (cfg.n_wdm_channels - 1) // 2
+    for ch in range(cfg.n_wdm_channels):
+        # codewords of polarization x, then y, each in block order
+        words = np.stack(
+            [code.encode(rng.integers(0, 2, code.k)) for _ in range(2 * cfg.n_blocks)]
+        )
+        frame = build_frame(
+            words.reshape(2, cfg.n_blocks, -1), order, cfg.n_train_blocks, c,
+            cfg.pilot_rate, seed=int(rng.integers(0, 2**31)), symbol_rate=cfg.baud,
+        )
+        sig = rrc_shape(frame, cfg.tx_samples_per_symbol, cfg.rolloff)
+        sig.fields *= np.sqrt(p_w / sig.power())
+        if ch == 0:
+            wdm = DualPolSignal(np.zeros((2, len(sig)), dtype=complex), sig.sample_rate)
+        wdm_mux(wdm, sig, (ch - coi) * cfg.grid_spacing_hz)
+        if ch == coi:
+            frame_coi = frame
+        del sig
     return wdm, frame_coi
 
 

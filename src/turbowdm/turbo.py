@@ -239,10 +239,11 @@ def turbo_loop(
     the decoded bits, and only they are equalized, demapped and measured:
     BER counts the decoded blocks, and SNR and GMI the decoded instants. The
     loop stops from iteration 2 on once every decoded block passes parity
-    and the SNR moved by less than 0.01 dB.
+    and the equalizer output's SNR, scored against the decoder's decisions
+    and not the transmitted symbols, moved by less than 0.01 dB.
     """
     m = frame.n_instants
-    received = np.asarray(received)
+    received = np.asarray(received, dtype=complex)
     if received.shape != (2, m):
         raise TurboError(f"received shape {received.shape} != (2, {m})")
     pilot = frame.pilot_mask
@@ -267,21 +268,22 @@ def turbo_loop(
     true_info = code_bits[:, n_train_blocks:, code.info_positions]
     # the receiver knows the training blocks, so it decodes only the others;
     # the known bits' a-posteriori L-values (L = ln P(1)/P(0)) are certain
-    known_app = np.where(code_bits[:, :n_train_blocks] == 1, L_MAX, -L_MAX)
+    app = np.empty((2, nb, n))
+    app[:, :n_train_blocks] = np.where(code_bits[:, :n_train_blocks] == 1, L_MAX, -L_MAX)
+    # the known entries are certain and never change; the priors set the others
+    means, variances = frame.symbols.copy(), np.zeros((2, m))
 
     records: list[IterationMetrics] = []
     priors = None  # (2, decoded symbols, q) decoder L-values of their bits
     nd = decoded_pos.size
-    # iteration 0 takes the received symbols with mu = 1; the rows of
-    # training-only symbols in llrs stay unread
-    s_hat, mu, nu2 = np.empty((2, nd), dtype=complex), np.ones((2, nd)), max(sigma_n2, 1e-12)
+    # iteration 0 takes the received symbols with mu = 1 and the pilot noise
+    # variance; the rows of training-only symbols in llrs stay unread
+    s_hat, mu, nu2 = received[:, decoded_pos], np.ones((2, nd)), max(sigma_n2, 1e-12)
     llrs = np.empty((2, frame.n_data, q))
     extrinsic, prior_free = llrs[:, decoded], np.empty((2, nd, q))
 
     for it in range(n_iters + 1):
         if it > 0:
-            # the known symbols are certain; the others come from the priors
-            means, variances = frame.symbols.copy(), np.zeros((2, m))
             for lo in range(0, nd, CHUNK):
                 at = decoded_pos[lo : lo + CHUNK]
                 pr = cst.symbol_priors(priors[:, lo : lo + CHUNK], c)
@@ -293,9 +295,7 @@ def turbo_loop(
 
         for lo in range(0, nd, CHUNK):
             at = slice(lo, lo + CHUNK)
-            if it == 0:
-                s_hat[:, at] = received[:, decoded_pos[at]]
-            else:
+            if it > 0:
                 s_hat[:, at], mu[:, at], nu2 = lmmse_equalize(
                     received, track, means, variances, sigma_n2, decoded_pos[at],
                     symbol_energy=c.energy,
@@ -306,8 +306,6 @@ def turbo_loop(
 
         # decode the blocks the receiver does not know
         dec_info = np.empty_like(true_info)
-        app = np.empty((2, nb, n))
-        app[:, :n_train_blocks] = known_app
         all_ok = True
         blocks = llrs.reshape(2, -1)[:, to_code].reshape(2, nb, n)
         for p in range(2):
@@ -317,19 +315,22 @@ def turbo_loop(
                 all_ok &= ok
 
         ber, n_bits = post_fec_ber(dec_info, true_info)
-        bias = np.where(mu > 1e-6, mu, 1.0)
+        est = s_hat / np.where(mu > 1e-6, mu, 1.0)
         gmi4d = sum(map(gmi_bits_per_2d, prior_free, decoded_bits))
-        rec = IterationMetrics(
+        records.append(IterationMetrics(
             turbo_iteration=it,
             post_fec_ber=ber,
-            snr_db=effective_snr(frame.symbols[:, decoded_pos], s_hat / bias),
+            snr_db=effective_snr(frame.symbols[:, decoded_pos], est),
             gmi_bits_per_4d_symbol=gmi4d,
             n_bits_counted=n_bits,
-        )
-        records.append(rec)
+        ))
         priors = app.reshape(2, -1)[:, frame.order].reshape(2, -1, q)[:, decoded]
-        # stop once the decoded blocks pass parity and the equalizer SNR has
-        # saturated
-        if all_ok and it >= 2 and abs(rec.snr_db - records[-2].snr_db) < 0.01:
-            break
+        # stop once the decoded blocks pass parity and the equalizer output,
+        # scored against the decoder's own decisions, has saturated
+        if all_ok and it >= 2:
+            decisions = cst.map_bits(priors > 0, c).reshape(2, -1)
+            if abs(effective_snr(decisions, est) - effective_snr(decisions, last_est)) < 0.01:
+                break
+            del decisions  # free it before the next iteration's passes
+        last_est = est
     return records

@@ -3,7 +3,6 @@ multiplexing and channel-of-interest extraction with FFT resampling."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -209,41 +208,13 @@ def _crop_spectrum(spec: np.ndarray, out: np.ndarray) -> None:
     out[len(out) - m // 2 :] = spec[len(spec) - m // 2 :]
 
 
-def wdm_mux(
-    channels: Iterable[DualPolSignal], n_channels: int, spacing_hz: float
-) -> DualPolSignal:
-    """Sum of ``n_channels`` equally long frequency-shifted channels, the
-    center one at 0 Hz. The channels are taken one at a time and checked as
-    they arrive, so a generator that shapes each one on demand keeps a
-    single channel alive beside the sum."""
-    if n_channels < 1:
-        raise WaveformError("no channels")
-    center = (n_channels - 1) / 2.0
-    # counted by hand, and each channel deleted once added: enumerate's
-    # reused tuple or a live loop name would keep it alive while the
-    # iterator makes the next
-    i = 0
-    for ch in channels:
-        if i == 0:
-            fs, n = ch.sample_rate, len(ch)
-            if (n_channels - 1) * spacing_hz >= fs:
-                raise WaveformError("aggregate WDM band exceeds the sampling bandwidth")
-            t = np.arange(n) / fs
-            out = np.zeros((2, n), dtype=complex)
-        elif i == n_channels:
-            raise WaveformError(f"more than {n_channels} channels")
-        elif abs(ch.sample_rate - fs) > 1e-6:
-            raise WaveformError("channels must share a sample rate")
-        elif len(ch) != n:
-            raise WaveformError("channels must share a length")
-        shift = np.exp(2j * np.pi * ((i - center) * spacing_hz) * t)
-        for p in range(2):  # one row's product at a time
-            out[p] += ch.fields[p] * shift
-        del ch, shift
-        i += 1
-    if i != n_channels:
-        raise WaveformError(f"{i} of {n_channels} channels")
-    return DualPolSignal(fields=out, sample_rate=fs)
+def wdm_mux(wdm: DualPolSignal, ch: DualPolSignal, offset_hz: float) -> None:
+    """Add channel ``ch``, shifted by ``offset_hz``, into the sum ``wdm`` in place.
+    Both share ``wdm``'s sample rate and length; the caller keeps the band unaliased."""
+    t = np.arange(len(wdm)) / wdm.sample_rate
+    shift = np.exp(2j * np.pi * offset_hz * t)
+    for p in range(2):  # one row's product at a time
+        wdm.fields[p] += ch.fields[p] * shift
 
 
 def select_channel(

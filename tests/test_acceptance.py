@@ -408,10 +408,9 @@ class TestGmiOracle:
 # 6. synthetic end-to-end turbo gain
 
 
-@pytest.fixture(scope="module")
-def synthetic_turbo_run():
-    """Seeded 3-tap time-varying ISI channel at an operating point where the
-    plain demapper leaves residual post-FEC errors."""
+def synthetic_turbo_input():
+    """(received, frame, code): a seeded 3-tap time-varying ISI channel at an
+    operating point where the plain demapper leaves residual post-FEC errors."""
     c = build_constellation(4)
     code = _load_code("rate45_n2048")
     rng = np.random.default_rng(60)
@@ -427,6 +426,12 @@ def synthetic_turbo_run():
         frame.symbols, mimo_channel(), DELAY, 0.12,
         np.random.default_rng(61), rotation=rot,
     )
+    return r, frame, code
+
+
+@pytest.fixture(scope="module")
+def synthetic_turbo_run():
+    r, frame, code = synthetic_turbo_input()
     t0 = time.perf_counter()
     recs = turbo_loop(r, frame, 4, code)
     return recs, time.perf_counter() - t0
@@ -456,6 +461,21 @@ class TestSyntheticTurboGain:
     def test_runtime(self, synthetic_turbo_run):
         _, elapsed = synthetic_turbo_run
         assert elapsed < 300.0
+
+    def test_stop_rule_reads_no_transmitted_symbols(self, synthetic_turbo_run):
+        # the loop stops on the receiver's own evidence: with the symbols
+        # sent at the decoded instants unknown (NaN, so every SNR it reports
+        # is NaN), it ends at the same iteration with the same decodes
+        recs, _ = synthetic_turbo_run
+        r, frame, code = synthetic_turbo_input()
+        frame.symbols[:, frame.data_positions[frame.n_known_data :]] = np.nan
+        blind = turbo_loop(r, frame, 4, code)
+        assert len(recs) == len(blind) == 4
+        assert all(np.isnan(b.snr_db) for b in blind)
+        for b, rec in zip(blind, recs):
+            assert (b.post_fec_ber, b.gmi_bits_per_4d_symbol) == (
+                rec.post_fec_ber, rec.gmi_bits_per_4d_symbol,
+            )
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from turbowdm.harness import (
 from turbowdm.metrics import MetricsRecord, read_records_ndjson
 from turbowdm.sync_dsp import SyncError, nlms_equalize
 from turbowdm.turbo import TurboError
-from turbowdm.waveform import DualPolSignal, WaveformError, build_frame, rrc_shape, wdm_mux
+from turbowdm.waveform import DualPolSignal, build_frame, rrc_shape
 
 TINY_CFG = """
 [campaign]
@@ -121,7 +121,7 @@ class TestConfig:
             if name == "n_wdm_channels":
                 return value + 2  # odd: a centre channel
             if name == "modulation":
-                return value * 4  # a square QAM order
+                return value // 4  # a square QAM order whose 4 bits divide 19 * 20
             if name == "code_file":
                 return "toy_n20"  # a bundled code
             if isinstance(value, tuple):  # longer, without a repeated value
@@ -340,20 +340,17 @@ class TestConfig:
         [(5, 2, 37.5e9, False), (5, 4, 32e9, False), (5, 5, 37.5e9, True), (3, 4, 37.5e9, True)],
     )
     def test_wdm_band_checked_at_load(self, n_ch, sps, spacing, fits):
-        # wdm_mux's rule, checked when the config loads: the first case
-        # loaded and then failed every cell in wdm_mux; the second sits on
-        # the limit, where the outer channels alias onto each other
+        # the grid must fit the sampling bandwidth, checked when the config
+        # loads: the first case once loaded and then failed every cell; the
+        # second sits on the limit, where the outer channels alias onto each
+        # other
         desk = load_config("desk.cfg")
-        sig = DualPolSignal(np.zeros((2, 8), dtype=complex), sps * desk.baud)
         grid = dict(n_wdm_channels=n_ch, tx_samples_per_symbol=sps, grid_spacing_hz=spacing)
         if fits:
             dataclasses.replace(desk, **grid)
-            wdm_mux([sig] * n_ch, n_ch, spacing)
         else:
             with pytest.raises(HarnessError, match="aggregate WDM band"):
                 dataclasses.replace(desk, **grid)
-            with pytest.raises(WaveformError, match="aggregate WDM band"):
-                wdm_mux([sig] * n_ch, n_ch, spacing)
 
     @pytest.mark.parametrize("rate", [0.0, -0.05, 0.51, 1.0])
     def test_unusable_pilot_rate_rejected(self, rate):
@@ -375,6 +372,8 @@ class TestConfig:
             ("[campaign]\nbaud = -1\n", "baud"),
             ("[campaign]\nbaud = 0\n", "baud"),
             ("[campaign]\ncode_file = no_such_code\n", "no_such_code"),
+            # 4 blocks of n = 2048 bits fill no whole number of 64-QAM symbols
+            ("[campaign]\nn_blocks = 4\n", "n_blocks"),
             ("[campaign]\ndecoder_iters = -1\n", "decoder_iters"),
             ("[campaign]\ndecoder_iters = 0\n", "decoder_iters"),
             ("[fiber]\nalpha_db_per_km = -0.2\n", "alpha_db_per_km must be >= 0"),
@@ -405,7 +404,15 @@ class TestConfig:
         # the receiver needs one block after the training blocks to decode
         with pytest.raises(HarnessError, match="n_train_blocks"):
             CampaignConfig(n_blocks=3, n_train_blocks=3)
-        CampaignConfig(n_blocks=4, n_train_blocks=3)
+        CampaignConfig(n_blocks=6, n_train_blocks=3)
+
+    @pytest.mark.parametrize("text", ["", "4\n0 1 2 3\n", "4 1 1\n0 1 2 3\n", "n m\n"])
+    def test_malformed_code_header_rejected(self, tmp_path, text):
+        # the load reads the code length off the header line "n m"
+        code = tmp_path / "code.txt"
+        code.write_text(text)
+        with pytest.raises(HarnessError, match="header"):
+            CampaignConfig(code_file=str(code))
 
 
 def test_load_code_cached_per_process():
@@ -461,7 +468,16 @@ def list_transmitter(cfg, power_dbm, rng, code, order):
         channels.append(rrc_shape(frame, cfg.tx_samples_per_symbol, cfg.rolloff))
     p_w = 1e-3 * 10.0 ** (power_dbm / 10.0)
     channels = [ch.scaled(np.sqrt(p_w / ch.power())) for ch in channels]
-    return wdm_mux(channels, len(channels), cfg.grid_spacing_hz), frame_coi
+    # the multiplex as first written: one time vector, the centre channel at 0 Hz
+    fs, n = channels[0].sample_rate, len(channels[0])
+    center = (len(channels) - 1) / 2.0
+    t = np.arange(n) / fs
+    out = np.zeros((2, n), dtype=complex)
+    for i, ch in enumerate(channels):
+        shift = np.exp(2j * np.pi * ((i - center) * cfg.grid_spacing_hz) * t)
+        for p in range(2):
+            out[p] += ch.fields[p] * shift
+    return DualPolSignal(fields=out, sample_rate=fs), frame_coi
 
 
 class TestTransmit:
