@@ -21,6 +21,15 @@ class FecError(ValueError):
     pass
 
 
+def code_header(path: str | Path) -> tuple[int, int]:
+    """(n, m) off the first line of the parity file at ``path``, building no code."""
+    with Path(path).open() as f:
+        head = f.readline().split()
+    if len(head) != 2 or not all(map(str.isdigit, head)):
+        raise FecError(f"header line {' '.join(head)!r} is not 'n m'")
+    return int(head[0]), int(head[1])
+
+
 _CHUNK = 256  # rows per table update: its temporaries stay under 1 MB at n = 20480
 
 
@@ -151,8 +160,8 @@ class LdpcCode:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LdpcCode":
+        n, m = code_header(path)
         lines = Path(path).read_text().splitlines()
-        n, m = (int(t) for t in lines[0].split())
         if len(lines) - 1 < m:
             raise FecError(f"header states {m} rows, file has {len(lines) - 1}")
         if any(line.strip() for line in lines[m + 1 :]):

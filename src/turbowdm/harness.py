@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fiber as fib
 from .constellation import ConstellationError, build_constellation
-from .fec import LdpcCode, frame_order
+from .fec import FecError, LdpcCode, code_header, frame_order
 from .metrics import MetricsRecord
 from .sync_dsp import count_slips, ddpll, nlms_equalize
 from .turbo import TurboConfig, turbo_loop
@@ -112,11 +112,10 @@ class CampaignConfig:
             rrc_response(1, self.tx_samples_per_symbol, self.rolloff)
         except (ConstellationError, WaveformError) as exc:
             raise HarnessError(str(exc)) from exc
-        try:  # the code length n, from the header line "n m"
-            with _code_path(self.code_file).open() as f:
-                n, _ = map(int, f.readline().split())
-        except (OSError, ValueError) as exc:
-            raise HarnessError(f"code file {self.code_file!r}: no 'n m' header line") from exc
+        try:
+            n, _ = code_header(_code_path(self.code_file))
+        except (OSError, FecError) as exc:
+            raise HarnessError(f"code file {self.code_file!r}: {exc}") from exc
         if self.n_blocks * n % q:  # a frame's coded bits fill whole symbols
             raise HarnessError(f"n_blocks * n = {self.n_blocks * n} is not a multiple of q = {q}")
         # the channels' grid offsets must stay below the sampling bandwidth
@@ -270,6 +269,7 @@ def run_trial(
     wdm, frame_coi = transmit(cfg, power_dbm, rng, code, order)
 
     rx = fib.propagate_link(wdm, cfg.fiber, n_spans, seed=int(rng.integers(0, 2**63 - 1)))
+    del wdm  # the receiver needs only the propagated field
 
     # receiver front end, circular on one FFT grid: select at 2 sps, DBP or EDC, MF
     bw = cfg.baud * (1.0 + cfg.rolloff)

@@ -75,7 +75,7 @@ def count_slips(out: np.ndarray, frame: SymbolFrame) -> int:
     another quarter turn and stays there for at least two blocks."""
     k = _SLIP_PILOTS
     nb = int(frame.pilot_mask.sum()) // k
-    z = out[:, frame.pilot_mask] * np.conj(frame.pilot_symbols())
+    z = out[:, frame.pilot_mask] * np.conj(frame.symbols[:, frame.pilot_mask])
     phase = np.angle(z[:, : nb * k].reshape(2, nb, k).sum(axis=2))
     quarter = np.round(phase / (np.pi / 2)).astype(int) % 4
     held = quarter[:, 1:] == quarter[:, :-1]

@@ -252,7 +252,7 @@ def turbo_loop(
     c = frame.constellation
     q = c.q
     nb, n, n_train_blocks = frame.n_blocks, frame.block_len, frame.n_train_blocks
-    to_code = np.argsort(frame.order)
+    to_code = np.argsort(frame.order).reshape(nb, n)  # (block, code bit) -> frame bit
 
     # the data instants after the known prefix carry a bit of a decoded
     # block; the loop equalizes, demaps, decodes and measures them
@@ -263,15 +263,13 @@ def turbo_loop(
     # noise variance from pilot residuals of the unequalized stream
     sigma_n2 = float(np.mean(np.abs(received[:, pilot] - frame.symbols[:, pilot]) ** 2))
 
-    code_bits = frame.coded_bits[:, to_code].reshape(2, nb, n)
+    code_bits = frame.coded_bits[:, to_code]
     # (2, decoded blocks, k) info bits the decoder must return
     true_info = code_bits[:, n_train_blocks:, code.info_positions]
     # the receiver knows the training blocks, so it decodes only the others;
     # the known bits' a-posteriori L-values (L = ln P(1)/P(0)) are certain
     app = np.empty((2, nb, n))
     app[:, :n_train_blocks] = np.where(code_bits[:, :n_train_blocks] == 1, L_MAX, -L_MAX)
-    # the known entries are certain and never change; the priors set the others
-    means, variances = frame.symbols.copy(), np.zeros((2, m))
 
     records: list[IterationMetrics] = []
     priors = None  # (2, decoded symbols, q) decoder L-values of their bits
@@ -284,6 +282,8 @@ def turbo_loop(
 
     for it in range(n_iters + 1):
         if it > 0:
+            if it == 1:  # the known entries are certain; the priors set the others
+                means, variances = frame.symbols.copy(), np.zeros((2, m))
             for lo in range(0, nd, CHUNK):
                 at = decoded_pos[lo : lo + CHUNK]
                 pr = cst.symbol_priors(priors[:, lo : lo + CHUNK], c)
@@ -304,13 +304,13 @@ def turbo_loop(
                 s_hat[:, at], mu[:, at], nu2, None if priors is None else priors[:, at], c
             )
 
+        track = rls_err = None  # rebuilt each iteration: free them before the decode
         # decode the blocks the receiver does not know
         dec_info = np.empty_like(true_info)
         all_ok = True
-        blocks = llrs.reshape(2, -1)[:, to_code].reshape(2, nb, n)
         for p in range(2):
             for b in range(n_train_blocks, nb):
-                app[p, b], hard, ok, _ = decode(blocks[p, b], code)
+                app[p, b], hard, ok, _ = decode(llrs.reshape(2, -1)[p, to_code[b]], code)
                 dec_info[p, b - n_train_blocks] = hard[code.info_positions]
                 all_ok &= ok
 
@@ -324,7 +324,7 @@ def turbo_loop(
             gmi_bits_per_4d_symbol=gmi4d,
             n_bits_counted=n_bits,
         ))
-        priors = app.reshape(2, -1)[:, frame.order].reshape(2, -1, q)[:, decoded]
+        priors = app.reshape(2, -1)[:, frame.order[frame.n_known_data * q :]].reshape(2, nd, q)
         # stop once the decoded blocks pass parity and the equalizer output,
         # scored against the decoder's own decisions, has saturated
         if all_ok and it >= 2:

@@ -90,9 +90,6 @@ class SymbolFrame:
         known[self.data_positions[: self.n_known_data]] = True
         return known
 
-    def pilot_symbols(self) -> np.ndarray:
-        return self.symbols[:, self.pilot_mask]
-
 
 def pilot_positions(n_data: int, pilot_rate: float) -> np.ndarray:
     """Boolean mask over instants: fixed-stride pilots between data symbols."""

@@ -9,6 +9,7 @@ from turbowdm.fec import (
     STALL,
     FecError,
     LdpcCode,
+    code_header,
     decode,
     frame_order,
 )
@@ -210,6 +211,18 @@ class TestParityFile:
         # blank lines after the rows are not rows
         p.write_text("4 1\n0 1\n\n \n")
         assert LdpcCode.from_file(p).check_rows == [[0, 1]]
+
+    @pytest.mark.parametrize("text", ["", "4\n0 1\n", "4 1 1\n0 1\n", "n m\n", "4 -1\n"])
+    def test_malformed_header(self, tmp_path, text):
+        # one reader of the header line "n m" serves the load and the config
+        p = tmp_path / "header.txt"
+        p.write_text(text)
+        with pytest.raises(FecError, match="header line"):
+            code_header(p)
+        with pytest.raises(FecError, match="header line"):
+            LdpcCode.from_file(p)
+        p.write_text("4 1\n0 1\n")
+        assert code_header(p) == (4, 1)
 
     def test_empty_last_row_kept(self, tmp_path):
         p = tmp_path / "empty_row.txt"
