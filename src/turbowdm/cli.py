@@ -66,7 +66,11 @@ def cmd_tables(args) -> int:
         return _error(f"{args.results}: {exc}")
     if not records:
         return _error(f"{args.results}: no records")
-    print(harness.emit_tables(harness.aggregate(records), Path(args.out)))
+    try:
+        path = harness.emit_tables(harness.aggregate(records), Path(args.out))
+    except OSError as exc:  # --out is a file, or a place that cannot hold one
+        return _error(exc)
+    print(path)
     return 0
 
 

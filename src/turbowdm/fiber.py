@@ -99,11 +99,10 @@ def _ssfm(
     gamma: float,
     alpha: float,
 ) -> np.ndarray:
-    """Symmetric split-step over one fiber section; fields shape (2, n).
-
-    The field and its spectrum share one buffer that ``np.fft`` transforms
-    in place (``out=``); the half-step operators are built once per
-    distinct step length.
+    """Symmetric split-step over one fiber section, in place: ``fields``
+    (complex, shape (2, n)) holds the field, then its spectrum, then the
+    output, which is returned. ``np.fft`` transforms it with ``out=``; the
+    half-step operators are built once per distinct step length.
     Output is bit for bit that of the textbook loop kept in the tests.
     """
     _keep_fft_scratch_on_heap()
@@ -119,7 +118,7 @@ def _ssfm(
     # the rotation exp(-j*(8/9)*gamma*P*dz) has a zero real exponent, so
     # cos + j*sin of theta = ((-(8/9)*gamma)*P)*dz gives the same bits
     k_nl = -MANAKOV_FACTOR * gamma
-    a = np.fft.fft(fields, axis=1)
+    a = np.fft.fft(fields, axis=1, out=fields)
     for dz in steps:
         half = halves[dz]
         a *= half
@@ -139,50 +138,6 @@ def _ssfm(
     return a
 
 
-def propagate_span(signal: DualPolSignal, p: FiberParams) -> DualPolSignal:
-    """One span of forward Manakov propagation (no amplification)."""
-    out = _ssfm(
-        signal.fields,
-        signal.sample_rate,
-        p.span_km * 1e3,
-        p.step_m,
-        p.beta2_s2_per_m,
-        p.gamma_per_w_m,
-        p.alpha_per_m,
-    )
-    return replace(signal, fields=out)
-
-
-def amplify(
-    signal: DualPolSignal,
-    gain_db: float,
-    nf_db: float | None,
-    wavelength_nm: float,
-    seed: int | None = None,
-) -> DualPolSignal:
-    """Flat-gain EDFA with additive circular Gaussian ASE per polarization.
-
-    The ASE PSD per polarization is (G-1)*h*nu*NF/2 [W/Hz], nu the optical
-    frequency at ``wavelength_nm``; the noise variance added to the sampled
-    field is PSD * sample_rate. ``nf_db=None`` disables noise.
-    """
-    if gain_db < 0:
-        raise FiberError("gain must be nonnegative")
-    g = 10.0 ** (gain_db / 10.0)
-    out = signal.scaled(np.sqrt(g))
-    if nf_db is None:
-        return out
-    nu = C_LIGHT / (wavelength_nm * 1e-9)
-    psd = (g - 1.0) * H_PLANCK * nu * 10.0 ** (nf_db / 10.0) / 2.0
-    sigma2 = psd * signal.sample_rate
-    # the normals fill re, im of each sample in turn, as a (2, n, 2) draw
-    noise = np.empty((2, len(signal)), dtype=complex)
-    np.random.default_rng(seed).standard_normal(out=noise.view(float))
-    noise *= np.sqrt(sigma2 / 2.0)
-    out.fields += noise
-    return out
-
-
 def propagate_link(
     signal: DualPolSignal,
     p: FiberParams,
@@ -190,19 +145,39 @@ def propagate_link(
     seed: int | None = None,
     ase: bool = True,
 ) -> DualPolSignal:
-    """Multi-span link: span propagation followed by a loss-compensating EDFA."""
+    """Multi-span link, in place: each span's split-step, then a flat-gain
+    EDFA that makes up the span loss, overwrite ``signal.fields``, and
+    ``signal`` itself is returned.
+
+    The EDFA adds circular Gaussian ASE per polarization of PSD
+    (G-1)*h*nu*NF/2 [W/Hz], nu the optical frequency at the centre
+    wavelength; the noise variance added to the sampled field is
+    PSD * sample_rate. ``ase=False`` adds none.
+    """
+    if p.span_gain_db < 0:
+        raise FiberError("gain must be nonnegative")
+    g = 10.0 ** (p.span_gain_db / 10.0)
+    nu = C_LIGHT / (p.center_wavelength_nm * 1e-9)
+    psd = (g - 1.0) * H_PLANCK * nu * 10.0 ** (p.nf_db / 10.0) / 2.0
+    sigma = np.sqrt(psd * signal.sample_rate / 2.0)
     rng = np.random.default_rng(seed)
-    out = signal
+    fields = signal.fields
     for _ in range(n_spans):
-        out = propagate_span(out, p)
-        out = amplify(
-            out,
-            p.span_gain_db,
-            p.nf_db if ase else None,
-            p.center_wavelength_nm,
-            seed=int(rng.integers(0, 2**63 - 1)),
+        _ssfm(
+            fields, signal.sample_rate, p.span_km * 1e3, p.step_m,
+            p.beta2_s2_per_m, p.gamma_per_w_m, p.alpha_per_m,
         )
-    return out
+        fields *= np.sqrt(g)
+        if ase:
+            span_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
+            # one row at a time; the normals fill re, im of each sample in turn
+            noise = np.empty(len(signal), dtype=complex)
+            for row in fields:
+                span_rng.standard_normal(out=noise.view(float))
+                noise *= sigma
+                row += noise
+            del noise  # not alive during the next split-step
+    return signal
 
 
 def edc(signal: DualPolSignal, p: FiberParams, n_spans: int) -> DualPolSignal:
@@ -224,19 +199,15 @@ def dbp(
     ``n_spans`` spans.
 
     Walks the spans in reverse: undoes the EDFA gain, then runs symmetric
-    SSFM with negated attenuation, dispersion, and nonlinearity.
+    SSFM with negated attenuation, dispersion, and nonlinearity. Works on
+    one copy of ``signal.fields``, so ``signal`` is left as it was.
     """
-    fields = signal.fields
+    fields = signal.fields.copy()  # the selected channel serves every mode
     g_amp = np.sqrt(10.0 ** (p.span_gain_db / 10.0))
     for _ in range(n_spans):
-        fields = fields / g_amp
-        fields = _ssfm(
-            fields,
-            signal.sample_rate,
-            p.span_km * 1e3,
-            step_m,
-            -p.beta2_s2_per_m,
-            -p.gamma_per_w_m,
-            -p.alpha_per_m,
+        fields /= g_amp
+        _ssfm(
+            fields, signal.sample_rate, p.span_km * 1e3, step_m,
+            -p.beta2_s2_per_m, -p.gamma_per_w_m, -p.alpha_per_m,
         )
     return replace(signal, fields=fields)

@@ -269,7 +269,7 @@ def run_trial(
     wdm, frame_coi = transmit(cfg, power_dbm, rng, code, order)
 
     rx = fib.propagate_link(wdm, cfg.fiber, n_spans, seed=int(rng.integers(0, 2**63 - 1)))
-    del wdm  # the receiver needs only the propagated field
+    del wdm  # the same object as rx: select_channel's output must replace it
 
     # receiver front end, circular on one FFT grid: select at 2 sps, DBP or EDC, MF
     bw = cfg.baud * (1.0 + cfg.rolloff)

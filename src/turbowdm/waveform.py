@@ -35,9 +35,6 @@ class DualPolSignal:
         """Total average power, both polarizations."""
         return float(np.mean(np.sum(np.abs(self.fields) ** 2, axis=0)))
 
-    def scaled(self, factor: float) -> "DualPolSignal":
-        return replace(self, fields=self.fields * factor)
-
 
 @dataclass
 class SymbolFrame:

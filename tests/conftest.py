@@ -2,6 +2,7 @@
 
 import importlib.util
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,3 +62,9 @@ def x_rel_err(out, ref):
     relative to the power of ``ref``."""
     x, x_ref = out.fields[0], ref.fields[0]
     return np.mean(np.abs(x - x_ref) ** 2) / np.mean(np.abs(x_ref) ** 2)
+
+
+def copied(sig):
+    """``sig`` with its own copy of the fields, for a stage that writes
+    into its input (``fiber.propagate_link``)."""
+    return replace(sig, fields=sig.fields.copy())

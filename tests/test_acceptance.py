@@ -17,7 +17,7 @@ import pytest
 
 from turbowdm.constellation import build_constellation, extrinsic_llrs, map_bits
 from turbowdm.fec import frame_order
-from turbowdm.fiber import FiberParams, dbp, propagate_link, propagate_span
+from turbowdm.fiber import FiberParams, dbp, propagate_link
 from turbowdm.harness import (
     _load_code,
     load_config,
@@ -29,7 +29,7 @@ from turbowdm.metrics import effective_snr, gmi_bits_per_2d
 from turbowdm.turbo import lmmse_equalize, rls_estimate, turbo_loop
 from turbowdm.waveform import DualPolSignal, build_frame, matched_filter, rrc_shape
 
-from conftest import mimo_channel, qpsk_stream
+from conftest import copied, mimo_channel, qpsk_stream
 
 DELAY = 1  # decision delay (L + 1) // 2 at rls_estimate's default memory L = 2
 
@@ -278,7 +278,7 @@ class TestPropagationPhysics:
         amp = np.sqrt(power / 2.0)
         n = 256
         sig = DualPolSignal(fields=np.full((2, n), amp, dtype=complex), sample_rate=64e9)
-        out = propagate_span(sig, p)
+        out = propagate_link(copied(sig), p, 1, ase=False)
         expect = -(8.0 / 9.0) * p.gamma_per_w_m * power * p.span_km * 1e3
         np.testing.assert_allclose(np.angle(out.fields / sig.fields), expect, atol=1e-3)
         assert time.perf_counter() - t0 < 120.0
@@ -292,7 +292,7 @@ class TestPropagationPhysics:
         t_in = 20e-12
         field = np.exp(-(t**2) / (2.0 * t_in**2)).astype(complex)
         sig = DualPolSignal(fields=np.stack([field, field]), sample_rate=fs)
-        out = propagate_span(sig, p)
+        out = propagate_link(sig, p, 1, ase=False)
         z = p.span_km * 1e3
         expect = t_in * np.sqrt(1.0 + (p.beta2_s2_per_m * z / t_in**2) ** 2)
         inten = np.abs(out.fields[0]) ** 2
@@ -316,7 +316,7 @@ class TestPropagationPhysics:
         fields = np.fft.ifft(spec, axis=1)
         fields *= np.sqrt(5e-3 / np.mean(np.abs(fields) ** 2) / 2.0)
         sig = DualPolSignal(fields=fields, sample_rate=128e9)
-        out = propagate_span(sig, p)
+        out = propagate_link(copied(sig), p, 1, ase=False)
         assert abs(out.power() - sig.power()) / sig.power() < 1e-6
         assert time.perf_counter() - t0 < 120.0
 
@@ -330,7 +330,7 @@ class TestPropagationPhysics:
         frame = build_frame(bits, np.arange(n_sym * c.q), 0, c, 0.0, seed=41, symbol_rate=32e9)
         sig = rrc_shape(frame, 4, 0.1)
         p_w = 10 ** (2.0 / 10.0) * 1e-3  # 2 dBm launch
-        sig = sig.scaled(np.sqrt(p_w / sig.power()))
+        sig = dataclasses.replace(sig, fields=sig.fields * np.sqrt(p_w / sig.power()))
         p = FiberParams(step_m=1000.0)
         rx = propagate_link(sig, p, n_spans=10, ase=False)
         rec = matched_filter(dbp(rx, p, 10, 10e3), 0.1, 32e9)

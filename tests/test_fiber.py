@@ -2,6 +2,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,15 +18,13 @@ from turbowdm.fiber import (
     FiberParams,
     _ssfm,
     _steps,
-    amplify,
     dbp,
     edc,
     propagate_link,
-    propagate_span,
 )
 from turbowdm.waveform import DualPolSignal
 
-from conftest import x_rel_err
+from conftest import copied, x_rel_err
 
 
 def bandlimited_signal(n=4096, band=300, fs=128e9, seed=0, power_w=1e-3):
@@ -38,7 +37,16 @@ def bandlimited_signal(n=4096, band=300, fs=128e9, seed=0, power_w=1e-3):
         spec[-band:] = rng.standard_normal(band) + 1j * rng.standard_normal(band)
         fields[p] = np.fft.ifft(spec)
     sig = DualPolSignal(fields=fields, sample_rate=fs)
-    return sig.scaled(np.sqrt(power_w / sig.power()))
+    return replace(sig, fields=sig.fields * np.sqrt(power_w / sig.power()))
+
+
+def lossy_span(sig, p):
+    """One span of ``p`` without the amplifier, on a copy of ``sig``."""
+    fields = _ssfm(
+        sig.fields.copy(), sig.sample_rate, p.span_km * 1e3, p.step_m,
+        p.beta2_s2_per_m, p.gamma_per_w_m, p.alpha_per_m,
+    )
+    return DualPolSignal(fields=fields, sample_rate=sig.sample_rate)
 
 
 class TestParams:
@@ -64,7 +72,7 @@ class TestNonlinearPhase:
         amp = np.sqrt(power / 2.0)
         n = 256
         sig = DualPolSignal(fields=np.full((2, n), amp, dtype=complex), sample_rate=64e9)
-        out = propagate_span(sig, p)
+        out = propagate_link(copied(sig), p, 1, ase=False)
         expect = -(8.0 / 9.0) * p.gamma_per_w_m * power * p.span_km * 1e3
         np.testing.assert_allclose(np.angle(out.fields[0] / sig.fields[0]), expect, atol=1e-9)
         np.testing.assert_allclose(np.abs(out.fields[0]), amp, atol=1e-12)
@@ -78,20 +86,20 @@ class TestNonlinearPhase:
             fields=np.array([[np.sqrt(power)], [1e-6]], dtype=complex).repeat(n, axis=1),
             sample_rate=64e9,
         )
-        out = propagate_span(sig, p)
+        out = propagate_link(copied(sig), p, 1, ase=False)
         expect = -(8.0 / 9.0) * p.gamma_per_w_m * power * p.span_km * 1e3
         np.testing.assert_allclose(np.angle(out.fields[1] / sig.fields[1]), expect, atol=1e-6)
 
     def test_lossless_energy_conserved(self):
         p = FiberParams(alpha_db_per_km=0.0, step_m=500.0)
         sig = bandlimited_signal(power_w=5e-3)
-        out = propagate_span(sig, p)
+        out = propagate_link(copied(sig), p, 1, ase=False)
         assert abs(out.power() - sig.power()) / sig.power() < 1e-12
 
     def test_loss_scales_power(self):
         p = FiberParams(step_m=500.0)
         sig = bandlimited_signal(power_w=1e-3)
-        out = propagate_span(sig, p)
+        out = lossy_span(sig, p)
         assert abs(out.power() / sig.power() - 0.1) < 1e-6
 
 
@@ -105,7 +113,7 @@ class TestDispersion:
         t0 = 20e-12
         field = np.exp(-(t**2) / (2.0 * t0**2)).astype(complex)
         sig = DualPolSignal(fields=np.stack([field, field]), sample_rate=fs)
-        out = propagate_span(sig, p)
+        out = propagate_link(sig, p, 1, ase=False)
         z = p.span_km * 1e3
         expect = t0 * np.sqrt(1.0 + (p.beta2_s2_per_m * z / t0**2) ** 2)
         # measured rms width of |E|^2 equals T1/sqrt(2) for a Gaussian
@@ -117,7 +125,7 @@ class TestDispersion:
     def test_edc_inverts_linear_link(self):
         p = FiberParams(gamma_per_w_km=0.0, step_m=1000.0)
         sig = bandlimited_signal(power_w=1e-3, seed=2)
-        out = propagate_link(sig, p, n_spans=3, ase=False)
+        out = propagate_link(copied(sig), p, n_spans=3, ase=False)
         rec = edc(out, p, 3)
         err = x_rel_err(rec, sig)
         assert err < 1e-20
@@ -140,12 +148,15 @@ def test_constants_are_scipy_codata():
 
 class TestAse:
     def test_noise_variance_matches_psd(self):
-        gain_db, nf_db, fs = 10.0, 4.5, 128e9
+        # the split-step keeps a zero field exactly zero, so the link's
+        # output is one amplifier's noise
+        p = FiberParams(step_m=50e3)
+        gain_db, nf_db, fs = p.span_gain_db, p.nf_db, 128e9
         n = 1 << 18
         zero = DualPolSignal(fields=np.zeros((2, n), dtype=complex), sample_rate=fs)
-        out = amplify(zero, gain_db, nf_db, 1550.0, seed=4)
+        out = propagate_link(zero, p, 1, seed=4)
         g = 10.0 ** (gain_db / 10.0)
-        nu = C_LIGHT / 1550e-9
+        nu = C_LIGHT / (p.center_wavelength_nm * 1e-9)
         sigma2 = (g - 1.0) * H_PLANCK * nu * 10.0 ** (nf_db / 10.0) / 2.0 * fs
         for v in out.fields:
             assert abs(np.mean(np.abs(v) ** 2) - sigma2) / sigma2 < 0.02
@@ -153,20 +164,23 @@ class TestAse:
         assert abs(np.mean(out.fields[0].real * out.fields[0].imag)) < 0.01 * sigma2
 
     def test_gain(self):
+        # the amplifier makes up the span loss
+        p = FiberParams(step_m=5000.0)
         sig = bandlimited_signal(power_w=1e-3, seed=5)
-        out = amplify(sig, 10.0, None, 1550.0)
-        assert abs(out.power() - 10.0 * sig.power()) / sig.power() < 1e-9
+        out = propagate_link(copied(sig), p, 1, ase=False)
+        assert abs(out.power() - sig.power()) / sig.power() < 1e-9
 
     def test_seeded_reproducible(self):
+        p = FiberParams(step_m=5000.0)
         sig = bandlimited_signal(seed=6)
-        a = amplify(sig, 10.0, 4.5, 1550.0, seed=7)
-        b = amplify(sig, 10.0, 4.5, 1550.0, seed=7)
+        a = propagate_link(copied(sig), p, 1, seed=7)
+        b = propagate_link(copied(sig), p, 1, seed=7)
         np.testing.assert_array_equal(a.fields, b.fields)
 
     def test_negative_gain_rejected(self):
         sig = bandlimited_signal()
         with pytest.raises(FiberError):
-            amplify(sig, -1.0, None, 1550.0)
+            propagate_link(sig, FiberParams(alpha_db_per_km=-0.02), 1)
 
 
 class TestDbp:
@@ -175,7 +189,7 @@ class TestDbp:
         # forward propagation step-for-step
         p = FiberParams(step_m=500.0)
         sig = bandlimited_signal(power_w=4e-3, seed=8)
-        out = propagate_link(sig, p, n_spans=4, ase=False)
+        out = propagate_link(copied(sig), p, n_spans=4, ase=False)
         rec = dbp(out, p, 4, step_m=500.0)
         err = x_rel_err(rec, sig)
         assert err < 1e-20
@@ -183,7 +197,7 @@ class TestDbp:
     def test_coarse_steps_still_close(self):
         p = FiberParams(step_m=500.0)
         sig = bandlimited_signal(power_w=2e-3, seed=9)
-        out = propagate_link(sig, p, n_spans=2, ase=False)
+        out = propagate_link(copied(sig), p, n_spans=2, ase=False)
         rec = dbp(out, p, 2, step_m=10e3)
         err = x_rel_err(rec, sig)
         assert 10.0 * np.log10(err) < -35.0
@@ -195,18 +209,58 @@ class TestDbp:
         np.testing.assert_array_equal(out.fields, sig.fields)
 
 
+class TestInPlace:
+    def test_link_returns_its_input(self):
+        # the launch field becomes the received field: no second buffer
+        sig = bandlimited_signal(seed=14)
+        launch = sig.fields
+        out = propagate_link(sig, FiberParams(step_m=5000.0), 2, seed=1)
+        assert out is sig
+        assert np.shares_memory(out.fields, launch)
+
+    @pytest.mark.parametrize(
+        "stage",
+        [lambda s, p: edc(s, p, 2), lambda s, p: dbp(s, p, 2, 10e3)],
+        ids=["edc", "dbp"],
+    )
+    def test_compensation_leaves_its_input(self, stage):
+        # the receiver runs every mode of a draw on one selected channel
+        sig = bandlimited_signal(seed=15)
+        before = sig.fields.copy()
+        stage(sig, FiberParams())
+        assert np.array_equal(sig.fields, before)
+
+    def test_link_peak_memory(self):
+        # the split-step, the gain and one row of ASE at a time: the traced
+        # peak stays within three fields of the input's size whatever the
+        # span count (numpy reports its buffers to tracemalloc)
+        p = FiberParams(step_m=5000.0)
+        peaks = {}
+        for n_spans in (1, 2):
+            sig = bandlimited_signal(n=1 << 15, band=3000, seed=16)
+            tracemalloc.start()
+            try:
+                propagate_link(sig, p, n_spans, seed=2)
+                peaks[n_spans] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        field = sig.fields.nbytes
+        assert peaks[2] <= 3 * field
+        assert peaks[2] - peaks[1] <= field // 100
+
+
 class TestSteps:
     def test_bad_step(self):
         p = FiberParams(step_m=0.0)
         sig = bandlimited_signal()
         with pytest.raises(FiberError):
-            propagate_span(sig, p)
+            propagate_link(sig, p, 1, ase=False)
 
     def test_remainder_step_covers_span(self):
         # 50 km with 7 km steps: total distance still exactly one span
         p = FiberParams(alpha_db_per_km=0.0, gamma_per_w_km=0.0, step_m=7000.0)
         sig = bandlimited_signal(seed=12)
-        out = propagate_span(sig, p)
+        out = propagate_link(copied(sig), p, 1, ase=False)
         rec = edc(out, p, 1)
         err = x_rel_err(rec, sig)
         assert err < 1e-20
@@ -238,12 +292,12 @@ class TestSsfmOracle:
         fields = bandlimited_signal(n=n, power_w=1e-2, seed=13).fields
         before = fields.copy()
         args = (
-            fields, 128e9, length_m, 1000.0,
+            128e9, length_m, 1000.0,
             sign * p.beta2_s2_per_m, sign * p.gamma_per_w_m, sign * p.alpha_per_m,
         )
-        out = _ssfm(*args)
-        assert np.array_equal(out, reference_ssfm(*args))
-        assert np.array_equal(fields, before)
+        out = _ssfm(fields, *args)
+        assert out is fields  # transformed in place
+        assert np.array_equal(out, reference_ssfm(before, *args))
 
 
 def _has_mallopt() -> bool:
@@ -287,9 +341,9 @@ class TestSplitStepOrder:
         p = FiberParams()
         # +-50 GHz at 128 GS/s, 10 mW, one 50 km span
         sig = bandlimited_signal(n=4096, band=1600, fs=128e9, seed=21, power_w=10e-3)
-        ref = propagate_span(sig, replace(p, step_m=50.0)).fields
+        ref = lossy_span(sig, replace(p, step_m=50.0)).fields
         err = {
-            dz: np.linalg.norm(propagate_span(sig, replace(p, step_m=dz)).fields - ref)
+            dz: np.linalg.norm(lossy_span(sig, replace(p, step_m=dz)).fields - ref)
             for dz in (1000.0, 500.0)
         }
         assert err[1000.0] / err[500.0] >= 3.5

@@ -27,7 +27,7 @@ from turbowdm.harness import (
     run_campaign,
     run_trial,
 )
-from turbowdm.metrics import MetricsRecord, read_records_ndjson
+from turbowdm.metrics import MetricsRecord, read_records_ndjson, write_records_ndjson
 from turbowdm.sync_dsp import SyncError, nlms_equalize
 from turbowdm.turbo import TurboError
 from turbowdm.waveform import DualPolSignal, build_frame, rrc_shape
@@ -467,7 +467,9 @@ def list_transmitter(cfg, power_dbm, rng, code, order):
             frame_coi = frame
         channels.append(rrc_shape(frame, cfg.tx_samples_per_symbol, cfg.rolloff))
     p_w = 1e-3 * 10.0 ** (power_dbm / 10.0)
-    channels = [ch.scaled(np.sqrt(p_w / ch.power())) for ch in channels]
+    channels = [
+        dataclasses.replace(ch, fields=ch.fields * np.sqrt(p_w / ch.power())) for ch in channels
+    ]
     # the multiplex as first written: one time vector, the centre channel at 0 Hz
     fs, n = channels[0].sample_rate, len(channels[0])
     center = (len(channels) - 1) / 2.0
@@ -849,6 +851,11 @@ class TestCli:
             (["tables", "--results", "{tmp}/blank.ndjson"], "{tmp}/blank.ndjson: no records"),
             # an output path that is a file, before the campaign runs
             (["run", "--config", "desk.cfg", "--out", "{tmp}/afile"], "File exists: '{tmp}/afile'"),
+            # a table's output path that is a file, or lies under one
+            (["tables", "--results", "{tmp}/one.ndjson", "--out", "{tmp}/afile"],
+             "File exists: '{tmp}/afile'"),
+            (["tables", "--results", "{tmp}/one.ndjson", "--out", "{tmp}/afile/sub"],
+             "Not a directory: '{tmp}/afile/sub'"),
         ],
     )
     def test_bad_input_is_a_one_line_error(self, tmp_path, capsys, argv, named):
@@ -856,6 +863,7 @@ class TestCli:
         (tmp_path / "empty.ndjson").write_text("")
         (tmp_path / "blank.ndjson").write_text("\n  \n\n")
         (tmp_path / "afile").write_text("")
+        write_records_ndjson(tmp_path / "one.ndjson", [record()])
         argv = [a.format(tmp=tmp_path) for a in argv]
         named = named.format(tmp=tmp_path)
         # the last --out counts, so a case's own --out wins over this one

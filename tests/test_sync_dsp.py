@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,7 +147,8 @@ class TestNlms:
         # without pilots the frame's known instants are its training blocks
         # the untouched centred unit taps pass the normalized input through
         frame = make_frame(qpsk, pilot_rate=0.0, seed=10, training=training)
-        sig = stuffed_signal(frame).scaled(np.exp(0.3j))
+        sig = stuffed_signal(frame)
+        sig = replace(sig, fields=sig.fields * np.exp(0.3j))
         out = nlms_equalize(sig, frame)
         passthrough = sig.fields[:, ::2] / np.sqrt(sig.power() / 2.0)
         assert np.array_equal(out, passthrough) != training
