@@ -12,9 +12,13 @@ decoder over 48,506 instants) hold paper-sized arrays while the split-step
 stays short. The cell is narrowed with `dataclasses.replace` only. Prints
 the process's own peak RSS (`ru_maxrss`) and minor page faults
 (`ru_minflt`), the cell's wall time and the sha256 of its records as
-`records.ndjson` would hold them.
+`records.ndjson` would hold them, then the peak RSS as it stood when
+`harness.transmit` and when `fiber.propagate_link` returned
+(`peak_rss_mb.transmit`, `peak_rss_mb.propagate_link`), read by wrapping
+the two functions from this script: the rest is the receiver's.
 """
 
+import functools
 import hashlib
 import resource
 import sys
@@ -24,10 +28,30 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from turbowdm import harness  # noqa: E402
+from turbowdm import fiber, harness  # noqa: E402
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def noting_peak(fn, name: str, stages: dict):
+    """``fn``, which also stores the peak RSS under ``stages[name]`` when it returns."""
+
+    @functools.wraps(fn)
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        stages[name] = peak_rss_mb()
+        return out
+
+    return wrapped
 
 
 def main() -> int:
+    stages: dict[str, float] = {}
+    # run_trial looks both names up in their modules when it calls them
+    harness.transmit = noting_peak(harness.transmit, "transmit", stages)
+    fiber.propagate_link = noting_peak(fiber.propagate_link, "propagate_link", stages)
     cfg = harness.load_config("paper.cfg")
     cfg = replace(
         cfg,
@@ -49,6 +73,8 @@ def main() -> int:
     print(f"wall_s {wall:.1f}")
     print(f"snr_db {records[-1].snr_db:.4f}")
     print(f"records_sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+    for name, peak in stages.items():
+        print(f"peak_rss_mb.{name} {peak:.1f}")
     return 0
 
 

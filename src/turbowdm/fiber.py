@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .waveform import DualPolSignal
+from .waveform import DualPolSignal, spectral_filter
 
 C_LIGHT = 299792458.0  # speed of light in vacuum, m/s (exact in SI)
 H_PLANCK = 6.62607015e-34  # Planck constant, J s (exact in SI)
@@ -113,6 +113,7 @@ def _ssfm(
     halves = {
         dz: np.exp((1j * beta2 / 2.0 * w**2 - alpha / 2.0) * dz / 2.0) for dz in set(steps)
     }
+    del w  # its memory can serve mag2, rot and the FFT scratch
     mag2 = np.empty((2, n))
     rot = np.empty(n, dtype=complex)
     # the rotation exp(-j*(8/9)*gamma*P*dz) has a zero real exponent, so
@@ -183,10 +184,9 @@ def propagate_link(
 def edc(signal: DualPolSignal, p: FiberParams, n_spans: int) -> DualPolSignal:
     """All-pass frequency-domain inverse of the dispersion of ``n_spans``
     spans."""
-    n = len(signal)
-    w = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / signal.sample_rate)
+    w = 2.0 * np.pi * np.fft.fftfreq(len(signal), d=1.0 / signal.sample_rate)
     hmat = np.exp(-1j * p.beta2_s2_per_m / 2.0 * w**2 * (n_spans * p.span_km) * 1e3)
-    return replace(signal, fields=np.fft.ifft(np.fft.fft(signal.fields) * hmat))
+    return replace(signal, fields=spectral_filter(signal.fields, hmat))
 
 
 def dbp(

@@ -33,6 +33,7 @@ from .waveform import (
     rrc_response,
     rrc_shape,
     select_channel,
+    spectral_filter,
     wdm_mux,
 )
 
@@ -72,6 +73,12 @@ class CampaignConfig:
     base_seed: int = 1234
 
     def __post_init__(self):
+        # a nan or inf passes the range checks below and fails every cell late
+        values = asdict(self)
+        values |= {f"[fiber] {k}": v for k, v in values.pop("fiber").items()}
+        for key, value in values.items():
+            if any(isinstance(v, float) and not np.isfinite(v) for v in np.atleast_1d(value)):
+                raise HarnessError(f"{key} must be finite")
         for name in ("power_dbm_list", "span_list", "modes"):
             axis = getattr(self, name)  # a repeated value would run its cells twice
             if not axis or len(set(axis)) < len(axis):
@@ -287,10 +294,8 @@ def run_trial(
 
         if cfg.bypass_sync_dsp:
             # idealized front end: the matched-filter output cropped to 1 sps
-            # (a brick wall past the kept band: one at exactly the symbol rate
-            # can round the Nyquist bin away), then one static complex gain
-            # per polarization, no NLMS/CPR
-            symbols = select_channel(mf, 1.5 * cfg.baud, cfg.baud, 0.0).fields
+            # (flat 0.5), then one static complex gain per polarization
+            symbols = spectral_filter(mf.fields, np.full(len(mf) // 2, 0.5))
             pil = frame_coi.pilot_mask
             for p in range(2):
                 ref = frame_coi.symbols[p, pil]

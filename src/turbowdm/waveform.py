@@ -1,5 +1,5 @@
 """Symbol framing with pilots, RRC shaping/matched filtering, WDM
-multiplexing and channel-of-interest extraction with FFT resampling."""
+multiplexing and channel-of-interest extraction on one FFT-grid filter."""
 
 from __future__ import annotations
 
@@ -174,11 +174,8 @@ def rrc_shape(frame: SymbolFrame, samples_per_symbol: int, rolloff: float) -> Du
     unit energy and is centred on its symbol: sample ``i*sps`` is symbol
     instant ``i``, and the frame wraps circularly."""
     sps = samples_per_symbol
-    spec = np.tile(np.fft.fft(frame.symbols), sps)
-    spec *= np.sqrt(sps) * rrc_response(spec.shape[-1], sps, rolloff)
-    return DualPolSignal(
-        fields=np.fft.ifft(spec, out=spec), sample_rate=sps * frame.symbol_rate
-    )
+    h = np.sqrt(sps) * rrc_response(sps * frame.n_instants, sps, rolloff)
+    return DualPolSignal(spectral_filter(frame.symbols, h), sps * frame.symbol_rate)
 
 
 def matched_filter(signal: DualPolSignal, rolloff: float, symbol_rate: float) -> DualPolSignal:
@@ -188,18 +185,31 @@ def matched_filter(signal: DualPolSignal, rolloff: float, symbol_rate: float) ->
     if abs(sps - round(sps)) > 1e-9:
         raise WaveformError("sample rate is not an integer multiple of symbol rate")
     sps = round(sps)
-    spec = np.fft.fft(signal.fields)
-    spec *= np.sqrt(sps) * rrc_response(len(signal), sps, rolloff)
-    return replace(signal, fields=np.fft.ifft(spec, out=spec))
+    h = np.sqrt(sps) * rrc_response(len(signal), sps, rolloff)
+    return replace(signal, fields=spectral_filter(signal.fields, h))
 
 
-def _crop_spectrum(spec: np.ndarray, out: np.ndarray) -> None:
-    """Copy the lowest positive and negative frequencies of ``spec`` that
-    fit into the zeroed spectrum ``out``: of m = min(len(spec), len(out))
-    bins, (m + 1) // 2 from DC up and m // 2 below DC."""
-    m = min(len(spec), len(out))
-    out[: (m + 1) // 2] = spec[: (m + 1) // 2]
-    out[len(out) - m // 2 :] = spec[len(spec) - m // 2 :]
+def spectral_filter(fields: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """Each row of ``fields`` filtered on the FFT grid: its spectrum, resampled
+    to m = ``len(response)`` bins, times ``response``. A longer grid repeats
+    the spectrum (zeros stuffed between the samples); a shorter one keeps
+    (m + 1) // 2 bins from DC up and m // 2 below DC. Row by row, as one
+    (2, n) transform's scratch for both rows sets the peak memory at paper sizes."""
+    n, m = fields.shape[-1], len(response)
+    if m > n and m % n:
+        raise WaveformError(f"cannot repeat {n} bins onto {m}")
+    out = np.empty((len(fields), m), dtype=complex)
+    spec = np.empty(n, dtype=complex)
+    for row, res in zip(fields, out):
+        np.fft.fft(row, out=spec)
+        if m >= n:
+            res.reshape(-1, n)[:] = spec
+        else:
+            res[: (m + 1) // 2] = spec[: (m + 1) // 2]
+            res[(m + 1) // 2 :] = spec[n - m // 2 :]
+        res *= response
+        np.fft.ifft(res, out=res)
+    return out
 
 
 def wdm_mux(wdm: DualPolSignal, ch: DualPolSignal, offset_hz: float) -> None:
@@ -217,33 +227,24 @@ def select_channel(
     out_sample_rate: float,
     transition_hz: float,
 ) -> DualPolSignal:
-    """Band-pass filter the channel at 0 Hz and resample it to
-    ``out_sample_rate`` by cropping its spectrum. The filter is flat in its
-    passband with a raised-cosine transition to the stopband; a zero
-    ``transition_hz`` makes it a brick wall."""
+    """Band-pass filter the channel at 0 Hz and crop its spectrum to
+    ``out_sample_rate``, at most the input rate. The filter, flat in its
+    passband with a raised-cosine transition to the stopband (a brick wall
+    at zero ``transition_hz``), is built on the input grid, whose frequencies
+    the output grid's would not round alike, and cropped as the spectrum is."""
     fs = signal.sample_rate
     if bandwidth_hz >= fs:
         raise WaveformError("bandwidth exceeds sample rate")
     n = len(signal)
-    af = np.abs(np.fft.fftfreq(n, d=1.0 / fs))
-    half = bandwidth_hz / 2.0
-    mask = np.zeros(n)
-    mask[af <= half] = 1.0
-    trans = (af > half) & (af < half + transition_hz)
-    mask[trans] = 0.5 * (1.0 + np.cos(np.pi * (af[trans] - half) / transition_hz))
     ratio = out_sample_rate / fs
     n_out = int(round(n * ratio))
-    if abs(n * ratio - n_out) > 1e-6:
-        raise WaveformError("resampling ratio not commensurate with signal length")
-    out = np.zeros((2, n_out), dtype=complex)
+    if ratio > 1 or abs(n * ratio - n_out) > 1e-6:
+        raise WaveformError("output rate above the input rate or not commensurate with its length")
+    af = np.abs(np.fft.fftfreq(n, d=1.0 / fs))
+    half = bandwidth_hz / 2.0
+    mask = (af <= half).astype(float)
+    trans = (af > half) & (af < half + transition_hz)
+    mask[trans] = 0.5 * (1.0 + np.cos(np.pi * (af[trans] - half) / transition_hz))
     mask *= n_out / n  # keeps the amplitude across the shorter inverse FFT
-    # row by row and in place: a (2, n) transform allocates scratch for both
-    # rows at once, which sets the peak memory at paper-sized lengths; the
-    # mask and the resampling crop act on one spectrum
-    spec = np.empty(n, dtype=complex)
-    for v, spec_out in zip(signal.fields, out):
-        np.fft.fft(v, out=spec)
-        spec *= mask
-        _crop_spectrum(spec, spec_out)
-        np.fft.ifft(spec_out, out=spec_out)
-    return DualPolSignal(fields=out, sample_rate=out_sample_rate)
+    h = np.concatenate((mask[: (n_out + 1) // 2], mask[n - n_out // 2 :]))
+    return DualPolSignal(spectral_filter(signal.fields, h), out_sample_rate)

@@ -1,6 +1,7 @@
 """Fixtures and helpers that several test modules share."""
 
 import importlib.util
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -68,3 +69,18 @@ def copied(sig):
     """``sig`` with its own copy of the fields, for a stage that writes
     into its input (``fiber.propagate_link``)."""
     return replace(sig, fields=sig.fields.copy())
+
+
+def fft_spy(monkeypatch):
+    """A list that gets, for every later ``np.fft.fft`` and ``np.fft.ifft``
+    call, the number of dimensions of the transformed array and the name
+    of the calling function."""
+    seen = []
+    for name in ("fft", "ifft"):
+
+        def spy(a, *args, _fn=getattr(np.fft, name), **kwargs):
+            seen.append((np.ndim(a), sys._getframe(1).f_code.co_name))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    return seen

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -31,6 +32,8 @@ from turbowdm.metrics import MetricsRecord, read_records_ndjson, write_records_n
 from turbowdm.sync_dsp import SyncError, nlms_equalize
 from turbowdm.turbo import TurboError
 from turbowdm.waveform import DualPolSignal, build_frame, rrc_shape
+
+from conftest import fft_spy
 
 TINY_CFG = """
 [campaign]
@@ -390,6 +393,34 @@ class TestConfig:
         with pytest.raises(HarnessError, match=named):
             load_config(p)
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[campaign]\npower_dbm_list = nan\n", "power_dbm_list"),
+            ("[campaign]\npower_dbm_list = 0 inf\n", "power_dbm_list"),
+            ("[campaign]\nbaud = inf\n", "baud"),
+            ("[campaign]\ngrid_spacing_hz = nan\n", "grid_spacing_hz"),
+            ("[fiber]\ngamma_per_w_km = nan\n", "[fiber] gamma_per_w_km"),
+            ("[fiber]\ndispersion_ps_nm_km = inf\n", "[fiber] dispersion_ps_nm_km"),
+            ("[fiber]\nnf_db = -inf\n", "[fiber] nf_db"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, text, named):
+        # a nan or inf passed the range checks, and each cell transmitted
+        # and propagated before a FiberError on its non-finite field
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        with pytest.raises(HarnessError, match=re.escape(f"{named} must be finite")):
+            load_config(p)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("baud", float("inf")), ("grid_spacing_hz", float("nan")), ("power_dbm_list", (0.0, -np.inf))],
+    )
+    def test_non_finite_replacement_rejected(self, key, value):
+        with pytest.raises(HarnessError, match=f"{key} must be finite"):
+            dataclasses.replace(load_config("desk.cfg"), **{key: value})
+
     def test_code_name_resolved_not_built(self, tmp_path, monkeypatch):
         # set-up stays cheap: the check finds the file, only a cell builds the code
         monkeypatch.setattr(fec.LdpcCode, "from_file", lambda *a: pytest.fail("built"))
@@ -625,6 +656,20 @@ def pilot_lag(signal, frame):
 
 
 class TestFrontEnd:
+    def test_filters_transform_one_row_at_a_time(self, tiny_cfg, monkeypatch):
+        # the trial's five filters (shaping, channel selection, EDC, matched
+        # filter and the bypass front end's crop to 1 sps) all transform
+        # through spectral_filter, one polarization row per call; only the
+        # split-step transforms the (2, n) field, in place
+        cfg = dataclasses.replace(tiny_cfg, bypass_sync_dsp=True, modes=("edc", "dbp"))
+        seen = fft_spy(monkeypatch)
+        run_trial(cfg, 2.0, 2, cfg.modes, 0)
+        rows = [caller for ndim, caller in seen if ndim == 1]
+        # one channel shaped, one selection, one EDC, then per mode a
+        # matched filter and a crop: 7 calls of 2 rows, an fft and an ifft each
+        assert rows == ["spectral_filter"] * 7 * 4
+        assert {caller for ndim, caller in seen if ndim != 1} == {"_ssfm"}
+
     @pytest.mark.parametrize("sps", [4, 8])
     def test_matched_filter_output_is_symbol_aligned(self, sps, monkeypatch):
         # every stage from shaping to matched filter is circular on one FFT
@@ -856,6 +901,9 @@ class TestCli:
              "File exists: '{tmp}/afile'"),
             (["tables", "--results", "{tmp}/one.ndjson", "--out", "{tmp}/afile/sub"],
              "Not a directory: '{tmp}/afile/sub'"),
+            # a non-finite launch power, which every cell would propagate
+            # before failing
+            (["run", "--config", "desk.cfg", "--power-dbm", "nan"], "power_dbm_list must be finite"),
         ],
     )
     def test_bad_input_is_a_one_line_error(self, tmp_path, capsys, argv, named):

@@ -14,10 +14,11 @@ from turbowdm.waveform import (
     rrc_response,
     rrc_shape,
     select_channel,
+    spectral_filter,
     wdm_mux,
 )
 
-from conftest import copied, x_rel_err
+from conftest import copied, fft_spy, x_rel_err
 
 BAUD = 32e9
 
@@ -321,11 +322,12 @@ class TestSelectChannel:
 
     @pytest.mark.parametrize("m", [113, 114, 12936])
     def test_symbol_rate_crop_is_bit_exact(self, m):
-        # the bypass front end's call, 2 sps to 1 sps behind a brick wall
-        # wider than the kept band, gives the bits of a plain FFT crop: its
-        # 0.5 scale is exact. At m = 114 a passband of exactly the symbol
-        # rate would round the Nyquist bin's frequency past its edge and
-        # drop that bin; 12,936 is the desk preset's frame
+        # 2 sps to 1 sps behind a brick wall wider than the kept band gives
+        # the bits of a plain FFT crop: its 0.5 scale is exact. The bypass
+        # front end crops with that flat 0.5 through spectral_filter
+        # (TestSpectralFilterOracle). At m = 114 a passband of exactly the
+        # symbol rate would round the Nyquist bin's frequency past its edge
+        # and drop that bin; 12,936 is the desk preset's frame
         rng = np.random.default_rng(m)
         v = rng.standard_normal((2, 2 * m)) + 1j * rng.standard_normal((2, 2 * m))
         out = select_channel(DualPolSignal(fields=v, sample_rate=2 * BAUD), 1.5 * BAUD, BAUD, 0.0)
@@ -336,6 +338,172 @@ class TestSelectChannel:
         want = 0.5 * np.fft.ifft(crop)
         assert np.array_equal(out.fields.view(np.uint8), want.view(np.uint8))
         assert out.sample_rate == BAUD
+
+    @pytest.mark.parametrize("rate", [4.0, 3.0])
+    def test_output_rate_above_input_rejected(self, rate):
+        # a repeated spectrum is no band-pass selection; zero-padding it
+        # was no caller's need
+        sig = DualPolSignal(fields=np.ones((2, 100), dtype=complex), sample_rate=2 * BAUD)
+        with pytest.raises(WaveformError, match="above the input rate"):
+            select_channel(sig, 1.5 * BAUD, rate * BAUD, 0.0)
+
+
+# Oracles: the four filtering stages as they were written before they shared
+# spectral_filter, each with its own transform, resampling and response.
+
+
+def reference_rrc_shape(frame, sps, rolloff):
+    spec = np.tile(np.fft.fft(frame.symbols), sps)
+    spec *= np.sqrt(sps) * rrc_response(spec.shape[-1], sps, rolloff)
+    return np.fft.ifft(spec, out=spec)
+
+
+def reference_matched_filter(signal, rolloff, symbol_rate):
+    sps = round(signal.sample_rate / symbol_rate)
+    spec = np.fft.fft(signal.fields)
+    spec *= np.sqrt(sps) * rrc_response(len(signal), sps, rolloff)
+    return np.fft.ifft(spec, out=spec)
+
+
+def reference_crop_spectrum(spec, out):
+    m = min(len(spec), len(out))
+    out[: (m + 1) // 2] = spec[: (m + 1) // 2]
+    out[len(out) - m // 2 :] = spec[len(spec) - m // 2 :]
+
+
+def reference_select_channel(signal, bandwidth_hz, out_sample_rate, transition_hz):
+    fs = signal.sample_rate
+    n = len(signal)
+    af = np.abs(np.fft.fftfreq(n, d=1.0 / fs))
+    half = bandwidth_hz / 2.0
+    mask = np.zeros(n)
+    mask[af <= half] = 1.0
+    trans = (af > half) & (af < half + transition_hz)
+    mask[trans] = 0.5 * (1.0 + np.cos(np.pi * (af[trans] - half) / transition_hz))
+    n_out = int(round(n * out_sample_rate / fs))
+    out = np.zeros((2, n_out), dtype=complex)
+    mask *= n_out / n
+    spec = np.empty(n, dtype=complex)
+    for v, spec_out in zip(signal.fields, out):
+        np.fft.fft(v, out=spec)
+        spec *= mask
+        reference_crop_spectrum(spec, spec_out)
+        np.fft.ifft(spec_out, out=spec_out)
+    return out
+
+
+def reference_edc(signal, p, n_spans):
+    w = 2.0 * np.pi * np.fft.fftfreq(len(signal), d=1.0 / signal.sample_rate)
+    hmat = np.exp(-1j * p.beta2_s2_per_m / 2.0 * w**2 * (n_spans * p.span_km) * 1e3)
+    return np.fft.ifft(np.fft.fft(signal.fields) * hmat)
+
+
+def random_fields(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+# frame lengths in instants: odd, even and prime (101 and 97)
+LENGTHS = [105, 128, 101, 97]
+
+
+class TestSpectralFilterOracle:
+    """Every stage on spectral_filter gives the bits of its own former code."""
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("sps", [2, 3, 4, 16])
+    def test_rrc_shape(self, qpsk, sps, n):
+        f = replace(random_frame(qpsk), symbols=random_fields(n, sps))
+        out = rrc_shape(f, sps, 0.1)
+        assert same_bits(out.fields, reference_rrc_shape(f, sps, 0.1))
+        assert out.sample_rate == sps * BAUD
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("sps", [2, 3, 4, 16])
+    def test_matched_filter(self, sps, n):
+        sig = DualPolSignal(fields=random_fields(sps * n, n), sample_rate=sps * BAUD)
+        want = reference_matched_filter(sig, 0.1, BAUD)
+        assert same_bits(matched_filter(sig, 0.1, BAUD).fields, want)
+
+    # (input samples per symbol, output samples per symbol, input length):
+    # rate ratios 1/2, 1/8, 2/3 (3 sps to 2, the odd transmit rate) and 1,
+    # at odd, even and prime output lengths, and at 2/3 at odd and even
+    # input lengths. At 2/3 a mask built on the output grid's own
+    # frequencies rounds differently: at 105 and 114 in the raised-cosine
+    # transition, at 420 at the brick wall's edge too
+    @pytest.mark.parametrize(
+        "sps_in, sps_out, n_in",
+        [
+            (4, 2, 226), (4, 2, 228), (4, 2, 202),
+            (16, 2, 808), (16, 2, 1024), (16, 2, 776),
+            (3, 2, 105), (3, 2, 114), (3, 2, 420),
+            (2, 2, 101), (2, 2, 128), (2, 2, 105),
+        ],
+    )
+    @pytest.mark.parametrize("transition", [0.0, 0.15], ids=["brick", "raised_cosine"])
+    def test_select_channel(self, sps_in, sps_out, n_in, transition):
+        sig = DualPolSignal(fields=random_fields(n_in, n_in), sample_rate=sps_in * BAUD)
+        bw = 1.1 * BAUD
+        args = (bw, sps_out * BAUD, transition * bw)
+        out = select_channel(sig, *args)
+        assert same_bits(out.fields, reference_select_channel(sig, *args))
+        assert out.sample_rate == sps_out * BAUD
+
+    @pytest.mark.parametrize("n", [210, 256, 202, 101])
+    @pytest.mark.parametrize("n_spans", [1, 10])
+    def test_edc(self, n, n_spans):
+        sig = DualPolSignal(fields=random_fields(n, n_spans), sample_rate=2 * BAUD)
+        want = reference_edc(sig, FiberParams(), n_spans)
+        assert same_bits(edc(sig, FiberParams(), n_spans).fields, want)
+
+    @pytest.mark.parametrize("m", [113, 114, 8085, 12936])
+    def test_bypass_crop(self, m):
+        # the bypass front end's flat 0.5 at 1 sps against its former call
+        sig = DualPolSignal(fields=random_fields(2 * m, m), sample_rate=2 * BAUD)
+        want = reference_select_channel(sig, 1.5 * BAUD, BAUD, 0.0)
+        assert same_bits(spectral_filter(sig.fields, np.full(m, 0.5)), want)
+
+
+class TestSpectralFilter:
+    def test_resampling_rule(self):
+        # a longer grid repeats the spectrum, a shorter one keeps
+        # (m + 1) // 2 bins from DC up and m // 2 below; a flat response
+        # of 1 leaves the kept bins to rounding
+        fields = random_fields(6, 0)
+        spec = np.fft.fft(fields)
+        up = np.fft.fft(spectral_filter(fields, np.ones(18)))
+        np.testing.assert_allclose(up, np.tile(spec, 3), rtol=0, atol=1e-13)
+        for m, bins in [(5, [0, 1, 2, 4, 5]), (4, [0, 1, 4, 5]), (6, range(6))]:
+            down = np.fft.fft(spectral_filter(fields, np.ones(m)))
+            np.testing.assert_allclose(down, spec[:, bins], rtol=0, atol=1e-13)
+
+    def test_repeat_needs_a_whole_multiple(self):
+        with pytest.raises(WaveformError, match="repeat"):
+            spectral_filter(random_fields(6, 0), np.ones(9))
+
+
+class TestRowTransforms:
+    # each stage transforms one polarization row at a time: a (2, n)
+    # transform allocates scratch for both rows at once
+    STAGES = {
+        "rrc_shape": lambda s, f: rrc_shape(f, 16, 0.1),
+        "matched_filter": lambda s, f: matched_filter(s, 0.1, BAUD),
+        "select_channel": lambda s, f: select_channel(s, 1.1 * BAUD, 2 * BAUD, 0.15 * BAUD),
+        "edc": lambda s, f: edc(s, FiberParams(), 2),
+        "bypass_crop": lambda s, f: spectral_filter(s.fields, np.full(len(s) // 16, 0.5)),
+    }
+
+    @pytest.mark.parametrize("stage", list(STAGES))
+    def test_one_row_per_transform(self, qpsk, monkeypatch, stage):
+        f = random_frame(qpsk, n_data_bits=1024, seed=14)
+        sig = rrc_shape(f, 16, 0.1)
+        seen = fft_spy(monkeypatch)
+        self.STAGES[stage](sig, f)
+        assert [ndim for ndim, _ in seen] == [1] * 4  # an fft and an ifft per row
 
 
 class TestDualPolLayout:
