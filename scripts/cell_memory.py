@@ -15,7 +15,9 @@ the process's own peak RSS (`ru_maxrss`) and minor page faults
 `records.ndjson` would hold them, then the peak RSS as it stood when
 `harness.transmit` and when `fiber.propagate_link` returned
 (`peak_rss_mb.transmit`, `peak_rss_mb.propagate_link`), read by wrapping
-the two functions from this script: the rest is the receiver's.
+the two functions from this script: the rest is the receiver's. Exits 1
+when either was never recorded, so a cell that no longer calls a stage by
+the name wrapped here cannot drop its line unnoticed.
 """
 
 import functools
@@ -49,7 +51,7 @@ def noting_peak(fn, name: str, stages: dict):
 
 def main() -> int:
     stages: dict[str, float] = {}
-    # run_trial looks both names up in their modules when it calls them
+    # harness.channel looks both names up in their modules when it calls them
     harness.transmit = noting_peak(harness.transmit, "transmit", stages)
     fiber.propagate_link = noting_peak(fiber.propagate_link, "propagate_link", stages)
     cfg = harness.load_config("paper.cfg")
@@ -75,6 +77,10 @@ def main() -> int:
     print(f"records_sha256 {hashlib.sha256(text.encode()).hexdigest()}")
     for name, peak in stages.items():
         print(f"peak_rss_mb.{name} {peak:.1f}")
+    missing = [name for name in ("transmit", "propagate_link") if name not in stages]
+    if missing:
+        print(f"error: no peak recorded for {', '.join(missing)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -12,6 +12,7 @@ file holds no records.
 """
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -79,7 +80,12 @@ def main(argv=None) -> int:
         if not recs:
             ap.error(f"{path}: no records")
     lines, identical = compare(a, b)
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader stopped early (``| head -1``): the exit code still
+        # answers, and the flush at exit goes to /dev/null, not the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if identical else 1
 
 

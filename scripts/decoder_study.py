@@ -3,12 +3,15 @@ without the stall rule of ``fec.decode``.
 
 Run from the repository root:  python scripts/decoder_study.py [--seeds 7 1700]
 
-For each desk launch power and base seed, trials 0 and 1 run twice: with
-``fec.STALL`` as shipped, and with the rule off (``STALL`` above
-``fec.MAX_ITER``, set here by patching the module constant). The
-two runs of a trial alternate which goes first. Prints a markdown table:
-sum-product iterations, decode calls that end without a codeword, the
-trial's wall time, and the final iteration's SNR, GMI and post-FEC BER.
+For each desk launch power and base seed, trials 0 and 1 build one
+``harness.channel`` each, and ``harness.receive`` runs the dbp_turbo
+receiver on it twice: with ``fec.STALL`` as shipped, and with the rule off
+(``STALL`` above ``fec.MAX_ITER``, set here by patching the module
+constant). Both settings read the same channel, and the two runs of a
+trial alternate which goes first. Prints a markdown table: sum-product
+iterations, decode calls that end without a codeword, the receiver's wall
+time (the channel is built once, outside it), and the final iteration's
+SNR, GMI and post-FEC BER.
 """
 
 import argparse
@@ -22,9 +25,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from turbowdm import fec, harness, turbo  # noqa: E402
 
 
-def run(cfg, power, trial, stall):
-    """One dbp_turbo trial with ``fec.STALL = stall``: (final record,
-    decoder iterations, failed decode calls, wall seconds)."""
+def run(cfg, selected, frame, stall):
+    """The dbp_turbo receiver on one channel with ``fec.STALL = stall``:
+    (final iteration's metrics, decoder iterations, failed decode calls,
+    wall seconds)."""
     counts = [0, 0]
 
     def counted(llrs, code):
@@ -37,7 +41,7 @@ def run(cfg, power, trial, stall):
     fec.STALL, turbo.decode = stall, counted
     try:
         t0 = time.perf_counter()
-        recs = harness.run_trial(cfg, power, cfg.span_list[0], ("dbp_turbo",), trial)
+        recs = harness.receive(cfg, selected, frame, cfg.span_list[0], "dbp_turbo")
         wall = time.perf_counter() - t0
     finally:
         fec.STALL, turbo.decode = shipped, fec.decode
@@ -56,20 +60,23 @@ def main(argv=None) -> int:
     print("| --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     totals = {"off": [0, 0, 0.0], "on": [0, 0, 0.0]}
     k = 0
-    for seed in args.seeds:
-        cfg = replace(desk, base_seed=seed)
+    spans = desk.span_list[0]
+    for base_seed in args.seeds:
+        cfg = replace(desk, base_seed=base_seed)
         for power in desk.power_dbm_list:
             for trial in (0, 1):
                 order = ("off", "on") if k % 2 == 0 else ("on", "off")
                 k += 1
-                res = {name: run(cfg, power, trial, settings[name]) for name in order}
+                seed = harness.cell_seed(base_seed, power, spans, "dbp_turbo", trial)
+                selected, frame = harness.channel(cfg, power, spans, seed)
+                res = {name: run(cfg, selected, frame, settings[name]) for name in order}
                 for name, (_, iters, failed, wall) in res.items():
                     totals[name][0] += iters
                     totals[name][1] += failed
                     totals[name][2] += wall
                 (r0, i0, f0, w0), (r1, i1, f1, w1) = res["off"], res["on"]
                 print(
-                    f"| {power:+.0f} | {seed} | {trial} | {i0} -> {i1} | {f0} -> {f1} "
+                    f"| {power:+.0f} | {base_seed} | {trial} | {i0} -> {i1} | {f0} -> {f1} "
                     f"| {w0:.2f} -> {w1:.2f} | {r1.snr_db - r0.snr_db:+.4f} "
                     f"| {r1.gmi_bits_per_4d_symbol - r0.gmi_bits_per_4d_symbol:+.4f} "
                     f"| {r0.post_fec_ber:.3e} -> {r1.post_fec_ber:.3e} |"

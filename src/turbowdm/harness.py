@@ -21,7 +21,7 @@ import numpy as np
 from . import fiber as fib
 from .constellation import ConstellationError, build_constellation
 from .fec import FecError, LdpcCode, code_header, frame_order
-from .metrics import MetricsRecord
+from .metrics import IterationMetrics, MetricsRecord
 from .sync_dsp import count_slips, ddpll, nlms_equalize
 from .turbo import TurboConfig, turbo_loop
 from .waveform import (
@@ -250,6 +250,53 @@ def transmit(
     return wdm, frame_coi
 
 
+def channel(
+    cfg: CampaignConfig, power_dbm: float, n_spans: int, seed: int
+) -> tuple[DualPolSignal, SymbolFrame]:
+    """The draw ``seed`` at the receiver's input: the channel of interest,
+    selected at 2 sps after ``n_spans`` spans, and its frame."""
+    rng = np.random.default_rng(seed)
+    code = _load_code(cfg.code_file)
+    order = frame_order(code.n, cfg.n_blocks, seed % (2**31))
+    wdm, frame = transmit(cfg, power_dbm, rng, code, order)
+    rx = fib.propagate_link(wdm, cfg.fiber, n_spans, seed=int(rng.integers(0, 2**63 - 1)))
+    # receiver front end, circular on one FFT grid: select at 2 sps, DBP or EDC, MF
+    bw = cfg.baud * (1.0 + cfg.rolloff)
+    guard = max(cfg.grid_spacing_hz - bw, 0.1 * cfg.baud)
+    return select_channel(rx, bw, 2 * cfg.baud, min(0.15 * bw, guard)), frame
+
+
+def receive(
+    cfg: CampaignConfig, selected: DualPolSignal, frame: SymbolFrame, n_spans: int,
+    mode: str, cell: str = "unnamed channel",
+) -> list[IterationMetrics]:
+    """Receiver ``mode`` on ``channel``'s output, left as it was: EDC or DBP, the
+    matched filter, the front end and the turbo loop; ``cell`` names it in slip warnings."""
+    if mode == "edc":
+        mf = fib.edc(selected, cfg.fiber, n_spans)
+    else:
+        mf = fib.dbp(selected, cfg.fiber, n_spans, cfg.dbp_step_m)
+    mf = matched_filter(mf, cfg.rolloff, cfg.baud)
+
+    if cfg.bypass_sync_dsp:
+        # idealized front end: the matched-filter output cropped to 1 sps
+        # (flat 0.5), then one static complex gain per polarization
+        symbols = spectral_filter(mf.fields, np.full(len(mf) // 2, 0.5))
+        pil = frame.pilot_mask
+        for p in range(2):
+            ref = frame.symbols[p, pil]
+            g = np.vdot(ref, symbols[p, pil]) / np.vdot(ref, ref)
+            symbols[p] /= g
+    else:
+        symbols = nlms_equalize(mf, frame)
+        symbols, _ = ddpll(symbols, frame)
+        if slips := count_slips(symbols, frame):
+            log.warning("DDPLL: %d possible cycle slips, %s, %s", slips, mode, cell)
+
+    n_iters = cfg.turbo.n_turbo_iters if mode == "dbp_turbo" else 0
+    return turbo_loop(symbols, frame, n_iters, _load_code(cfg.code_file))
+
+
 def run_trial(
     cfg: CampaignConfig,
     power_dbm: float,
@@ -258,11 +305,8 @@ def run_trial(
     trial: int,
 ) -> list[MetricsRecord]:
     """Trial ``trial`` of the cells (power, spans, mode) of ``modes``, which
-    share one draw (``DRAW``): transmit and propagate once, seeded by
-    ``cell_seed`` of the draw, then run each mode's receiver on the same
-    waveform, with the turbo loop (a single iteration-0 pass for edc and
-    dbp). Returns one record per mode and turbo iteration, in the order of
-    ``modes``, each labelled with its cell's key and the draw's seed."""
+    share one draw (``DRAW``): each mode's ``receive``, in order, on one
+    ``channel`` under the draw's ``cell_seed``, labelled with cell key and seed."""
     for mode in modes:
         if mode not in DRAW:
             raise HarnessError(f"unknown receiver mode {mode!r}")
@@ -270,55 +314,16 @@ def run_trial(
     if len(draws) != 1 or len(set(modes)) < len(modes):
         raise HarnessError(f"modes {modes!r} do not share one draw")
     seed = cell_seed(cfg.base_seed, power_dbm, n_spans, draws.pop(), trial)
-    rng = np.random.default_rng(seed)
-    code = _load_code(cfg.code_file)
-    order = frame_order(code.n, cfg.n_blocks, seed % (2**31))
-    wdm, frame_coi = transmit(cfg, power_dbm, rng, code, order)
-
-    rx = fib.propagate_link(wdm, cfg.fiber, n_spans, seed=int(rng.integers(0, 2**63 - 1)))
-    del wdm  # the same object as rx: select_channel's output must replace it
-
-    # receiver front end, circular on one FFT grid: select at 2 sps, DBP or EDC, MF
-    bw = cfg.baud * (1.0 + cfg.rolloff)
-    guard = max(cfg.grid_spacing_hz - bw, 0.1 * cfg.baud)
-    rx = select_channel(rx, bw, 2 * cfg.baud, min(0.15 * bw, guard))
-    records = []
-    for mode in modes:
-        if mode == "edc":
-            mf = fib.edc(rx, cfg.fiber, n_spans)
-        else:
-            mf = fib.dbp(rx, cfg.fiber, n_spans, cfg.dbp_step_m)
-        if mode == modes[-1]:
-            del rx  # free the selected channel before the last receiver runs
-        mf = matched_filter(mf, cfg.rolloff, cfg.baud)
-
-        if cfg.bypass_sync_dsp:
-            # idealized front end: the matched-filter output cropped to 1 sps
-            # (flat 0.5), then one static complex gain per polarization
-            symbols = spectral_filter(mf.fields, np.full(len(mf) // 2, 0.5))
-            pil = frame_coi.pilot_mask
-            for p in range(2):
-                ref = frame_coi.symbols[p, pil]
-                g = np.vdot(ref, symbols[p, pil]) / np.vdot(ref, ref)
-                symbols[p] /= g
-        else:
-            symbols = nlms_equalize(mf, frame_coi)
-            symbols, _ = ddpll(symbols, frame_coi)
-            if slips := count_slips(symbols, frame_coi):
-                log.warning(
-                    "DDPLL: %d possible cycle slips at %+.1f dBm, %d spans, %s, seed %d",
-                    slips, power_dbm, n_spans, mode, seed,
-                )
-
-        n_iters = cfg.turbo.n_turbo_iters if mode == "dbp_turbo" else 0
-        records += [
-            MetricsRecord(
-                **asdict(r), launch_power_dbm=power_dbm, n_spans=n_spans, mode=mode,
-                seed=seed, trial=trial,
-            )
-            for r in turbo_loop(symbols, frame_coi, n_iters, code)
-        ]
-    return records
+    selected, frame = channel(cfg, power_dbm, n_spans, seed)
+    cell = f"{power_dbm:+.1f} dBm, {n_spans} spans, seed {seed}"
+    return [
+        MetricsRecord(
+            **asdict(r), launch_power_dbm=power_dbm, n_spans=n_spans, mode=mode,
+            seed=seed, trial=trial,
+        )
+        for mode in modes
+        for r in receive(cfg, selected, frame, n_spans, mode, cell)
+    ]
 
 
 def _run_task(args) -> tuple[tuple, list[MetricsRecord] | None, str | None]:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import load_script
@@ -124,3 +129,31 @@ def test_file_without_records_is_an_error(tmp_path, capsys, empty_side):
     assert exc.value.code == 2
     empty = a if empty_side != "b" else b
     assert f"error: {empty}: no records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("identical", [True, False])
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_reader_closing_early_keeps_the_exit_code(tmp_path, identical, lines_read):
+    # ``compare_records.py A B | head -1``: the reader closes the pipe before
+    # the first line or after it, with the report still to be written (one
+    # line per changed trial: 4,000 fill more than a pipe holds); the exit
+    # code still says whether the files differ, and nothing is printed
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_records.py"
+    a, b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+    ber = 0.0 if identical else 0.5
+    a.write_text("".join(line(0.0, "edc", t, 0, 20.0) for t in range(4000)))
+    b.write_text("".join(line(0.0, "edc", t, 0, 20.0, ber=ber) for t in range(4000)))
+    r, w = os.pipe()
+    if not lines_read:
+        os.close(r)
+    proc = subprocess.Popen(
+        [sys.executable, str(script), str(a), str(b)], stdout=w, stderr=subprocess.PIPE
+    )
+    os.close(w)
+    if lines_read:
+        with os.fdopen(r, "rb") as reader:
+            first = reader.readline()
+        assert first == (b"4000" if identical else b"0") + b" of 4000 paired records identical\n"
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == (0 if identical else 1)
+    assert err == b""

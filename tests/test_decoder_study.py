@@ -1,6 +1,6 @@
 import dataclasses
 
-from turbowdm import fec, turbo
+from turbowdm import fec, harness, turbo
 from turbowdm.harness import load_config
 
 from conftest import load_script
@@ -18,9 +18,11 @@ def test_study_counts_decodes_with_and_without_the_stall_rule():
         dbp_step_m=25e3, turbo=dataclasses.replace(desk.turbo, n_turbo_iters=1),
         power_dbm_list=(-30.0,), span_list=(1,), modes=("dbp_turbo",),
     )
+    seed = harness.cell_seed(cfg.base_seed, -30.0, 1, "dbp_turbo", 0)
+    selected, frame = harness.channel(cfg, -30.0, 1, seed)
     shipped = fec.STALL
-    _, iters_off, failed_off, _ = study.run(cfg, -30.0, 0, fec.MAX_ITER + 1)
-    _, iters_on, failed_on, _ = study.run(cfg, -30.0, 0, shipped)
+    _, iters_off, failed_off, _ = study.run(cfg, selected, frame, fec.MAX_ITER + 1)
+    _, iters_on, failed_on, _ = study.run(cfg, selected, frame, shipped)
     assert iters_on > 0 and failed_on > 0
     assert failed_off > 0
     # the rule only stops blocks early, and here it stops some

@@ -1,5 +1,7 @@
 import dataclasses
+import logging
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -15,20 +17,28 @@ from turbowdm.cli import main as cli_main
 from turbowdm.constellation import build_constellation
 from turbowdm.fiber import FiberParams
 from turbowdm.harness import (
+    DRAW,
     MODES,
     CampaignConfig,
     HarnessError,
     _load_code,
     aggregate,
     cell_seed,
+    channel,
     emit_tables,
     final_iteration_rows,
     load_config,
     optimal_launch_power,
+    receive,
     run_campaign,
     run_trial,
 )
-from turbowdm.metrics import MetricsRecord, read_records_ndjson, write_records_ndjson
+from turbowdm.metrics import (
+    IterationMetrics,
+    MetricsRecord,
+    read_records_ndjson,
+    write_records_ndjson,
+)
 from turbowdm.sync_dsp import SyncError, nlms_equalize
 from turbowdm.turbo import TurboError
 from turbowdm.waveform import DualPolSignal, build_frame, rrc_shape
@@ -74,6 +84,12 @@ def record(power=2.0, spans=10, mode="edc", it=0, snr=20.0, trial=0, ber=0.0):
         seed=1, post_fec_ber=ber, snr_db=snr,
         gmi_bits_per_4d_symbol=11.0, n_bits_counted=100, trial=trial,
     )
+
+
+def unlabelled(records):
+    """``records`` without their cell labels, as ``receive`` returns them."""
+    names = [f.name for f in dataclasses.fields(IterationMetrics)]
+    return [IterationMetrics(**{name: getattr(r, name) for name in names}) for r in records]
 
 
 class TestConfig:
@@ -460,6 +476,7 @@ def test_readme_library_use_runs():
     exec(block, namespace)
     records = namespace["records"]
     assert records and all(r.mode == "dbp_turbo" and r.trial == 0 for r in records)
+    assert namespace["metrics"] == unlabelled(records)
 
 
 class TestCellSeed:
@@ -641,6 +658,69 @@ class TestSharedDraw:
         monkeypatch.setattr(harness, "transmit", None)
         with pytest.raises(HarnessError, match="do not share one draw"):
             run_trial(tiny_cfg, 2.0, 2, modes, 0)
+
+
+class TestChannelReceive:
+    """A cell split at the receiver's input: ``channel`` builds the selected
+    channel and its frame once, and ``receive`` runs one mode on them."""
+
+    @pytest.fixture(scope="class")
+    def dbp_draw(self, tiny_cfg):
+        return channel(tiny_cfg, 2.0, 2, cell_seed(tiny_cfg.base_seed, 2.0, 2, "dbp", 0))
+
+    @pytest.mark.parametrize("bypass", [False, True])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_receive_leaves_channel_and_frame_as_they_were(self, tiny_cfg, dbp_draw, mode, bypass):
+        # every mode of a draw reads the channel that channel() returned
+        cfg = dataclasses.replace(tiny_cfg, bypass_sync_dsp=bypass)
+        selected, frame = dbp_draw
+        before = pickle.dumps((selected, frame))
+        receive(cfg, selected, frame, 2, mode)
+        assert pickle.dumps((selected, frame)) == before
+
+    def test_two_receives_on_one_channel_agree(self, tiny_cfg, dbp_draw):
+        first = receive(tiny_cfg, *dbp_draw, 2, "dbp_turbo")
+        assert len(first) >= 2
+        assert receive(tiny_cfg, *dbp_draw, 2, "dbp_turbo") == first
+
+    @pytest.mark.parametrize("modes", [("edc", "dbp"), ("dbp_turbo",)])
+    def test_run_trial_is_channel_then_receive_per_mode(self, tiny_cfg, modes):
+        seed = cell_seed(tiny_cfg.base_seed, 2.0, 2, DRAW[modes[0]], 0)
+        selected, frame = channel(tiny_cfg, 2.0, 2, seed)
+        per_mode = [receive(tiny_cfg, selected, frame, 2, mode) for mode in modes]
+        assert unlabelled(run_trial(tiny_cfg, 2.0, 2, modes, 0)) == sum(per_mode, [])
+
+    def test_slip_warning_names_the_cell(self, tiny_cfg, monkeypatch, caplog):
+        # receive() knows the mode and run_trial() the rest of the cell key
+        monkeypatch.setattr(harness, "count_slips", lambda symbols, frame: 2)
+        with caplog.at_level(logging.WARNING, logger=harness.__name__):
+            run_trial(tiny_cfg, 2.0, 2, ("dbp",), 0)
+        seed = cell_seed(tiny_cfg.base_seed, 2.0, 2, "dbp", 0)
+        assert caplog.messages == [
+            f"DDPLL: 2 possible cycle slips, dbp, +2.0 dBm, 2 spans, seed {seed}"
+        ]
+
+    def test_stages_are_looked_up_when_called(self, tiny_cfg, monkeypatch):
+        # span tracers and memory probes replace these names in their
+        # modules from outside: a cell must call each stage through its
+        # module's name for it, not through a reference bound earlier
+        wrapped = [
+            (harness, name)
+            for name in (
+                "transmit", "select_channel", "matched_filter", "nlms_equalize", "ddpll",
+                "turbo_loop", "_load_code", "run_trial",
+            )
+        ] + [(fiber, name) for name in ("propagate_link", "edc", "dbp")]
+        calls = []
+        for module, name in wrapped:
+
+            def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        harness.run_trial(tiny_cfg, 2.0, 2, ("edc", "dbp"), 0)
+        assert sorted(set(calls)) == sorted(name for _, name in wrapped)
 
 
 def pilot_lag(signal, frame):
