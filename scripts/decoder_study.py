@@ -28,23 +28,24 @@ from turbowdm import fec, harness, turbo  # noqa: E402
 def run(cfg, selected, frame, stall):
     """The dbp_turbo receiver on one channel with ``fec.STALL = stall``:
     (final iteration's metrics, decoder iterations, failed decode calls,
-    wall seconds)."""
+    wall seconds). The count wraps ``turbo.decode`` as it stands, a span
+    tracer's wrapper included, and puts that object back afterwards."""
     counts = [0, 0]
+    shipped, inner = fec.STALL, turbo.decode
 
     def counted(llrs, code):
-        out = fec.decode(llrs, code)
+        out = inner(llrs, code)
         counts[0] += out[3]
         counts[1] += not out[2]
         return out
 
-    shipped = fec.STALL
     fec.STALL, turbo.decode = stall, counted
     try:
         t0 = time.perf_counter()
         recs = harness.receive(cfg, selected, frame, cfg.span_list[0], "dbp_turbo")
         wall = time.perf_counter() - t0
     finally:
-        fec.STALL, turbo.decode = shipped, fec.decode
+        fec.STALL, turbo.decode = shipped, inner
     return recs[-1], counts[0], counts[1], wall
 
 

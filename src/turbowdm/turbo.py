@@ -215,122 +215,122 @@ def lmmse_equalize(
     return s_hat, mu, nu2
 
 
+def soft_symbols(priors: np.ndarray, frame: SymbolFrame) -> tuple[np.ndarray, np.ndarray]:
+    """(2, m) symbol means and variances: the known instants pinned to
+    their symbols, and the decoded ones from ``priors``, the (2, decoded
+    instants, q) L-values of their bits, ``CHUNK`` symbols at a time."""
+    c, pos = frame.constellation, frame.data_positions[frame.n_known_data :]
+    means, variances = frame.symbols.copy(), np.zeros(frame.symbols.shape)
+    for lo in range(0, pos.size, CHUNK):
+        pr = cst.symbol_priors(priors[:, lo : lo + CHUNK], c)
+        means[:, pos[lo : lo + CHUNK]], variances[:, pos[lo : lo + CHUNK]] = cst.soft_stats(pr, c)
+    return means, variances
+
+
+def estimate(
+    received: np.ndarray, frame: SymbolFrame, means: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """(track, noise_var): the RLS tap track from the symbol ``means``, and
+    the noise variance from its errors at the pilots, where the means are exact."""
+    track, _, errors = rls_estimate(received, means)
+    return track, max(float(np.mean(np.abs(errors[:, frame.pilot_mask]) ** 2)), 1e-12)
+
+
+def equalize_demap(
+    received: np.ndarray, frame: SymbolFrame, noise_var: float, priors: np.ndarray | None = None,
+    track: np.ndarray | None = None, means: np.ndarray | None = None,
+    variances: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equalize and demap the decoded instants, ``CHUNK`` at a time: the
+    LMMSE on the tap ``track`` with the ``soft_symbols`` statistics, or,
+    without one, the received symbols with mu = 1; the demapper weighs each
+    estimate once with its bits' ``priors``, if any. Returns (estimates
+    scaled by 1/mu, extrinsic, prior_free) of the decoded instants."""
+    c, pos = frame.constellation, frame.data_positions[frame.n_known_data :]
+    est = np.empty((2, pos.size), dtype=complex)
+    extrinsic, prior_free = np.empty((2, pos.size, c.q)), np.empty((2, pos.size, c.q))
+    for lo in range(0, pos.size, CHUNK):
+        at = slice(lo, lo + CHUNK)
+        s_hat, mu, nu2 = received[:, pos[at]], 1.0, noise_var
+        if track is not None:
+            s_hat, mu, nu2 = lmmse_equalize(
+                received, track, means, variances, noise_var, pos[at], symbol_energy=c.energy
+            )
+        extrinsic[:, at], prior_free[:, at] = cst.extrinsic_llrs(
+            s_hat, mu, nu2, None if priors is None else priors[:, at], c
+        )
+        est[:, at] = s_hat / np.where(mu > 1e-6, mu, 1.0)
+    return est, extrinsic, prior_free
+
+
+def decode_blocks(
+    extrinsic: np.ndarray, frame: SymbolFrame, code: LdpcCode
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Decode the blocks after the training blocks from the ``extrinsic``
+    L-values (L = ln P(1)/P(0)) of the decoded instants' bits. Returns
+    (app, info, ok): their a-posteriori L-values, shaped as ``extrinsic``
+    and certain for training bits, the (2, decoded blocks, k) info bits,
+    and whether every decoded block passed parity."""
+    n, nb, nt = frame.block_len, frame.n_blocks, frame.n_train_blocks
+    decoded = frame.order[frame.n_known_data * frame.constellation.q :]  # code-domain indices
+    app = np.empty((2, nb * n))  # in code order: decoder inputs, then outputs
+    app[:, decoded] = extrinsic.reshape(2, -1)
+    train = frame.order < nt * n
+    app[:, frame.order[train]] = np.where(frame.coded_bits[:, train] == 1, L_MAX, -L_MAX)
+    info, ok = np.empty((2, nb - nt, code.k), dtype=np.uint8), True
+    for p in range(2):
+        for b in range(nt, nb):
+            block = app[p, b * n : (b + 1) * n]
+            block[:], hard, passed, _ = decode(block, code)
+            info[p, b - nt], ok = hard[code.info_positions], ok and passed
+    return app[:, decoded].reshape(extrinsic.shape), info, ok
+
+
 def turbo_loop(
-    received: np.ndarray,
-    frame: SymbolFrame,
-    n_iters: int,
-    code: LdpcCode,
+    received: np.ndarray, frame: SymbolFrame, n_iters: int, code: LdpcCode
 ) -> list[IterationMetrics]:
-    """Run the iterative equalize/decode loop on one frame and return what
-    each iteration run measures, in order.
-
-    ``received`` is the symbol-rate dual-pol output of the front-end DSP,
-    aligned to the frame. Iteration 0 bypasses the equalizer and demaps the
-    received symbols under a scalar AWGN assumption; up to ``n_iters``
-    subsequent iterations feed decoder soft output to the RLS channel
-    estimator and the LMMSE equalizer, then demap its output with the
-    updated priors. Each iteration equalizes and demaps the decoded
-    symbols ``CHUNK`` at a time, and demaps each once: the demapper's
-    prior-free L-values give the GMI.
-
-    Only the blocks after the frame's training blocks are decoded: the
-    receiver knows the training blocks, and their certain L-values stand in
-    for a decode. The data instants after the frame's ``n_known_data`` carry
-    the decoded bits, and only they are equalized, demapped and measured:
-    BER counts the decoded blocks, and SNR and GMI the decoded instants. The
-    loop stops from iteration 2 on once every decoded block passes parity
-    and the equalizer output's SNR, scored against the decoder's decisions
-    and not the transmitted symbols, moved by less than 0.01 dB.
-    """
-    m = frame.n_instants
+    """Run the equalize/decode loop on ``received``, the front end's
+    symbol-rate output aligned to ``frame``, and return what each iteration
+    measures, in order. Iteration 0 equalizes with the pilot residuals'
+    noise variance and no priors; up to ``n_iters`` more run every step on
+    the decoder's L-values. BER counts the decoded blocks, and SNR and GMI
+    the decoded instants. From iteration 2 on, the loop stops once every
+    decoded block passes parity and the output's SNR, scored against the
+    decoder's decisions, moved by less than 0.01 dB."""
     received = np.asarray(received, dtype=complex)
-    if received.shape != (2, m):
-        raise TurboError(f"received shape {received.shape} != (2, {m})")
+    if received.shape != frame.symbols.shape:
+        raise TurboError(f"received shape {received.shape} != {frame.symbols.shape}")
     pilot = frame.pilot_mask
     if not pilot.any():
         raise TurboError("frame has no pilots to estimate the noise variance from")
-    c = frame.constellation
-    q = c.q
-    nb, n, n_train_blocks = frame.n_blocks, frame.block_len, frame.n_train_blocks
-    to_code = np.argsort(frame.order).reshape(nb, n)  # (block, code bit) -> frame bit
-
-    # the data instants after the known prefix carry a bit of a decoded
-    # block; the loop equalizes, demaps, decodes and measures them
-    decoded = slice(frame.n_known_data, None)
-    decoded_pos = frame.data_positions[decoded]
-    decoded_bits = frame.coded_bits.reshape(2, -1, q)[:, decoded]
-
-    # noise variance from pilot residuals of the unequalized stream
-    sigma_n2 = float(np.mean(np.abs(received[:, pilot] - frame.symbols[:, pilot]) ** 2))
-
-    code_bits = frame.coded_bits[:, to_code]
-    # (2, decoded blocks, k) info bits the decoder must return
-    true_info = code_bits[:, n_train_blocks:, code.info_positions]
-    # the receiver knows the training blocks, so it decodes only the others;
-    # the known bits' a-posteriori L-values (L = ln P(1)/P(0)) are certain
-    app = np.empty((2, nb, n))
-    app[:, :n_train_blocks] = np.where(code_bits[:, :n_train_blocks] == 1, L_MAX, -L_MAX)
-
+    sent = frame.symbols[:, frame.data_positions[frame.n_known_data :]]
+    sent_bits = frame.coded_bits.reshape(2, -1, frame.constellation.q)[:, frame.n_known_data :]
+    # the (2, decoded blocks, k) info bits the decoder must return
+    true_info = frame.coded_bits[:, np.argsort(frame.order)].reshape(2, frame.n_blocks, -1)
+    true_info = true_info[:, frame.n_train_blocks :, code.info_positions]
+    # iteration 0's noise variance: the pilot residuals of the unequalized stream
+    noise_var = max(float(np.mean(np.abs((received - frame.symbols)[:, pilot]) ** 2)), 1e-12)
     records: list[IterationMetrics] = []
-    priors = None  # (2, decoded symbols, q) decoder L-values of their bits
-    nd = decoded_pos.size
-    # iteration 0 takes the received symbols with mu = 1 and the pilot noise
-    # variance; the rows of training-only symbols in llrs stay unread
-    s_hat, mu, nu2 = received[:, decoded_pos], np.ones((2, nd)), max(sigma_n2, 1e-12)
-    llrs = np.empty((2, frame.n_data, q))
-    extrinsic, prior_free = llrs[:, decoded], np.empty((2, nd, q))
-
+    priors = track = means = variances = None
     for it in range(n_iters + 1):
         if it > 0:
-            if it == 1:  # the known entries are certain; the priors set the others
-                means, variances = frame.symbols.copy(), np.zeros((2, m))
-            for lo in range(0, nd, CHUNK):
-                at = decoded_pos[lo : lo + CHUNK]
-                pr = cst.symbol_priors(priors[:, lo : lo + CHUNK], c)
-                means[:, at], variances[:, at] = cst.soft_stats(pr, c)
-            track, _, rls_err = rls_estimate(received, means)
-            # refresh the noise estimate from the pilot-position residuals,
-            # where the regression means are exact
-            sigma_n2 = max(float(np.mean(np.abs(rls_err[:, pilot]) ** 2)), 1e-12)
-
-        for lo in range(0, nd, CHUNK):
-            at = slice(lo, lo + CHUNK)
-            if it > 0:
-                s_hat[:, at], mu[:, at], nu2 = lmmse_equalize(
-                    received, track, means, variances, sigma_n2, decoded_pos[at],
-                    symbol_energy=c.energy,
-                )
-            extrinsic[:, at], prior_free[:, at] = cst.extrinsic_llrs(
-                s_hat[:, at], mu[:, at], nu2, None if priors is None else priors[:, at], c
-            )
-
-        track = rls_err = None  # rebuilt each iteration: free them before the decode
-        # decode the blocks the receiver does not know
-        dec_info = np.empty_like(true_info)
-        all_ok = True
-        for p in range(2):
-            for b in range(n_train_blocks, nb):
-                app[p, b], hard, ok, _ = decode(llrs.reshape(2, -1)[p, to_code[b]], code)
-                dec_info[p, b - n_train_blocks] = hard[code.info_positions]
-                all_ok &= ok
-
-        ber, n_bits = post_fec_ber(dec_info, true_info)
-        est = s_hat / np.where(mu > 1e-6, mu, 1.0)
-        gmi4d = sum(map(gmi_bits_per_2d, prior_free, decoded_bits))
+            means, variances = soft_symbols(priors, frame)
+            track, noise_var = estimate(received, frame, means)
+        est, extrinsic, prior_free = equalize_demap(
+            received, frame, noise_var, priors, track, means, variances
+        )
+        track = None  # rebuilt each iteration: free it before the decode
+        priors, info, all_ok = decode_blocks(extrinsic, frame, code)
+        ber, n_bits = post_fec_ber(info, true_info)
+        gmi4d = sum(map(gmi_bits_per_2d, prior_free, sent_bits))
         records.append(IterationMetrics(
-            turbo_iteration=it,
-            post_fec_ber=ber,
-            snr_db=effective_snr(frame.symbols[:, decoded_pos], est),
-            gmi_bits_per_4d_symbol=gmi4d,
-            n_bits_counted=n_bits,
+            turbo_iteration=it, post_fec_ber=ber, snr_db=effective_snr(sent, est),
+            gmi_bits_per_4d_symbol=gmi4d, n_bits_counted=n_bits,
         ))
-        priors = app.reshape(2, -1)[:, frame.order[frame.n_known_data * q :]].reshape(2, nd, q)
-        # stop once the decoded blocks pass parity and the equalizer output,
-        # scored against the decoder's own decisions, has saturated
+        # stop once parity holds and the output, scored on the decisions, saturated
         if all_ok and it >= 2:
-            decisions = cst.map_bits(priors > 0, c).reshape(2, -1)
+            decisions = cst.map_bits(priors > 0, frame.constellation).reshape(2, -1)
             if abs(effective_snr(decisions, est) - effective_snr(decisions, last_est)) < 0.01:
                 break
-            del decisions  # free it before the next iteration's passes
         last_est = est
     return records

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import turbowdm
-from turbowdm import fec, fiber, harness, turbo
+from turbowdm import constellation, fec, fiber, harness, turbo
 from turbowdm.cli import main as cli_main
 from turbowdm.constellation import build_constellation
 from turbowdm.fiber import FiberParams
@@ -703,24 +703,34 @@ class TestChannelReceive:
     def test_stages_are_looked_up_when_called(self, tiny_cfg, monkeypatch):
         # span tracers and memory probes replace these names in their
         # modules from outside: a cell must call each stage through its
-        # module's name for it, not through a reference bound earlier
+        # module's name for it, not through a reference bound earlier. The
+        # dbp_turbo mode runs an iteration after iteration 0, so every step
+        # of the turbo loop and every stage inside one are called
         wrapped = [
             (harness, name)
             for name in (
                 "transmit", "select_channel", "matched_filter", "nlms_equalize", "ddpll",
                 "turbo_loop", "_load_code", "run_trial",
             )
-        ] + [(fiber, name) for name in ("propagate_link", "edc", "dbp")]
+        ] + [(fiber, name) for name in ("propagate_link", "edc", "dbp")] + [
+            (turbo, name)
+            for name in (
+                "soft_symbols", "estimate", "equalize_demap", "decode_blocks",
+                "rls_estimate", "lmmse_equalize", "decode", "post_fec_ber", "gmi_bits_per_2d",
+            )
+        ] + [(constellation, name) for name in ("extrinsic_llrs", "symbol_priors", "soft_stats")]
         calls = []
         for module, name in wrapped:
 
-            def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            def counting(*args, _fn=getattr(module, name), _name=(module, name), **kwargs):
                 calls.append(_name)
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
-        harness.run_trial(tiny_cfg, 2.0, 2, ("edc", "dbp"), 0)
-        assert sorted(set(calls)) == sorted(name for _, name in wrapped)
+        assert tiny_cfg.turbo.n_turbo_iters >= 1
+        for modes in (("edc", "dbp"), ("dbp_turbo",)):
+            harness.run_trial(tiny_cfg, 2.0, 2, modes, 0)
+        assert set(calls) == set(wrapped)
 
 
 def pilot_lag(signal, frame):

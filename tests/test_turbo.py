@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from turbowdm import turbo
-from turbowdm.constellation import NU2_FLOOR_REL, build_constellation, extrinsic_llrs
+from turbowdm import harness, turbo
+from turbowdm.constellation import (
+    L_MAX, NU2_FLOOR_REL, build_constellation, extrinsic_llrs, map_bits,
+)
 from turbowdm.fec import frame_order
-from turbowdm.harness import _load_code
-from turbowdm.metrics import effective_snr
+from turbowdm.harness import _load_code, load_config
+from turbowdm.metrics import IterationMetrics, effective_snr, gmi_bits_per_2d, post_fec_ber
 from turbowdm.turbo import TurboError, lmmse_equalize, rls_estimate, turbo_loop
 from turbowdm.waveform import build_frame
 
@@ -767,3 +769,83 @@ class TestLoopPolicy:
         np.testing.assert_array_equal(
             np.concatenate(asked), np.tile(frame.data_positions[frame.n_known_data :], 2)
         )
+
+
+def composed_loop(received, frame, n_iters, code):
+    """The loop built from turbo's public steps with today's choices: the
+    pilot residuals' noise variance and no priors at iteration 0, then soft
+    symbols, RLS estimate, LMMSE and decode on the decoder's L-values, and
+    the stop on parity and a decision-scored SNR that moved < 0.01 dB."""
+    pil, nt = frame.pilot_mask, frame.n_train_blocks
+    noise_var = max(float(np.mean(np.abs(received[:, pil] - frame.symbols[:, pil]) ** 2)), 1e-12)
+    sent = frame.symbols[:, frame.data_positions[frame.n_known_data :]]
+    sent_bits = frame.coded_bits.reshape(2, -1, frame.constellation.q)[:, frame.n_known_data :]
+    to_code = np.argsort(frame.order).reshape(frame.n_blocks, frame.block_len)
+    true_info = frame.coded_bits[:, to_code][:, nt:, code.info_positions]
+    records, priors, last = [], None, None
+    for it in range(n_iters + 1):
+        if it == 0:
+            est, extrinsic, prior_free = turbo.equalize_demap(received, frame, noise_var)
+        else:
+            means, variances = turbo.soft_symbols(priors, frame)
+            track, noise_var = turbo.estimate(received, frame, means)
+            est, extrinsic, prior_free = turbo.equalize_demap(
+                received, frame, noise_var, priors, track, means, variances
+            )
+        priors, info, ok = turbo.decode_blocks(extrinsic, frame, code)
+        ber, n_bits = post_fec_ber(info, true_info)
+        gmi = sum(gmi_bits_per_2d(llrs, bits) for llrs, bits in zip(prior_free, sent_bits))
+        records.append(IterationMetrics(
+            turbo_iteration=it, post_fec_ber=ber, snr_db=effective_snr(sent, est),
+            gmi_bits_per_4d_symbol=gmi, n_bits_counted=n_bits,
+        ))
+        if ok and it >= 2:
+            decisions = map_bits(priors > 0, frame.constellation).reshape(2, -1)
+            if abs(effective_snr(decisions, est) - effective_snr(decisions, last)) < 0.01:
+                break
+        last = est
+    return records
+
+
+@pytest.fixture(scope="module")
+def desk_loop_input():
+    # what receive() hands the loop on trial 0's dbp_turbo channel at +4 dBm
+    cfg = load_config("desk.cfg")
+    seed = harness.cell_seed(cfg.base_seed, 4.0, 10, "dbp_turbo", 0)
+    selected, frame = harness.channel(cfg, 4.0, 10, seed)
+    inputs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "turbo_loop", lambda *args: inputs.append(args) or [])
+        harness.receive(cfg, selected, frame, 10, "dbp_turbo")
+    return inputs[0]
+
+
+class TestPublicSteps:
+    """turbo_loop is a composition of soft_symbols, estimate,
+    equalize_demap and decode_blocks: a probe that recomposes them gets the
+    loop's records until it changes one of today's choices."""
+
+    def test_composed_steps_match_the_loop_that_stops_early(self, hard_input, hard_run, code):
+        r, frame = hard_input
+        recs = composed_loop(r, frame, 4, code)
+        assert len(recs) < 5  # the stop rule ends it before the budget
+        assert recs == hard_run[0]
+
+    def test_composed_steps_match_the_loop_on_a_desk_channel(self, desk_loop_input):
+        received, frame, n_iters, code = desk_loop_input
+        recs = composed_loop(received, frame, n_iters, code)
+        assert len(recs) == n_iters + 1 == 6
+        assert recs == turbo_loop(received, frame, n_iters, code)
+
+    def test_decode_blocks_returns_training_bits_certain(self, code):
+        # the straddling symbol of a 64-QAM frame carries training bits among
+        # the decoded instants' bits, and the receiver knows them
+        c = build_constellation(64)
+        frame = encoded_frame(c, code, 3, seed=8, n_train_blocks=1)
+        nd = frame.n_data - frame.n_known_data
+        app, info, _ = turbo.decode_blocks(np.zeros((2, nd, c.q)), frame, code)
+        bits = frame.coded_bits.reshape(2, -1, c.q)[:, frame.n_known_data :]
+        train = frame.order.reshape(-1, c.q)[frame.n_known_data :] < code.n
+        assert train.any() and not train.all()
+        np.testing.assert_array_equal(app[:, train], np.where(bits[:, train] == 1, L_MAX, -L_MAX))
+        assert info.shape == (2, frame.n_blocks - 1, code.k)
