@@ -22,17 +22,6 @@ from turbowdm.fec import LdpcCode  # noqa: E402
 OUT = Path(__file__).resolve().parents[1] / "src" / "turbowdm" / "codes"
 
 
-# name: (n, m, column weight, seed)
-CODES = {
-    # toy (3,6)-regular code for oracle tests
-    "toy_n20": (20, 10, 3, 7),
-    # desk-scale rate-4/5 code
-    "rate45_n2048": (2048, 410, 3, 11),
-    # full-scale rate-4/5 code (block length matching the paper preset)
-    "rate45_n20480": (20480, 4096, 3, 13),
-}
-
-
 def make_regular_code(n: int, m: int, col_weight: int = 3, seed: int = 0) -> LdpcCode:
     """Random near-regular LDPC construction with double-edge avoidance and
     best-effort 4-cycle avoidance; adequate for desk-scale simulation codes.
@@ -68,6 +57,29 @@ def make_regular_code(n: int, m: int, col_weight: int = 3, seed: int = 0) -> Ldp
     return LdpcCode(n=n, check_rows=[sorted(r) for r in rows])
 
 
+def make_staircase_code(n: int, m: int, col_weight: int = 3, seed: int = 0) -> LdpcCode:
+    """Columns 0..m-1 form a weight-3 lower-triangular staircase: column j has
+    ones at rows j, j + 1 and j + 3 below m, so they are the encoder's pivots
+    and each takes at most two row XORs to eliminate (the efficiently
+    encodable form of Richardson & Urbanke, IEEE Trans. Inf. Theory 47(2),
+    2001). Columns m.. are those of ``make_regular_code(n - m, m, ...)``.
+    """
+    info = make_regular_code(n - m, m, col_weight=col_weight, seed=seed).check_rows
+    rows = [[i - d for d in (3, 1, 0) if i >= d] + [m + c for c in r] for i, r in enumerate(info)]
+    return LdpcCode(n=n, check_rows=rows)
+
+
+# name: (construction, n, m, column weight, seed)
+CODES = {
+    # toy (3,6)-regular code for oracle tests
+    "toy_n20": (make_regular_code, 20, 10, 3, 7),
+    # desk-scale rate-4/5 code
+    "rate45_n2048": (make_regular_code, 2048, 410, 3, 11),
+    # full-scale rate-4/5 code (block length matching the paper preset)
+    "rate45_n20480": (make_staircase_code, 20480, 4096, 3, 13),
+}
+
+
 def save_parity(path: str | Path, n: int, rows: list[list[int]]) -> None:
     """Write a parity-check file in the format ``LdpcCode.from_file`` reads."""
     out = [f"{n} {len(rows)}"]
@@ -77,8 +89,8 @@ def save_parity(path: str | Path, n: int, rows: list[list[int]]) -> None:
 
 def emit(name: str, out_dir: Path) -> Path:
     """Build code ``name`` of CODES and write its parity file into ``out_dir``."""
-    n, m, col_weight, seed = CODES[name]
-    code = make_regular_code(n, m, col_weight=col_weight, seed=seed)
+    make, n, m, col_weight, seed = CODES[name]
+    code = make(n, m, col_weight=col_weight, seed=seed)
     path = out_dir / f"{name}.txt"
     save_parity(path, n, code.check_rows)
     print(f"{name}: n={code.n} m={code.m} k={code.k} rate={float(code.rate):.4f}")

@@ -30,74 +30,26 @@ def code_header(path: str | Path) -> tuple[int, int]:
     return int(head[0]), int(head[1])
 
 
-_CHUNK = 256  # rows per table update: its temporaries stay under 1 MB at n = 20480
-
-
 def _gf2_rref(h: np.ndarray, n: int) -> list[int]:
     """Reduce the bit-packed GF(2) matrix ``h`` (bit c % 64 of word c // 64
     holds column c) in place to reduced row echelon form with the leftmost
-    pivots, one 64-column word at a time (see ``LdpcCode``); returns the
-    pivot columns. A pivot row is zero left of its word, so no row changes
-    left of the word being reduced."""
-    m, nw = h.shape
-    one = np.uint64(1)
-    shifts = np.arange(64, dtype=np.uint64)
-    tables = np.empty(8 * 256 * nw, dtype=np.uint64)
-    picked = np.empty(_CHUNK * nw, dtype=np.uint64)
+    pivots, one pivot at a time; returns the pivot columns. A pivot row is
+    zero left of its column, so each row XOR starts at the pivot's word."""
+    m = h.shape[0]
     pivots: list[int] = []
-    for w in range(nw):
-        r0 = len(pivots)
-        if r0 == m:
+    for col in range(n):
+        r = len(pivots)
+        if r == m:
             break
-        live = h[:, w] != 0
-        if not live[r0:].any():
+        w = col // 64
+        rows = np.flatnonzero((h[:, w] >> np.uint64(col % 64)) & np.uint64(1))
+        below = rows[rows >= r]
+        if not below.size:
             continue
-        # the rows that take part: those with a bit in the word, and the
-        # positions r0.. that its pivots move to, so rows[top] == r0 + t
-        live[r0 : r0 + 64] = True
-        rows = np.flatnonzero(live)
-        col = h[rows, w]
-        sel = np.zeros(rows.size, dtype=np.uint64)
-        base = int(np.searchsorted(rows, r0))
-        for b in range(min(64, n - 64 * w)):
-            t = len(pivots) - r0
-            if r0 + t == m:
-                break
-            top = base + t
-            has = (col >> shifts[b]) & one
-            i = top + int(has[top:].argmax())
-            if not has[i]:
-                continue
-            if i != top:
-                h[rows[[top, i]]] = h[rows[[i, top]]]
-                col[top], col[i] = col[i], col[top]
-                sel[top], sel[i] = sel[i], sel[top]
-            has[i] = has[top] = 0
-            mask = np.negative(has, out=has)  # all ones on the rows that absorb it
-            col ^= mask & col[top]
-            sel ^= mask & (sel[top] ^ (one << shifts[t]))
-            pivots.append(64 * w + b)
-        h[rows, w] = col
-        found, rest = len(pivots) - r0, nw - w - 1
-        if not found or not rest:
-            continue
-        ng = -(-found // 8)
-        tab = tables[: ng * 256 * rest].reshape(ng, 256, rest)
-        tab[:, 0] = 0
-        for t in range(found):
-            g, j = divmod(t, 8)
-            np.bitwise_xor(tab[g, : 1 << j], h[r0 + t, w + 1 :], out=tab[g, 1 << j : 2 << j])
-        hit = sel != 0
-        upd = rows[hit]
-        keys = ((sel[hit, None] >> (8 * shifts[:ng])) & np.uint64(255)).astype(np.intp)
-        for s in range(0, upd.size, _CHUNK):
-            at = upd[s : s + _CHUNK]
-            acc = h[at, w + 1 :]
-            part = picked[: at.size * rest].reshape(at.size, rest)
-            for g in range(ng):
-                np.take(tab[g], keys[s : s + _CHUNK, g], axis=0, out=part)
-                acc ^= part
-            h[at, w + 1 :] = acc
+        if below[0] != r:
+            h[[r, below[0]]] = h[[below[0], r]]
+        h[rows[rows != below[0]], w:] ^= h[r, w:]
+        pivots.append(col)
     return pivots
 
 
@@ -114,21 +66,8 @@ class LdpcCode:
     on those columns, and the identity records the row operations. That
     form, with the leftmost pivots, is unique, so the pivots, T and every
     codeword depend neither on how the elimination is ordered nor on the
-    prefix.
-
-    The elimination is Gauss-Jordan blocked by 64-column word, the Method
-    of Four Russians (Arlazarov, Dinic, Kronrod & Faradzev, 1970; Albrecht,
-    Bard & Hart, ACM TOMS 37(1), 2010). Each word is first reduced on its
-    own column of words, pivot by pivot, with the swap rule of the plain
-    per-column elimination: the first row at or below the next pivot
-    position that has the bit. Meanwhile a 64-bit selector per row records
-    which of the word's pivot rows, as they stood when the word began, the
-    row has absorbed; a row that absorbs pivot t also absorbs all that
-    pivot t has absorbed, so ``sel ^= sel[pivot] ^ (1 << t)``. Then the
-    columns right of the word are updated once per row: each selector byte
-    indexes a table of all 256 XOR combinations of 8 pivot rows. These are
-    the row operations of the per-column elimination, applied right of the
-    word all at once, so the result is the same bit for bit.
+    prefix. A lower-triangular staircase of pivot columns, as in the bundled
+    n = 20480 code, takes at most two row XORs per pivot.
 
     Instances are shared between cells (``harness._load_code`` caches them
     per process), so nothing may mutate a code after construction, the

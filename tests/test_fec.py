@@ -49,8 +49,9 @@ def _gf2_row_reduce(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 def reference_build(code: LdpcCode) -> dict:
     """Gauss-Jordan elimination one pivot at a time, each one XOR over the
-    bit-packed rows right of its word: the encoder build that the
-    word-blocked elimination replaced. Oracle for ``LdpcCode._enc`` and k."""
+    bit-packed rows right of its word, over the whole of H at once: the
+    encoder's elimination without its prefix of H and identity block.
+    Oracle for ``LdpcCode._enc`` and k."""
     h = np.zeros((code.m, -(-code.n // 64)), dtype=np.uint64)
     bit = np.left_shift(np.uint64(1), (code.edge_var % 64).astype(np.uint64))
     np.bitwise_or.at(h, (code.edge_check, code.edge_var // 64), bit)
@@ -101,7 +102,8 @@ def _times_h(t: np.ndarray, code: LdpcCode) -> np.ndarray:
     return _transpose_packed(th_cols, t.shape[0])
 
 
-# small codes that reach each branch of the word-blocked elimination
+# small codes that reach each regime of the one-pivot elimination on
+# bit-packed words and of the encoder's prefix of H
 BLOCKED_CASES = [
     "regular_100x50",
     "rank_deficient",
@@ -335,8 +337,8 @@ class TestEncoderOracle:
         assert code._enc["pivot_cols"][-1] >= 64 * (-(-code.m // 64) + 1)
 
     def test_cases_reach_every_branch(self, codes, references):
-        # the regimes of the word-blocked elimination, read off the
-        # reference pivots of BLOCKED_CASES
+        # the regimes of the one-pivot elimination on bit-packed words, read
+        # off the reference pivots of BLOCKED_CASES
         seen = set()
         for name in BLOCKED_CASES:
             code, piv = codes(name), references(name)["pivot_cols"]
@@ -640,6 +642,32 @@ class TestBigCode:
         _, hard, ok, _ = decode(llr, code)
         assert ok
         np.testing.assert_array_equal(hard, cw)
+
+    def test_paper_code_decodes(self, codes):
+        # the staircase code corrects every block a little above its waterfall
+        # (40 blocks per point: none failed from Es/N0 1.9 dB on)
+        code = codes("rate45_n20480")
+        rng = np.random.default_rng(12)
+        sigma = np.sqrt(0.5 / 10 ** (2.0 / 10.0))  # Es/N0 2.0 dB, BPSK
+        for _ in range(10):
+            cw = code.encode(rng.integers(0, 2, code.k).astype(np.uint8))
+            llr = 2.0 * (2.0 * cw - 1.0 + rng.normal(0, sigma, code.n)) / sigma**2
+            _, hard, ok, _ = decode(llr, code)
+            assert ok
+            np.testing.assert_array_equal(hard, cw)
+
+    def test_paper_code_is_a_staircase(self, codes):
+        # columns 0..m-1 are a weight-3 lower-triangular staircase (rows j,
+        # j + 1 and j + 3 below m), so they are the encoder's pivots
+        code = codes("rate45_n20480")
+        m = code.m
+        ev, rows = code.edge_var, code.nonempty_rows[code.edge_check]
+        block = np.zeros((m, m), dtype=bool)
+        block[rows[ev < m], ev[ev < m]] = True
+        stair = np.eye(m, dtype=bool) | np.eye(m, k=-1, dtype=bool) | np.eye(m, k=-3, dtype=bool)
+        np.testing.assert_array_equal(block, stair)
+        np.testing.assert_array_equal(code._enc["pivot_cols"], np.arange(m))
+        np.testing.assert_array_equal(np.bincount(ev, minlength=code.n)[m:], 3)
 
     def test_paper_code_encodes(self, codes):
         code = codes("rate45_n20480")
