@@ -33,20 +33,25 @@ def make_regular_code(n: int, m: int, col_weight: int = 3, seed: int = 0) -> Ldp
     for col in range(n):
         chosen: list[int] = []
         for _ in range(col_weight):
-            order = np.lexsort((rng.random(m), row_load))
-            placed = False
-            for r in order:
+            # pop the rows by load, ties by a random draw, one at a time: the
+            # draw is k / 2**53, so the key is exact, and argmin's first index
+            # keeps a stable sort's order. row_load stays far below 2**10, so
+            # the shift cannot overflow
+            key = (row_load << 53) | (rng.random(m) * 2**53).astype(np.int64)
+            popped: list[int] = []
+            for _ in range(m):
+                r = int(np.argmin(key))
+                key[r] = np.iinfo(np.int64).max
+                popped.append(r)
                 if r in chosen:
                     continue
                 pairs = [(min(r, c), max(r, c)) for c in chosen]
                 if any(p in pair_seen for p in pairs) and rng.random() < 0.95:
                     continue
-                chosen.append(int(r))
-                placed = True
-                break
-            if not placed:
-                r = int(order[0]) if order[0] not in chosen else int(order[1])
                 chosen.append(r)
+                break
+            else:
+                chosen.append(popped[0] if popped[0] not in chosen else popped[1])
         for r in chosen:
             rows[r].add(col)
             row_load[r] += 1

@@ -10,7 +10,6 @@ from pathlib import Path
 
 from . import harness
 from .metrics import read_records_ndjson, write_records_ndjson
-from .turbo import TurboError
 
 
 def _error(msg: object) -> int:
@@ -32,7 +31,7 @@ def cmd_run(args) -> int:
             cfg = replace(cfg, modes=tuple(args.modes))
         if args.jobs < 1:  # checked before --out is created
             raise harness.HarnessError("jobs must be >= 1")
-    except (harness.HarnessError, TurboError) as exc:
+    except harness.HarnessError as exc:
         return _error(exc)
     out_dir = Path(args.out)
     try:

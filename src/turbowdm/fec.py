@@ -124,14 +124,13 @@ class LdpcCode:
             h = np.zeros((m, width + mw), dtype=np.uint64)
             bit = np.left_shift(np.uint64(1), (col % 64).astype(np.uint64))
             np.bitwise_or.at(h, (row, col // 64), bit)
-            pivots = _gf2_rref(h, 64 * width + m)
-            # pivots past H_left are in the identity block
-            rank = sum(c < 64 * width for c in pivots)
+            pivots = _gf2_rref(h, 64 * width)
+            rank = len(pivots)
             if rank == m or width == nw:
                 break
             width = min(nw, 2 * width)
-        self._enc["pivot_cols"] = np.asarray(pivots[:rank], dtype=int)
-        self._enc["info_cols"] = np.setdiff1d(np.arange(self.n), pivots[:rank])
+        self._enc["pivot_cols"] = np.asarray(pivots, dtype=int)
+        self._enc["info_cols"] = np.setdiff1d(np.arange(self.n), pivots)
         # row i of T H is reduced row i of H: the parity bit at pivot i
         self._enc["inverse"] = h[:rank, width:].copy()
         for a in self._enc.values():

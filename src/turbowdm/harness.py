@@ -23,7 +23,7 @@ from .constellation import ConstellationError, build_constellation
 from .fec import FecError, LdpcCode, code_header, frame_order
 from .metrics import IterationMetrics, MetricsRecord
 from .sync_dsp import count_slips, ddpll, nlms_equalize
-from .turbo import TurboConfig, turbo_loop
+from .turbo import turbo_loop
 from .waveform import (
     DualPolSignal,
     SymbolFrame,
@@ -48,6 +48,14 @@ MODES = tuple(DRAW)
 
 class HarnessError(RuntimeError):
     pass
+
+
+@dataclass(frozen=True)
+class TurboConfig:
+    """The dbp_turbo receiver's iteration budget: at most ``n_turbo_iters``
+    equalize/decode iterations after iteration 0."""
+
+    n_turbo_iters: int = 5
 
 
 @dataclass
@@ -75,7 +83,8 @@ class CampaignConfig:
     def __post_init__(self):
         # a nan or inf passes the range checks below and fails every cell late
         values = asdict(self)
-        values |= {f"[fiber] {k}": v for k, v in values.pop("fiber").items()}
+        for section in _sections():
+            values |= {f"[{section}] {k}": v for k, v in values.pop(section).items()}
         for key, value in values.items():
             if any(isinstance(v, float) and not np.isfinite(v) for v in np.atleast_1d(value)):
                 raise HarnessError(f"{key} must be finite")
@@ -87,6 +96,8 @@ class CampaignConfig:
             raise HarnessError("span counts must be >= 0")
         if self.n_trials < 1:
             raise HarnessError("n_trials must be >= 1")
+        if self.turbo.n_turbo_iters < 0:
+            raise HarnessError("[turbo] n_turbo_iters must be >= 0")
         # the receiver selects the band at 0 Hz, where only an odd grid has a channel
         if self.n_wdm_channels < 1 or self.n_wdm_channels % 2 == 0:
             raise HarnessError("n_wdm_channels must be odd")
@@ -129,6 +140,12 @@ class CampaignConfig:
         fs = self.tx_samples_per_symbol * self.baud
         if (self.n_wdm_channels - 1) * self.grid_spacing_hz >= fs:
             raise HarnessError("aggregate WDM band exceeds the sampling bandwidth")
+
+
+@functools.cache
+def _sections() -> dict[str, type]:
+    """The sections besides ``[campaign]``: CampaignConfig's dataclass fields."""
+    return {name: tp for name, tp in get_type_hints(CampaignConfig).items() if is_dataclass(tp)}
 
 
 def _parse_value(text: str, tp):
@@ -181,9 +198,7 @@ def load_config(path: str | Path) -> CampaignConfig:
     if cp.defaults():
         raise HarnessError(f"[{cp.default_section}]: unknown section")
 
-    schema = {"campaign": CampaignConfig} | {
-        name: tp for name, tp in get_type_hints(CampaignConfig).items() if is_dataclass(tp)
-    }
+    schema = {"campaign": CampaignConfig} | _sections()
     parsed = {}
     for section in cp.sections():
         if section not in schema:

@@ -15,8 +15,6 @@ information", IEEE Trans. Signal Process. 50(3), 2002).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import constellation as cst
@@ -39,18 +37,6 @@ CHUNK = 1024
 
 class TurboError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class TurboConfig:
-    """The dbp_turbo receiver's iteration budget: at most ``n_turbo_iters``
-    equalize/decode iterations after iteration 0."""
-
-    n_turbo_iters: int = 5
-
-    def __post_init__(self):
-        if self.n_turbo_iters < 0:
-            raise TurboError("n_turbo_iters must be nonnegative")
 
 
 def _gather(arr: np.ndarray, idx: np.ndarray, fill) -> np.ndarray:

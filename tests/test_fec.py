@@ -231,7 +231,7 @@ class TestParityFile:
         save_parity(p, 4, [[0, 1], []])
         assert LdpcCode.from_file(p).check_rows == [[0, 1], []]
 
-    @pytest.mark.parametrize("name", ["toy_n20", "rate45_n2048"])
+    @pytest.mark.parametrize("name", ["toy_n20", "rate45_n2048", "rate45_n20480"])
     def test_bundled_codes_match_generator(self, gen_codes, tmp_path, name):
         # byte for byte: a change in numpy's random stream shows here first
         made = gen_codes.emit(name, tmp_path).read_bytes()

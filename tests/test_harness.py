@@ -21,6 +21,7 @@ from turbowdm.harness import (
     MODES,
     CampaignConfig,
     HarnessError,
+    TurboConfig,
     _load_code,
     aggregate,
     cell_seed,
@@ -40,7 +41,6 @@ from turbowdm.metrics import (
     write_records_ndjson,
 )
 from turbowdm.sync_dsp import SyncError, nlms_equalize
-from turbowdm.turbo import TurboError
 from turbowdm.waveform import DualPolSignal, build_frame, rrc_shape
 
 from conftest import fft_spy
@@ -225,11 +225,28 @@ class TestConfig:
             ("[turbo]\nn_turbo_iters = -1\n", "n_turbo_iters"),
         ],
     )
-    def test_out_of_range_turbo_value_rejected(self, tmp_path, text, named):
+    def test_out_of_range_turbo_value_rejected(self, tmp_path, capsys, text, named):
+        # [turbo] is checked with the rest of the config, so the load fails
+        # with the one error type that the command line reports
         p = tmp_path / "bad.cfg"
         p.write_text(text)
-        with pytest.raises(TurboError, match=named):
+        with pytest.raises(HarnessError, match=re.escape(f"[turbo] {named}")):
             load_config(p)
+        rc = cli_main(["run", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"turbowdm: error: [turbo] {named} must be >= 0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_turbo_budget_rejected(self):
+        with pytest.raises(HarnessError, match=re.escape("[turbo] n_turbo_iters must be >= 0")):
+            CampaignConfig(turbo=TurboConfig(n_turbo_iters=-1))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_turbo_replacement_rejected(self, value):
+        # range() of a nan or inf budget failed every dbp_turbo cell late
+        desk = load_config("desk.cfg")
+        with pytest.raises(HarnessError, match=re.escape("[turbo] n_turbo_iters must be finite")):
+            dataclasses.replace(desk, turbo=dataclasses.replace(desk.turbo, n_turbo_iters=value))
 
     def test_missing_config(self):
         with pytest.raises(HarnessError):
